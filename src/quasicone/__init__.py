@@ -3,9 +3,10 @@ determinants, and numerical extremality certification."""
 
 __version__ = "0.1.0"
 
-from .certify import (CertifyConfig, MarginReport, PreconditionError,
-                      ProbeReport, extremal_polynomial_probe,
-                      extreme_point_probe, milton_extremality_probe,
+from .certify import (CertifyConfig, LatticeScan, MarginReport,
+                      PreconditionError, ProbeReport,
+                      extremal_polynomial_probe, extreme_point_probe,
+                      lattice_scan, milton_extremality_probe,
                       polyconvexity_test, quasiconvexity_margin,
                       rank_one_zeros)
 from .determinant import (DetReport, acoustic_det, det_report,
@@ -27,14 +28,16 @@ from .poly import (HomogeneousPolynomial, UnivariatePolynomial, poly_combine,
 
 __all__ = [
     "AcousticMatrix", "CertifyConfig", "ChainReport", "DetReport",
-    "HomogeneousPolynomial", "HypothesisError", "MarginReport", "MinorSums",
+    "HomogeneousPolynomial", "HypothesisError", "LatticeScan", "MarginReport",
+    "MinorSums",
     "NullLagrangianCoeffs", "OrthotropicCoefficients", "PreconditionError",
     "ProbeReport", "QuadraticForm", "ReducedOrthotropicForm",
     "SymmetricMatrixPair", "UnivariatePolynomial", "acoustic_det",
     "acoustic_matrix", "add_null_lagrangian", "biquadratic_eval", "catalog",
     "det_report", "extremal_polynomial_probe", "extreme_point_probe",
     "form_from_reduced", "form_from_single_shear", "form_from_voigt",
-    "milton_extremality_probe", "minor_chain_check", "minor_gram_basis",
+    "lattice_scan", "milton_extremality_probe", "minor_chain_check",
+    "minor_gram_basis",
     "minor_sum", "minor_sums", "pencil_identity_check", "pencil_poly",
     "pencil_roots", "perfect_square_test", "poly_combine",
     "poly_equal_within", "poly_eval", "poly_mul", "polyconvexity_test",

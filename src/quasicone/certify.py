@@ -1,9 +1,10 @@
 """Numerical certification engines.
 
-quasiconvexity_margin computes min over unit y of lambda_min(T(y)) on a
+lattice_scan computes min over unit y of lambda_min(T(y)) on a
 deterministic spherical Fibonacci lattice with batched alternating
 refinement (each step minimizes the biquadratic exactly in one of x, y via
-the 3x3 eigenproblem).  The probes built on top of it:
+the 3x3 eigenproblem).  Each form is scanned once; its LatticeScan is
+shared by the margin report and the probes built on top of it:
 
   * milton_extremality_probe: largest coefficient eps such that Q - eps*l^2
     stays quasiconvex, maximized over unit rank-one directions l, by
@@ -28,15 +29,14 @@ sweeps along the transverse-Hessian eigendirections at each zero.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from .determinant import _SEXTIC_EXPS, perfect_square_test
 from .forms import (QuadraticForm, detect_shear_layout, form_from_theta,
                     minor_gram_basis, shear_layout_basis)
-from .poly import HomogeneousPolynomial, monomial_exponents, poly_eval_many
+from .poly import HomogeneousPolynomial, poly_eval_many
 from .symeig import eigmin3, eigvals3
 
 # noise floor of a refined margin evaluation, relative to the Gram scale;
@@ -78,6 +78,10 @@ class CertifyConfig:
             raise ValueError("grid_resolution must be >= 8")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
+        if self.probe_directions < 1:
+            raise ValueError("probe_directions must be >= 1")
+        if self.refine_iters < 0 or self.bisection_iters < 0:
+            raise ValueError("refine_iters and bisection_iters must be >= 0")
 
     def to_json(self) -> dict:
         return {
@@ -126,8 +130,10 @@ _LATTICE_CACHE: dict[int, np.ndarray] = {}
 
 
 def sphere_lattice(resolution: int) -> np.ndarray:
-    """Antipodally deduplicated spherical Fibonacci lattice of resolution^2
-    points, canonical sign (first nonzero coordinate positive)."""
+    """Spherical Fibonacci lattice of resolution^2 points in canonical sign
+    (first nonzero coordinate positive), rows sorted.  The sort removes no
+    point; its row order fixes which points the probes' top-k refinements
+    pick."""
     if resolution in _LATTICE_CACHE:
         return _LATTICE_CACHE[resolution]
     n = resolution * resolution
@@ -162,36 +168,6 @@ def canonical_sign(V: np.ndarray) -> np.ndarray:
     return out[0] if single else out
 
 
-def _workers() -> int:
-    env = os.environ.get("QUASICONE_THREADS", "")
-    try:
-        w = int(env) if env else 1
-    except ValueError:
-        w = 1
-    return max(1, min(w, os.cpu_count() or 1))
-
-
-def _grid_lambda_min(G4: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """lambda_min(T(y)) over lattice rows, chunked across the worker pool.
-
-    Rows are independent, so the result is bytewise identical for any worker
-    count.
-    """
-    workers = _workers()
-    if workers == 1 or Y.shape[0] < 2048:
-        T = np.einsum("nj,ikjl,nl->nik", Y, G4, Y)
-        return eigvals3(T)[:, 0]
-    chunks = np.array_split(np.arange(Y.shape[0]), workers * 4)
-
-    def one(idx):
-        T = np.einsum("nj,ikjl,nl->nik", Y[idx], G4, Y[idx])
-        return eigvals3(T)[:, 0]
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(one, chunks))
-    return np.concatenate(parts)
-
-
 def _alternating_refine(G4: np.ndarray, Y: np.ndarray,
                         max_iters: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Batched block descent from the given y starts: alternate exact
@@ -200,8 +176,13 @@ def _alternating_refine(G4: np.ndarray, Y: np.ndarray,
     Returns refined (X, Y, values); values only decrease per point.  Stops
     early once no point improves beyond the 1e-16 level.
     """
-    T = np.einsum("nj,ikjl,nl->nik", Y, G4, Y)
-    vals, X = eigmin3(T)
+    vals, X = eigmin3(np.einsum("nj,ikjl,nl->nik", Y, G4, Y))
+    return _descend(G4, X, Y, vals, max_iters)
+
+
+def _descend(G4: np.ndarray, X: np.ndarray, Y: np.ndarray, vals: np.ndarray,
+             max_iters: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_alternating_refine from already solved x blocks (X, vals at Y)."""
     for _ in range(max_iters):
         S = np.einsum("ni,ikjl,nk->njl", X, G4, X)
         _, Y = eigmin3(S)
@@ -216,17 +197,51 @@ def _alternating_refine(G4: np.ndarray, Y: np.ndarray,
     return X, Y, vals
 
 
-def _margin_full(q: QuadraticForm, cfg: CertifyConfig):
-    """Full lattice scan plus refinement of every lattice point.
+@dataclass(frozen=True, eq=False)
+class LatticeScan:
+    """One scan of a form over sphere_lattice(cfg.grid_resolution): the
+    lattice acoustic matrices T with their smallest eigenvalues and unit
+    eigenvectors, the refined points (X, Y, vals), and the sampled margin
+    min(vals, lattice_lam)."""
 
-    Returns (margin, X, Y, values, grid_lambda) with the refined arrays.
-    """
+    form: QuadraticForm
+    cfg: CertifyConfig
+    margin: float
+    T: np.ndarray
+    lattice_lam: np.ndarray
+    lattice_X: np.ndarray
+    X: np.ndarray
+    Y: np.ndarray
+    vals: np.ndarray
+
+    def require_quasiconvex(self, who: str) -> None:
+        if self.margin < -self.cfg.tol:
+            raise PreconditionError(
+                f"{who} requires a quasiconvex form (margin {self.margin:.3e})")
+
+    def margin_report(self) -> MarginReport:
+        """Minimizers: refined pairs within tol of the margin, clustered at
+        angular distance 1e-3, at most 12."""
+        margin, vals = self.margin, self.vals
+        near = vals <= margin + self.cfg.tol * (1.0 + abs(margin))
+        kept = _cluster_pairs(self.X[near], self.Y[near], vals[near],
+                              cap=MAX_REPORTED_MINIMIZERS)
+        minimizers = tuple(
+            (tuple(float(u) for u in y), tuple(float(u) for u in x), v)
+            for (y, x, v) in kept)
+        return MarginReport(margin=margin, minimizers=minimizers)
+
+
+def lattice_scan(q: QuadraticForm, cfg: CertifyConfig = CertifyConfig()) -> LatticeScan:
+    """Evaluate lambda_min(T(y)) on every lattice point and refine each one
+    by the batched alternating descent."""
     G4 = q.gram_tensor()
     Y0 = sphere_lattice(cfg.grid_resolution)
-    lam = _grid_lambda_min(G4, Y0)
-    X, Y, vals = _alternating_refine(G4, Y0.copy(), cfg.refine_iters)
+    T = np.einsum("nj,ikjl,nl->nik", Y0, G4, Y0)
+    lam, X0 = eigmin3(T)
+    X, Y, vals = _descend(G4, X0, Y0, lam, cfg.refine_iters)
     margin = float(min(np.min(vals), np.min(lam)))
-    return margin, X, Y, vals, lam
+    return LatticeScan(q, cfg, margin, T, lam, X0, X, Y, vals)
 
 
 def _cluster_pairs(X: np.ndarray, Y: np.ndarray, vals: np.ndarray,
@@ -252,19 +267,8 @@ def _cluster_pairs(X: np.ndarray, Y: np.ndarray, vals: np.ndarray,
 
 
 def quasiconvexity_margin(q: QuadraticForm, cfg: CertifyConfig = CertifyConfig()) -> MarginReport:
-    """Margin = min over unit y of lambda_min(T(y)); reports minimizer pairs.
-
-    Every lattice point is refined by the batched alternating descent; the
-    reported minimizers are within tol of the margin, clustered at angular
-    distance 1e-3 and capped at 12 entries.
-    """
-    margin, X, Y, vals, _ = _margin_full(q, cfg)
-    near = vals <= margin + cfg.tol * (1.0 + abs(margin))
-    kept = _cluster_pairs(X[near], Y[near], vals[near], cap=MAX_REPORTED_MINIMIZERS)
-    minimizers = tuple(
-        (tuple(float(u) for u in y), tuple(float(u) for u in x), v)
-        for (y, x, v) in kept)
-    return MarginReport(margin=margin, minimizers=minimizers)
+    """Margin = min over unit y of lambda_min(T(y)); reports minimizer pairs."""
+    return lattice_scan(q, cfg).margin_report()
 
 
 def rank_one_zeros(q: QuadraticForm, cfg: CertifyConfig = CertifyConfig()) -> list:
@@ -272,12 +276,10 @@ def rank_one_zeros(q: QuadraticForm, cfg: CertifyConfig = CertifyConfig()) -> li
 
     Requires the form to be quasiconvex within tolerance.
     """
-    margin, X, Y, vals, _ = _margin_full(q, cfg)
-    if margin < -cfg.tol:
-        raise PreconditionError(
-            f"form is not quasiconvex (margin {margin:.3e} < -tol)")
-    near = vals <= cfg.tol
-    kept = _cluster_pairs(X[near], Y[near], vals[near])
+    scan = lattice_scan(q, cfg)
+    scan.require_quasiconvex("rank_one_zeros")
+    near = scan.vals <= cfg.tol
+    kept = _cluster_pairs(scan.X[near], scan.Y[near], scan.vals[near])
     return [(tuple(float(u) for u in x), tuple(float(u) for u in y))
             for (y, x, _) in kept]
 
@@ -288,20 +290,20 @@ def rank_one_zeros(q: QuadraticForm, cfg: CertifyConfig = CertifyConfig()) -> li
 _POOL_RADII = np.geomspace(1e-5, 0.32, 28)
 
 
-def _tangent_basis(u: np.ndarray) -> np.ndarray:
-    """3x2 orthonormal basis of the plane orthogonal to unit u."""
-    a = np.zeros(3)
-    a[int(np.argmin(np.abs(u)))] = 1.0
-    t1 = a - (a @ u) * u
-    t1 /= np.linalg.norm(t1)
-    t2 = np.cross(u, t1)
-    return np.stack([t1, t2], axis=1)
+def _tangent_bases(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal tangent pairs (t1, t2) for each unit row of Z."""
+    n = len(Z)
+    a = np.zeros((n, 3))
+    a[np.arange(n), np.argmin(np.abs(Z), axis=1)] = 1.0
+    t1 = a - np.sum(a * Z, axis=1)[:, None] * Z
+    t1 /= np.linalg.norm(t1, axis=1)[:, None]
+    t2 = np.cross(Z, t1)
+    return t1, t2
 
 
 def _transverse_hessian(G4: np.ndarray, x0: np.ndarray, y0: np.ndarray):
     """4x4 Hessian of Q(x (x) y) on the product of spheres at a zero."""
-    U = _tangent_basis(x0)
-    V = _tangent_basis(y0)
+    U, V = np.stack(_tangent_bases(np.stack([x0, y0])), axis=2)
     T = np.einsum("j,ikjl,l->ik", y0, G4, y0)
     S = np.einsum("i,ikjl,k->jl", x0, G4, x0)
     # K[p, q] = d^2 Q / dx_p dy_q
@@ -315,23 +317,22 @@ def _transverse_hessian(G4: np.ndarray, x0: np.ndarray, y0: np.ndarray):
     return H, U, V
 
 
-def _zero_pool(q: QuadraticForm, X: np.ndarray, Y: np.ndarray, vals: np.ndarray):
-    """(P, 9) rank-one sample matrix around the refined zeros of Q, or None
-    when the form has no rank-one zeros.
+def _zero_pool(scan: LatticeScan):
+    """(P, 9) rank-one sample matrix around the refined zeros of the scanned
+    form, or None when it has no rank-one zeros.
 
     At each zero the transverse Hessian is diagonalized and geometric radius
     sweeps are laid along every eigendirection; the eps^2-deep dips of
     Q - eps*l^2 live on those curves.
     """
-    G4 = q.gram_tensor()
-    scale = 1.0 + q.norm()
-    zt = 1e-10 * scale
-    near = vals <= zt
+    G4 = scan.form.gram_tensor()
+    zt = 1e-10 * (1.0 + scan.form.norm())
+    near = scan.vals <= zt
     if not np.any(near):
         return None
     pool_x = []
     pool_y = []
-    reps = _cluster_pairs(X[near], Y[near], vals[near], cap=12)
+    reps = _cluster_pairs(scan.X[near], scan.Y[near], scan.vals[near], cap=12)
     for (y0, x0, _) in reps:
         x0 = np.asarray(x0)
         y0 = np.asarray(y0)
@@ -389,31 +390,26 @@ def _probe_directions(q: QuadraticForm, cfg: CertifyConfig) -> np.ndarray:
     return np.concatenate(dirs)
 
 
-def milton_extremality_probe(q: QuadraticForm,
-                             cfg: CertifyConfig = CertifyConfig()) -> ProbeReport:
+def milton_extremality_probe(scan: LatticeScan) -> ProbeReport:
     """Max over unit rank-one directions l of sup{eps : Q - eps l^2 quasiconvex}.
 
     eps*(l) is found by bisection; the quasiconvexity predicate evaluates the
-    cached lattice acoustic matrices T - eps*L, the zero-structure pool, and
+    scan's lattice acoustic matrices T - eps*L, the zero-structure pool, and
     a top-K refinement, certifying violation below the evaluation noise
     floor.  The max direction is re-verified with the full margin.
     """
-    margin0, X, Y, vals, _ = _margin_full(q, cfg)
-    if margin0 < -cfg.tol:
-        raise PreconditionError(
-            f"milton probe requires a quasiconvex form (margin {margin0:.3e})")
-
+    scan.require_quasiconvex("milton probe")
+    q, cfg, margin0 = scan.form, scan.cfg, scan.margin
     G = q.gram
     G4 = q.gram_tensor()
     guard = GUARD_REL * (1.0 + q.norm())
-    P9 = _zero_pool(q, X, Y, vals)
+    P9 = _zero_pool(scan)
     if P9 is None:
         P9 = np.zeros((0, 9))
     pool_q = _pool_quadratic(P9, G)
 
     Ygrid = sphere_lattice(cfg.grid_resolution)
-    Tgrid = np.einsum("nj,ikjl,nl->nik", Ygrid, G4, Ygrid)
-    _, Xgrid = eigmin3(Tgrid)
+    Tgrid, Xgrid = scan.T, scan.lattice_X
     grid_q = np.einsum("nik,ni,nk->n", Tgrid, Xgrid, Xgrid)
     grid9 = (Xgrid[:, :, None] * Ygrid[:, None, :]).reshape(len(Ygrid), 9)
 
@@ -487,8 +483,7 @@ def milton_extremality_probe(q: QuadraticForm,
     }
     if value > MILTON_REFUTED_MIN:
         check = QuadraticForm(G - value * np.outer(m_best, m_best))
-        wmargin, *_ = _margin_full(check, cfg)
-        witness["validation_margin"] = wmargin
+        witness["validation_margin"] = lattice_scan(check, cfg).margin
         verdict = "refuted"
     elif value <= MILTON_CONSISTENT_MAX:
         verdict = "consistent"
@@ -501,9 +496,8 @@ def milton_extremality_probe(q: QuadraticForm,
 # ---------------------------------------------------------------------------
 # extreme point probe
 
-def extreme_point_probe(q: QuadraticForm,
-                        cfg: CertifyConfig = CertifyConfig()) -> ProbeReport:
-    """Search the form's 9-parameter shear layout for a splitting
+def extreme_point_probe(scan: LatticeScan) -> ProbeReport:
+    """Search the scanned form's 9-parameter shear layout for a splitting
     0 <= Q1 <= Q (in the quasiconvex order) far from the ray {alpha Q}.
 
     The feasible set is convex, so each seeded start is a ray bisection in
@@ -511,6 +505,7 @@ def extreme_point_probe(q: QuadraticForm,
     validated distance.  Consistent (extreme point) when value stays below
     1e-5 * |theta_q|.
     """
+    q, cfg = scan.form, scan.cfg
     layout, theta = detect_shear_layout(q)
     if layout is None:
         raise PreconditionError(
@@ -522,15 +517,12 @@ def extreme_point_probe(q: QuadraticForm,
             raise PreconditionError(
                 f"strict positivity violated: parameter {names[k]} = {theta[k]:g}")
 
-    margin0, X, Y, vals, _ = _margin_full(q, cfg)
-    if margin0 < -cfg.tol:
-        raise PreconditionError(
-            f"extreme point probe requires a quasiconvex form (margin {margin0:.3e})")
+    scan.require_quasiconvex("extreme point probe")
 
     basis = np.array(shear_layout_basis(layout))
     norm_theta = float(np.linalg.norm(theta))
     theta_hat = theta / norm_theta
-    P9 = _zero_pool(q, X, Y, vals)
+    P9 = _zero_pool(scan)
     G = q.gram
 
     # candidate forms are theta-combinations of 9 fixed basis Grams, so the
@@ -541,9 +533,6 @@ def extreme_point_probe(q: QuadraticForm,
     TB = np.einsum("nj,kimjl,nl->knim", Ylean, B4, Ylean)
     poolB = None if P9 is None else np.array(
         [_pool_quadratic(P9, Bk) for Bk in basis])
-
-    def gram_of(th: np.ndarray) -> np.ndarray:
-        return np.einsum("k,kij->ij", th, basis)
 
     def lean_margin_theta(th: np.ndarray) -> float:
         T = np.tensordot(th, TB, axes=1)
@@ -604,8 +593,8 @@ def extreme_point_probe(q: QuadraticForm,
         for _ in range(24):
             th = 0.5 * theta + delta * delta_dir
             q1 = form_from_theta(layout, th)
-            m1, *_ = _margin_full(q1, cfg)
-            m2, *_ = _margin_full(QuadraticForm(G - q1.gram), cfg)
+            m1 = lattice_scan(q1, cfg).margin
+            m2 = lattice_scan(QuadraticForm(G - q1.gram), cfg).margin
             if m1 >= -cfg.tol and m2 >= -cfg.tol:
                 value = delta
                 witness_theta = th
@@ -626,9 +615,6 @@ def extreme_point_probe(q: QuadraticForm,
 
 # ---------------------------------------------------------------------------
 # extremal polynomial probe
-
-_SEXTIC_EXPS = monomial_exponents(6)
-
 
 def _monomial_rows(Z: np.ndarray) -> np.ndarray:
     rows = np.empty((len(Z), len(_SEXTIC_EXPS)))
@@ -667,17 +653,6 @@ def _accept_monotone(p, Z, f, step, gt):
         pending = pending & ~accept
         step = np.where(pending, step * 0.25, step)
     return Znew, fnew
-
-
-def _tangent_bases(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal tangent pairs (t1, t2) for each unit row of Z."""
-    n = len(Z)
-    a = np.zeros((n, 3))
-    a[np.arange(n), np.argmin(np.abs(Z), axis=1)] = 1.0
-    t1 = a - np.sum(a * Z, axis=1)[:, None] * Z
-    t1 /= np.linalg.norm(t1, axis=1)[:, None]
-    t2 = np.cross(Z, t1)
-    return t1, t2
 
 
 def _tangent_newton_step(p, grads, hessians, Z, f):
@@ -726,8 +701,6 @@ def extremal_polynomial_probe(p: HomogeneousPolynomial,
     itself) is consistent with extremality; anything larger, or a perfect
     square, is inconclusive.  Never a proof.
     """
-    from .determinant import perfect_square_test
-
     if p.degree != 6:
         raise PreconditionError(f"probe needs a sextic, got degree {p.degree}")
     scale = max(p.max_coeff(), 1e-300)

@@ -20,14 +20,14 @@ import numpy as np
 from . import __version__
 from .certify import (CertifyConfig, PreconditionError,
                       extremal_polynomial_probe, extreme_point_probe,
-                      milton_extremality_probe, polyconvexity_test,
-                      quasiconvexity_margin)
+                      lattice_scan, milton_extremality_probe,
+                      polyconvexity_test)
 from .determinant import (REDUCED_DET_SUPPORT, acoustic_det, det_report,
                           reduced_det_closed_form)
-from .forms import (CATALOG_INFO, FormError, OrthotropicCoefficients,
-                    QuadraticForm, ReducedOrthotropicForm, acoustic_matrix,
-                    catalog, form_from_json, form_from_reduced, form_to_json,
-                    reduce_modulo_null_lagrangians)
+from .forms import (CATALOG_INFO, FormError, QuadraticForm,
+                    ReducedOrthotropicForm, acoustic_matrix, catalog,
+                    form_from_json, form_from_reduced, form_to_json,
+                    reduced_from_json)
 from .minors import HypothesisError, minor_chain_check, random_ordered_pair
 
 SCHEMA = "quasicone/1"
@@ -64,17 +64,9 @@ def _load_form(source: str, eps: float) -> tuple[QuadraticForm,
                        line=exc.lineno, column=exc.colno)
     try:
         form = form_from_json(obj)
+        reduced = reduced_from_json(obj)
     except (FormError, KeyError, TypeError, ValueError) as exc:
         raise CliError("parse", f"bad form object in {source}: {exc}")
-    reduced = None
-    if obj.get("kind") == "reduced":
-        reduced = ReducedOrthotropicForm(np.asarray(obj["a"], float),
-                                         float(obj["b"]), float(obj["c"]),
-                                         float(obj["d"]))
-    elif obj.get("kind") == "voigt":
-        keys = ["C11", "C22", "C33", "C12", "C13", "C23", "C44", "C55", "C66"]
-        reduced = reduce_modulo_null_lagrangians(
-            OrthotropicCoefficients(**{k: float(obj[k]) for k in keys}))
     echo = obj if obj.get("kind") != "gram" else form_to_json(form)
     return form, reduced, echo
 
@@ -90,14 +82,17 @@ def _probe_or_error(fn, *args) -> dict:
 def cmd_analyze(args) -> dict:
     cfg = CertifyConfig(grid_resolution=args.grid, tol=args.tol, seed=args.seed)
     form, reduced, echo = _load_form(args.form, args.eps)
-    margin = quasiconvexity_margin(form, cfg)
+    scan = lattice_scan(form, cfg)
     dr = det_report(form, reduced)
     # voigt inputs reach the extreme-point probe through their
-    # Null-Lagrangian reduction (same biquadratic, same cone structure)
+    # Null-Lagrangian reduction (same biquadratic, same cone structure),
+    # which is a different Gram and so needs its own scan
     probe_form = form_from_reduced(reduced) if reduced is not None else form
+    probe_scan = (scan if np.array_equal(probe_form.gram, form.gram)
+                  else lattice_scan(probe_form, cfg))
     probes = {
-        "milton": _probe_or_error(milton_extremality_probe, form, cfg),
-        "extreme_point": _probe_or_error(extreme_point_probe, probe_form, cfg),
+        "milton": _probe_or_error(milton_extremality_probe, scan),
+        "extreme_point": _probe_or_error(extreme_point_probe, probe_scan),
         "extremal_polynomial": _probe_or_error(
             extremal_polynomial_probe, dr.det, cfg),
         "polyconvexity": _probe_or_error(polyconvexity_test, form, cfg),
@@ -107,7 +102,7 @@ def cmd_analyze(args) -> dict:
         "tool_version": __version__,
         "form_echo": echo,
         "config": cfg.to_json(),
-        "margin_report": margin.to_json(),
+        "margin_report": scan.margin_report().to_json(),
         "det_report": dr.to_json(),
         "probes": probes,
     }
@@ -205,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="quasicone",
         description="Analyze and certify quasiconvex quadratic forms on 3x3 "
-                    "matrices. Worker count is capped by QUASICONE_THREADS.")
+                    "matrices.")
     _global_flags(ap, suppress=False)
     sub = ap.add_subparsers(dest="command", required=True)
 

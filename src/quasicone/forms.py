@@ -466,7 +466,35 @@ def form_to_json(q: QuadraticForm) -> dict:
     }
 
 
+_VOIGT_KEYS = ["C11", "C22", "C33", "C12", "C13", "C23", "C44", "C55", "C66"]
+
+
+def _fields(obj: dict, keys) -> list:
+    try:
+        return [obj[k] for k in keys]
+    except KeyError as exc:
+        raise FormError(f"{obj['kind']} form missing field {exc}") from exc
+
+
+def _voigt_from_json(obj: dict) -> OrthotropicCoefficients:
+    return OrthotropicCoefficients(*map(float, _fields(obj, _VOIGT_KEYS)))
+
+
+def reduced_from_json(obj: dict) -> ReducedOrthotropicForm | None:
+    """The shear-paired reduced view of a voigt or reduced form object (the
+    Null-Lagrangian reduction for voigt), or None for other kinds."""
+    kind = obj.get("kind")
+    if kind == "voigt":
+        return reduce_modulo_null_lagrangians(_voigt_from_json(obj))
+    if kind == "reduced":
+        a, b, c, d = _fields(obj, "abcd")
+        return ReducedOrthotropicForm(np.asarray(a, float), b, c, d)
+    return None
+
+
 def form_from_json(obj: dict) -> QuadraticForm:
+    if not isinstance(obj, dict):
+        raise FormError(f"form must be a JSON object, got {type(obj).__name__}")
     kind = obj.get("kind")
     if kind == "gram":
         vals = obj["upper_triangle"]
@@ -478,20 +506,9 @@ def form_from_json(obj: dict) -> QuadraticForm:
             G[r, p] = v
         return QuadraticForm(G)
     if kind == "voigt":
-        keys = ["C11", "C22", "C33", "C12", "C13", "C23", "C44", "C55", "C66"]
-        try:
-            coeffs = OrthotropicCoefficients(**{k: float(obj[k]) for k in keys})
-        except KeyError as exc:
-            raise FormError(f"voigt form missing field {exc}") from exc
-        return form_from_voigt(coeffs)
+        return form_from_voigt(_voigt_from_json(obj))
     if kind == "reduced":
-        try:
-            r = ReducedOrthotropicForm(np.asarray(obj["a"], float),
-                                       float(obj["b"]), float(obj["c"]),
-                                       float(obj["d"]))
-        except KeyError as exc:
-            raise FormError(f"reduced form missing field {exc}") from exc
-        return form_from_reduced(r)
+        return form_from_reduced(reduced_from_json(obj))
     if kind == "catalog":
         name = obj.get("name")
         params = {k: obj[k] for k in ("eps", "a", "b", "c", "d") if k in obj}

@@ -148,12 +148,14 @@ def test_criterion_07_milton_probe():
                       "choi_lam consistent (<= 1e-6), 256 directions",
                    budget=120.0):
         cfg = CertifyConfig()
-        rep = qc.milton_extremality_probe(qc.catalog("convex_identity"), cfg)
+        rep = qc.milton_extremality_probe(
+            qc.lattice_scan(qc.catalog("convex_identity"), cfg))
         assert rep.verdict == "refuted"
         xi11 = [e for e in rep.witness["eigen_directions"]
                 if abs(e["direction"][0]) > 0.999]
         assert xi11 and xi11[0]["eps_star"] >= 0.99
-        rep = qc.milton_extremality_probe(qc.catalog("choi_lam"), cfg)
+        rep = qc.milton_extremality_probe(
+            qc.lattice_scan(qc.catalog("choi_lam"), cfg))
         assert rep.verdict == "consistent"
         assert rep.value <= 1e-6, f"max eps* {rep.value:.3e}"
 
@@ -177,14 +179,15 @@ def test_criterion_09_extreme_point_probe():
         cfg = CertifyConfig()
         q = qc.form_from_reduced(
             qc.ReducedOrthotropicForm(np.eye(3), 1.0, 1.0, 1.0))
-        rep = qc.extreme_point_probe(q, cfg)
+        rep = qc.extreme_point_probe(qc.lattice_scan(q, cfg))
         assert rep.verdict == "refuted"
         assert rep.witness["margin_q1"] >= -1e-9
         assert rep.witness["margin_complement"] >= -1e-9
         # tol=1e-12: the +-tol feasibility slack along first-order-flat
         # directions scales as sqrt(tol) and must sit below 1e-5*norm
         cfg12 = CertifyConfig(tol=1e-12)
-        rep = qc.extreme_point_probe(qc.catalog("choi_lam"), cfg12)
+        rep = qc.extreme_point_probe(
+            qc.lattice_scan(qc.catalog("choi_lam"), cfg12))
         norm_theta = float(np.linalg.norm(rep.witness["theta_q"]))
         assert rep.verdict == "consistent"
         assert rep.value <= 1e-5 * norm_theta, \

@@ -3,7 +3,8 @@ import pytest
 
 from quasicone.certify import (CertifyConfig, PreconditionError,
                                extremal_polynomial_probe, extreme_point_probe,
-                               milton_extremality_probe, polyconvexity_test,
+                               lattice_scan, milton_extremality_probe,
+                               polyconvexity_test,
                                quasiconvexity_margin, rank_one_zeros,
                                sphere_lattice)
 from quasicone.determinant import acoustic_det
@@ -22,6 +23,12 @@ def test_config_validation():
         CertifyConfig(grid_resolution=4)
     with pytest.raises(ValueError):
         CertifyConfig(tol=0.0)
+    with pytest.raises(ValueError):
+        CertifyConfig(probe_directions=0)
+    with pytest.raises(ValueError):
+        CertifyConfig(refine_iters=-1)
+    with pytest.raises(ValueError):
+        CertifyConfig(bisection_iters=-1)
 
 
 def test_lattice_deterministic_unit():
@@ -77,7 +84,7 @@ def test_margin_scaling_equivariance():
 
 
 def test_milton_refutes_any_positive_margin_form():
-    rep = milton_extremality_probe(catalog("serre", eps=0.0), FAST)
+    rep = milton_extremality_probe(lattice_scan(catalog("serre", eps=0.0), FAST))
     assert rep.verdict == "refuted"
     assert rep.value > 1e-4
 
@@ -128,7 +135,7 @@ def test_rank_one_zeros_requires_quasiconvex():
 
 
 def test_milton_refutes_convex_identity():
-    rep = milton_extremality_probe(catalog("convex_identity"), FAST)
+    rep = milton_extremality_probe(lattice_scan(catalog("convex_identity"), FAST))
     assert rep.verdict == "refuted"
     assert rep.value >= 0.99
     xi11 = [e for e in rep.witness["eigen_directions"]
@@ -139,25 +146,25 @@ def test_milton_refutes_convex_identity():
 
 def test_milton_scaling_homogeneity():
     q = catalog("convex_identity")
-    v1 = milton_extremality_probe(q, FAST).value
-    v2 = milton_extremality_probe(q.scaled(2.0), FAST).value
+    v1 = milton_extremality_probe(lattice_scan(q, FAST)).value
+    v2 = milton_extremality_probe(lattice_scan(q.scaled(2.0), FAST)).value
     assert abs(v2 - 2.0 * v1) <= 1e-6 * (1.0 + v1)
 
 
 def test_milton_choi_lam_consistent():
-    rep = milton_extremality_probe(catalog("choi_lam"), FAST)
+    rep = milton_extremality_probe(lattice_scan(catalog("choi_lam"), FAST))
     assert rep.verdict == "consistent"
     assert rep.value <= 1e-6
 
 
 def test_milton_requires_quasiconvex():
     with pytest.raises(PreconditionError):
-        milton_extremality_probe(QuadraticForm(-np.eye(9)), FAST)
+        milton_extremality_probe(lattice_scan(QuadraticForm(-np.eye(9)), FAST))
 
 
 def test_extreme_point_identity_refuted():
     q = form_from_reduced(ReducedOrthotropicForm(np.eye(3), 1.0, 1.0, 1.0))
-    rep = extreme_point_probe(q, FAST)
+    rep = extreme_point_probe(lattice_scan(q, FAST))
     assert rep.verdict == "refuted"
     assert rep.witness["margin_q1"] >= -1e-9
     assert rep.witness["margin_complement"] >= -1e-9
@@ -165,11 +172,11 @@ def test_extreme_point_identity_refuted():
 
 def test_extreme_point_layout_and_positivity_preconditions():
     with pytest.raises(PreconditionError, match="layout"):
-        extreme_point_probe(catalog("serre", eps=0.0), FAST)
+        extreme_point_probe(lattice_scan(catalog("serre", eps=0.0), FAST))
     a = np.eye(3)
     q = form_from_reduced(ReducedOrthotropicForm(a, 0.0, 1.0, 1.0))
     with pytest.raises(PreconditionError, match="s1"):
-        extreme_point_probe(q, FAST)
+        extreme_point_probe(lattice_scan(q, FAST))
 
 
 def test_extreme_point_accepts_reduced_voigt_equivalent():
@@ -177,15 +184,15 @@ def test_extreme_point_accepts_reduced_voigt_equivalent():
     c = OrthotropicCoefficients(C11=2, C22=2, C33=2, C12=0.3, C13=0.3,
                                 C23=0.3, C44=0.8, C55=0.8, C66=0.8)
     q = form_from_reduced(reduce_modulo_null_lagrangians(c))
-    rep = extreme_point_probe(q, FAST)
+    rep = extreme_point_probe(lattice_scan(q, FAST))
     assert rep.witness["layout"] == "paired"
     assert rep.verdict == "refuted"  # interior form, splittings abound
 
 
 def test_extreme_point_scaling_invariance_of_verdict():
     q = form_from_reduced(ReducedOrthotropicForm(np.eye(3), 1.0, 1.0, 1.0))
-    r1 = extreme_point_probe(q, FAST)
-    r2 = extreme_point_probe(q.scaled(2.0), FAST)
+    r1 = extreme_point_probe(lattice_scan(q, FAST))
+    r2 = extreme_point_probe(lattice_scan(q.scaled(2.0), FAST))
     assert r1.verdict == r2.verdict == "refuted"
 
 

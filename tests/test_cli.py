@@ -155,3 +155,37 @@ def test_analyze_serre_small_grid_and_echo_self_containment():
     assert replay["det_report"] == out["det_report"]
     assert replay["probes"] == out["probes"]
     os.unlink(path)
+
+
+def test_analyze_scans_its_input_form_once(monkeypatch, capsys):
+    import functools
+
+    import quasicone.certify
+    import quasicone.cli
+    from quasicone.forms import catalog
+
+    monkeypatch.setattr(quasicone.cli, "CertifyConfig", functools.partial(
+        quasicone.cli.CertifyConfig, probe_directions=4))
+    scanned = []
+    real = quasicone.certify.lattice_scan
+
+    def spy(q, cfg):
+        scanned.append(q.gram.copy())
+        return real(q, cfg)
+
+    monkeypatch.setattr(quasicone.certify, "lattice_scan", spy)
+    monkeypatch.setattr(quasicone.cli, "lattice_scan", spy)
+    assert quasicone.cli.main(["--json", "--grid", "32", "analyze",
+                               "choi_lam"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["probes"]["milton"]["verdict"] == "consistent"
+    gram = catalog("choi_lam").gram
+    assert sum(np.array_equal(g, gram) for g in scanned) == 1
+
+
+def test_non_object_form_file_is_a_parse_error(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    r = run_cli("det", str(path))
+    assert r.returncode != 0
+    assert json.loads(r.stderr)["error"]["code"] == "parse"
