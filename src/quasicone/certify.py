@@ -23,25 +23,33 @@ shared by the margin report and the probes built on top of it:
 Violations of depth ~eps^2 hide in tiny dips near degenerate rank-one zeros
 where plain descent overshoots; the probes therefore evaluate candidate
 forms on a structured pool: the refined zeros of Q plus geometric radius
-sweeps along the transverse-Hessian eigendirections at each zero.
+sweeps along the transverse-Hessian eigendirections at each zero.  Both
+ray searches judge a candidate with one check, _clears (pool, lattice,
+top-k refinement), and bisect with one helper, _bisect.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .determinant import _SEXTIC_EXPS, perfect_square_test
-from .forms import (QuadraticForm, detect_shear_layout, form_from_theta,
-                    minor_gram_basis, shear_layout_basis)
+from .forms import (LAYOUT_PARAMS, QuadraticForm, detect_shear_layout,
+                    form_from_theta, minor_gram_basis, shear_layout_basis)
 from .poly import HomogeneousPolynomial, poly_eval_many
 from .symeig import eigmin3, eigvals3
 
 # noise floor of a refined margin evaluation, relative to the Gram scale;
 # bisection certifies non-quasiconvexity only below this
 GUARD_REL = 16.0 * np.finfo(float).eps
+
+# fixed work caps: refinement sweeps per scan, bisection steps per ray
+REFINE_ITERS = 40
+BISECTION_ITERS = 60
+# grid^2 lattice points; one scan at 512 takes ~40 s and ~300 MB (2-vCPU VM)
+MAX_GRID_RESOLUTION = 512
 
 MILTON_CONSISTENT_MAX = 1e-6
 MILTON_REFUTED_MIN = 1e-4
@@ -67,31 +75,21 @@ class PreconditionError(ValueError):
 @dataclass(frozen=True)
 class CertifyConfig:
     grid_resolution: int = 96
-    refine_iters: int = 40
     tol: float = 1e-9
     seed: int = 0
     probe_directions: int = 256
-    bisection_iters: int = 60
 
     def __post_init__(self):
-        if self.grid_resolution < 8:
-            raise ValueError("grid_resolution must be >= 8")
+        if not 8 <= self.grid_resolution <= MAX_GRID_RESOLUTION:
+            raise ValueError(
+                f"grid_resolution must be in [8, {MAX_GRID_RESOLUTION}]")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
         if self.probe_directions < 1:
             raise ValueError("probe_directions must be >= 1")
-        if self.refine_iters < 0 or self.bisection_iters < 0:
-            raise ValueError("refine_iters and bisection_iters must be >= 0")
 
     def to_json(self) -> dict:
-        return {
-            "grid_resolution": self.grid_resolution,
-            "refine_iters": self.refine_iters,
-            "tol": self.tol,
-            "seed": self.seed,
-            "probe_directions": self.probe_directions,
-            "bisection_iters": self.bisection_iters,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -168,21 +166,15 @@ def canonical_sign(V: np.ndarray) -> np.ndarray:
     return out[0] if single else out
 
 
-def _alternating_refine(G4: np.ndarray, Y: np.ndarray,
-                        max_iters: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batched block descent from the given y starts: alternate exact
-    minimization in x then y (each block step is a 3x3 eigenproblem).
+def _descend(G4: np.ndarray, X: np.ndarray, Y: np.ndarray, vals: np.ndarray,
+             max_iters: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Batched block descent from solved x blocks (X, vals at the y starts
+    Y): alternate exact minimization in y then x (each block step is a 3x3
+    eigenproblem).
 
     Returns refined (X, Y, values); values only decrease per point.  Stops
     early once no point improves beyond the 1e-16 level.
     """
-    vals, X = eigmin3(np.einsum("nj,ikjl,nl->nik", Y, G4, Y))
-    return _descend(G4, X, Y, vals, max_iters)
-
-
-def _descend(G4: np.ndarray, X: np.ndarray, Y: np.ndarray, vals: np.ndarray,
-             max_iters: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_alternating_refine from already solved x blocks (X, vals at Y)."""
     for _ in range(max_iters):
         S = np.einsum("ni,ikjl,nk->njl", X, G4, X)
         _, Y = eigmin3(S)
@@ -239,7 +231,7 @@ def lattice_scan(q: QuadraticForm, cfg: CertifyConfig = CertifyConfig()) -> Latt
     Y0 = sphere_lattice(cfg.grid_resolution)
     T = np.einsum("nj,ikjl,nl->nik", Y0, G4, Y0)
     lam, X0 = eigmin3(T)
-    X, Y, vals = _descend(G4, X0, Y0, lam, cfg.refine_iters)
+    X, Y, vals = _descend(G4, X0, Y0, lam, REFINE_ITERS)
     margin = float(min(np.min(vals), np.min(lam)))
     return LatticeScan(q, cfg, margin, T, lam, X0, X, Y, vals)
 
@@ -319,7 +311,7 @@ def _transverse_hessian(G4: np.ndarray, x0: np.ndarray, y0: np.ndarray):
 
 def _zero_pool(scan: LatticeScan):
     """(P, 9) rank-one sample matrix around the refined zeros of the scanned
-    form, or None when it has no rank-one zeros.
+    form; P = 0 when it has no rank-one zeros.
 
     At each zero the transverse Hessian is diagonalized and geometric radius
     sweeps are laid along every eigendirection; the eps^2-deep dips of
@@ -329,7 +321,7 @@ def _zero_pool(scan: LatticeScan):
     zt = 1e-10 * (1.0 + scan.form.norm())
     near = scan.vals <= zt
     if not np.any(near):
-        return None
+        return np.zeros((0, 9))
     pool_x = []
     pool_y = []
     reps = _cluster_pairs(scan.X[near], scan.Y[near], scan.vals[near], cap=12)
@@ -358,6 +350,41 @@ def _zero_pool(scan: LatticeScan):
 
 def _pool_quadratic(P9: np.ndarray, gram: np.ndarray) -> np.ndarray:
     return np.einsum("pi,ij,pj->p", P9, gram, P9)
+
+
+# ---------------------------------------------------------------------------
+# the probes' shared search kernel: one candidate check, one bisection
+
+def _clears(T: np.ndarray, G4: np.ndarray, Y: np.ndarray, pool: np.ndarray,
+            floor: float, k: int, iters: int) -> bool:
+    """Sampled quasiconvexity check of one candidate form (acoustic matrices
+    T at lattice points Y, gram tensor G4, zero-structure pool values pool).
+    Fails at the first stage whose minimum falls below floor: the pool, the
+    lattice lambda_min, then an iters-sweep refinement from the k lowest
+    lattice points."""
+    if len(pool) and np.min(pool) < floor:
+        return False
+    lam = eigvals3(T)[:, 0]
+    if np.min(lam) < floor:
+        return False
+    Yk = Y[np.argpartition(lam, k - 1)[:k]]
+    vals, X = eigmin3(np.einsum("nj,ikjl,nl->nik", Yk, G4, Yk))
+    return float(np.min(_descend(G4, X, Yk, vals, iters)[2])) >= floor
+
+
+def _bisect(ok, lo: float, hi: float, abs_width: float,
+            rel_width: float) -> float:
+    """Largest lo found with ok(lo), bisecting [lo, hi] to a width of
+    max(abs_width, rel_width * lo) or BISECTION_ITERS steps."""
+    for _ in range(BISECTION_ITERS):
+        if hi - lo <= max(abs_width, rel_width * lo):
+            break
+        mid = 0.5 * (lo + hi)
+        if ok(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 # ---------------------------------------------------------------------------
@@ -393,9 +420,9 @@ def _probe_directions(q: QuadraticForm, cfg: CertifyConfig) -> np.ndarray:
 def milton_extremality_probe(scan: LatticeScan) -> ProbeReport:
     """Max over unit rank-one directions l of sup{eps : Q - eps l^2 quasiconvex}.
 
-    eps*(l) is found by bisection; the quasiconvexity predicate evaluates the
-    scan's lattice acoustic matrices T - eps*L, the zero-structure pool, and
-    a top-K refinement, certifying violation below the evaluation noise
+    eps*(l) is found by bisection; the predicate is _clears on the
+    zero-structure pool, the scan's lattice acoustic matrices T - eps*L and
+    a top-16 refinement, certifying violation below the evaluation noise
     floor.  The max direction is re-verified with the full margin.
     """
     scan.require_quasiconvex("milton probe")
@@ -404,8 +431,6 @@ def milton_extremality_probe(scan: LatticeScan) -> ProbeReport:
     G4 = q.gram_tensor()
     guard = GUARD_REL * (1.0 + q.norm())
     P9 = _zero_pool(scan)
-    if P9 is None:
-        P9 = np.zeros((0, 9))
     pool_q = _pool_quadratic(P9, G)
 
     Ygrid = sphere_lattice(cfg.grid_resolution)
@@ -422,30 +447,18 @@ def milton_extremality_probe(scan: LatticeScan) -> ProbeReport:
         L4 = (m.reshape(3, 3, 1, 1) * m.reshape(1, 1, 3, 3)).transpose(0, 2, 1, 3)
 
         def predicate(eps: float) -> bool:
-            if len(pool_q) and np.min(pool_q - eps * pool_l2) < -guard:
-                return False
-            lam = eigvals3(Tgrid - eps * Lgrid)[:, 0]
-            if np.min(lam) < -guard:
-                return False
-            k = 16
-            idx = np.argpartition(lam, k - 1)[:k]
-            _, _, rv = _alternating_refine(G4 - eps * L4,
-                                           Ygrid[idx].copy(), 14)
-            return float(np.min(rv)) >= -guard
+            return _clears(Tgrid - eps * Lgrid, G4 - eps * L4, Ygrid,
+                           pool_q - eps * pool_l2, -guard, 16, 14)
 
         # l(x (x) y) <= sigma_max(M) on unit pairs, so Q - eps l^2 stays
         # quasiconvex at least up to margin / sigma_max^2
         smax2 = float(np.linalg.svd(M, compute_uv=False)[0]) ** 2
         lo = max(0.0, (margin0 - 2.0 * guard)) / max(smax2, 1e-300)
         # pointwise rank-one ratio bound Q/l^2 as the upper bracket, capped
-        usable = pool_l2 > 1e-18
-        gu = grid_l2 > 1e-18
-        ratios = []
-        if np.any(usable):
-            ratios.append(np.min(pool_q[usable] / pool_l2[usable]))
-        if np.any(gu):
-            ratios.append(np.min(grid_q[gu] / grid_l2[gu]))
-        hi = min(min(ratios) if ratios else 1e6, 1e6)
+        qv = np.concatenate([pool_q, grid_q])
+        l2 = np.concatenate([pool_l2, grid_l2])
+        usable = l2 > 1e-18
+        hi = np.min(qv[usable] / l2[usable], initial=1e6)
         hi = min(max(hi * (1.0 + 1e-9) + 1e-15, 1e-15, lo * 1.1), 1e6)
         expansions = 0
         while hi < 1e6 and expansions < 40 and predicate(hi):
@@ -453,15 +466,7 @@ def milton_extremality_probe(scan: LatticeScan) -> ProbeReport:
             expansions += 1
         if hi >= 1e6 and predicate(1e6):
             return 1e6
-        for _ in range(cfg.bisection_iters):
-            if hi - lo <= max(1e-12, 1e-4 * lo):
-                break
-            mid = 0.5 * (lo + hi)
-            if predicate(mid):
-                lo = mid
-            else:
-                hi = mid
-        return lo
+        return _bisect(predicate, lo, hi, 1e-12, 1e-4)
 
     dirs = _probe_directions(q, cfg)
     n_rand = cfg.probe_directions // 2
@@ -502,7 +507,8 @@ def extreme_point_probe(scan: LatticeScan) -> ProbeReport:
 
     The feasible set is convex, so each seeded start is a ray bisection in
     the orthogonal complement of the parameter ray; value is the largest
-    validated distance.  Consistent (extreme point) when value stays below
+    validated distance; feasibility is _clears on both Q1 and Q - Q1 over a
+    grid-32 lattice.  Consistent (extreme point) when value stays below
     1e-5 * |theta_q|.
     """
     q, cfg = scan.form, scan.cfg
@@ -511,15 +517,15 @@ def extreme_point_probe(scan: LatticeScan) -> ProbeReport:
         raise PreconditionError(
             "extreme point probe requires a shear-paired or single-shear "
             "orthotropic Gram layout")
-    names = ["a11", "a22", "a33", "a12", "a13", "a23", "s1", "s2", "s3"]
     for k in (0, 1, 2, 6, 7, 8):
         if theta[k] <= 0:
             raise PreconditionError(
-                f"strict positivity violated: parameter {names[k]} = {theta[k]:g}")
+                f"strict positivity violated: parameter {LAYOUT_PARAMS[k]} "
+                f"= {theta[k]:g}")
 
     scan.require_quasiconvex("extreme point probe")
 
-    basis = np.array(shear_layout_basis(layout))
+    basis = shear_layout_basis(layout)
     norm_theta = float(np.linalg.norm(theta))
     theta_hat = theta / norm_theta
     P9 = _zero_pool(scan)
@@ -531,25 +537,12 @@ def extreme_point_probe(scan: LatticeScan) -> ProbeReport:
     B4 = basis.reshape(9, 3, 3, 3, 3).transpose(0, 1, 3, 2, 4)
     Ylean = sphere_lattice(32)
     TB = np.einsum("nj,kimjl,nl->knim", Ylean, B4, Ylean)
-    poolB = None if P9 is None else np.array(
-        [_pool_quadratic(P9, Bk) for Bk in basis])
+    poolB = np.array([_pool_quadratic(P9, Bk) for Bk in basis])
 
-    def lean_margin_theta(th: np.ndarray) -> float:
-        T = np.tensordot(th, TB, axes=1)
-        lam = eigvals3(T)[:, 0]
-        out = float(np.min(lam))
-        if poolB is not None:
-            out = min(out, float(np.min(th @ poolB)))
-        k = 12
-        idx = np.argpartition(lam, k - 1)[:k]
-        G4th = np.tensordot(th, B4, axes=1)
-        _, _, rv = _alternating_refine(G4th, Ylean[idx].copy(), 16)
-        return min(out, float(np.min(rv)))
-
-    def feasible(th: np.ndarray) -> bool:
-        if lean_margin_theta(th) < -cfg.tol:
-            return False
-        return lean_margin_theta(theta - th) >= -cfg.tol
+    def clears(th: np.ndarray) -> bool:
+        return _clears(np.tensordot(th, TB, axes=1),
+                       np.tensordot(th, B4, axes=1), Ylean, th @ poolB,
+                       -cfg.tol, 12, 16)
 
     rng = np.random.default_rng(cfg.seed)
     # orthonormal basis of the complement of theta_hat
@@ -565,19 +558,17 @@ def extreme_point_probe(scan: LatticeScan) -> ProbeReport:
         if nd < 1e-12:
             continue
         d /= nd
+
+        def feasible(delta: float) -> bool:
+            th = 0.5 * theta + delta * d
+            return clears(th) and clears(theta - th)
+
         lo, hi = 0.0, 0.25 * norm_theta
         grow = 0
-        while feasible(0.5 * theta + hi * d) and grow < 5:
+        while feasible(hi) and grow < 5:
             lo, hi = hi, hi * 2.0
             grow += 1
-        for _ in range(cfg.bisection_iters):
-            if hi - lo <= max(1e-12, 1e-9 * norm_theta):
-                break
-            mid = 0.5 * (lo + hi)
-            if feasible(0.5 * theta + mid * d):
-                lo = mid
-            else:
-                hi = mid
+        lo = _bisect(feasible, lo, hi, max(1e-12, 1e-9 * norm_theta), 0.0)
         if lo > best_delta:
             best_delta = lo
             best_theta = 0.5 * theta + lo * d

@@ -7,6 +7,10 @@ Null-Lagrangians to the 9-parameter shear-paired layout, biquadratic
 evaluation Q(x (x) y), the acoustic matrix T(y) with x T(y) x^T = Q(x (x) y),
 the Null-Lagrangian (2x2 minor) basis, and a catalog of historically
 significant forms.
+
+The shear-paired and single-shear 9-parameter layouts live in one table
+(LAYOUT_PARAMS, _COUPLINGS, _SHEARS) that the layout builders and
+detect_shear_layout all read.
 """
 
 from __future__ import annotations
@@ -39,6 +43,8 @@ class QuadraticForm:
         g = np.asarray(self.gram, dtype=float)
         if g.shape != (9, 9):
             raise FormError(f"gram must be 9x9, got {g.shape}")
+        if not np.all(np.isfinite(g)):
+            raise FormError("gram entries must be finite")
         scale = max(float(np.max(np.abs(g))), 1e-300)
         if np.max(np.abs(g - g.T)) > SYM_REL_TOL * scale:
             raise FormError("gram matrix is not symmetric")
@@ -88,11 +94,6 @@ class OrthotropicCoefficients:
             [self.C13, self.C23, self.C33],
         ])
 
-    def strictly_positive(self) -> bool:
-        """Positivity of all diagonal constants, the extreme-point hypothesis."""
-        return all(v > 0 for v in
-                   (self.C11, self.C22, self.C33, self.C44, self.C55, self.C66))
-
 
 @dataclass(frozen=True)
 class ReducedOrthotropicForm:
@@ -121,14 +122,10 @@ class ReducedOrthotropicForm:
         object.__setattr__(self, "d", float(self.d))
 
     def parameter_vector(self) -> np.ndarray:
-        """(a11, a22, a33, a12, a13, a23, b, c, d)."""
+        """(a11, a22, a33, a12, a13, a23, b, c, d), in LAYOUT_PARAMS order."""
         a = self.a
         return np.array([a[0, 0], a[1, 1], a[2, 2], a[0, 1], a[0, 2], a[1, 2],
                          self.b, self.c, self.d])
-
-    def strictly_positive(self) -> bool:
-        a = self.a
-        return all(v > 0 for v in (a[0, 0], a[1, 1], a[2, 2], self.b, self.c, self.d))
 
 
 @dataclass(frozen=True)
@@ -170,48 +167,86 @@ def minor_gram_basis() -> list[np.ndarray]:
 _MINOR_BASIS = minor_gram_basis()
 
 
+# ---------------------------------------------------------------------------
+# the orthotropic layout table
+
+LAYOUT_PARAMS = ("a11", "a22", "a33", "a12", "a13", "a23", "s1", "s2", "s3")
+# a_ij weights xi_ii xi_jj (twice, via the symmetric pair, when i != j)
+_COUPLINGS = [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)]
+# the entries xi_ij whose squares each shear weight s1, s2, s3 multiplies
+_SHEARS = {
+    "paired": [((0, 1), (1, 0)), ((0, 2), (2, 0)), ((1, 2), (2, 1))],
+    "single": [((0, 1),), ((1, 2),), ((2, 0),)],
+}
+
+
+def shear_layout_basis(layout: str) -> np.ndarray:
+    """The (9, 9, 9) stack of Gram matrices B_k of a layout, Gram = sum
+    theta_k B_k with theta in LAYOUT_PARAMS order."""
+    if layout not in _SHEARS:
+        raise FormError(f"unknown layout {layout!r}")
+    basis = np.zeros((9, 9, 9))
+    for k, (i, j) in enumerate(_COUPLINGS):
+        p, r = vec_index(i, i), vec_index(j, j)
+        basis[k, p, r] = basis[k, r, p] = 1.0
+    for k, entries in enumerate(_SHEARS[layout], start=6):
+        for (i, j) in entries:
+            basis[k, vec_index(i, j), vec_index(i, j)] = 1.0
+    return basis
+
+
+def form_from_theta(layout: str, theta: np.ndarray) -> QuadraticForm:
+    return QuadraticForm(np.einsum("k,kij->ij", np.asarray(theta, float),
+                                   shear_layout_basis(layout)))
+
+
+def detect_shear_layout(q: QuadraticForm, rel_tol: float = 1e-10):
+    """Classify a Gram as shear-paired, single-shear, or neither.
+
+    Returns (layout, theta), theta in LAYOUT_PARAMS order, or (None, None).
+    A layout reads theta at its basis matrices' first entries and fits when
+    max |G - sum theta_k B_k| <= rel_tol * max |G|; paired is tried first.
+    Shears that all lie within that tolerance snap to exactly 0 (as paired),
+    unless the single-shear layout fits with a shear above it.
+    """
+    G = q.gram
+    tol = rel_tol * max(float(np.max(np.abs(G))), 1e-300)
+    snapped = None
+    for layout in _SHEARS:
+        basis = shear_layout_basis(layout)
+        theta = G.ravel()[[np.flatnonzero(B)[0] for B in basis]]
+        if np.max(np.abs(G - np.einsum("k,kij->ij", theta, basis))) > tol:
+            continue
+        if np.any(np.abs(theta[6:]) > tol):
+            return layout, theta
+        if layout == "paired":
+            snapped = np.concatenate([theta[:6], np.zeros(3)])
+    return (None, None) if snapped is None else ("paired", snapped)
+
+
 def form_from_voigt(c: OrthotropicCoefficients) -> QuadraticForm:
     """Gram of sum C_ij xi_ii xi_jj + C44 (xi23+xi32)^2 + C55 (xi31+xi13)^2
-    + C66 (xi12+xi21)^2."""
-    G = np.zeros((9, 9))
-    blk = c.diagonal_block()
-    for i in range(3):
-        for j in range(3):
-            G[vec_index(i, i), vec_index(j, j)] += blk[i, j]
-    for w, (i, j) in [(c.C44, (1, 2)), (c.C55, (2, 0)), (c.C66, (0, 1))]:
+    + C66 (xi12+xi21)^2: the paired layout with shears (C66, C55, C44) plus
+    the cross terms 2 C xi_ij xi_ji."""
+    G = form_from_theta("paired", [c.C11, c.C22, c.C33, c.C12, c.C13, c.C23,
+                                   c.C66, c.C55, c.C44]).gram.copy()
+    for w, (i, j) in [(c.C66, (0, 1)), (c.C55, (0, 2)), (c.C44, (1, 2))]:
         p, q = vec_index(i, j), vec_index(j, i)
-        G[p, p] += w
-        G[q, q] += w
-        G[p, q] += w
-        G[q, p] += w
+        G[p, q] = G[q, p] = w
     return QuadraticForm(G)
 
 
 def form_from_reduced(r: ReducedOrthotropicForm) -> QuadraticForm:
-    G = np.zeros((9, 9))
-    for i in range(3):
-        for j in range(3):
-            G[vec_index(i, i), vec_index(j, j)] += r.a[i, j]
-    for w, (i, j) in [(r.b, (0, 1)), (r.c, (0, 2)), (r.d, (1, 2))]:
-        G[vec_index(i, j), vec_index(i, j)] += w
-        G[vec_index(j, i), vec_index(j, i)] += w
-    return QuadraticForm(G)
+    return form_from_theta("paired", r.parameter_vector())
 
 
 def form_from_single_shear(a: np.ndarray, b: float, c: float, d: float) -> QuadraticForm:
     """Gram of sum a_ij xi_ii xi_jj + b xi12^2 + c xi23^2 + d xi31^2.
 
-    The non-paired shear layout; entered through the general Gram path.
+    The non-paired shear layout; a is checked as in ReducedOrthotropicForm.
     """
-    a = np.asarray(a, dtype=float)
-    G = np.zeros((9, 9))
-    for i in range(3):
-        for j in range(3):
-            G[vec_index(i, i), vec_index(j, j)] += a[i, j]
-    G[vec_index(0, 1), vec_index(0, 1)] += b
-    G[vec_index(1, 2), vec_index(1, 2)] += c
-    G[vec_index(2, 0), vec_index(2, 0)] += d
-    return QuadraticForm(G)
+    return form_from_theta(
+        "single", ReducedOrthotropicForm(a, b, c, d).parameter_vector())
 
 
 def biquadratic_eval(q: QuadraticForm, x, y) -> float:
@@ -280,10 +315,6 @@ class AcousticMatrix:
         y = np.asarray(y, dtype=float)
         return np.einsum("j,ikjl,l->ik", y, self.tensor, y)
 
-    def evaluate_many(self, Y: np.ndarray) -> np.ndarray:
-        Y = np.asarray(Y, dtype=float)
-        return np.einsum("nj,ikjl,nl->nik", Y, self.tensor, Y)
-
 
 def acoustic_matrix(q: QuadraticForm) -> AcousticMatrix:
     """T_ik(y) = sum_{j,l} gram[(i,j),(k,l)] y_j y_l, symmetrized."""
@@ -316,16 +347,8 @@ def _linear(i: int, j: int) -> np.ndarray:
     return v
 
 
-def _gram_choi_lam() -> np.ndarray:
-    a = np.array([[1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]])
-    return form_from_single_shear(a, 1.0, 1.0, 1.0).gram
-
-
-def _gram_choi() -> np.ndarray:
-    G = _gram_choi_lam().copy()
-    for (i, j) in [(0, 1), (1, 2), (2, 0)]:
-        G[vec_index(i, j), vec_index(i, j)] += 1.0
-    return G
+# Choi (shear weight 2) and Choi-Lam (shear weight 1) share this block
+_CHOI_A = np.array([[1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]])
 
 
 def _gram_serre(eps: float) -> np.ndarray:
@@ -361,9 +384,9 @@ def catalog(name: str, eps: float = 0.0,
     if name == "convex_identity":
         return QuadraticForm(np.eye(9))
     if name == "choi":
-        return QuadraticForm(_gram_choi())
+        return form_from_single_shear(_CHOI_A, 2.0, 2.0, 2.0)
     if name == "choi_lam":
-        return QuadraticForm(_gram_choi_lam())
+        return form_from_single_shear(_CHOI_A, 1.0, 1.0, 1.0)
     if name == "serre":
         return QuadraticForm(_gram_serre(float(eps)))
     if name == "reduced":
@@ -371,86 +394,6 @@ def catalog(name: str, eps: float = 0.0,
             raise FormError("catalog('reduced') needs a, b, c, d parameters")
         return form_from_reduced(ReducedOrthotropicForm(np.asarray(a, float), b, c, d))
     raise FormError(f"unknown catalog form {name!r}")
-
-
-# ---------------------------------------------------------------------------
-# shear-layout detection (used by the extreme-point probe)
-
-_DIAG_IDX = [vec_index(i, i) for i in range(3)]
-_PAIRED_SHEARS = [(vec_index(0, 1), vec_index(1, 0)),
-                  (vec_index(0, 2), vec_index(2, 0)),
-                  (vec_index(1, 2), vec_index(2, 1))]
-_SINGLE_SHEARS = [vec_index(0, 1), vec_index(1, 2), vec_index(2, 0)]
-
-
-def detect_shear_layout(q: QuadraticForm, rel_tol: float = 1e-10):
-    """Classify a Gram as shear-paired, single-shear, or neither.
-
-    Returns (layout, theta) where layout is 'paired' or 'single' and theta is
-    the 9-parameter vector (a11, a22, a33, a12, a13, a23, s1, s2, s3), or
-    (None, None) when the Gram does not fit either template.
-    """
-    G = q.gram
-    scale = max(float(np.max(np.abs(G))), 1e-300)
-    mask = np.zeros((9, 9), dtype=bool)
-    for p in _DIAG_IDX:
-        for r in _DIAG_IDX:
-            mask[p, r] = True
-    off = [p for p in range(9) if p not in _DIAG_IDX]
-    for p in off:
-        mask[p, p] = True
-    if np.max(np.abs(G[~mask])) > rel_tol * scale:
-        return None, None
-    a = np.array([[G[vec_index(i, i), vec_index(j, j)] for j in range(3)]
-                  for i in range(3)])
-    offdiag = {p: G[p, p] for p in off}
-    paired_ok = all(abs(offdiag[p] - offdiag[r]) <= rel_tol * scale
-                    for (p, r) in _PAIRED_SHEARS)
-    single_ok = all(abs(offdiag[p]) <= rel_tol * scale
-                    for p in off if p not in _SINGLE_SHEARS)
-    base = [a[0, 0], a[1, 1], a[2, 2], a[0, 1], a[0, 2], a[1, 2]]
-    if paired_ok and any(abs(offdiag[p]) > rel_tol * scale for (p, _) in _PAIRED_SHEARS):
-        shears = [offdiag[p] for (p, _) in _PAIRED_SHEARS]  # b(12), c(13), d(23)
-        return "paired", np.array(base + [shears[0], shears[1], shears[2]])
-    if single_ok and any(abs(offdiag[p]) > rel_tol * scale for p in _SINGLE_SHEARS):
-        shears = [offdiag[p] for p in _SINGLE_SHEARS]  # b(12), c(23), d(31)
-        return "single", np.array(base + shears)
-    if paired_ok:
-        # pure diagonal-coupling form; paired with zero shears
-        return "paired", np.array(base + [0.0, 0.0, 0.0])
-    return None, None
-
-
-def shear_layout_basis(layout: str) -> list[np.ndarray]:
-    """Gram basis matrices matching detect_shear_layout's theta components."""
-    basis = []
-    for (i, j) in [(0, 0), (1, 1), (2, 2)]:
-        aa = np.zeros((3, 3))
-        aa[i, j] = 1.0
-        basis.append(form_from_single_shear(aa, 0, 0, 0).gram)
-    for (i, j) in [(0, 1), (0, 2), (1, 2)]:
-        aa = np.zeros((3, 3))
-        aa[i, j] = aa[j, i] = 1.0
-        basis.append(form_from_single_shear(aa, 0, 0, 0).gram)
-    z = np.zeros((3, 3))
-    if layout == "paired":
-        for w in [(1, 0, 0), (0, 1, 0), (0, 0, 1)]:
-            basis.append(form_from_reduced(
-                ReducedOrthotropicForm(z, *w)).gram)
-    elif layout == "single":
-        basis.append(form_from_single_shear(z, 1, 0, 0).gram)
-        basis.append(form_from_single_shear(z, 0, 1, 0).gram)
-        basis.append(form_from_single_shear(z, 0, 0, 1).gram)
-    else:
-        raise FormError(f"unknown layout {layout!r}")
-    return basis
-
-
-def form_from_theta(layout: str, theta: np.ndarray) -> QuadraticForm:
-    G = np.zeros((9, 9))
-    for w, B in zip(np.asarray(theta, float), shear_layout_basis(layout)):
-        G += w * B
-    return QuadraticForm(G)
 
 
 # ---------------------------------------------------------------------------

@@ -14,21 +14,18 @@ from quasicone.forms import (NullLagrangianCoeffs, QuadraticForm,
                              form_from_reduced, minor_gram_basis)
 from quasicone.poly import HomogeneousPolynomial
 
-FAST = CertifyConfig(grid_resolution=32, refine_iters=30, probe_directions=32,
-                     bisection_iters=60, seed=7)
+FAST = CertifyConfig(grid_resolution=32, probe_directions=32, seed=7)
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
         CertifyConfig(grid_resolution=4)
     with pytest.raises(ValueError):
+        CertifyConfig(grid_resolution=513)
+    with pytest.raises(ValueError):
         CertifyConfig(tol=0.0)
     with pytest.raises(ValueError):
         CertifyConfig(probe_directions=0)
-    with pytest.raises(ValueError):
-        CertifyConfig(refine_iters=-1)
-    with pytest.raises(ValueError):
-        CertifyConfig(bisection_iters=-1)
 
 
 def test_lattice_deterministic_unit():

@@ -189,3 +189,19 @@ def test_non_object_form_file_is_a_parse_error(tmp_path):
     r = run_cli("det", str(path))
     assert r.returncode != 0
     assert json.loads(r.stderr)["error"]["code"] == "parse"
+
+
+def test_non_finite_gram_file_is_a_parse_error(tmp_path):
+    path = tmp_path / "nan.json"
+    vals = [0.0] * 45
+    vals[0] = float("nan")
+    path.write_text(json.dumps({"kind": "gram", "upper_triangle": vals}))
+    r = run_cli("det", str(path))
+    assert r.returncode == 2
+    assert json.loads(r.stderr)["error"]["code"] == "parse"
+
+
+def test_oversized_grid_is_an_invalid_error():
+    r = run_cli("analyze", "choi_lam", "--grid", "513")
+    assert r.returncode == 2
+    assert json.loads(r.stderr)["error"]["code"] == "invalid"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasicone.forms import (FormError, NullLagrangianCoeffs,
                              OrthotropicCoefficients, QuadraticForm,
@@ -9,7 +11,7 @@ from quasicone.forms import (FormError, NullLagrangianCoeffs,
                              form_from_reduced, form_from_single_shear,
                              form_from_theta, form_from_voigt, form_to_json,
                              minor_gram_basis, reduce_modulo_null_lagrangians,
-                             vec_index)
+                             shear_layout_basis, vec_index)
 
 
 def _voigt(**kw):
@@ -224,10 +226,11 @@ def test_catalog_unknown_name():
 
 
 def test_gram_symmetry_validated():
-    G = np.zeros((9, 9))
-    G[0, 1] = 1.0
-    with pytest.raises(FormError):
-        QuadraticForm(G)
+    for entry, value in [((0, 1), 1.0), ((0, 0), np.nan), ((3, 5), np.inf)]:
+        G = np.zeros((9, 9))
+        G[entry] = value
+        with pytest.raises(FormError):
+            QuadraticForm(G)
 
 
 def test_minor_basis_orthonormal():
@@ -280,6 +283,19 @@ def test_detect_shear_layout():
     np.testing.assert_allclose(theta, [1, 1, 1, -1, -1, -1, 1, 1, 1])
     lay, _ = detect_shear_layout(catalog("serre", eps=0.0))
     assert lay is None
+    # shears within the tolerance (1e-10 * max |G| = 2e-10 here) of a
+    # shear-free form snap to exactly 0; one shear above it is kept
+    rng = np.random.default_rng(11)
+    theta = np.array([2.0, 1.5, 1.2, 0.3, -0.2, 0.1, 0.0, 0.0, 0.0])
+    for noise, snapped in [(1e-12, True), (1.9e-10, True), (2.1e-10, False)]:
+        G = form_from_theta("paired", theta).gram.copy()
+        G[vec_index(0, 1), vec_index(0, 1)] = noise
+        G[vec_index(1, 0), vec_index(1, 0)] = noise
+        G[vec_index(1, 2), vec_index(1, 2)] = 1e-12 * rng.standard_normal()
+        G[vec_index(2, 1), vec_index(2, 1)] = G[vec_index(1, 2), vec_index(1, 2)]
+        lay, theta2 = detect_shear_layout(QuadraticForm(G))
+        assert lay == "paired"
+        assert (theta2.tobytes() == theta.tobytes()) == snapped
 
 
 def test_form_from_theta_roundtrip():
@@ -290,3 +306,22 @@ def test_form_from_theta_roundtrip():
         lay2, theta2 = detect_shear_layout(q)
         assert lay2 == layout
         np.testing.assert_allclose(theta2, theta, atol=1e-12)
+    with pytest.raises(FormError):
+        shear_layout_basis("bogus")
+
+
+# magnitudes past ~9e307 overflow the Gram symmetrization to inf
+_finite = st.floats(min_value=-1e300, max_value=1e300)
+
+
+@settings(max_examples=200, deadline=None)
+@given(layout=st.sampled_from(["paired", "single"]),
+       theta=st.lists(_finite, min_size=9, max_size=9))
+def test_layout_table_roundtrip_is_exact(layout, theta):
+    theta = np.array(theta) + 0.0  # the Gram holds no negative zeros
+    lay, got = detect_shear_layout(form_from_theta(layout, theta))
+    if np.all(np.abs(theta[6:]) <= 1e-10 * np.max(np.abs(theta))):
+        # shears within the detector's tolerance snap to exactly 0
+        layout, theta[6:] = "paired", 0.0
+    assert lay == layout
+    assert got.tobytes() == theta.tobytes()
