@@ -1,5 +1,11 @@
-"""Symbolic acoustic determinants, the reduced-form closed form, perfect
-square detection, and the pencil proportionality check det(T - lam T1)."""
+"""Symbolic acoustic determinants, the reduced-form closed form, the
+perfect-square test, and the pencil proportionality check det(T - lam T1).
+
+The square test is exact and does not depend on the coordinates: a square
+p = s^2 of a cubic s determines s through the first three orders of
+sqrt(p)'s power series about any point where p > 0, so the test expands
+about the largest of a fixed set of unit vectors, fits the cubic to the
+series there, and checks root^2 against p coefficient by coefficient."""
 
 from __future__ import annotations
 
@@ -7,11 +13,10 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.optimize
 
 from .forms import AcousticMatrix, QuadraticForm, ReducedOrthotropicForm, acoustic_matrix
 from .poly import (HomogeneousPolynomial, monomial_exponents, poly_combine,
-                   poly_mul)
+                   poly_eval_many, poly_mul)
 
 # monomial support of the reduced-form determinant: pure sextics, the six
 # quartic-quadratic mixtures, and the central monomial
@@ -83,107 +88,73 @@ def reduced_det_closed_form(r: ReducedOrthotropicForm) -> HomogeneousPolynomial:
 
 _SEXTIC_EXPS = monomial_exponents(6)   # 28 monomials
 _CUBIC_EXPS = monomial_exponents(3)    # 10 monomials
-_SQUARE_INDEX: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
-for _i, _e1 in enumerate(_CUBIC_EXPS):
-    for _j, _e2 in enumerate(_CUBIC_EXPS):
-        _key = (_e1[0] + _e2[0], _e1[1] + _e2[1], _e1[2] + _e2[2])
-        _SQUARE_INDEX.setdefault(_key, []).append((_i, _j))
 
-
-def _cubic_square_coeffs(s: np.ndarray) -> np.ndarray:
-    """Coefficients of S^2 in the 28-monomial sextic basis, S in cubic basis."""
-    out = np.zeros(len(_SEXTIC_EXPS))
-    for k, exp in enumerate(_SEXTIC_EXPS):
-        out[k] = sum(s[i] * s[j] for (i, j) in _SQUARE_INDEX[exp])
-    return out
-
-
-def _square_jacobian(s: np.ndarray) -> np.ndarray:
-    J = np.zeros((len(_SEXTIC_EXPS), len(_CUBIC_EXPS)))
-    for k, exp in enumerate(_SEXTIC_EXPS):
-        for (i, j) in _SQUARE_INDEX[exp]:
-            J[k, i] += s[j]
-            J[k, j] += s[i]
-    return J
-
-
-def _support_rule_applies(p: HomogeneousPolynomial) -> bool:
-    """Exact non-square certificate for reduced-support sextics.
-
-    When the support sits inside the ten reduced-determinant monomials and
-    all three pure coefficients are positive, a hypothetical square root
-    would need all three pure cubic monomials, whose cross terms y_i^3 y_j^3
-    (or y_i^4 y_j y_k, if y1 y2 y3 were present) fall outside the support.
-    """
-    support = set(p.terms)
-    if not support or not support.issubset(set(REDUCED_DET_SUPPORT)):
-        return False
-    return all(p.coefficient(e) > 0.0 for e in ((6, 0, 0), (0, 6, 0), (0, 0, 6)))
+SQUARE_REL_TOL = 1e-8
+# a fixed set of unit vectors: the anchor of the square-root expansion is
+# the one where p is largest, and the root is fitted to its values on all
+_ANCHORS = np.random.default_rng(2).standard_normal((40, 3))
+_ANCHORS /= np.linalg.norm(_ANCHORS, axis=1, keepdims=True)
+_CUBIC_FIT = np.linalg.pinv(
+    np.prod(_ANCHORS[:, None, :] ** np.array(_CUBIC_EXPS), axis=2))
 
 
 def perfect_square_test(
-        p: HomogeneousPolynomial,
-        rel_tol: float = 1e-8) -> tuple[bool, Optional[HomogeneousPolynomial]]:
+        p: HomogeneousPolynomial) -> tuple[bool, Optional[HomogeneousPolynomial]]:
     """Decide whether a sextic is the square of a cubic form.
 
-    The exact support rule is tried first; otherwise a Gauss-Newton
-    least-squares fit over the 10 cubic coefficients runs from multiple
-    monomial starts.  Returns (flag, root); the root's leading graded-lex
-    coefficient is normalized positive.
+    Let a be the anchor point where p is largest.  If p = s^2 with s cubic
+    and s(a) > 0, then s(a + h) = S0 + S1 + S2 + S3 exactly (s is a cubic),
+    where, with P_k = D^k p(a)[h, ..., h] / k!,
+
+        S0 = sqrt(P0), S1 = P1 / 2S0, S2 = (P2 - S1^2) / 2S0,
+        S3 = (P3 - 2 S1 S2) / 2S0.
+
+    The cubic is fitted by least squares to these values at the anchors, and
+    p is called a square when root^2 matches every coefficient of p to
+    SQUARE_REL_TOL * max |p|.  No step depends on the coordinates of y.
+    Returns (flag, root); the root's first nonzero graded-lex coefficient is
+    positive.
     """
     if p.degree != 6:
         raise ValueError(f"perfect_square_test needs a sextic, got degree {p.degree}")
     if p.is_zero():
         return True, HomogeneousPolynomial.zero(3)
-    if _support_rule_applies(p):
+    vals = poly_eval_many(p, _ANCHORS)
+    k = int(np.argmax(vals))
+    if vals[k] <= 0.0:
         return False, None
 
-    target = np.array([p.coefficient(e) for e in _SEXTIC_EXPS])
-    scale = float(np.max(np.abs(target)))
+    a = _ANCHORS[k]
+    grad = p.gradient()
+    hess = [g.gradient() for g in grad]
+    D1 = np.array([g(a) for g in grad])
+    D2 = np.array([[h(a) for h in row] for row in hess])
+    D3 = np.array([[[t(a) for t in h.gradient()] for h in row] for row in hess])
+    H = _ANCHORS - a
+    P1 = H @ D1
+    P2 = np.einsum("ni,ij,nj->n", H, D2, H) / 2.0
+    P3 = np.einsum("ni,nj,nk,ijk->n", H, H, H, D3) / 6.0
+    S0 = np.sqrt(vals[k])
+    S1 = P1 / (2.0 * S0)
+    S2 = (P2 - S1 * S1) / (2.0 * S0)
+    S3 = (P3 - 2.0 * S1 * S2) / (2.0 * S0)
+    s = _CUBIC_FIT @ (S0 + S1 + S2 + S3)
 
-    starts = []
-    order = np.argsort(-np.abs(target))
-    for k in order[:6]:
-        e = _SEXTIC_EXPS[k]
-        if all(v % 2 == 0 for v in e) and target[k] > 0:
-            s0 = np.zeros(len(_CUBIC_EXPS))
-            half = (e[0] // 2, e[1] // 2, e[2] // 2)
-            s0[_CUBIC_EXPS.index(half)] = np.sqrt(target[k])
-            starts.append(s0)
-    # composite start: all even monomials at once
-    s0 = np.zeros(len(_CUBIC_EXPS))
-    for k, e in enumerate(_SEXTIC_EXPS):
-        if all(v % 2 == 0 for v in e) and target[k] > 0:
-            half = (e[0] // 2, e[1] // 2, e[2] // 2)
-            s0[_CUBIC_EXPS.index(half)] = np.sqrt(target[k])
-    if np.any(s0):
-        starts.append(s0)
-    if not starts:
-        starts.append(np.full(len(_CUBIC_EXPS), np.sqrt(scale) / 10))
-
-    best = None
-    for s0 in starts:
-        res = scipy.optimize.least_squares(
-            lambda s: _cubic_square_coeffs(s) - target,
-            s0, jac=_square_jacobian, method="lm", xtol=1e-15, ftol=1e-15,
-            max_nfev=400)
-        err = float(np.max(np.abs(_cubic_square_coeffs(res.x) - target)))
-        if best is None or err < best[0]:
-            best = (err, res.x)
-        if err <= rel_tol * scale * 0.01:
+    # canonical sign: first nonzero cubic coefficient positive
+    for v in s:
+        if abs(v) > 1e-12 * max(np.max(np.abs(s)), 1e-300):
+            if v < 0:
+                s = -s
             break
-
-    err, s = best
-    if err <= rel_tol * scale:
-        # canonical sign: first nonzero cubic coefficient positive
-        for v in s:
-            if abs(v) > 1e-12 * max(np.max(np.abs(s)), 1e-300):
-                if v < 0:
-                    s = -s
-                break
-        root = HomogeneousPolynomial(3, {e: c for e, c in zip(_CUBIC_EXPS, s)})
+    root = HomogeneousPolynomial(3, dict(zip(_CUBIC_EXPS, s)))
+    gap = poly_combine(poly_mul(root, root), p, 1.0, -1.0).max_coeff()
+    if gap <= SQUARE_REL_TOL * p.max_coeff():
         return True, root
     return False, None
+
+
+# a pencil sample is proportional when its residual is at most this
+PENCIL_REL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -210,8 +181,7 @@ class PencilIdentityReport:
 
 
 def pencil_identity_check(q: QuadraticForm, q1: QuadraticForm,
-                          lam_samples: Sequence[float],
-                          rel_tol: float = 1e-9) -> PencilIdentityReport:
+                          lam_samples: Sequence[float]) -> PencilIdentityReport:
     """Test det(T - lam T1) = mu(lam) * det(T) at the given samples.
 
     The residual per sample is the best-scaling coefficient distance
@@ -238,7 +208,7 @@ def pencil_identity_check(q: QuadraticForm, q1: QuadraticForm,
         residuals.append(float(np.max(np.abs(resid))) / scale)
         scalings.append(mu)
 
-    proportional = all(r <= rel_tol for r in residuals)
+    proportional = all(r <= PENCIL_REL_TOL for r in residuals)
     gamma = beta = alpha = None
     if proportional and len(lam_samples) >= 4:
         V = np.vander(np.array(lam_samples), 4, increasing=True)

@@ -33,6 +33,22 @@ class FormError(ValueError):
     """Malformed or inconsistent form data."""
 
 
+def _symmetric(m, n: int, name: str) -> np.ndarray:
+    """m as a read-only n x n float array, checked finite and symmetric to
+    SYM_REL_TOL.  Entry pairs that differ are averaged, halving first so
+    that no sum overflows; equal pairs keep their bits."""
+    m = np.asarray(m, dtype=float)
+    if m.shape != (n, n):
+        raise FormError(f"{name} must be {n}x{n}, got {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise FormError(f"{name} entries must be finite")
+    if np.max(np.abs(m - m.T)) > SYM_REL_TOL * max(float(np.max(np.abs(m))), 1e-300):
+        raise FormError(f"{name} must be symmetric")
+    m = np.where(m == m.T, m, 0.5 * m + 0.5 * m.T)
+    m.setflags(write=False)
+    return m
+
+
 @dataclass(frozen=True)
 class QuadraticForm:
     """Quadratic form on 3x3 matrices via its 9x9 symmetric Gram matrix."""
@@ -40,17 +56,7 @@ class QuadraticForm:
     gram: np.ndarray
 
     def __post_init__(self):
-        g = np.asarray(self.gram, dtype=float)
-        if g.shape != (9, 9):
-            raise FormError(f"gram must be 9x9, got {g.shape}")
-        if not np.all(np.isfinite(g)):
-            raise FormError("gram entries must be finite")
-        scale = max(float(np.max(np.abs(g))), 1e-300)
-        if np.max(np.abs(g - g.T)) > SYM_REL_TOL * scale:
-            raise FormError("gram matrix is not symmetric")
-        g = 0.5 * (g + g.T)
-        g.setflags(write=False)
-        object.__setattr__(self, "gram", g)
+        object.__setattr__(self, "gram", _symmetric(self.gram, 9, "gram"))
 
     def __call__(self, xi: np.ndarray) -> float:
         v = np.asarray(xi, dtype=float).reshape(9)
@@ -109,17 +115,12 @@ class ReducedOrthotropicForm:
     d: float
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        if a.shape != (3, 3):
-            raise FormError("a must be 3x3")
-        if np.max(np.abs(a - a.T)) > SYM_REL_TOL * max(float(np.max(np.abs(a))), 1e-300):
-            raise FormError("a must be symmetric")
-        a = 0.5 * (a + a.T)
-        a.setflags(write=False)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", float(self.b))
-        object.__setattr__(self, "c", float(self.c))
-        object.__setattr__(self, "d", float(self.d))
+        object.__setattr__(self, "a", _symmetric(self.a, 3, "a"))
+        for name in "bcd":
+            v = float(getattr(self, name))
+            if not np.isfinite(v):
+                raise FormError(f"{name} must be finite, got {v}")
+            object.__setattr__(self, name, v)
 
     def parameter_vector(self) -> np.ndarray:
         """(a11, a22, a33, a12, a13, a23, b, c, d), in LAYOUT_PARAMS order."""
@@ -200,17 +201,22 @@ def form_from_theta(layout: str, theta: np.ndarray) -> QuadraticForm:
                                    shear_layout_basis(layout)))
 
 
-def detect_shear_layout(q: QuadraticForm, rel_tol: float = 1e-10):
+# a layout fits a Gram to this share of its largest entry
+LAYOUT_REL_TOL = 1e-10
+
+
+def detect_shear_layout(q: QuadraticForm):
     """Classify a Gram as shear-paired, single-shear, or neither.
 
     Returns (layout, theta), theta in LAYOUT_PARAMS order, or (None, None).
     A layout reads theta at its basis matrices' first entries and fits when
-    max |G - sum theta_k B_k| <= rel_tol * max |G|; paired is tried first.
+    max |G - sum theta_k B_k| <= LAYOUT_REL_TOL * max |G|; paired is tried
+    first.
     Shears that all lie within that tolerance snap to exactly 0 (as paired),
     unless the single-shear layout fits with a shear above it.
     """
     G = q.gram
-    tol = rel_tol * max(float(np.max(np.abs(G))), 1e-300)
+    tol = LAYOUT_REL_TOL * max(float(np.max(np.abs(G))), 1e-300)
     snapped = None
     for layout in _SHEARS:
         basis = shear_layout_basis(layout)
@@ -255,13 +261,12 @@ def biquadratic_eval(q: QuadraticForm, x, y) -> float:
     return float(v @ q.gram @ v)
 
 
-def _rank_one_agreement(q1: QuadraticForm, q2: QuadraticForm,
-                        trials: int = 64, rel_tol: float = 1e-11) -> float:
-    """Max relative disagreement of the two biquadratics over seeded pairs."""
+def _rank_one_agreement(q1: QuadraticForm, q2: QuadraticForm) -> float:
+    """Max relative disagreement of the two biquadratics over 64 seeded pairs."""
     rng = np.random.default_rng(20240916)
     worst = 0.0
     scale = 1.0 + max(q1.norm(), q2.norm())
-    for _ in range(trials):
+    for _ in range(64):
         x = rng.standard_normal(3)
         y = rng.standard_normal(3)
         x /= np.linalg.norm(x)

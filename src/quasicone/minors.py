@@ -19,12 +19,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
+from .forms import _symmetric
 from .poly import UnivariatePolynomial, default_abscissae, univariate_from_samples
 
 MAX_N = 8
 PSD_TOL_REL = 1e-10
+# B counts as singular for pencil_roots below this share of its largest
+# eigenvalue; the Vieta identity is checked when B's least eigenvalue
+# exceeds PD_CUTOFF
+SINGULAR_REL_TOL = 1e-10
+PD_CUTOFF = 1e-6
 
 
 class HypothesisError(ValueError):
@@ -40,20 +45,10 @@ class SymmetricMatrixPair:
 
     def __post_init__(self):
         A = np.asarray(self.A, dtype=float)
-        B = np.asarray(self.B, dtype=float)
-        if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape != B.shape:
-            raise ValueError(f"A, B must be square and same shape, got {A.shape}, {B.shape}")
-        n = A.shape[0]
+        n = A.shape[0] if A.ndim == 2 else 0
         if not (2 <= n <= MAX_N):
-            raise ValueError(f"n must be in [2, {MAX_N}], got {n}")
-        for name, M in (("A", A), ("B", B)):
-            scale = max(float(np.max(np.abs(M))), 1e-300)
-            if np.max(np.abs(M - M.T)) > 1e-12 * scale:
-                raise ValueError(f"{name} is not symmetric")
-        A = 0.5 * (A + A.T)
-        B = 0.5 * (B + B.T)
-        A.setflags(write=False)
-        B.setflags(write=False)
+            raise ValueError(f"A must be n x n with n in [2, {MAX_N}], got {A.shape}")
+        A, B = _symmetric(A, n, "A"), _symmetric(self.B, n, "B")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
 
@@ -134,19 +129,22 @@ def pencil_poly(pair: SymmetricMatrixPair) -> UnivariatePolynomial:
     return poly
 
 
-def pencil_roots(pair: SymmetricMatrixPair, shift_tol: float = 1e-10) -> np.ndarray:
+def pencil_roots(pair: SymmetricMatrixPair) -> np.ndarray:
     """Roots of det(A - tB) for B positive definite, sorted ascending.
 
-    They are the eigenvalues of the symmetric generalized problem A v = t B v.
+    They are the eigenvalues of the symmetric generalized problem A v = t B v,
+    reduced by the Cholesky factor B = L L^T to those of L^-1 A L^-T.
     A singular B is not shifted silently; apply pair.shifted(eps) explicitly.
     """
     wB = np.linalg.eigvalsh(pair.B)
     scale = max(abs(wB[-1]), 1.0)
-    if wB[0] <= shift_tol * scale:
+    if wB[0] <= SINGULAR_REL_TOL * scale:
         raise HypothesisError(
             f"B is singular to tolerance (min eigenvalue {wB[0]:.3e}); "
             "shift the pair with pair.shifted(eps) and retry")
-    return np.sort(scipy.linalg.eigh(pair.A, pair.B, eigvals_only=True))
+    L = np.linalg.cholesky(pair.B)
+    C = np.linalg.solve(L, np.linalg.solve(L, pair.A).T)
+    return np.linalg.eigvalsh(0.5 * (C + C.T))
 
 
 def _elementary_symmetric(roots: np.ndarray) -> np.ndarray:
@@ -175,12 +173,10 @@ class ChainReport:
         return self.min_slack >= -1e-9 * self.scale
 
 
-def minor_chain_check(pair: SymmetricMatrixPair,
-                      check_vieta: bool = True,
-                      pd_cutoff: float = 1e-6) -> ChainReport:
+def minor_chain_check(pair: SymmetricMatrixPair) -> ChainReport:
     """Verify S_m/C(n,m) <= S_k/C(n,k) for 1 <= k < m <= n under A >= B >= 0.
 
-    Also verifies, when B is positive definite (min eigenvalue > pd_cutoff),
+    Also verifies, when B is positive definite (min eigenvalue > PD_CUTOFF),
     that S_m = det(B) * e_{n-m}(pencil roots) to 1e-8 relative.
     """
     pair.check_hypotheses()
@@ -195,7 +191,7 @@ def minor_chain_check(pair: SymmetricMatrixPair,
     vieta_checked = False
     vieta_residual = 0.0
     roots = None
-    if check_vieta and np.linalg.eigvalsh(pair.B)[0] > pd_cutoff:
+    if np.linalg.eigvalsh(pair.B)[0] > PD_CUTOFF:
         r = pencil_roots(pair)
         roots = tuple(float(t) for t in r)
         detB = float(np.linalg.det(pair.B))

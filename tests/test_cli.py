@@ -205,3 +205,12 @@ def test_oversized_grid_is_an_invalid_error():
     r = run_cli("analyze", "choi_lam", "--grid", "513")
     assert r.returncode == 2
     assert json.loads(r.stderr)["error"]["code"] == "invalid"
+
+
+def test_import_loads_no_scipy():
+    code = ("import sys, quasicone; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from quasicone.determinant import (acoustic_det, det_report,
                                    pencil_identity_check, perfect_square_test,
@@ -10,6 +13,46 @@ from quasicone.poly import (HomogeneousPolynomial, monomial_exponents,
                             poly_combine, poly_equal_within, poly_mul)
 
 Mono = HomogeneousPolynomial.monomial
+CUBIC_EXPS = monomial_exponents(3)
+
+
+def _rotation(M):
+    Q, R = np.linalg.qr(M)
+    Q = Q * np.sign(np.diag(R))
+    return Q * [1.0, 1.0, np.linalg.det(Q)]
+
+
+def _rotated_gram(gram, R, S):
+    """Gram of xi -> Q(R^T xi S); row-major vec(R^T xi S) = kron(R^T, S^T) vec(xi)."""
+    P = np.kron(R.T, S.T)
+    return P.T @ gram @ P
+
+
+def _det(gram):
+    return acoustic_det(acoustic_matrix(QuadraticForm(gram)))
+
+
+def _compose(s, S):
+    """The cubic y -> s(S y)."""
+    rows = [HomogeneousPolynomial(1, {(1, 0, 0): S[i, 0], (0, 1, 0): S[i, 1],
+                                      (0, 0, 1): S[i, 2]}) for i in range(3)]
+    out = HomogeneousPolynomial.zero(3)
+    for exp, coef in s.terms.items():
+        term = Mono((0, 0, 0), coef)
+        for i, e in enumerate(exp):
+            for _ in range(e):
+                term = poly_mul(term, rows[i])
+        out = poly_combine(out, term, 1.0, 1.0)
+    return out
+
+
+def _square_gap(root, p):
+    return poly_combine(poly_mul(root, root), p, 1.0, -1.0).max_coeff() / p.max_coeff()
+
+
+_rotations = arrays(np.float64, (3, 3), elements=st.floats(-1.0, 1.0)).filter(
+    lambda M: np.linalg.svd(M, compute_uv=False)[-1] >= 0.1).map(_rotation)
+_cubics = st.lists(st.floats(-2.0, 2.0), min_size=10, max_size=10)
 
 
 def _reduced_identity():
@@ -88,6 +131,55 @@ def test_perfect_square_random_cubics():
         assert flag
         assert (poly_equal_within(root, s, 1e-7)
                 or poly_equal_within(root, s.scale(-1.0), 1e-7))
+
+
+@settings(max_examples=100, deadline=None)
+@given(coefs=_cubics, S=_rotations)
+def test_perfect_square_finds_rotated_squares(coefs, S):
+    assume(max(map(abs, coefs)) >= 0.1)
+    s = _compose(HomogeneousPolynomial(3, dict(zip(CUBIC_EXPS, coefs))), S)
+    p = poly_mul(s, s)
+    flag, root = perfect_square_test(p)
+    assert flag
+    assert _square_gap(root, p) <= 1e-8
+
+
+@settings(max_examples=100, deadline=None)
+@given(w=st.lists(st.floats(0.5, 2.0), min_size=3, max_size=3),
+       R=_rotations, S=_rotations)
+def test_perfect_square_finds_rotated_diagonal_form_det(w, R, S):
+    # Q = w1 xi11^2 + w2 xi22^2 + w3 xi33^2 under xi -> R^T xi S:
+    # det T(y) = w1 w2 w3 ((S^T y)_1 (S^T y)_2 (S^T y)_3)^2
+    gram = np.diag([w[0], 0, 0, 0, w[1], 0, 0, 0, w[2]])
+    p = _det(_rotated_gram(gram, R, S))
+    flag, root = perfect_square_test(p)
+    assert flag
+    assert _square_gap(root, p) <= 1e-8
+
+
+@settings(max_examples=100, deadline=None)
+@given(coefs=_cubics,
+       noise=st.lists(st.floats(-1.0, 1.0), min_size=28, max_size=28),
+       weight=st.sampled_from([0.0, 1e-3, 1.0]),
+       log_scale=st.floats(-8.0, 8.0))
+def test_perfect_square_flag_invariant_under_positive_scaling(
+        coefs, noise, weight, log_scale):
+    assume(max(map(abs, coefs)) >= 0.1)
+    s = HomogeneousPolynomial(3, dict(zip(CUBIC_EXPS, coefs)))
+    p = poly_combine(poly_mul(s, s),
+                     HomogeneousPolynomial(6, dict(zip(monomial_exponents(6), noise))),
+                     1.0, weight * s.max_coeff() ** 2)
+    assume(not p.is_zero())
+    assert (perfect_square_test(p.scale(10.0 ** log_scale))[0]
+            == perfect_square_test(p)[0])
+
+
+@settings(max_examples=50, deadline=None)
+@given(R=_rotations, S=_rotations)
+def test_rotated_choi_lam_det_is_not_a_square(R, S):
+    p = _det(_rotated_gram(catalog("choi_lam").gram, R, S))
+    flag, root = perfect_square_test(p)
+    assert not flag and root is None
 
 
 def test_perfect_square_rejects_choi_lam_det():

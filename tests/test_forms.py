@@ -233,6 +233,29 @@ def test_gram_symmetry_validated():
             QuadraticForm(G)
 
 
+def test_huge_finite_gram_stays_finite():
+    # the symmetrization halves before adding, so entries near the float
+    # limit neither overflow nor change bits
+    G = np.zeros((9, 9))
+    G[0, 1] = G[1, 0] = 1.7e308
+    G[2, 2] = -1.7e308
+    G[3, 4], G[4, 3] = 1.7e308, np.nextafter(1.7e308, 0.0)
+    gram = QuadraticForm(G).gram
+    assert np.all(np.isfinite(gram))
+    assert np.array_equal(gram, gram.T)
+    assert gram[0, 1] == 1.7e308 and gram[2, 2] == -1.7e308
+    assert gram[3, 4] in (1.7e308, np.nextafter(1.7e308, 0.0))
+
+
+def test_reduced_form_rejects_non_finite():
+    a = np.eye(3)
+    for bad_a, bcd in [(np.where(np.eye(3) > 0, np.nan, 0.0), (1, 1, 1)),
+                       (a + np.inf, (1, 1, 1)), (a, (np.nan, 1, 1)),
+                       (a, (1, np.inf, 1)), (a, (1, 1, -np.inf))]:
+        with pytest.raises(FormError):
+            ReducedOrthotropicForm(bad_a, *bcd)
+
+
 def test_minor_basis_orthonormal():
     basis = minor_gram_basis()
     assert len(basis) == 9
@@ -310,8 +333,7 @@ def test_form_from_theta_roundtrip():
         shear_layout_basis("bogus")
 
 
-# magnitudes past ~9e307 overflow the Gram symmetrization to inf
-_finite = st.floats(min_value=-1e300, max_value=1e300)
+_finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @settings(max_examples=200, deadline=None)

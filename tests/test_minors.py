@@ -149,6 +149,16 @@ def test_symmetry_validated():
         SymmetricMatrixPair(M, N)
 
 
+def test_non_finite_entries_rejected():
+    for bad in (np.nan, np.inf, -np.inf):
+        M = np.eye(3)
+        M[1, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            SymmetricMatrixPair(M, np.eye(3))
+        with pytest.raises(ValueError, match="finite"):
+            SymmetricMatrixPair(np.eye(3), M)
+
+
 def test_size_limits():
     with pytest.raises(ValueError):
         SymmetricMatrixPair(np.eye(1), np.eye(1))
