@@ -12,9 +12,10 @@ shared by the margin report and the probes built on top of it:
     subtraction ("extremal") show max eps ~ 0.
   * extreme_point_probe: searches the form's own 9-parameter shear layout
     for a quasiconvex splitting 0 <= Q1 <= Q off the ray {alpha Q}.
-  * extremal_polynomial_probe: necessary-condition screen for extremality of
-    a nonnegative sextic via the rank of its zero-set value+gradient
-    constraints.
+  * extremal_polynomial_probe: exact extremality test of the sextic
+    det T(y): the scan's rank-one zeros, snapped to rationals, give value
+    and gradient rows over the Newton polytope N(det), ranked in exact
+    arithmetic; nullspace 1 proves the sextic extremal.
   * polyconvexity_test: brackets phi* = max lambda_min(Gram - minor
     combination) with a log-det barrier method in numpy: a primal value
     below phi* and a re-checked dual bound above it.  Only the dual bound
@@ -32,13 +33,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .determinant import _SEXTIC_EXPS, perfect_square_test
-from .forms import (LAYOUT_PARAMS, QuadraticForm, detect_shear_layout,
-                    form_from_theta, minor_gram_basis, shear_layout_basis)
-from .poly import HomogeneousPolynomial, poly_eval_many
+from .determinant import _SEXTIC_EXPS, acoustic_det, perfect_square_test
+from .forms import (LAYOUT_PARAMS, QuadraticForm, acoustic_matrix,
+                    detect_shear_layout, form_from_theta, minor_gram_basis,
+                    shear_layout_basis)
 from .symeig import eigmin3, eigvals3
 
 # noise floor of a refined margin evaluation, relative to the Gram scale;
@@ -63,7 +66,6 @@ BARRIER_GAP_REL = 1e-10
 BARRIER_DECREMENT_TOL = 1e-8
 BARRIER_MAX_NEWTON = 50
 DUAL_CHECK_TOL = 1e-12
-RANK_CUTOFF_REL = 1e-7
 CLUSTER_ANGLE = 1e-3
 MAX_REPORTED_MINIMIZERS = 12
 
@@ -223,6 +225,17 @@ class LatticeScan:
             for (y, x, v) in kept)
         return MarginReport(margin=margin, minimizers=minimizers)
 
+    def rank_one_zeros(self) -> list:
+        """Clustered unit pairs (x, y) with Q(x (x) y) <= tol.
+
+        Requires the form to be quasiconvex within tolerance.
+        """
+        self.require_quasiconvex("rank_one_zeros")
+        near = self.vals <= self.cfg.tol
+        kept = _cluster_pairs(self.X[near], self.Y[near], self.vals[near])
+        return [(tuple(float(u) for u in x), tuple(float(u) for u in y))
+                for (y, x, _) in kept]
+
 
 def lattice_scan(q: QuadraticForm, cfg: CertifyConfig = CertifyConfig()) -> LatticeScan:
     """Evaluate lambda_min(T(y)) on every lattice point and refine each one
@@ -264,16 +277,8 @@ def quasiconvexity_margin(q: QuadraticForm, cfg: CertifyConfig = CertifyConfig()
 
 
 def rank_one_zeros(q: QuadraticForm, cfg: CertifyConfig = CertifyConfig()) -> list:
-    """Clustered unit pairs (x, y) with Q(x (x) y) <= tol.
-
-    Requires the form to be quasiconvex within tolerance.
-    """
-    scan = lattice_scan(q, cfg)
-    scan.require_quasiconvex("rank_one_zeros")
-    near = scan.vals <= cfg.tol
-    kept = _cluster_pairs(scan.X[near], scan.Y[near], scan.vals[near])
-    return [(tuple(float(u) for u in x), tuple(float(u) for u in y))
-            for (y, x, _) in kept]
+    """Scan q and return its LatticeScan.rank_one_zeros()."""
+    return lattice_scan(q, cfg).rank_one_zeros()
 
 
 # ---------------------------------------------------------------------------
@@ -607,100 +612,92 @@ def extreme_point_probe(scan: LatticeScan) -> ProbeReport:
 # ---------------------------------------------------------------------------
 # extremal polynomial probe
 
-def _monomial_rows(Z: np.ndarray) -> np.ndarray:
-    rows = np.empty((len(Z), len(_SEXTIC_EXPS)))
-    for k, (e1, e2, e3) in enumerate(_SEXTIC_EXPS):
-        rows[:, k] = Z[:, 0]**e1 * Z[:, 1]**e2 * Z[:, 2]**e3
+# rank-one zero directions are snapped to rationals of at most this denominator
+SNAP_DENOMINATOR = 64
+
+
+def _snap(y) -> tuple[Fraction, ...]:
+    """y scaled so its largest coordinate is +-1, snapped to rationals and
+    signed so that its first nonzero coordinate is positive (z ~ -z)."""
+    y = np.asarray(y) / np.max(np.abs(y))
+    z = [Fraction(float(u)).limit_denominator(SNAP_DENOMINATOR) for u in y]
+    sign = 1 if next(u for u in z if u) > 0 else -1
+    return tuple(sign * u for u in z)
+
+
+def _monomial_rows(exps, z) -> list[list[Fraction]]:
+    """Exact value row and three gradient rows of the monomials exps at z."""
+    def mono(e):
+        return z[0] ** e[0] * z[1] ** e[1] * z[2] ** e[2]
+
+    rows = [[mono(e) for e in exps]]
+    for v in range(3):
+        rows.append([e[v] * mono(tuple(k - (i == v) for i, k in enumerate(e)))
+                     if e[v] else Fraction(0) for e in exps])
     return rows
 
 
-def _monomial_grad_rows(Z: np.ndarray) -> np.ndarray:
-    """Gradient constraint rows: 3 per point, stacked."""
-    out = np.zeros((3 * len(Z), len(_SEXTIC_EXPS)))
-    for k, exp in enumerate(_SEXTIC_EXPS):
-        for v in range(3):
-            if exp[v] == 0:
-                continue
-            de = list(exp)
-            de[v] -= 1
-            col = exp[v] * Z[:, 0]**de[0] * Z[:, 1]**de[1] * Z[:, 2]**de[2]
-            out[v::3, k] = out[v::3, k] + col
-    return out
+def _newton_polytope(support) -> list[tuple[int, int, int]]:
+    """Sextic exponents in the convex hull of support.  Exponents lie in the
+    plane e1 + e2 + e3 = 6, so (e1, e2) are exact 2-D coordinates; a point
+    is in the hull iff it lies in a triangle of support points, where a
+    repeated vertex makes the triangle a segment or a point."""
+    pts = [e[:2] for e in support]
+
+    def in_triangle(p, a, b, c) -> bool:
+        d = [(v[0] - u[0]) * (p[1] - u[1]) - (v[1] - u[1]) * (p[0] - u[0])
+             for u, v in ((a, b), (b, c), (c, a))]
+        return (not (min(d) < 0 < max(d))
+                and all(min(a[i], b[i], c[i]) <= p[i] <= max(a[i], b[i], c[i])
+                        for i in (0, 1)))
+
+    return [e for e in _SEXTIC_EXPS if e in support or any(
+        in_triangle(e[:2], *t) for t in combinations_with_replacement(pts, 3))]
 
 
-def _accept_monotone(p, Z, f, step, gt):
-    """Apply Z - step*gt with backtracking; only improving moves land."""
-    Znew, fnew = Z, f
-    pending = step > 0.0
-    for _ in range(8):
-        if not np.any(pending):
-            break
-        trial = Z - np.where(pending, step, 0.0)[:, None] * gt
-        trial /= np.linalg.norm(trial, axis=1)[:, None]
-        ftrial = poly_eval_many(p, trial)
-        accept = pending & (ftrial <= f)
-        Znew = np.where(accept[:, None], trial, Znew)
-        fnew = np.where(accept, ftrial, fnew)
-        pending = pending & ~accept
-        step = np.where(pending, step * 0.25, step)
-    return Znew, fnew
+def _exact_rank(rows: list[list[Fraction]]) -> int:
+    """Rank by Gaussian elimination over the rationals."""
+    rows = [r for r in rows if any(r)]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        for i in range(rank + 1, len(rows)):
+            if rows[i][col]:
+                f = rows[i][col] / top[col]
+                rows[i] = [u - f * t for u, t in zip(rows[i], top)]
+        rank += 1
+    return rank
 
 
-def _tangent_newton_step(p, grads, hessians, Z, f):
-    """One damped Newton step of min p on the sphere, batched, monotone."""
-    n = len(Z)
-    gx = np.stack([poly_eval_many(g, Z) for g in grads], axis=1)
-    radial = np.sum(gx * Z, axis=1)
-    t1, t2 = _tangent_bases(Z)
-    g1 = np.sum(gx * t1, axis=1)
-    g2 = np.sum(gx * t2, axis=1)
-    H = np.empty((n, 3, 3))
-    for i in range(3):
-        for j in range(3):
-            H[:, i, j] = poly_eval_many(hessians[i][j], Z)
-    Ht1 = np.einsum("nij,nj->ni", H, t1)
-    Ht2 = np.einsum("nij,nj->ni", H, t2)
-    # Riemannian Hessian: projected ambient Hessian minus the radial slope
-    h11 = np.sum(t1 * Ht1, axis=1) - radial
-    h12 = np.sum(t1 * Ht2, axis=1)
-    h22 = np.sum(t2 * Ht2, axis=1) - radial
-    mean = 0.5 * (h11 + h22)
-    dev = np.sqrt(np.maximum(0.25 * (h11 - h22) ** 2 + h12 * h12, 0.0))
-    lam_min = mean - dev
-    scale = np.abs(h11) + np.abs(h22) + np.abs(h12) + 1e-30
-    reg = np.maximum(0.0, -lam_min) + 1e-9 * scale
-    a = h11 + reg
-    d = h22 + reg
-    det = a * d - h12 * h12
-    det = np.where(np.abs(det) > 1e-300, det, 1.0)
-    s1 = -(d * g1 - h12 * g2) / det
-    s2 = -(a * g2 - h12 * g1) / det
-    disp = np.sqrt(s1 * s1 + s2 * s2)
-    clip = np.minimum(1.0, 0.3 / np.maximum(disp, 1e-300))
-    move = (s1 * clip)[:, None] * t1 + (s2 * clip)[:, None] * t2
-    gt = -move  # reuse the monotone acceptor, which subtracts step*gt
-    return _accept_monotone(p, Z, f, np.ones(n), gt)
+def extremal_polynomial_probe(scan: LatticeScan) -> ProbeReport:
+    """Exact extremality test of p = det T(y) of the scanned form.
 
+    For a quasiconvex form T(y) >= 0, so p >= 0 and p vanishes exactly
+    where lambda_min(T(y)) does: the y parts of the scan's rank-one zeros
+    are p's zeros.  Each is scaled to largest coordinate +-1, snapped to a
+    rational of denominator <= 64, and kept only if p and grad p vanish
+    there exactly (double coefficients are exact rationals).  Any R with
+    0 <= R <= p vanishes with its gradient at those zeros and has its
+    Newton polytope inside N(p) (Reznick, Duke Math. J. 1978), so the
+    exact nullspace of the value and gradient rows over the monomials of
+    N(p) contains every such R.  Nullspace 1 (the span of p) proves p
+    extremal: consistent, method "exact".  Otherwise inconclusive with the
+    nullspace dimension as value; a perfect square is inconclusive (-1).
 
-def extremal_polynomial_probe(p: HomogeneousPolynomial,
-                              cfg: CertifyConfig = CertifyConfig()) -> ProbeReport:
-    """Necessary-condition screen for extremality of a nonnegative sextic.
-
-    Any sextic R with 0 <= R <= p must vanish with its gradient on the zero
-    set of p; the probe reports the numerical nullspace dimension of those
-    constraints over the 28 sextic coefficients.  Dimension 1 (the span of p
-    itself) is consistent with extremality; anything larger, or a perfect
-    square, is inconclusive.  Never a proof.
+    Verdict and value are unchanged when Q is scaled by a power of two,
+    which scales p exactly (the candidate and zero counts follow the
+    scan's absolute tol).  A decimal scale rounds p's coefficients, and a
+    rounded coefficient can move p off its rational zeros (choi_lam at
+    1e-3 gets a (2,2,2) coefficient of -3.0000000000000004e-09), which
+    the probe soundly reads as inconclusive.  p >= 0 itself rests on the
+    scan's sampled margin.
     """
-    if p.degree != 6:
-        raise PreconditionError(f"probe needs a sextic, got degree {p.degree}")
-    scale = max(p.max_coeff(), 1e-300)
-    Y0 = sphere_lattice(cfg.grid_resolution)
-    vals = poly_eval_many(p, Y0)
-    if np.min(vals) < -1e-6 * scale:
-        raise PreconditionError(
-            f"polynomial is significantly negative (min {np.min(vals):.3e})")
-
+    scan.require_quasiconvex("extremal polynomial probe")
+    p = acoustic_det(acoustic_matrix(scan.form))
     flag, root = perfect_square_test(p)
     if flag:
         return ProbeReport(
@@ -709,66 +706,25 @@ def extremal_polynomial_probe(p: HomogeneousPolynomial,
                      "note": "perfect square; deferred to the square test"},
             verdict="inconclusive")
 
-    # refine candidate zeros by Polyak-step projected gradient descent; the
-    # candidate set is broad so every basin, including shallow near-axis
-    # ones, holds starters
-    grads = p.gradient()
-    thresh = max(float(np.quantile(vals, 0.05)), 1e-3 * scale)
-    cand = Y0[vals <= thresh]
-    if len(cand) > 3000:
-        cand = cand[np.argsort(poly_eval_many(p, cand))[:3000]]
-    hessians = [g.gradient() for g in grads]
-    Z = cand.copy()
-    f = poly_eval_many(p, Z)
-    # phase 1: backtracked Polyak descent into the basins
-    for _ in range(60):
-        gx = np.stack([poly_eval_many(g, Z) for g in grads], axis=1)
-        gt = gx - (np.sum(gx * Z, axis=1))[:, None] * Z
-        gn = np.linalg.norm(gt, axis=1)
-        step = np.where(gn > 1e-300,
-                        np.minimum(f / np.maximum(gn * gn, 1e-300),
-                                   0.3 / np.maximum(gn, 1e-300)),
-                        0.0)
-        Z, f = _accept_monotone(p, Z, f, step, gt)
-    # phase 2: damped Newton on the tangent plane; first-order steps crawl
-    # along quartic-flat valleys, Newton contracts them geometrically
-    for _ in range(90):
-        Z, f = _tangent_newton_step(p, grads, hessians, Z, f)
-    fz = f
-    # strict acceptance keeps unconverged flat-direction approximants (which
-    # would act as spurious curvature constraints) out of the constraint set
-    zero_tol = 1e-13 * scale
-    keepmask = fz <= zero_tol
-    if not np.any(keepmask):
-        return ProbeReport(
-            kind="extremal_polynomial", value=float(len(_SEXTIC_EXPS)),
-            witness={"zeros": [], "note": "no zeros located; no constraints"},
-            verdict="inconclusive")
-    Zc, fc = Z[keepmask], fz[keepmask]
-    # projective clustering, best-converged representative per cluster
-    kept = []
-    for i in np.argsort(fc):
-        z = Zc[i]
-        if not any(min(np.linalg.norm(z - u), np.linalg.norm(z + u))
-                   < CLUSTER_ANGLE for u in kept):
-            kept.append(z)
-        if len(kept) >= 40:
-            break
-    Zk = canonical_sign(np.array(kept))
-    Zk = Zk[np.lexsort((Zk[:, 2], Zk[:, 1], Zk[:, 0]))]
-
-    rows = np.concatenate([_monomial_rows(Zk), _monomial_grad_rows(Zk)])
-    norms = np.linalg.norm(rows, axis=1)
-    rows = rows[norms > 1e-14]
-    rows /= np.linalg.norm(rows, axis=1)[:, None]
-    sv = np.linalg.svd(rows, compute_uv=False)
-    rank = int(np.sum(sv > RANK_CUTOFF_REL * sv[0]))
-    dim = len(_SEXTIC_EXPS) - rank
-    witness = {"zeros": [[float(u) for u in z] for z in Zk],
+    cols = _newton_polytope(set(p.terms))
+    coeffs = [Fraction(p.coefficient(e)) for e in cols]
+    candidates = scan.rank_one_zeros()
+    zeros = []
+    rows = []
+    for z in sorted({_snap(y) for (_, y) in candidates}):
+        zrows = _monomial_rows(cols, z)
+        if all(sum(c * u for c, u in zip(coeffs, r)) == 0 for r in zrows):
+            zeros.append(z)
+            rows += zrows
+    dim = len(cols) - _exact_rank(rows)
+    witness = {"method": "exact",
+               "zeros": [[str(u) for u in z] for z in zeros],
+               "newton_polytope": [list(e) for e in cols],
+               "candidates": len(candidates), "exact_zeros": len(zeros),
                "nullspace_dim": dim}
-    verdict = "consistent" if dim <= 1 else "inconclusive"
     return ProbeReport(kind="extremal_polynomial", value=float(dim),
-                       witness=witness, verdict=verdict)
+                       witness=witness,
+                       verdict="consistent" if dim == 1 else "inconclusive")
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,7 @@ def cmd_analyze(args) -> dict:
     form, reduced, echo = _load_form(args.form, args.eps)
     scan = lattice_scan(form, cfg)
     dr = det_report(form, reduced)
+    # the Milton and extremal-sextic probes read the input form's scan;
     # voigt inputs reach the extreme-point probe through their
     # Null-Lagrangian reduction (same biquadratic, same cone structure),
     # which is a different Gram and so needs its own scan
@@ -93,8 +94,8 @@ def cmd_analyze(args) -> dict:
     probes = {
         "milton": _probe_or_error(milton_extremality_probe, scan),
         "extreme_point": _probe_or_error(extreme_point_probe, probe_scan),
-        "extremal_polynomial": _probe_or_error(
-            extremal_polynomial_probe, dr.det, cfg),
+        "extremal_polynomial": _probe_or_error(extremal_polynomial_probe,
+                                               scan),
         "polyconvexity": _probe_or_error(polyconvexity_test, form, cfg),
     }
     return {

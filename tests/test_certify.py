@@ -1,5 +1,12 @@
+import functools
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from quasicone.certify import (CertifyConfig, PreconditionError,
                                extremal_polynomial_probe, extreme_point_probe,
@@ -12,7 +19,7 @@ from quasicone.forms import (NullLagrangianCoeffs, QuadraticForm,
                              ReducedOrthotropicForm, acoustic_matrix,
                              add_null_lagrangian, biquadratic_eval, catalog,
                              form_from_reduced, minor_gram_basis)
-from quasicone.poly import HomogeneousPolynomial
+from quasicone.poly import monomial_exponents
 
 FAST = CertifyConfig(grid_resolution=32, probe_directions=32, seed=7)
 
@@ -125,6 +132,12 @@ def test_rank_one_zeros_choi_lam_contains_diagonal():
         assert biquadratic_eval(catalog("choi_lam"), x, y) <= FAST.tol
 
 
+def test_rank_one_zeros_method_matches_wrapper():
+    q = catalog("choi_lam")
+    zeros = lattice_scan(q, FAST).rank_one_zeros()
+    assert zeros and zeros == rank_one_zeros(q, FAST)
+
+
 def test_rank_one_zeros_requires_quasiconvex():
     q = QuadraticForm(-np.eye(9))
     with pytest.raises(PreconditionError):
@@ -194,49 +207,145 @@ def test_extreme_point_scaling_invariance_of_verdict():
 
 
 def test_extremal_polynomial_norm_cubed_inconclusive():
-    p = acoustic_det(acoustic_matrix(catalog("convex_identity")))
-    rep = extremal_polynomial_probe(p, FAST)
+    # det T(y) = |y|^6 has no real zeros: no constraints on the 28 monomials
+    rep = extremal_polynomial_probe(lattice_scan(catalog("convex_identity"),
+                                                 FAST))
     assert rep.verdict == "inconclusive"
     assert rep.value == 28.0
+    assert rep.witness["exact_zeros"] == 0
 
 
 def test_extremal_polynomial_perfect_square_branch():
-    rep = extremal_polynomial_probe(HomogeneousPolynomial.monomial((6, 0, 0)),
-                                    FAST)
+    # w1 xi11^2 + w2 xi22^2 + w3 xi33^2: det T(y) = w1 w2 w3 (y1 y2 y3)^2
+    q = QuadraticForm(np.diag([1.0, 0, 0, 0, 2.0, 0, 0, 0, 3.0]))
+    rep = extremal_polynomial_probe(lattice_scan(q, FAST))
     assert rep.verdict == "inconclusive"
+    assert rep.value == -1.0
     assert "perfect_square_root" in rep.witness
 
 
+def _integer_rank(rows):
+    """Rank of an integer matrix by fraction-free elimination."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(rows[0])):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            rows[i] = [rows[rank][col] * u - rows[i][col] * t
+                       for u, t in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
 def test_extremal_polynomial_choi_lam_det():
-    p = acoustic_det(acoustic_matrix(catalog("choi_lam")))
-    rep = extremal_polynomial_probe(p, FAST)
-    assert rep.witness["zeros"]
-    # independent oracle: assemble value+gradient rows at the known zeros
-    # (|y_i| all equal, plus the coordinate axes) and compare ranks
-    zs = []
-    for s2 in (1, -1):
-        for s3 in (1, -1):
-            zs.append(np.array([1.0, s2, s3]) / np.sqrt(3))
-    zs += [np.eye(3)[i] for i in range(3)]
-    from quasicone.certify import _monomial_grad_rows, _monomial_rows
-    Z = np.array(zs)
-    rows = np.concatenate([_monomial_rows(Z), _monomial_grad_rows(Z)])
-    rows /= np.linalg.norm(rows, axis=1)[:, None]
-    sv = np.linalg.svd(rows, compute_uv=False)
-    dim = 28 - int(np.sum(sv > 1e-7 * sv[0]))
-    assert rep.value == float(dim)
+    # Choi and Lam (1977): x^4 z^2 + x^2 y^4 + y^2 z^4 - 3 x^2 y^2 z^2 is
+    # extremal, so the exact nullspace is span{p}
+    q = catalog("choi_lam")
+    p = acoustic_det(acoustic_matrix(q))
+    rep = extremal_polynomial_probe(lattice_scan(q, FAST))
+    assert rep.verdict == "consistent"
+    assert rep.value == 1.0
+    w = rep.witness
+    assert w["method"] == "exact" and w["nullspace_dim"] == 1
+    # every reported zero is an exact zero of p, the four (1, +-1, +-1) too
+    zeros = [tuple(Fraction(u) for u in z) for z in w["zeros"]]
+    assert w["exact_zeros"] == len(zeros) <= w["candidates"]
+    assert {(1, s2, s3) for s2 in (1, -1) for s3 in (1, -1)} <= set(zeros)
+    for z in zeros:
+        assert sum(Fraction(c) * z[0] ** e[0] * z[1] ** e[1] * z[2] ** e[2]
+                   for e, c in p.terms.items()) == 0
+    # independent oracle: N(p) is the triangle on p's three outer vertices,
+    # and the value and gradient rows at the four diagonal zeros alone have
+    # integer rank 9 on it
+    V = np.array([(4, 0, 2), (2, 4, 0), (0, 2, 4)]).T
+    cols = [e for e in monomial_exponents(6)
+            if np.all(np.linalg.solve(V, e) >= -1e-12)]
+    assert len(cols) == 10
+    assert [tuple(e) for e in w["newton_polytope"]] == cols
+    rows = []
+    for z in [(1, s2, s3) for s2 in (1, -1) for s3 in (1, -1)]:
+        rows.append([z[0] ** e[0] * z[1] ** e[1] * z[2] ** e[2] for e in cols])
+        for v in range(3):
+            rows.append([e[v] * int(np.prod([z[i] ** (e[i] - (i == v))
+                                             for i in range(3)]))
+                         if e[v] else 0 for e in cols])
+    assert len(cols) - _integer_rank(rows) == 1
+
+
+def test_extremal_polynomial_choi_lam_grid_96():
+    rep = extremal_polynomial_probe(lattice_scan(
+        catalog("choi_lam"), CertifyConfig(grid_resolution=96)))
+    assert rep.verdict == "consistent" and rep.value == 1.0
 
 
 def test_extremal_polynomial_rejects_negative():
-    p = HomogeneousPolynomial(6, {(6, 0, 0): -1.0})
-    with pytest.raises(PreconditionError):
-        extremal_polynomial_probe(p, FAST)
+    # serre(0.05) has a negative sampled margin and a negative det somewhere
+    with pytest.raises(PreconditionError, match="quasiconvex"):
+        extremal_polynomial_probe(lattice_scan(catalog("serre", eps=0.05),
+                                               FAST))
 
 
-def test_extremal_polynomial_degree_checked():
-    with pytest.raises(PreconditionError):
-        extremal_polynomial_probe(HomogeneousPolynomial.monomial((2, 0, 0)),
-                                  FAST)
+_GRID32 = CertifyConfig(grid_resolution=32)
+_SIGNED_PERMUTATIONS = [np.eye(3)[list(perm)] * np.array(signs)[:, None]
+                        for perm in itertools.permutations(range(3))
+                        for signs in itertools.product((1, -1), repeat=3)]
+
+
+def _y_transformed(gram, S):
+    """Gram of the form whose acoustic matrix is T(S y)."""
+    return np.einsum("iakb,aj,bl->ijkl", gram.reshape(3, 3, 3, 3),
+                     S, S).reshape(9, 9)
+
+
+def _probe_of(gram):
+    return extremal_polynomial_probe(lattice_scan(QuadraticForm(gram),
+                                                  _GRID32))
+
+
+@functools.lru_cache(maxsize=None)
+def _choi_lam_base():
+    return _probe_of(catalog("choi_lam").gram)
+
+
+@settings(max_examples=20, deadline=None)
+@given(k=st.integers(-20, 20))
+def test_extremal_polynomial_invariant_under_power_of_two_scaling(k):
+    # 2^k scales det T(y) exactly; the candidate and zero counts follow the
+    # scan's absolute tol, the verdict and N(p) do not
+    base = _choi_lam_base()
+    rep = _probe_of(2.0 ** k * catalog("choi_lam").gram)
+    assert (rep.verdict, rep.value) == (base.verdict, base.value)
+    for key in ("method", "newton_polytope", "nullspace_dim"):
+        assert rep.witness[key] == base.witness[key]
+
+
+@settings(max_examples=20, deadline=None)
+@given(S=st.sampled_from(_SIGNED_PERMUTATIONS))
+def test_extremal_polynomial_invariant_under_signed_axis_permutations(S):
+    # the zero set of choi_lam's det is invariant as a set of lines
+    base = _choi_lam_base()
+    rep = _probe_of(_y_transformed(catalog("choi_lam").gram, S))
+    assert (rep.verdict, rep.value) == (base.verdict, base.value) \
+        == ("consistent", 1.0)
+    assert rep.witness["zeros"] == base.witness["zeros"]
+
+
+_generic_orthogonal = arrays(np.float64, (3, 3), elements=st.floats(-1.0, 1.0)) \
+    .filter(lambda M: np.linalg.svd(M, compute_uv=False)[-1] >= 0.1) \
+    .map(lambda M: np.linalg.qr(M)[0]) \
+    .filter(lambda S: np.max(np.abs(S)) <= 0.999)
+
+
+@settings(max_examples=20, deadline=None)
+@given(S=_generic_orthogonal)
+def test_extremal_polynomial_never_consistent_on_rotated_choi_lam(S):
+    # a generic orthogonal change of y (no axis within 2.5 degrees of an
+    # axis) makes the zeros irrational: near-zeros must never become a proof
+    rep = _probe_of(_y_transformed(catalog("choi_lam").gram, S))
+    assert rep.verdict == "inconclusive"
 
 
 def test_polyconvexity_identity():
