@@ -3,8 +3,11 @@
 lattice_scan computes min over unit y of lambda_min(T(y)) on a
 deterministic spherical Fibonacci lattice with batched alternating
 refinement (each step minimizes the biquadratic exactly in one of x, y via
-the 3x3 eigenproblem).  Each form is scanned once; its LatticeScan is
-shared by the margin report and the probes built on top of it:
+the 3x3 eigenproblem).  A half-sweep is one GEMM, the (n, 9) rows v (x) v
+times a 9x9 reshaping of the Gram tensor (_acoustic_stack), plus one
+eigmin3 on the resulting (n, 3, 3) stack.  Each form is scanned once; its
+LatticeScan is shared by the margin report and the probes built on top of
+it:
 
   * milton_extremality_probe: largest coefficient eps such that Q - eps*l^2
     stays quasiconvex, maximized over unit rank-one directions l, by
@@ -168,20 +171,30 @@ def canonical_sign(V: np.ndarray) -> np.ndarray:
     return out[0] if single else out
 
 
+def _acoustic_stack(V: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """sum_{j,l} V[n, j] V[n, l] K[j, l, ...] for every row of V: the (n, 9)
+    rows V (x) V times K reshaped to (9, m), one GEMM.  Shape (n,) +
+    K.shape[2:].  With the gram tensor G4[i, k, j, l], K = G4 contracts x
+    (giving S(x), the y block) and K = G4.transpose(2, 3, 0, 1) contracts y
+    (giving T(y), the x block)."""
+    W = (V[:, :, None] * V[:, None, :]).reshape(len(V), 9)
+    return (W @ K.reshape(9, -1)).reshape((len(V),) + K.shape[2:])
+
+
 def _descend(G4: np.ndarray, X: np.ndarray, Y: np.ndarray, vals: np.ndarray,
              max_iters: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Batched block descent from solved x blocks (X, vals at the y starts
-    Y): alternate exact minimization in y then x (each block step is a 3x3
-    eigenproblem).
+    Y): alternate exact minimization in y then x.  Each half-sweep is one
+    GEMM (_acoustic_stack) and one eigmin3.
 
     Returns refined (X, Y, values); values only decrease per point.  Stops
     early once no point improves beyond the 1e-16 level.
     """
+    Kx = np.ascontiguousarray(G4)
+    Ky = np.ascontiguousarray(G4.transpose(2, 3, 0, 1))
     for _ in range(max_iters):
-        S = np.einsum("ni,ikjl,nk->njl", X, G4, X)
-        _, Y = eigmin3(S)
-        T = np.einsum("nj,ikjl,nl->nik", Y, G4, Y)
-        new_vals, X = eigmin3(T)
+        _, Y = eigmin3(_acoustic_stack(X, Kx))
+        new_vals, X = eigmin3(_acoustic_stack(Y, Ky))
         if len(vals) == 0:
             break
         improvement = float(np.max(vals - new_vals))
@@ -242,7 +255,7 @@ def lattice_scan(q: QuadraticForm, cfg: CertifyConfig = CertifyConfig()) -> Latt
     by the batched alternating descent."""
     G4 = q.gram_tensor()
     Y0 = sphere_lattice(cfg.grid_resolution)
-    T = np.einsum("nj,ikjl,nl->nik", Y0, G4, Y0)
+    T = _acoustic_stack(Y0, G4.transpose(2, 3, 0, 1))
     lam, X0 = eigmin3(T)
     X, Y, vals = _descend(G4, X0, Y0, lam, REFINE_ITERS)
     margin = float(min(np.min(vals), np.min(lam)))
@@ -251,23 +264,21 @@ def lattice_scan(q: QuadraticForm, cfg: CertifyConfig = CertifyConfig()) -> Latt
 
 def _cluster_pairs(X: np.ndarray, Y: np.ndarray, vals: np.ndarray,
                    angle: float = CLUSTER_ANGLE, cap: int = 10**9):
-    """Greedy angular clustering of canonical-signed (y, x) pairs, best first."""
+    """Greedy angular clustering of canonical-signed (y, x) pairs, best first:
+    a pair is kept unless it lies within angle, in both y and x, of a pair
+    kept before it.  Each kept pair drops its whole neighbourhood from the
+    remaining candidates in one step."""
     Xc = canonical_sign(X)
     Yc = canonical_sign(Y)
-    order = np.lexsort((Xc[:, 2], Xc[:, 1], Xc[:, 0],
-                        Yc[:, 2], Yc[:, 1], Yc[:, 0], vals))
+    rest = np.lexsort((Xc[:, 2], Xc[:, 1], Xc[:, 0],
+                       Yc[:, 2], Yc[:, 1], Yc[:, 0], vals))
     kept = []
-    for i in order:
-        y, x, v = Yc[i], Xc[i], float(vals[i])
-        dup = False
-        for (yk, xk, _) in kept:
-            if np.linalg.norm(y - yk) < angle and np.linalg.norm(x - xk) < angle:
-                dup = True
-                break
-        if not dup:
-            kept.append((y, x, v))
-            if len(kept) >= cap:
-                break
+    while len(rest) and len(kept) < cap:
+        i, rest = rest[0], rest[1:]
+        kept.append((Yc[i], Xc[i], float(vals[i])))
+        near = ((np.linalg.norm(Yc[rest] - Yc[i], axis=1) < angle)
+                & (np.linalg.norm(Xc[rest] - Xc[i], axis=1) < angle))
+        rest = rest[~near]
     return kept
 
 
@@ -373,7 +384,7 @@ def _clears(T: np.ndarray, G4: np.ndarray, Y: np.ndarray, pool: np.ndarray,
     if np.min(lam) < floor:
         return False
     Yk = Y[np.argpartition(lam, k - 1)[:k]]
-    vals, X = eigmin3(np.einsum("nj,ikjl,nl->nik", Yk, G4, Yk))
+    vals, X = eigmin3(_acoustic_stack(Yk, G4.transpose(2, 3, 0, 1)))
     return float(np.min(_descend(G4, X, Yk, vals, iters)[2])) >= floor
 
 
@@ -541,7 +552,9 @@ def extreme_point_probe(scan: LatticeScan) -> ProbeReport:
     # basis contributions can be preassembled once
     B4 = basis.reshape(9, 3, 3, 3, 3).transpose(0, 1, 3, 2, 4)
     Ylean = sphere_lattice(32)
-    TB = np.einsum("nj,kimjl,nl->knim", Ylean, B4, Ylean)
+    # (9, n, 3, 3), contiguous so that each tensordot below reads it in place
+    TB = np.moveaxis(_acoustic_stack(Ylean, B4.transpose(3, 4, 0, 1, 2)),
+                     1, 0).copy()
     poolB = np.array([_pool_quadratic(P9, Bk) for Bk in basis])
 
     def clears(th: np.ndarray) -> bool:

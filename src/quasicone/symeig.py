@@ -2,11 +2,19 @@
 
 The hot paths of the certification engines evaluate the smallest eigenvalue
 (and its eigenvector) of tens of thousands of 3x3 symmetric matrices per
-call.  The closed-form trigonometric solve of the characteristic polynomial
-is used for the well-conditioned bulk; rows whose eigenvalue discriminant is
-near-degenerate (relative discriminant < 1e-12, i.e. nearly repeated roots,
-where the acos formulation loses up to sqrt(eps) digits) fall back to
-LAPACK's iterative solver.
+call.  Eigenvalues come from the closed-form trigonometric solve of the
+characteristic polynomial (Smith, CACM 1961).  The eigenvector of l1 is the
+largest column of the spectral projector
+
+    P = (M - l2 I)(M - l3 I) = M M - (l2 + l3) M + l2 l3 I,
+
+whose columns all lie along it.  LAPACK runs on two kinds of rows only:
+eigvals3 sends rows whose relative discriminant is below 1e-12 (two nearly
+repeated roots, where the arccos loses up to sqrt(eps) digits) to eigvalsh,
+and eigmin3 sends rows where l2 - l1 <= 1e-7 (l3 - l1) (P nearly vanishes)
+or the chosen column is below 1e-12 (l3 - l1)^2 to eigh.  The projector's
+rounding error grows as eps |M|^2 / (l2 - l1), so just above that line the
+eigenvector residual reaches about 1e-8 |M|.
 """
 
 from __future__ import annotations
@@ -57,9 +65,9 @@ def eigvals3(M: np.ndarray) -> np.ndarray:
 def eigmin3(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Smallest eigenvalue and a unit eigenvector for a stack (n,3,3).
 
-    Eigenvectors come from the spectral projector (M - l2 I)(M - l3 I); rows
-    where the smallest eigenvalue is nearly repeated (projector ill-defined)
-    use LAPACK.
+    The eigenvector is the largest column of M M - (l2 + l3) M + l2 l3 I;
+    rows where the smallest eigenvalue is nearly repeated (projector
+    ill-defined) use LAPACK.  Eigenvalues of the other rows are eigvals3's.
     """
     M = np.asarray(M, dtype=float)
     single = M.ndim == 2
@@ -68,12 +76,13 @@ def eigmin3(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = M.shape[0]
     lam = eigvals3(M)
     l1 = lam[:, 0]; l2 = lam[:, 1]; l3 = lam[:, 2]
-    I = np.eye(3)
-    P = (M - l2[:, None, None] * I) @ (M - l3[:, None, None] * I)
-    norms = np.linalg.norm(P, axis=1)          # column norms, shape (n,3)
-    jbest = np.argmax(norms, axis=1)
-    v = P[np.arange(n), :, jbest]
-    nv = np.linalg.norm(v, axis=1)
+    P = M @ M - (l2 + l3)[:, None, None] * M
+    P.reshape(n, 9)[:, ::4] += (l2 * l3)[:, None]
+    norms2 = np.einsum("nij,nij->nj", P, P)   # squared column norms
+    jbest = np.argmax(norms2, axis=1)
+    rows = np.arange(n)
+    v = P[rows, :, jbest]
+    nv = np.sqrt(norms2[rows, jbest])
     span = np.maximum(l3 - l1, 1e-300)
     gap = l2 - l1
     bad = (gap <= 1e-7 * span) | (nv <= 1e-12 * span * span)

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from quasicone.certify import (CertifyConfig, PreconditionError,
+from quasicone.certify import (CLUSTER_ANGLE, CertifyConfig, PreconditionError,
+                               _acoustic_stack, _cluster_pairs, canonical_sign,
                                extremal_polynomial_probe, extreme_point_probe,
                                lattice_scan, milton_extremality_probe,
                                polyconvexity_test,
@@ -142,6 +143,83 @@ def test_rank_one_zeros_requires_quasiconvex():
     q = QuadraticForm(-np.eye(9))
     with pytest.raises(PreconditionError):
         rank_one_zeros(q, FAST)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([0, 1, 12, 1024]),
+       shift=st.booleans(), log_scale=st.floats(-6.0, 6.0))
+def test_acoustic_stack_matches_einsum(seed, n, shift, log_scale):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((9, 9))
+    q = QuadraticForm(10.0 ** log_scale * (A + A.T))
+    if shift:
+        q = add_null_lagrangian(q, NullLagrangianCoeffs(
+            10.0 ** log_scale * rng.uniform(-2.0, 2.0, 9)))
+    G4 = q.gram_tensor()
+    V = rng.standard_normal((n, 3)) * rng.uniform(0.5, 2.0, (n, 1))
+    # a few ulp of |G| |V|^2 per row
+    tol = 8 * np.finfo(float).eps * q.norm() * np.sum(V * V, axis=1)
+    pairs = [(_acoustic_stack(V, G4.transpose(2, 3, 0, 1)),
+              np.einsum("nj,ikjl,nl->nik", V, G4, V)),   # T(y), the x block
+             (_acoustic_stack(V, G4),
+              np.einsum("ni,ikjl,nk->njl", V, G4, V))]   # S(x), the y block
+    # a stack of forms of norm |G|, as the extreme point's layout basis
+    grams = np.stack([q.gram, q.norm() * minor_gram_basis()[seed % 9]])
+    B4 = grams.reshape(2, 3, 3, 3, 3).transpose(0, 1, 3, 2, 4)
+    pairs.append((_acoustic_stack(V, B4.transpose(3, 4, 0, 1, 2)),
+                   np.einsum("nj,kimjl,nl->nkim", V, B4, V)))
+    for got, ref in pairs:
+        assert got.shape == ref.shape
+        assert np.all(np.abs(got - ref)
+                      <= tol.reshape((n,) + (1,) * (got.ndim - 1)))
+
+
+def _cluster_pairs_loop(X, Y, vals, angle=CLUSTER_ANGLE, cap=10**9):
+    """The pairwise reference loop that _cluster_pairs replaces."""
+    Xc = canonical_sign(X)
+    Yc = canonical_sign(Y)
+    order = np.lexsort((Xc[:, 2], Xc[:, 1], Xc[:, 0],
+                        Yc[:, 2], Yc[:, 1], Yc[:, 0], vals))
+    kept = []
+    for i in order:
+        y, x, v = Yc[i], Xc[i], float(vals[i])
+        if not any(np.linalg.norm(y - yk) < angle
+                   and np.linalg.norm(x - xk) < angle for (yk, xk, _) in kept):
+            kept.append((y, x, v))
+            if len(kept) >= cap:
+                break
+    return kept
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_cluster_pairs_matches_reference_loop(seed):
+    rng = np.random.default_rng(seed)
+    centres = rng.standard_normal((8, 2, 3))
+    centres /= np.linalg.norm(centres, axis=2, keepdims=True)
+    # each centre comes first in its cluster (value -1e-12); around it, chord
+    # offsets of 0, 0.999 and 1.001 CLUSTER_ANGLE in y and in x, valued
+    # 0 or 1e-12 so that ties go to the lexsort
+    factors = np.array(list(itertools.product([0.0, 0.999, 1.001], repeat=2)))
+    Y, X, vals = [], [], []
+    for y0, x0 in centres:
+        d = rng.standard_normal((len(factors), 2, 3))
+        d *= CLUSTER_ANGLE * factors[:, :, None] / np.linalg.norm(
+            d, axis=2, keepdims=True)
+        Y += [y0, *(y0 + d[:, 0])]
+        X += [x0, *(x0 + d[:, 1])]
+        vals += [-1e-12, *rng.choice([0.0, 1e-12], len(factors))]
+    Y, X, vals = np.array(Y), np.array(X), np.array(vals)
+    signs = rng.choice([-1.0, 1.0], (2, len(Y), 1))  # canonical_sign undoes
+    X, Y = signs[0] * X, signs[1] * Y
+    full = _cluster_pairs_loop(X, Y, vals)
+    # the 0 and 0.999 offsets join their centre, the 1.001 ones do not
+    assert 8 + 8 <= len(full) <= 8 * 6
+    for cap in (10**9, 5):
+        got = _cluster_pairs(X, Y, vals, cap=cap)
+        ref = _cluster_pairs_loop(X, Y, vals, cap=cap)
+        assert len(got) == len(ref) == min(cap, len(full))
+        for (y, x, v), (yr, xr, vr) in zip(got, ref):
+            assert np.array_equal(y, yr) and np.array_equal(x, xr) and v == vr
 
 
 def test_milton_refutes_convex_identity():
