@@ -28,8 +28,15 @@ Violations of depth ~eps^2 hide in tiny dips near degenerate rank-one zeros
 where plain descent overshoots; the probes therefore evaluate candidate
 forms on a structured pool: the refined zeros of Q plus geometric radius
 sweeps along the transverse-Hessian eigendirections at each zero.  Both
-ray searches judge a candidate with one check, _clears (pool, lattice,
-top-k refinement), and bisect with one helper, _bisect.
+ray searches advance all their directions in lockstep: each step judges
+every active direction's candidate form in one batched check, _clears
+(pool, lattice, top-k refinement), and one vectorized bisection, _bisect,
+moves all the brackets.  The lattice stage stacks at most LOCKSTEP_ROWS
+rows per eigvals3 call, which bounds memory at any direction count; the
+refinement runs one eigmin3 per half-sweep over every surviving
+candidate, each frozen once it converges, so a direction's result does not
+depend on the batch it ran in.  Each ray probe reports its work counters
+as witness["diagnostics"].
 """
 
 from __future__ import annotations
@@ -171,36 +178,61 @@ def canonical_sign(V: np.ndarray) -> np.ndarray:
     return out[0] if single else out
 
 
+# the factors v_j, v_l of each entry of the row-major v (x) v
+_OUTER_J = np.repeat(np.arange(3), 3)
+_OUTER_L = np.tile(np.arange(3), 3)
+
+
 def _acoustic_stack(V: np.ndarray, K: np.ndarray) -> np.ndarray:
-    """sum_{j,l} V[n, j] V[n, l] K[j, l, ...] for every row of V: the (n, 9)
-    rows V (x) V times K reshaped to (9, m), one GEMM.  Shape (n,) +
-    K.shape[2:].  With the gram tensor G4[i, k, j, l], K = G4 contracts x
-    (giving S(x), the y block) and K = G4.transpose(2, 3, 0, 1) contracts y
-    (giving T(y), the x block)."""
-    W = (V[:, :, None] * V[:, None, :]).reshape(len(V), 9)
-    return (W @ K.reshape(9, -1)).reshape((len(V),) + K.shape[2:])
+    """sum_{j,l} V[..., n, j] V[..., n, l] K[..., j, l, ...] for every row of
+    V: the (n, 9) rows V (x) V times K reshaped to (9, m), one GEMM per
+    leading batch index.  V is (n, 3) or (c, n, 3), and K has the same
+    leading batch shape; the result is V.shape[:-1] + K's trailing shape.
+    With the gram tensor G4[i, k, j, l], K = G4 contracts x (giving S(x),
+    the y block) and K = G4.transpose(2, 3, 0, 1) contracts y (giving T(y),
+    the x block)."""
+    lead = V.shape[:-1]
+    batch = K.shape[:len(lead) - 1]
+    W = V[..., _OUTER_J] * V[..., _OUTER_L]
+    K9 = K.reshape(batch + (9, -1))
+    return (W @ K9).reshape(lead + K.shape[len(batch) + 2:])
 
 
 def _descend(G4: np.ndarray, X: np.ndarray, Y: np.ndarray, vals: np.ndarray,
              max_iters: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batched block descent from solved x blocks (X, vals at the y starts
-    Y): alternate exact minimization in y then x.  Each half-sweep is one
-    GEMM (_acoustic_stack) and one eigmin3.
+    """Batched block descent of c forms (gram tensors G4, (c, 3, 3, 3, 3))
+    from solved x blocks (X, vals, shapes (c, k, 3) and (c, k), at the y
+    starts Y): alternate exact minimization in y then x.  Each half-sweep
+    is one GEMM per form (_acoustic_stack) and one eigmin3 over all rows.
 
-    Returns refined (X, Y, values); values only decrease per point.  Stops
-    early once no point improves beyond the 1e-16 level.
+    Returns refined (X, Y, values); values only decrease per point.  A form
+    stops, frozen, once none of its points improves beyond the 1e-16 level,
+    so its result does not depend on the other forms of the batch.
     """
     Kx = np.ascontiguousarray(G4)
-    Ky = np.ascontiguousarray(G4.transpose(2, 3, 0, 1))
+    Ky = np.ascontiguousarray(G4.transpose(0, 3, 4, 1, 2))
+    live = np.arange(len(vals))
     for _ in range(max_iters):
-        _, Y = eigmin3(_acoustic_stack(X, Kx))
-        new_vals, X = eigmin3(_acoustic_stack(Y, Ky))
-        if len(vals) == 0:
+        if not len(live):
             break
-        improvement = float(np.max(vals - new_vals))
-        vals = new_vals
-        if improvement < 1e-16 * (1.0 + float(np.max(np.abs(vals)))):
-            break
+        # while every form is live the arrays are used and rebound whole, so
+        # a one-form scan copies nothing; rows are scattered only after a
+        # full sweep has rebound them, so the caller's arrays are never
+        # written
+        whole = len(live) == len(vals)
+        sel = slice(None) if whole else live
+        shape = (len(live),) + Y.shape[1:]
+        _, Yl = eigmin3(_acoustic_stack(X[sel], Kx[sel]).reshape(-1, 3, 3))
+        Yl = Yl.reshape(shape)
+        new_vals, Xl = eigmin3(_acoustic_stack(Yl, Ky[sel]).reshape(-1, 3, 3))
+        Xl, new_vals = Xl.reshape(shape), new_vals.reshape(shape[:2])
+        improvement = np.max(vals[sel] - new_vals, axis=1)
+        if whole:
+            X, Y, vals = Xl, Yl, new_vals
+        else:
+            X[sel], Y[sel], vals[sel] = Xl, Yl, new_vals
+        done = improvement < 1e-16 * (1.0 + np.max(np.abs(new_vals), axis=1))
+        live = live[~done]
     return X, Y, vals
 
 
@@ -257,7 +289,8 @@ def lattice_scan(q: QuadraticForm, cfg: CertifyConfig = CertifyConfig()) -> Latt
     Y0 = sphere_lattice(cfg.grid_resolution)
     T = _acoustic_stack(Y0, G4.transpose(2, 3, 0, 1))
     lam, X0 = eigmin3(T)
-    X, Y, vals = _descend(G4, X0, Y0, lam, REFINE_ITERS)
+    X, Y, vals = (a[0] for a in _descend(G4[None], X0[None], Y0[None],
+                                        lam[None], REFINE_ITERS))
     margin = float(min(np.min(vals), np.min(lam)))
     return LatticeScan(q, cfg, margin, T, lam, X0, X, Y, vals)
 
@@ -265,20 +298,24 @@ def lattice_scan(q: QuadraticForm, cfg: CertifyConfig = CertifyConfig()) -> Latt
 def _cluster_pairs(X: np.ndarray, Y: np.ndarray, vals: np.ndarray,
                    angle: float = CLUSTER_ANGLE, cap: int = 10**9):
     """Greedy angular clustering of canonical-signed (y, x) pairs, best first:
-    a pair is kept unless it lies within angle, in both y and x, of a pair
-    kept before it.  Each kept pair drops its whole neighbourhood from the
-    remaining candidates in one step."""
+    a pair is kept unless it lies within angle, in both y and x taken as
+    lines (v ~ -v, min(|a - b|, |a + b|)), of a pair kept before it.  Each
+    kept pair drops its whole neighbourhood from the remaining candidates
+    in one step."""
     Xc = canonical_sign(X)
     Yc = canonical_sign(Y)
     rest = np.lexsort((Xc[:, 2], Xc[:, 1], Xc[:, 0],
                        Yc[:, 2], Yc[:, 1], Yc[:, 0], vals))
+
+    def near_line(V, v):
+        return np.minimum(np.linalg.norm(V - v, axis=1),
+                          np.linalg.norm(V + v, axis=1)) < angle
+
     kept = []
     while len(rest) and len(kept) < cap:
         i, rest = rest[0], rest[1:]
         kept.append((Yc[i], Xc[i], float(vals[i])))
-        near = ((np.linalg.norm(Yc[rest] - Yc[i], axis=1) < angle)
-                & (np.linalg.norm(Xc[rest] - Xc[i], axis=1) < angle))
-        rest = rest[~near]
+        rest = rest[~(near_line(Yc[rest], Yc[i]) & near_line(Xc[rest], Xc[i]))]
     return kept
 
 
@@ -369,37 +406,105 @@ def _pool_quadratic(P9: np.ndarray, gram: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the probes' shared search kernel: one candidate check, one bisection
+# the probes' shared search kernel: one batched candidate check, one lockstep
+# bisection
 
-def _clears(T: np.ndarray, G4: np.ndarray, Y: np.ndarray, pool: np.ndarray,
-            floor: float, k: int, iters: int) -> bool:
-    """Sampled quasiconvexity check of one candidate form (acoustic matrices
-    T at lattice points Y, gram tensor G4, zero-structure pool values pool).
-    Fails at the first stage whose minimum falls below floor: the pool, the
-    lattice lambda_min, then an iters-sweep refinement from the k lowest
-    lattice points."""
-    if len(pool) and np.min(pool) < floor:
-        return False
-    lam = eigvals3(T)[:, 0]
-    if np.min(lam) < floor:
-        return False
-    Yk = Y[np.argpartition(lam, k - 1)[:k]]
-    vals, X = eigmin3(_acoustic_stack(Yk, G4.transpose(2, 3, 0, 1)))
-    return float(np.min(_descend(G4, X, Yk, vals, iters)[2])) >= floor
+# lattice rows per eigvals3 call in _clears: the lattice stage builds and
+# solves LOCKSTEP_ROWS // n candidates at a time (n lattice points), which
+# bounds its memory and keeps each stack near eigvals3's fastest size
+LOCKSTEP_ROWS = 1 << 14
 
 
-def _bisect(ok, lo: float, hi: float, abs_width: float,
-            rel_width: float) -> float:
-    """Largest lo found with ok(lo), bisecting [lo, hi] to a width of
-    max(abs_width, rel_width * lo) or BISECTION_ITERS steps."""
+def _clears(lattice, G4: np.ndarray, pool_min: np.ndarray, Y: np.ndarray,
+            floor: float, k: int, iters: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sampled quasiconvexity check of c candidate forms: gram tensors G4
+    (c, 3, 3, 3, 3), pool_min (c,), each one's minimum over the
+    zero-structure pool (inf for an empty pool), and acoustic matrices at
+    the lattice points Y (n, 3), built on demand as
+    lattice(i) -> (len(i), n, 3, 3) for index arrays i.  A candidate fails
+    at the first stage whose minimum falls below floor: the pool, the
+    lattice lambda_min (eigvals3 on the survivors' stacked rows, at most
+    LOCKSTEP_ROWS a call), then an iters-sweep refinement from its k lowest
+    lattice points (one eigmin3 per half-sweep over all survivors).
+
+    Returns each candidate's stage (0 clears, 1 pool, 2 lattice, 3 refine)
+    and its refined minimum (nan where the refinement did not run)."""
+    c = len(G4)
+    stage = np.zeros(c, dtype=int)
+    refined = np.full(c, np.nan)
+    stage[pool_min < floor] = 1
+    live = np.flatnonzero(stage == 0)
+    top = np.empty((c, k), dtype=int)
+    step = max(1, LOCKSTEP_ROWS // len(Y))
+    for s in range(0, len(live), step):
+        i = live[s:s + step]
+        lam = eigvals3(lattice(i).reshape(-1, 3, 3))[:, 0].reshape(len(i), -1)
+        stage[i[np.min(lam, axis=1) < floor]] = 2
+        top[i] = np.argpartition(lam, k - 1, axis=1)[:, :k]
+    live = np.flatnonzero(stage == 0)
+    if not len(live):
+        return stage, refined
+    Yk = Y[top[live]]
+    vals, X = eigmin3(_acoustic_stack(
+        Yk, G4[live].transpose(0, 3, 4, 1, 2)).reshape(-1, 3, 3))
+    vals = _descend(G4[live], X.reshape(Yk.shape), Yk,
+                    vals.reshape(len(live), k), iters)[2]
+    refined[live] = np.min(vals, axis=1)
+    stage[live[~(refined[live] >= floor)]] = 3
+    return stage, refined
+
+
+@dataclass
+class _Work:
+    """Deterministic work counters of a ray probe, reported as its
+    diagnostics: ray points judged, lockstep batches (_clears calls, each
+    on all the directions active at a step), candidate forms failing at
+    each _clears stage, and bisection steps."""
+
+    directions: int
+    predicate_evaluations: int = 0
+    lockstep_batches: int = 0
+    failed_pool: int = 0
+    failed_lattice: int = 0
+    failed_refine: int = 0
+    bisection_steps: int = 0
+
+    def judge(self, *clears_args) -> np.ndarray:
+        """One lockstep batch: _clears(*clears_args), counted.  A bool per
+        candidate."""
+        stage = _clears(*clears_args)[0]
+        fails = np.bincount(stage, minlength=4)
+        self.lockstep_batches += 1
+        self.failed_pool += int(fails[1])
+        self.failed_lattice += int(fails[2])
+        self.failed_refine += int(fails[3])
+        return stage == 0
+
+    def to_json(self) -> dict:
+        return {"directions": self.directions,
+                "predicate_evaluations": self.predicate_evaluations,
+                "lockstep_batches": self.lockstep_batches,
+                "failed": {"pool": self.failed_pool,
+                           "lattice": self.failed_lattice,
+                           "refine": self.failed_refine},
+                "bisection_steps": self.bisection_steps}
+
+
+def _bisect(ok, lo: np.ndarray, hi: np.ndarray, abs_width: float,
+            rel_width: float) -> np.ndarray:
+    """Lockstep bisection of the brackets [lo[i], hi[i]]: for each, the
+    largest lo found with ok, to a width of max(abs_width, rel_width * lo)
+    or BISECTION_ITERS steps.  ok(i, x) judges the points x of the brackets
+    i (an index array) together and returns a bool per point."""
+    lo, hi = lo.copy(), hi.copy()
     for _ in range(BISECTION_ITERS):
-        if hi - lo <= max(abs_width, rel_width * lo):
+        i = np.flatnonzero(hi - lo > np.maximum(abs_width, rel_width * lo))
+        if not len(i):
             break
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            lo = mid
-        else:
-            hi = mid
+        mid = 0.5 * (lo[i] + hi[i])
+        good = ok(i, mid)
+        lo[i[good]] = mid[good]
+        hi[i[~good]] = mid[~good]
     return lo
 
 
@@ -436,10 +541,11 @@ def _probe_directions(q: QuadraticForm, cfg: CertifyConfig) -> np.ndarray:
 def milton_extremality_probe(scan: LatticeScan) -> ProbeReport:
     """Max over unit rank-one directions l of sup{eps : Q - eps l^2 quasiconvex}.
 
-    eps*(l) is found by bisection; the predicate is _clears on the
-    zero-structure pool, the scan's lattice acoustic matrices T - eps*L and
-    a top-16 refinement, certifying violation below the evaluation noise
-    floor.  The max direction is re-verified with the full margin.
+    eps*(l) is found by bisection, all directions in lockstep; the
+    predicate is _clears on the zero-structure pool, the scan's lattice
+    acoustic matrices T - eps*L and a top-16 refinement, certifying
+    violation below the evaluation noise floor.  The max direction is
+    re-verified with the full margin.
     """
     scan.require_quasiconvex("milton probe")
     q, cfg, margin0 = scan.form, scan.cfg, scan.margin
@@ -454,63 +560,86 @@ def milton_extremality_probe(scan: LatticeScan) -> ProbeReport:
     grid_q = np.einsum("nik,ni,nk->n", Tgrid, Xgrid, Xgrid)
     grid9 = (Xgrid[:, :, None] * Ygrid[:, None, :]).reshape(len(Ygrid), 9)
 
-    def eps_star_of(m: np.ndarray) -> float:
-        M = m.reshape(3, 3)
-        pool_l2 = (P9 @ m) ** 2
-        vgrid = Ygrid @ M.T
-        Lgrid = vgrid[:, :, None] * vgrid[:, None, :]
-        grid_l2 = (grid9 @ m) ** 2
-        L4 = (m.reshape(3, 3, 1, 1) * m.reshape(1, 1, 3, 3)).transpose(0, 2, 1, 3)
-
-        def predicate(eps: float) -> bool:
-            return _clears(Tgrid - eps * Lgrid, G4 - eps * L4, Ygrid,
-                           pool_q - eps * pool_l2, -guard, 16, 14)
-
+    dirs = _probe_directions(q, cfg)
+    c = len(dirs)
+    Ms = dirs.reshape(c, 3, 3)
+    L4s = (dirs[:, :, None] * dirs[:, None, :]).reshape(
+        c, 3, 3, 3, 3).transpose(0, 1, 3, 2, 4)
+    lo, hi = np.empty(c), np.empty(c)
+    qv = np.concatenate([pool_q, grid_q])
+    for j, M in enumerate(Ms):
         # l(x (x) y) <= sigma_max(M) on unit pairs, so Q - eps l^2 stays
         # quasiconvex at least up to margin / sigma_max^2
         smax2 = float(np.linalg.svd(M, compute_uv=False)[0]) ** 2
-        lo = max(0.0, (margin0 - 2.0 * guard)) / max(smax2, 1e-300)
+        lo[j] = max(0.0, (margin0 - 2.0 * guard)) / max(smax2, 1e-300)
         # pointwise rank-one ratio bound Q/l^2 as the upper bracket, capped
-        qv = np.concatenate([pool_q, grid_q])
-        l2 = np.concatenate([pool_l2, grid_l2])
+        l2 = np.concatenate([(P9 @ dirs[j]) ** 2, (grid9 @ dirs[j]) ** 2])
         usable = l2 > 1e-18
-        hi = np.min(qv[usable] / l2[usable], initial=1e6)
-        hi = min(max(hi * (1.0 + 1e-9) + 1e-15, 1e-15, lo * 1.1), 1e6)
-        expansions = 0
-        while hi < 1e6 and expansions < 40 and predicate(hi):
-            lo, hi = hi, hi * 4.0
-            expansions += 1
-        if hi >= 1e6 and predicate(1e6):
-            return 1e6
-        return _bisect(predicate, lo, hi, 1e-12, 1e-4)
+        h = np.min(qv[usable] / l2[usable], initial=1e6)
+        hi[j] = min(max(h * (1.0 + 1e-9) + 1e-15, 1e-15, lo[j] * 1.1), 1e6)
 
-    dirs = _probe_directions(q, cfg)
+    work = _Work(c)
+
+    def predicate(idx: np.ndarray, eps: np.ndarray) -> np.ndarray:
+        """Does Q - eps[j] l_idx[j]^2 clear, for every j?"""
+        work.predicate_evaluations += len(idx)
+
+        def lattice(i):
+            V = Ygrid @ Ms[idx[i]].transpose(0, 2, 1)
+            T = V[..., :, None] * V[..., None, :]
+            T *= eps[i, None, None, None]
+            return np.subtract(Tgrid, T, out=T)
+
+        pool_min = [np.min(pool_q - e * (P9 @ dirs[j]) ** 2, initial=np.inf)
+                    for j, e in zip(idx, eps)]
+        G4s = G4 - eps[:, None, None, None, None] * L4s[idx]
+        return work.judge(lattice, G4s, np.array(pool_min), Ygrid, -guard,
+                          16, 14)
+
+    # grow each bracket by 4x while its upper end clears, up to the cap
+    expansions = np.zeros(c, dtype=int)
+    grow = np.flatnonzero(hi < 1e6)
+    while len(grow):
+        up = grow[predicate(grow, hi[grow])]
+        lo[up] = hi[up]
+        hi[up] *= 4.0
+        expansions[up] += 1
+        grow = up[(hi[up] < 1e6) & (expansions[up] < 40)]
+    capped = np.flatnonzero(hi >= 1e6)
+    eps_star = np.zeros(c)
+    if len(capped):
+        eps_star[capped[predicate(capped, np.full(len(capped), 1e6))]] = 1e6
+    rest = np.flatnonzero(eps_star == 0.0)
+    before = work.predicate_evaluations
+    eps_star[rest] = _bisect(lambda i, x: predicate(rest[i], x),
+                             lo[rest], hi[rest], 1e-12, 1e-4)
+    work.bisection_steps = work.predicate_evaluations - before
+
     n_rand = cfg.probe_directions // 2
-    best = (-1.0, None)
-    eigen_table = []
-    for j, m in enumerate(dirs):
-        eps_star = eps_star_of(m)
-        if n_rand <= j < n_rand + 9:
-            eigen_table.append({"direction": [float(u) for u in m],
-                                "eps_star": eps_star})
-        if eps_star > best[0]:
-            best = (eps_star, m)
-
-    value, m_best = best
+    eigen_table = [{"direction": [float(u) for u in dirs[j]],
+                    "eps_star": float(eps_star[j])}
+                   for j in range(n_rand, min(n_rand + 9, c))]
+    # the witness is the first direction within one bisection width of the
+    # max, so rounding noise in eps* cannot swap it
+    value = float(np.max(eps_star))
+    j_best = int(np.flatnonzero(
+        eps_star >= value - max(1e-12, 1e-4 * value))[0])
+    m_best, eps_best = dirs[j_best], float(eps_star[j_best])
     witness = {
         "direction": [float(u) for u in m_best],
-        "eps_star": value,
+        "eps_star": eps_best,
         "eigen_directions": eigen_table,
+        "diagnostics": work.to_json(),
     }
     if value > MILTON_REFUTED_MIN:
-        check = QuadraticForm(G - value * np.outer(m_best, m_best))
+        check = QuadraticForm(G - eps_best * np.outer(m_best, m_best))
         witness["validation_margin"] = lattice_scan(check, cfg).margin
         verdict = "refuted"
     elif value <= MILTON_CONSISTENT_MAX:
         verdict = "consistent"
     else:
         verdict = "inconclusive"
-    return ProbeReport(kind="milton", value=float(value), witness=witness,
+    return ProbeReport(kind="milton", value=value, witness=witness,
                        verdict=verdict)
 
 
@@ -522,10 +651,10 @@ def extreme_point_probe(scan: LatticeScan) -> ProbeReport:
     0 <= Q1 <= Q (in the quasiconvex order) far from the ray {alpha Q}.
 
     The feasible set is convex, so each seeded start is a ray bisection in
-    the orthogonal complement of the parameter ray; value is the largest
-    validated distance; feasibility is _clears on both Q1 and Q - Q1 over a
-    grid-32 lattice.  Consistent (extreme point) when value stays below
-    1e-5 * |theta_q|.
+    the orthogonal complement of the parameter ray, all starts in lockstep;
+    value is the largest validated distance; feasibility is _clears on Q1,
+    then on Q - Q1 for the Q1 that clear, over a grid-32 lattice.
+    Consistent (extreme point) when value stays below 1e-5 * |theta_q|.
     """
     q, cfg = scan.form, scan.cfg
     layout, theta = detect_shear_layout(q)
@@ -557,39 +686,55 @@ def extreme_point_probe(scan: LatticeScan) -> ProbeReport:
                      1, 0).copy()
     poolB = np.array([_pool_quadratic(P9, Bk) for Bk in basis])
 
-    def clears(th: np.ndarray) -> bool:
-        return _clears(np.tensordot(th, TB, axes=1),
-                       np.tensordot(th, B4, axes=1), Ylean, th @ poolB,
-                       -cfg.tol, 12, 16)
-
     rng = np.random.default_rng(cfg.seed)
     # orthonormal basis of the complement of theta_hat
     Bperp = np.linalg.qr(
         np.concatenate([theta_hat[:, None], rng.standard_normal((9, 8))], axis=1)
     )[0][:, 1:]
-
-    best_delta = 0.0
-    best_theta = 0.5 * theta
+    D = []
     for _ in range(cfg.probe_directions):
         d = Bperp @ rng.standard_normal(8)
         nd = np.linalg.norm(d)
-        if nd < 1e-12:
-            continue
-        d /= nd
+        if nd >= 1e-12:
+            D.append(d / nd)
+    D = np.array(D).reshape(-1, 9)
+    work = _Work(len(D))
 
-        def feasible(delta: float) -> bool:
-            th = 0.5 * theta + delta * d
-            return clears(th) and clears(theta - th)
+    def clears(th: np.ndarray) -> np.ndarray:
+        return work.judge(
+            lambda i: np.stack([np.tensordot(u, TB, axes=1) for u in th[i]]),
+            np.stack([np.tensordot(u, B4, axes=1) for u in th]),
+            np.array([np.min(u @ poolB, initial=np.inf) for u in th]), Ylean,
+            -cfg.tol, 12, 16)
 
-        lo, hi = 0.0, 0.25 * norm_theta
-        grow = 0
-        while feasible(hi) and grow < 5:
-            lo, hi = hi, hi * 2.0
-            grow += 1
-        lo = _bisect(feasible, lo, hi, max(1e-12, 1e-9 * norm_theta), 0.0)
-        if lo > best_delta:
-            best_delta = lo
-            best_theta = 0.5 * theta + lo * d
+    def feasible(idx: np.ndarray, delta: np.ndarray) -> np.ndarray:
+        """Do Q1 = theta/2 + delta[j] d_idx[j] and Q - Q1 both clear?"""
+        work.predicate_evaluations += len(idx)
+        th = 0.5 * theta + delta[:, None] * D[idx]
+        ok = clears(th)
+        if ok.any():
+            ok[ok] = clears(theta - th[ok])
+        return ok
+
+    # grow each bracket by 2x while its upper end is feasible, at most 5 times
+    lo, hi = np.zeros(len(D)), np.full(len(D), 0.25 * norm_theta)
+    grown = np.zeros(len(D), dtype=int)
+    grow = np.arange(len(D))
+    while len(grow):
+        up = grow[feasible(grow, hi[grow])]
+        lo[up] = hi[up]
+        hi[up] *= 2.0
+        grown[up] += 1
+        grow = up[grown[up] < 5]
+    before = work.predicate_evaluations
+    lo = _bisect(feasible, lo, hi, max(1e-12, 1e-9 * norm_theta), 0.0)
+    work.bisection_steps = work.predicate_evaluations - before
+    best_delta = 0.0
+    best_theta = 0.5 * theta
+    if len(D) and lo.max() > 0.0:
+        j = int(np.argmax(lo))
+        best_delta = float(lo[j])
+        best_theta = 0.5 * theta + best_delta * D[j]
 
     # full-margin validation of the best candidate; shrink toward the ray
     # until both margins clear
@@ -616,6 +761,7 @@ def extreme_point_probe(scan: LatticeScan) -> ProbeReport:
         "distance": float(value),
         "margin_q1": m1,
         "margin_complement": m2,
+        "diagnostics": work.to_json(),
     }
     verdict = "consistent" if value <= EXTREME_POINT_REL * norm_theta else "refuted"
     return ProbeReport(kind="extreme_point", value=float(value),

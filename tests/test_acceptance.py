@@ -174,7 +174,7 @@ def test_criterion_08_polyconvexity():
 
 def test_criterion_09_extreme_point_probe():
     with criterion(9, "extreme point: reduced identity refuted, choi_lam "
-                      "consistent over 256 starts", budget=300.0):
+                      "consistent over 256 starts", budget=30.0):
         cfg = CertifyConfig()
         q = qc.form_from_reduced(
             qc.ReducedOrthotropicForm(np.eye(3), 1.0, 1.0, 1.0))

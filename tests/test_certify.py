@@ -1,6 +1,8 @@
 import functools
 import itertools
+import json
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from quasicone import certify
 from quasicone.certify import (CLUSTER_ANGLE, CertifyConfig, PreconditionError,
-                               _acoustic_stack, _cluster_pairs, canonical_sign,
+                               _acoustic_stack, _clears, _cluster_pairs,
+                               canonical_sign,
                                extremal_polynomial_probe, extreme_point_probe,
                                lattice_scan, milton_extremality_probe,
                                polyconvexity_test,
@@ -21,6 +25,7 @@ from quasicone.forms import (NullLagrangianCoeffs, QuadraticForm,
                              add_null_lagrangian, biquadratic_eval, catalog,
                              form_from_reduced, minor_gram_basis)
 from quasicone.poly import monomial_exponents
+from quasicone.symeig import eigmin3, eigvals3
 
 FAST = CertifyConfig(grid_resolution=32, probe_directions=32, seed=7)
 
@@ -174,8 +179,13 @@ def test_acoustic_stack_matches_einsum(seed, n, shift, log_scale):
                       <= tol.reshape((n,) + (1,) * (got.ndim - 1)))
 
 
+def _line_gap(a, b):
+    return min(np.linalg.norm(a - b), np.linalg.norm(a + b))
+
+
 def _cluster_pairs_loop(X, Y, vals, angle=CLUSTER_ANGLE, cap=10**9):
-    """The pairwise reference loop that _cluster_pairs replaces."""
+    """The pairwise reference loop that _cluster_pairs replaces, comparing
+    y and x as lines."""
     Xc = canonical_sign(X)
     Yc = canonical_sign(Y)
     order = np.lexsort((Xc[:, 2], Xc[:, 1], Xc[:, 0],
@@ -183,8 +193,8 @@ def _cluster_pairs_loop(X, Y, vals, angle=CLUSTER_ANGLE, cap=10**9):
     kept = []
     for i in order:
         y, x, v = Yc[i], Xc[i], float(vals[i])
-        if not any(np.linalg.norm(y - yk) < angle
-                   and np.linalg.norm(x - xk) < angle for (yk, xk, _) in kept):
+        if not any(_line_gap(y, yk) < angle and _line_gap(x, xk) < angle
+                   for (yk, xk, _) in kept):
             kept.append((y, x, v))
             if len(kept) >= cap:
                 break
@@ -222,6 +232,145 @@ def test_cluster_pairs_matches_reference_loop(seed):
             assert np.array_equal(y, yr) and np.array_equal(x, xr) and v == vr
 
 
+def test_cluster_pairs_compares_lines_across_canonical_sign():
+    # choi's e3 axis leaves the grid-32 scan as two refined zeros whose
+    # tiny first coordinates put them on opposite sides of canonical_sign
+    # (z < 0 and z > 0); as lines they are 3.9e-3 apart, so they stay two
+    # clusters at CLUSTER_ANGLE and join at 5e-3
+    Y = np.array([[3.4367e-4, 0.0, -0.99999994], [3.5524e-3, 0.0, 0.99999369]])
+    X = np.array([[0.99999994, 0.0, -3.4367e-4], [0.99999369, 0.0, 3.5523e-3]])
+    vals = np.array([2.8e-14, 9.6e-10])
+    assert len(_cluster_pairs(X, Y, vals)) == 2
+    kept = _cluster_pairs(X, Y, vals, angle=5e-3)
+    assert len(kept) == 1 and kept[0][2] == 2.8e-14
+    # the same straddle within CLUSTER_ANGLE joins at the default angle
+    Y[1] = -Y[0] + [5e-4, 0.0, 0.0]
+    X[1] = X[0] + [0.0, 2e-4, 0.0]
+    assert canonical_sign(Y)[1, 2] > 0 > canonical_sign(Y)[0, 2]
+    assert len(_cluster_pairs(X, Y, vals)) == 1
+    ref = _cluster_pairs_loop(X, Y, vals)
+    assert [v for (_, _, v) in ref] == [2.8e-14]
+
+
+def _clears_reference(T, G4, pool, Y, floor, k, iters):
+    """The single-candidate check that the batched _clears replaces: the
+    stage it stops at (0 clears, 1 pool, 2 lattice, 3 refine), its refined
+    minimum (nan before the refinement) and its refinement sweeps."""
+    if len(pool) and np.min(pool) < floor:
+        return 1, np.nan, 0
+    lam = eigvals3(T)[:, 0]
+    if np.min(lam) < floor:
+        return 2, np.nan, 0
+    Y = Y[np.argpartition(lam, k - 1)[:k]]
+    Kx = np.ascontiguousarray(G4)
+    Ky = np.ascontiguousarray(G4.transpose(2, 3, 0, 1))
+    vals, X = eigmin3(_acoustic_stack(Y, Ky))
+    for sweeps in range(1, iters + 1):
+        _, Y = eigmin3(_acoustic_stack(X, Kx))
+        new_vals, X = eigmin3(_acoustic_stack(Y, Ky))
+        improvement = float(np.max(vals - new_vals))
+        vals = new_vals
+        if improvement < 1e-16 * (1.0 + float(np.max(np.abs(vals)))):
+            break
+    refined = float(np.min(vals))
+    return (0 if refined >= floor else 3), refined, sweeps
+
+
+def _candidates(seed, c):
+    """c Milton-style candidates Q - eps l^2 on the grid-16 lattice, Q one of
+    choi_lam (flat zeros: refinements run every sweep), convex_identity and
+    a random positive definite Gram (early stops), a quarter at eps = 0,
+    with random pools of which a fifth go negative."""
+    rng = np.random.default_rng(seed)
+    Y = sphere_lattice(16)
+    A = rng.standard_normal((9, 9))
+    bases = np.stack([catalog("choi_lam").gram, np.eye(9), A @ A.T / 9])
+    dirs = rng.standard_normal((c, 9))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    eps = np.where(rng.random(c) < 0.25, 0.0, 10.0 ** rng.uniform(-14, 0, c))
+    grams = bases[rng.integers(0, 3, c)] - eps[:, None, None] * (
+        dirs[:, :, None] * dirs[:, None, :])
+    G4 = np.stack([QuadraticForm(g).gram_tensor() for g in grams])
+    T = np.stack([_acoustic_stack(Y, g.transpose(2, 3, 0, 1)) for g in G4])
+    pools = rng.uniform(0.0, 1.0, (c, 5))
+    pools[rng.random(c) < 0.2, 0] = -1.0
+    return T, G4, pools, Y
+
+
+def _assert_clears_matches_reference(T, G4, pools, Y, k, iters,
+                                     floor=-1e-12):
+    stage, refined = _clears(lambda i: T[i], G4, np.min(pools, axis=1), Y,
+                             floor, k, iters)
+    ref = [_clears_reference(*a, Y, floor, k, iters)
+           for a in zip(T, G4, pools)]
+    assert stage.tolist() == [r[0] for r in ref]
+    # bitwise: same bits, nan where the refinement did not run
+    assert refined.tobytes() == np.array([r[1] for r in ref]).tobytes()
+    return ref
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), c=st.integers(1, 12),
+       k=st.sampled_from([4, 12, 16]), iters=st.sampled_from([1, 3, 14]),
+       rows=st.sampled_from([1, 600, certify.LOCKSTEP_ROWS]))
+def test_clears_matches_single_candidate_reference(seed, c, k, iters, rows):
+    # rows: 1, 2 or all candidates per lattice-stage eigvals3 (grid 16)
+    with mock.patch.object(certify, "LOCKSTEP_ROWS", rows):
+        _assert_clears_matches_reference(*_candidates(seed, c), k, iters)
+
+
+def test_clears_batch_spans_every_stage_and_sweep_count():
+    batch = _candidates(3, 12)
+    ref = _assert_clears_matches_reference(*batch, 8, 14)
+    assert {r[0] for r in ref} == {0, 1, 2, 3}
+    # the refined candidates stop after different sweep counts, so the
+    # per-candidate early stop is exercised
+    assert len({r[2] for r in ref if r[0] in (0, 3)}) >= 2
+    # a refined minimum equal to the floor clears
+    for r in ref:
+        if r[0] == 3:
+            assert _assert_clears_matches_reference(
+                *batch, 8, 14, floor=r[1])[ref.index(r)][0] == 0
+
+
+def test_lockstep_row_cap_leaves_probe_reports_unchanged(monkeypatch):
+    cfg = CertifyConfig(grid_resolution=32, probe_directions=4)
+    identity = form_from_reduced(ReducedOrthotropicForm(np.eye(3), 1, 1, 1))
+    scans = [lattice_scan(q, cfg) for q in (catalog("choi_lam"), identity)]
+    rows = []   # rows of each lattice-stage eigvals3 call
+
+    def eigvals3_spy(M):
+        rows.append(len(M))
+        return eigvals3(M)
+
+    def reports():
+        rows.clear()
+        return [json.dumps(probe(s).to_json()) for s in scans
+                for probe in (milton_extremality_probe, extreme_point_probe)]
+
+    monkeypatch.setattr(certify, "eigvals3", eigvals3_spy)
+    default = reports()
+    n = len(sphere_lattice(32))
+    assert max(rows) > n
+    monkeypatch.setattr(certify, "LOCKSTEP_ROWS", 1)
+    assert reports() == default
+    assert set(rows) == {n}    # one candidate per call
+
+
+def test_probe_diagnostics_count_the_search():
+    scan = lattice_scan(catalog("choi"),
+                        CertifyConfig(grid_resolution=32, probe_directions=4))
+    for probe, checks_per_point in ((milton_extremality_probe, 1),
+                                    (extreme_point_probe, 2)):
+        d = probe(scan).witness["diagnostics"]
+        assert d["directions"] == 4
+        assert 0 < d["bisection_steps"] < d["predicate_evaluations"]
+        assert d["lockstep_batches"] <= d["predicate_evaluations"]
+        assert d["bisection_steps"] <= 4 * certify.BISECTION_ITERS
+        assert 0 < sum(d["failed"].values()) \
+            <= checks_per_point * d["predicate_evaluations"]
+
+
 def test_milton_refutes_convex_identity():
     rep = milton_extremality_probe(lattice_scan(catalog("convex_identity"), FAST))
     assert rep.verdict == "refuted"
@@ -243,6 +392,29 @@ def test_milton_choi_lam_consistent():
     rep = milton_extremality_probe(lattice_scan(catalog("choi_lam"), FAST))
     assert rep.verdict == "consistent"
     assert rep.value <= 1e-6
+
+
+def test_milton_witness_direction_ignores_rounding_noise(monkeypatch):
+    # choi_lam's eps* are all rounding noise (~1e-14); perturbing them, as
+    # reordering a float sum would, must not move the reported direction
+    scan = lattice_scan(catalog("choi_lam"),
+                        CertifyConfig(grid_resolution=32, probe_directions=8))
+    base = milton_extremality_probe(scan)
+    bisect = certify._bisect
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+
+        def noisy(*args):
+            lo = bisect(*args)
+            return (lo * (1.0 + 1e-6 * rng.uniform(-1.0, 1.0, len(lo)))
+                    + 1e-15 * rng.random(len(lo)))
+
+        with monkeypatch.context() as m:
+            m.setattr(certify, "_bisect", noisy)
+            rep = milton_extremality_probe(scan)
+        assert rep.verdict == base.verdict == "consistent"
+        assert rep.witness["direction"] == base.witness["direction"]
+        assert rep.value - rep.witness["eps_star"] <= 1e-12
 
 
 def test_milton_requires_quasiconvex():
