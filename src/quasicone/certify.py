@@ -106,10 +106,13 @@ class CertifyConfig:
 
 @dataclass(frozen=True)
 class MarginReport:
-    """Minimum of lambda_min(T(y)) over the unit sphere with its minimizers."""
+    """Minimum of lambda_min(T(y)) over the unit sphere with its minimizers,
+    and the scan's deterministic work counters as diagnostics: lattice
+    points, refinement sweeps run and their cap."""
 
     margin: float
     minimizers: tuple  # tuples (y, x, value), unit vectors as tuples
+    diagnostics: dict
 
     def to_json(self) -> dict:
         return {
@@ -118,6 +121,7 @@ class MarginReport:
                 {"y": list(y), "x": list(x), "value": v}
                 for (y, x, v) in self.minimizers
             ],
+            "diagnostics": dict(self.diagnostics),
         }
 
 
@@ -199,19 +203,24 @@ def _acoustic_stack(V: np.ndarray, K: np.ndarray) -> np.ndarray:
 
 
 def _descend(G4: np.ndarray, X: np.ndarray, Y: np.ndarray, vals: np.ndarray,
-             max_iters: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+             max_iters: int) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                      np.ndarray]:
     """Batched block descent of c forms (gram tensors G4, (c, 3, 3, 3, 3))
-    from solved x blocks (X, vals, shapes (c, k, 3) and (c, k), at the y
-    starts Y): alternate exact minimization in y then x.  Each half-sweep
-    is one GEMM per form (_acoustic_stack) and one eigmin3 over all rows.
+    from k starts each: y starts Y (c, k, 3) with their solved x blocks X
+    (c, k, 3) and values vals (c, k).  A sweep minimizes exactly in y, then
+    in x; each half-sweep is one batched GEMM (_acoustic_stack) and one
+    eigmin3 over the rows of every live form.
 
-    Returns refined (X, Y, values); values only decrease per point.  A form
-    stops, frozen, once none of its points improves beyond the 1e-16 level,
-    so its result does not depend on the other forms of the batch.
+    A form stops, frozen, after the first sweep in which no point's value
+    falls by 1e-16 (1 + max |value|) or more, or after max_iters sweeps, so
+    its result does not depend on the other forms of the batch.  Returns
+    the refined (X, Y, values), whose values never rise per point, and the
+    sweeps each form ran, (c,).
     """
     Kx = np.ascontiguousarray(G4)
     Ky = np.ascontiguousarray(G4.transpose(0, 3, 4, 1, 2))
     live = np.arange(len(vals))
+    sweeps = np.zeros(len(vals), dtype=int)
     for _ in range(max_iters):
         if not len(live):
             break
@@ -231,17 +240,18 @@ def _descend(G4: np.ndarray, X: np.ndarray, Y: np.ndarray, vals: np.ndarray,
             X, Y, vals = Xl, Yl, new_vals
         else:
             X[sel], Y[sel], vals[sel] = Xl, Yl, new_vals
+        sweeps[live] += 1
         done = improvement < 1e-16 * (1.0 + np.max(np.abs(new_vals), axis=1))
         live = live[~done]
-    return X, Y, vals
+    return X, Y, vals, sweeps
 
 
 @dataclass(frozen=True, eq=False)
 class LatticeScan:
     """One scan of a form over sphere_lattice(cfg.grid_resolution): the
     lattice acoustic matrices T with their smallest eigenvalues and unit
-    eigenvectors, the refined points (X, Y, vals), and the sampled margin
-    min(vals, lattice_lam)."""
+    eigenvectors, the refined points (X, Y, vals) after sweeps refinement
+    sweeps, and the sampled margin min(vals, lattice_lam)."""
 
     form: QuadraticForm
     cfg: CertifyConfig
@@ -252,6 +262,7 @@ class LatticeScan:
     X: np.ndarray
     Y: np.ndarray
     vals: np.ndarray
+    sweeps: int
 
     def require_quasiconvex(self, who: str) -> None:
         if self.margin < -self.cfg.tol:
@@ -268,7 +279,10 @@ class LatticeScan:
         minimizers = tuple(
             (tuple(float(u) for u in y), tuple(float(u) for u in x), v)
             for (y, x, v) in kept)
-        return MarginReport(margin=margin, minimizers=minimizers)
+        return MarginReport(margin=margin, minimizers=minimizers, diagnostics={
+            "lattice_points": len(self.lattice_lam),
+            "refinement_sweeps": self.sweeps,
+            "refinement_sweep_cap": REFINE_ITERS})
 
     def rank_one_zeros(self) -> list:
         """Clustered unit pairs (x, y) with Q(x (x) y) <= tol.
@@ -283,16 +297,19 @@ class LatticeScan:
 
 
 def lattice_scan(q: QuadraticForm, cfg: CertifyConfig = CertifyConfig()) -> LatticeScan:
-    """Evaluate lambda_min(T(y)) on every lattice point and refine each one
-    by the batched alternating descent."""
+    """Scan q: lambda_min(T(y)) and its eigenvector x at every point y of
+    sphere_lattice(cfg.grid_resolution), then every point refined together
+    by _descend, a one-form batch that runs until no point improves or for
+    REFINE_ITERS sweeps.  The margin is the least value seen, lattice or
+    refined."""
     G4 = q.gram_tensor()
     Y0 = sphere_lattice(cfg.grid_resolution)
     T = _acoustic_stack(Y0, G4.transpose(2, 3, 0, 1))
     lam, X0 = eigmin3(T)
-    X, Y, vals = (a[0] for a in _descend(G4[None], X0[None], Y0[None],
-                                        lam[None], REFINE_ITERS))
+    X, Y, vals, sweeps = (a[0] for a in _descend(
+        G4[None], X0[None], Y0[None], lam[None], REFINE_ITERS))
     margin = float(min(np.min(vals), np.min(lam)))
-    return LatticeScan(q, cfg, margin, T, lam, X0, X, Y, vals)
+    return LatticeScan(q, cfg, margin, T, lam, X0, X, Y, vals, int(sweeps))
 
 
 def _cluster_pairs(X: np.ndarray, Y: np.ndarray, vals: np.ndarray,

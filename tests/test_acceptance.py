@@ -145,7 +145,7 @@ def test_criterion_06_pencil_identity_scaling():
 def test_criterion_07_milton_probe():
     with criterion(7, "milton: convex_identity refuted (xi11 eps* >= 0.99), "
                       "choi_lam consistent (<= 1e-6), 256 directions",
-                   budget=120.0):
+                   budget=38.0):
         cfg = CertifyConfig()
         rep = qc.milton_extremality_probe(
             qc.lattice_scan(qc.catalog("convex_identity"), cfg))

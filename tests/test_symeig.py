@@ -1,6 +1,16 @@
+from unittest import mock
+
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasicone.symeig import eigmin3, eigvals3
+
+EPS = np.finfo(float).eps
+# lower gaps l2 - l1, relative to the span l3 - l1, below which eigvals3
+# redoes a row with eigvalsh and eigmin3 takes its vector from eigh
+EIGVALS_LINE = 1e-6
+EIGMIN_LINE = 1e-7
 
 
 def test_matches_lapack_random():
@@ -77,3 +87,53 @@ def test_scaling_homogeneity():
     A = (A + A.transpose(0, 2, 1)) / 2
     np.testing.assert_allclose(eigvals3(2.0 * A), 2.0 * eigvals3(A),
                                rtol=1e-12, atol=1e-13)
+
+
+@st.composite
+def _spectrum_kinds(draw):
+    """(kind, spectrum, span, lower gap, seed): a coinciding or nearly
+    coinciding upper pair, a lower pair at 0.9x or 1.1x one of the two
+    fallback lines, or a triple root, each scaled by 2^k."""
+    kind = draw(st.sampled_from(["upper", "lower", "triple"]))
+    if kind == "upper":
+        delta = draw(st.sampled_from([0.0] + [10.0 ** -e for e in range(2, 18)]))
+        spectrum = [-1.0, 0.5, 0.5 + delta]
+    elif kind == "lower":
+        line = draw(st.sampled_from([EIGVALS_LINE, EIGMIN_LINE]))
+        factor = draw(st.sampled_from([0.9, 1.1]))
+        spectrum = [-1.0, -1.0 + factor * line * 2.0, 1.0]
+    else:
+        spectrum = [draw(st.sampled_from([-1.0, 0.0, 0.375, 1.0]))] * 3
+    k = draw(st.integers(-40, 40))
+    spectrum = np.ldexp(spectrum, k)
+    span = spectrum[2] - spectrum[0]
+    return (kind, spectrum, span, spectrum[1] - spectrum[0],
+            draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_spectrum_kinds())
+def test_kernel_properties_on_rotated_spectra(case):
+    kind, spectrum, span, gap, seed = case
+    A = _rotated_spectra(np.random.default_rng(seed), [spectrum] * 8)
+    ref = np.linalg.eigvalsh(A)[:, 0]
+    with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as evh, \
+            mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eh:
+        lam = eigvals3(A)
+        l1, v = eigmin3(A)
+    # LAPACK runs only below the lines on the lower gap (and, for eigh, on
+    # the triple root's isotropic rows); a nearly repeated upper pair
+    # leaves l1 to the closed form
+    assert evh.called == (kind == "lower" and gap < EIGVALS_LINE * span)
+    assert eh.called == (kind == "triple" or (kind == "lower"
+                                               and gap < EIGMIN_LINE * span))
+    scale = max(span, np.max(np.abs(spectrum)))
+    # rows kept by the closed form lose eps scale span / gap (the lower
+    # pair's arccos, then the adjugate's rounding); LAPACK rows lose eps scale
+    lam_bound = 16 * EPS * scale * (span / gap if gap > EIGVALS_LINE * span else 1.0)
+    vec_bound = 16 * EPS * scale * (span / gap if gap > EIGMIN_LINE * span else 1.0)
+    assert np.all(np.abs(lam[:, 0] - ref) <= lam_bound)
+    assert np.all(np.abs(l1 - ref) <= lam_bound)
+    assert np.all(np.abs(np.linalg.norm(v, axis=1) - 1.0) <= 8 * EPS)
+    res = np.linalg.norm(np.einsum("nij,nj->ni", A, v) - l1[:, None] * v, axis=1)
+    assert np.all(res <= vec_bound)
