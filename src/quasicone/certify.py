@@ -3,11 +3,13 @@
 lattice_scan computes min over unit y of lambda_min(T(y)) on a
 deterministic spherical Fibonacci lattice with batched alternating
 refinement (each step minimizes the biquadratic exactly in one of x, y via
-the 3x3 eigenproblem).  A half-sweep is one GEMM, the (n, 9) rows v (x) v
-times a 9x9 reshaping of the Gram tensor (_acoustic_stack), plus one
-eigmin3 on the resulting (n, 3, 3) stack.  Each form is scanned once; its
-LatticeScan is shared by the margin report and the probes built on top of
-it:
+the 3x3 eigenproblem).  Vectors are stored components first, as (3, n)
+rows.  A half-sweep is one GEMM, a transposed 9x9 reshaping of the Gram
+tensor times the nine rows v_j v_l of v (x) v (_acoustic_stack), into
+(3, 3, n) storage, plus one eigmin3 on its (n, 3, 3) transposed view,
+which returns the eigenvectors as the (n, 3) view of (3, n) rows.  Each
+form is scanned once; its LatticeScan is shared by the margin report and
+the probes built on top of it:
 
   * milton_extremality_probe: largest coefficient eps such that Q - eps*l^2
     stays quasiconvex, maximized over unit rank-one directions l, by
@@ -182,34 +184,45 @@ def canonical_sign(V: np.ndarray) -> np.ndarray:
     return out[0] if single else out
 
 
-# the factors v_j, v_l of each entry of the row-major v (x) v
-_OUTER_J = np.repeat(np.arange(3), 3)
-_OUTER_L = np.tile(np.arange(3), 3)
+def _outer_rows(V: np.ndarray) -> np.ndarray:
+    """The nine rows v_j v_l of v (x) v, (3, 3) + V.shape[1:], for vectors
+    stored components first, V (3, ...), in C-contiguous storage."""
+    return np.multiply(V[:, None], V[None], out=np.empty((3, 3) + V.shape[1:]))
 
 
 def _acoustic_stack(V: np.ndarray, K: np.ndarray) -> np.ndarray:
-    """sum_{j,l} V[..., n, j] V[..., n, l] K[..., j, l, ...] for every row of
-    V: the (n, 9) rows V (x) V times K reshaped to (9, m), one GEMM per
-    leading batch index.  V is (n, 3) or (c, n, 3), and K has the same
-    leading batch shape; the result is V.shape[:-1] + K's trailing shape.
+    """sum_{j,l} V[j, ..., n] V[l, ..., n] K[..., j, l, ...] for every
+    column of V, components first: V is (3, n) or (3, c, n), and K has the
+    batch shape (c,) leading.  K reshaped to (9, m), transposed, multiplies
+    the nine rows v_j v_l of v (x) v (_outer_rows) in one GEMM per batch
+    index, into (K's trailing shape) + (..., n) storage.  Returns its
+    transposed view, V.shape[1:] + K's trailing shape, so that a 3x3
+    stack's reshape(-1, 3, 3) and reshape(-1, 9).T stay views.
     With the gram tensor G4[i, k, j, l], K = G4 contracts x (giving S(x),
     the y block) and K = G4.transpose(2, 3, 0, 1) contracts y (giving T(y),
     the x block)."""
-    lead = V.shape[:-1]
-    batch = K.shape[:len(lead) - 1]
-    W = V[..., _OUTER_J] * V[..., _OUTER_L]
+    lead = V.shape[1:]
+    batch = lead[:-1]
+    W = _outer_rows(V)
     K9 = K.reshape(batch + (9, -1))
-    return (W @ K9).reshape(lead + K.shape[len(batch) + 2:])
+    out = np.empty(K9.shape[-1:] + lead)
+    # swapaxes(0, -2) moves the (9, m) row axis behind the batch axis, if any
+    np.matmul(K9.swapaxes(-1, -2), W.reshape((9,) + lead).swapaxes(0, -2),
+              out=out.swapaxes(0, -2))
+    trail = K.shape[len(batch) + 2:]
+    out = out.reshape(trail + lead)
+    return out.transpose(*range(len(trail), out.ndim), *range(len(trail)))
 
 
 def _descend(G4: np.ndarray, X: np.ndarray, Y: np.ndarray, vals: np.ndarray,
              max_iters: int) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                                       np.ndarray]:
     """Batched block descent of c forms (gram tensors G4, (c, 3, 3, 3, 3))
-    from k starts each: y starts Y (c, k, 3) with their solved x blocks X
-    (c, k, 3) and values vals (c, k).  A sweep minimizes exactly in y, then
-    in x; each half-sweep is one batched GEMM (_acoustic_stack) and one
-    eigmin3 over the rows of every live form.
+    from k starts each, vectors components first: y starts Y (3, c, k) with
+    their solved x blocks X (3, c, k) and values vals (c, k).  A sweep
+    minimizes exactly in y, then in x; each half-sweep is one batched GEMM
+    (_acoustic_stack) and one eigmin3 over the rows of every live form,
+    whose (3, n) eigenvector rows become the next X or Y without a copy.
 
     A form stops, frozen, after the first sweep in which no point's value
     falls by 1e-16 (1 + max |value|) or more, or after max_iters sweeps, so
@@ -217,8 +230,9 @@ def _descend(G4: np.ndarray, X: np.ndarray, Y: np.ndarray, vals: np.ndarray,
     the refined (X, Y, values), whose values never rise per point, and the
     sweeps each form ran, (c,).
     """
-    Kx = np.ascontiguousarray(G4)
-    Ky = np.ascontiguousarray(G4.transpose(0, 3, 4, 1, 2))
+    # contiguous, so that G4 and Ky both reshape to (c, 9, 9) as views
+    G4 = np.ascontiguousarray(G4)
+    Ky = G4.transpose(0, 3, 4, 1, 2)
     live = np.arange(len(vals))
     sweeps = np.zeros(len(vals), dtype=int)
     for _ in range(max_iters):
@@ -230,16 +244,16 @@ def _descend(G4: np.ndarray, X: np.ndarray, Y: np.ndarray, vals: np.ndarray,
         # written
         whole = len(live) == len(vals)
         sel = slice(None) if whole else live
-        shape = (len(live),) + Y.shape[1:]
-        _, Yl = eigmin3(_acoustic_stack(X[sel], Kx[sel]).reshape(-1, 3, 3))
-        Yl = Yl.reshape(shape)
+        shape = (3, len(live)) + Y.shape[2:]
+        _, Yl = eigmin3(_acoustic_stack(X[:, sel], G4[sel]).reshape(-1, 3, 3))
+        Yl = Yl.T.reshape(shape)
         new_vals, Xl = eigmin3(_acoustic_stack(Yl, Ky[sel]).reshape(-1, 3, 3))
-        Xl, new_vals = Xl.reshape(shape), new_vals.reshape(shape[:2])
+        Xl, new_vals = Xl.T.reshape(shape), new_vals.reshape(shape[1:])
         improvement = np.max(vals[sel] - new_vals, axis=1)
         if whole:
             X, Y, vals = Xl, Yl, new_vals
         else:
-            X[sel], Y[sel], vals[sel] = Xl, Yl, new_vals
+            X[:, sel], Y[:, sel], vals[sel] = Xl, Yl, new_vals
         sweeps[live] += 1
         done = improvement < 1e-16 * (1.0 + np.max(np.abs(new_vals), axis=1))
         live = live[~done]
@@ -251,7 +265,9 @@ class LatticeScan:
     """One scan of a form over sphere_lattice(cfg.grid_resolution): the
     lattice acoustic matrices T with their smallest eigenvalues and unit
     eigenvectors, the refined points (X, Y, vals) after sweeps refinement
-    sweeps, and the sampled margin min(vals, lattice_lam)."""
+    sweeps, and the sampled margin min(vals, lattice_lam).  T (n, 3, 3) is
+    the transposed view of (3, 3, n) storage, and lattice_X, X and Y (n, 3)
+    are views of (3, n) rows."""
 
     form: QuadraticForm
     cfg: CertifyConfig
@@ -303,13 +319,14 @@ def lattice_scan(q: QuadraticForm, cfg: CertifyConfig = CertifyConfig()) -> Latt
     REFINE_ITERS sweeps.  The margin is the least value seen, lattice or
     refined."""
     G4 = q.gram_tensor()
-    Y0 = sphere_lattice(cfg.grid_resolution)
+    Y0 = np.ascontiguousarray(sphere_lattice(cfg.grid_resolution).T)
     T = _acoustic_stack(Y0, G4.transpose(2, 3, 0, 1))
     lam, X0 = eigmin3(T)
-    X, Y, vals, sweeps = (a[0] for a in _descend(
-        G4[None], X0[None], Y0[None], lam[None], REFINE_ITERS))
+    X, Y, vals, sweeps = _descend(G4[None], X0.T[:, None], Y0[:, None],
+                                  lam[None], REFINE_ITERS)
     margin = float(min(np.min(vals), np.min(lam)))
-    return LatticeScan(q, cfg, margin, T, lam, X0, X, Y, vals, int(sweeps))
+    return LatticeScan(q, cfg, margin, T, lam, X0, X[:, 0].T, Y[:, 0].T,
+                       vals[0], int(sweeps[0]))
 
 
 def _cluster_pairs(X: np.ndarray, Y: np.ndarray, vals: np.ndarray,
@@ -437,8 +454,9 @@ def _clears(lattice, G4: np.ndarray, pool_min: np.ndarray, Y: np.ndarray,
     """Sampled quasiconvexity check of c candidate forms: gram tensors G4
     (c, 3, 3, 3, 3), pool_min (c,), each one's minimum over the
     zero-structure pool (inf for an empty pool), and acoustic matrices at
-    the lattice points Y (n, 3), built on demand as
-    lattice(i) -> (len(i), n, 3, 3) for index arrays i.  A candidate fails
+    the lattice points Y, (3, n) rows, built on demand as
+    lattice(i) -> (len(i), n, 3, 3) for index arrays i, best as the
+    transposed view of (3, 3, len(i), n) storage.  A candidate fails
     at the first stage whose minimum falls below floor: the pool, the
     lattice lambda_min (eigvals3 on the survivors' stacked rows, at most
     LOCKSTEP_ROWS a call), then an iters-sweep refinement from its k lowest
@@ -452,7 +470,7 @@ def _clears(lattice, G4: np.ndarray, pool_min: np.ndarray, Y: np.ndarray,
     stage[pool_min < floor] = 1
     live = np.flatnonzero(stage == 0)
     top = np.empty((c, k), dtype=int)
-    step = max(1, LOCKSTEP_ROWS // len(Y))
+    step = max(1, LOCKSTEP_ROWS // Y.shape[1])
     for s in range(0, len(live), step):
         i = live[s:s + step]
         lam = eigvals3(lattice(i).reshape(-1, 3, 3))[:, 0].reshape(len(i), -1)
@@ -461,10 +479,10 @@ def _clears(lattice, G4: np.ndarray, pool_min: np.ndarray, Y: np.ndarray,
     live = np.flatnonzero(stage == 0)
     if not len(live):
         return stage, refined
-    Yk = Y[top[live]]
+    Yk = Y[:, top[live]]
     vals, X = eigmin3(_acoustic_stack(
         Yk, G4[live].transpose(0, 3, 4, 1, 2)).reshape(-1, 3, 3))
-    vals = _descend(G4[live], X.reshape(Yk.shape), Yk,
+    vals = _descend(G4[live], X.T.reshape(Yk.shape), Yk,
                     vals.reshape(len(live), k), iters)[2]
     refined[live] = np.min(vals, axis=1)
     stage[live[~(refined[live] >= floor)]] = 3
@@ -573,7 +591,9 @@ def milton_extremality_probe(scan: LatticeScan) -> ProbeReport:
     pool_q = _pool_quadratic(P9, G)
 
     Ygrid = sphere_lattice(cfg.grid_resolution)
+    Yrows = np.ascontiguousarray(Ygrid.T)
     Tgrid, Xgrid = scan.T, scan.lattice_X
+    Trows = Tgrid.transpose(1, 2, 0)            # (3, 3, n), scan.T's storage
     grid_q = np.einsum("nik,ni,nk->n", Tgrid, Xgrid, Xgrid)
     grid9 = (Xgrid[:, :, None] * Ygrid[:, None, :]).reshape(len(Ygrid), 9)
 
@@ -602,15 +622,17 @@ def milton_extremality_probe(scan: LatticeScan) -> ProbeReport:
         work.predicate_evaluations += len(idx)
 
         def lattice(i):
-            V = Ygrid @ Ms[idx[i]].transpose(0, 2, 1)
-            T = V[..., :, None] * V[..., None, :]
-            T *= eps[i, None, None, None]
-            return np.subtract(Tgrid, T, out=T)
+            # T - eps (M y)(M y)^T in (3, 3, len(i), n) storage, from the
+            # (3, n) rows of M Y^T
+            T = _outer_rows(np.swapaxes(Ms[idx[i]] @ Yrows, 0, 1))
+            T *= eps[i, None]
+            np.subtract(Trows[:, :, None], T, out=T)
+            return T.transpose(2, 3, 0, 1)
 
         pool_min = [np.min(pool_q - e * (P9 @ dirs[j]) ** 2, initial=np.inf)
                     for j, e in zip(idx, eps)]
         G4s = G4 - eps[:, None, None, None, None] * L4s[idx]
-        return work.judge(lattice, G4s, np.array(pool_min), Ygrid, -guard,
+        return work.judge(lattice, G4s, np.array(pool_min), Yrows, -guard,
                           16, 14)
 
     # grow each bracket by 4x while its upper end clears, up to the cap
@@ -697,10 +719,10 @@ def extreme_point_probe(scan: LatticeScan) -> ProbeReport:
     # lattice acoustic matrices and pool values are linear in theta and the
     # basis contributions can be preassembled once
     B4 = basis.reshape(9, 3, 3, 3, 3).transpose(0, 1, 3, 2, 4)
-    Ylean = sphere_lattice(32)
-    # (9, n, 3, 3), contiguous so that each tensordot below reads it in place
-    TB = np.moveaxis(_acoustic_stack(Ylean, B4.transpose(3, 4, 0, 1, 2)),
-                     1, 0).copy()
+    Ylean = np.ascontiguousarray(sphere_lattice(32).T)
+    # the (9, 3, 3, n) storage of the basis stacks, which each tensordot
+    # below reads in place
+    TB = _acoustic_stack(Ylean, B4.transpose(3, 4, 0, 1, 2)).transpose(1, 2, 3, 0)
     poolB = np.array([_pool_quadratic(P9, Bk) for Bk in basis])
 
     rng = np.random.default_rng(cfg.seed)
@@ -719,7 +741,8 @@ def extreme_point_probe(scan: LatticeScan) -> ProbeReport:
 
     def clears(th: np.ndarray) -> np.ndarray:
         return work.judge(
-            lambda i: np.stack([np.tensordot(u, TB, axes=1) for u in th[i]]),
+            lambda i: np.stack([np.tensordot(u, TB, axes=1) for u in th[i]],
+                               axis=2).transpose(2, 3, 0, 1),
             np.stack([np.tensordot(u, B4, axes=1) for u in th]),
             np.array([np.min(u @ poolB, initial=np.inf) for u in th]), Ylean,
             -cfg.tol, 12, 16)

@@ -3,10 +3,14 @@
 The hot paths of the certification engines evaluate the smallest eigenvalue
 (and its eigenvector) of tens of thousands of 3x3 symmetric matrices per
 call, in stacks of a dozen rows (the probes' refinements) to tens of
-thousands (the lattice).  Both functions work on a structure-of-arrays copy
-of the stack, contiguous rows of n entries, read only its upper triangle,
-and apply each step to stacked rows at once, so that a small stack pays few
-numpy calls.
+thousands (the lattice).  Both functions read only the upper triangle, as
+six rows of n entries (the structure-of-arrays layout), and apply each step
+to stacked rows at once, so that a small stack pays few numpy calls.  Any
+(n, 3, 3) stack is accepted; the transposed view of (3, 3, n) storage, as
+the certification engines build their stacks, gives those six rows as
+contiguous row copies, where a C-contiguous stack needs strided gathers.
+eigmin3 returns its eigenvectors as the (n, 3) view of the (3, n) rows it
+computes them in.
 
 Eigenvalues come from the closed-form trigonometric solve of the
 characteristic polynomial (Smith, CACM 1961): with q = tr M / 3 and
@@ -133,7 +137,8 @@ def eigmin3(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     The eigenvector is the largest column of adj(M - l1 I); rows where the
     smallest eigenvalue is nearly repeated (the adjugate nearly vanishes)
-    use LAPACK.  Eigenvalues of the other rows are eigvals3's.
+    use LAPACK.  Eigenvalues of the other rows are eigvals3's.  The vectors
+    come back as the (n, 3) transposed view of (3, n) rows.
     """
     M = np.asarray(M, dtype=float)
     single = M.ndim == 2
@@ -169,13 +174,12 @@ def eigmin3(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     v += adj[c1] * onehot[1]
     v += adj[c2] * onehot[2]
     v /= nv + (nv == 0.0)
-    v = np.ascontiguousarray(v.T)
     bad = gap <= 1e-7 * span
     bad |= nv <= 1e-12 * span * span
     if bad.any():
         evals, evecs = np.linalg.eigh(M[bad])
         l1[bad] = evals[:, 0]
-        v[bad] = evecs[:, :, 0]
+        v[:, bad] = evecs[:, :, 0].T
     if single:
-        return l1[0], v[0]
-    return l1, v
+        return l1[0], v[:, 0]
+    return l1, v.T

@@ -161,22 +161,37 @@ def test_acoustic_stack_matches_einsum(seed, n, shift, log_scale):
         q = add_null_lagrangian(q, NullLagrangianCoeffs(
             10.0 ** log_scale * rng.uniform(-2.0, 2.0, 9)))
     G4 = q.gram_tensor()
-    V = rng.standard_normal((n, 3)) * rng.uniform(0.5, 2.0, (n, 1))
-    # a few ulp of |G| |V|^2 per row
-    tol = 8 * np.finfo(float).eps * q.norm() * np.sum(V * V, axis=1)
-    pairs = [(_acoustic_stack(V, G4.transpose(2, 3, 0, 1)),
-              np.einsum("nj,ikjl,nl->nik", V, G4, V)),   # T(y), the x block
-             (_acoustic_stack(V, G4),
-              np.einsum("ni,ikjl,nk->njl", V, G4, V))]   # S(x), the y block
+    # vectors components first: (3, n) rows, and (3, c, n) for c forms
+    V = rng.standard_normal((3, n)) * rng.uniform(0.5, 2.0, n)
     # a stack of forms of norm |G|, as the extreme point's layout basis
     grams = np.stack([q.gram, q.norm() * minor_gram_basis()[seed % 9]])
     B4 = grams.reshape(2, 3, 3, 3, 3).transpose(0, 1, 3, 2, 4)
-    pairs.append((_acoustic_stack(V, B4.transpose(3, 4, 0, 1, 2)),
-                   np.einsum("nj,kimjl,nl->nkim", V, B4, V)))
-    for got, ref in pairs:
+    Gc = np.stack([QuadraticForm(g).gram_tensor() for g in grams])
+    Vc = rng.standard_normal((3, 2, n)) * rng.uniform(0.5, 2.0, (2, n))
+    # (stack, reference, the rows v the stack's entries are quadratic in)
+    pairs = [(_acoustic_stack(V, G4.transpose(2, 3, 0, 1)),
+              np.einsum("jn,ikjl,ln->nik", V, G4, V), V),   # T(y), the x block
+             (_acoustic_stack(V, G4),
+              np.einsum("in,ikjl,kn->njl", V, G4, V), V),   # S(x), the y block
+             (_acoustic_stack(V, B4.transpose(3, 4, 0, 1, 2)),
+              np.einsum("jn,kimjl,ln->nkim", V, B4, V), V),
+             # a batch of forms, each with its own rows, as _clears and
+             # _descend build them
+             (_acoustic_stack(Vc, Gc.transpose(0, 3, 4, 1, 2)),
+              np.einsum("jcn,cikjl,lcn->cnik", Vc, Gc, Vc), Vc),
+             (_acoustic_stack(Vc, Gc),
+              np.einsum("icn,cikjl,kcn->cnjl", Vc, Gc, Vc), Vc)]
+    for got, ref, rows in pairs:
         assert got.shape == ref.shape
+        # a few ulp of |G| |v|^2 per row
+        tol = 8 * np.finfo(float).eps * q.norm() * np.sum(rows * rows, axis=0)
+        lead = rows.shape[1:]
         assert np.all(np.abs(got - ref)
-                      <= tol.reshape((n,) + (1,) * (got.ndim - 1)))
+                      <= tol.reshape(lead + (1,) * (got.ndim - len(lead))))
+        # components first: each entry is one contiguous row over the lead
+        # axes, so a stack copied back to row-major storage fails here
+        size = int(np.prod(lead))
+        assert got.reshape(size, got.size // max(size, 1)).T.flags.c_contiguous
 
 
 def _line_gap(a, b):
@@ -253,21 +268,21 @@ def test_cluster_pairs_compares_lines_across_canonical_sign():
 
 
 def _clears_reference(T, G4, pool, Y, floor, k, iters):
-    """The single-candidate check that the batched _clears replaces: the
-    stage it stops at (0 clears, 1 pool, 2 lattice, 3 refine), its refined
-    minimum (nan before the refinement) and its refinement sweeps."""
+    """The single-candidate check that the batched _clears replaces, on the
+    lattice points Y as (3, n) rows: the stage it stops at (0 clears,
+    1 pool, 2 lattice, 3 refine), its refined minimum (nan before the
+    refinement) and its refinement sweeps."""
     if len(pool) and np.min(pool) < floor:
         return 1, np.nan, 0
     lam = eigvals3(T)[:, 0]
     if np.min(lam) < floor:
         return 2, np.nan, 0
-    Y = Y[np.argpartition(lam, k - 1)[:k]]
-    Kx = np.ascontiguousarray(G4)
-    Ky = np.ascontiguousarray(G4.transpose(2, 3, 0, 1))
+    Y = Y[:, np.argpartition(lam, k - 1)[:k]]
+    Ky = G4.transpose(2, 3, 0, 1)
     vals, X = eigmin3(_acoustic_stack(Y, Ky))
     for sweeps in range(1, iters + 1):
-        _, Y = eigmin3(_acoustic_stack(X, Kx))
-        new_vals, X = eigmin3(_acoustic_stack(Y, Ky))
+        _, Y = eigmin3(_acoustic_stack(X.T, G4))
+        new_vals, X = eigmin3(_acoustic_stack(Y.T, Ky))
         improvement = float(np.max(vals - new_vals))
         vals = new_vals
         if improvement < 1e-16 * (1.0 + float(np.max(np.abs(vals)))):
@@ -282,7 +297,7 @@ def _candidates(seed, c):
     a random positive definite Gram (early stops), a quarter at eps = 0,
     with random pools of which a fifth go negative."""
     rng = np.random.default_rng(seed)
-    Y = sphere_lattice(16)
+    Y = np.ascontiguousarray(sphere_lattice(16).T)
     A = rng.standard_normal((9, 9))
     bases = np.stack([catalog("choi_lam").gram, np.eye(9), A @ A.T / 9])
     dirs = rng.standard_normal((c, 9))

@@ -137,3 +137,39 @@ def test_kernel_properties_on_rotated_spectra(case):
     assert np.all(np.abs(np.linalg.norm(v, axis=1) - 1.0) <= 8 * EPS)
     res = np.linalg.norm(np.einsum("nij,nj->ni", A, v) - l1[:, None] * v, axis=1)
     assert np.all(res <= vec_bound)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.sampled_from([1, 12, 9216]), seed=st.integers(0, 2**32 - 1),
+       kinds=st.sets(st.sampled_from(["isotropic", "lower"])))
+def test_view_of_components_first_storage_is_bitwise_identical(n, seed, kinds):
+    # random rows, then if drawn isotropic rows q I and rows whose lower
+    # pair sits at half eigmin3's line, so that both kernels use LAPACK
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, 3, 3))
+    A = (A + A.transpose(0, 2, 1)) / 2
+    special = rng.permutation(n)[:max(2, n // 8)]
+    iso = special[::2] if "isotropic" in kinds else special[:0]
+    low = special[len(iso) and 1::2] if "lower" in kinds else special[:0]
+    A[iso] = rng.standard_normal(len(iso))[:, None, None] * np.eye(3)
+    if len(low):
+        A[low] = _rotated_spectra(rng, [[-1.0, -1.0 + EIGMIN_LINE, 1.0]] * len(low))
+    # the same values as the transposed view of (3, 3, n) storage
+    view = np.ascontiguousarray(A.transpose(1, 2, 0)).transpose(2, 0, 1)
+    assert np.array_equal(view, A)
+    assert n == 1 or not view.flags.c_contiguous
+    with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as evh, \
+            mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eh:
+        lam = eigvals3(A)
+        l1, v = eigmin3(A)
+    assert evh.called == (len(low) > 0)
+    assert eh.called == (len(low) + len(iso) > 0)
+    assert eigvals3(view).tobytes() == lam.tobytes()
+    lv, vv = eigmin3(view)
+    assert lv.tobytes() == l1.tobytes() and vv.tobytes() == v.tobytes()
+    # the single-matrix path, on strided (3, 3) views
+    for i in (0, n - 1):
+        assert eigvals3(view[i]).tobytes() == eigvals3(A[i]).tobytes()
+        ls, vs = eigmin3(view[i])
+        lc, vc = eigmin3(A[i])
+        assert ls.tobytes() == lc.tobytes() and vs.tobytes() == vc.tobytes()
