@@ -10,12 +10,20 @@ are exactly the coefficients of det(A - tB) = sum_m (-1)^m S_m t^m, with
 S_0 = det(A) and S_n = det(B).  When A >= B >= 0 (as quadratic forms) the
 normalized sequence S_m / C(n, m) is non-increasing in m, and for B positive
 definite the pencil roots are real and lie in [1, inf).
+
+minor_sum computes S_m as this direct minor expansion: for each matrix it
+gathers every m x m (or complementary) submatrix with one fancy index into a
+single stack and takes one batched determinant of it.  It never reads the
+pencil's coefficients, so it stays independent of pencil_poly's interpolation
+and the two check each other.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,38 +90,38 @@ class MinorSums:
     s: tuple[float, ...]
 
 
-def _stacked_det(M: np.ndarray, rows: list, cols: list) -> np.ndarray:
-    """Determinants det(M[I, J]) for parallel lists of index tuples."""
-    if not rows:
-        return np.array([])
-    m = len(rows[0])
-    if m == 0:
-        return np.ones(len(rows))
-    sub = np.empty((len(rows), m, m))
-    for t, (I, J) in enumerate(zip(rows, cols)):
-        sub[t] = M[np.ix_(I, J)]
-    return np.linalg.det(sub)
+@functools.lru_cache(maxsize=None)
+def _minor_indices(n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row sets I of size m in combinations order, as a (C(n, m), m) array,
+    their complements as a (C(n, m), n - m) array, and (-1)^sum(I)."""
+    subsets = list(itertools.combinations(range(n), m))
+    rows = np.array(subsets, dtype=np.intp).reshape(len(subsets), m)
+    comps = np.array([[i for i in range(n) if i not in S] for S in subsets],
+                     dtype=np.intp).reshape(len(subsets), n - m)
+    signs = np.array([(-1) ** sum(S) for S in subsets])
+    for a in (rows, comps, signs):
+        a.flags.writeable = False
+    return rows, comps, signs
+
+
+def _minor_dets(M: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """det(M[I, J]) for every pair of rows I, J of R, flattened I-major."""
+    return np.linalg.det(M[R[:, None, :, None], R[None, :, None, :]]).ravel()
 
 
 def minor_sum(pair: SymmetricMatrixPair, m: int) -> float:
     """S_m over all (I, J) minors of B against signed complements in A."""
     n = pair.n
+    try:
+        m = operator.index(m)
+    except TypeError:
+        raise ValueError(f"m must be an integer, got {m!r}") from None
     if not (0 <= m <= n):
         raise ValueError(f"m must be in [0, {n}], got {m}")
-    idx = list(range(n))
-    subsets = list(itertools.combinations(idx, m))
-    comp = {S: tuple(i for i in idx if i not in S) for S in subsets}
-    rows_B, cols_B, rows_A, cols_A, signs = [], [], [], [], []
-    for I in subsets:
-        for J in subsets:
-            rows_B.append(I)
-            cols_B.append(J)
-            rows_A.append(comp[I])
-            cols_A.append(comp[J])
-            signs.append((-1) ** (sum(I) + sum(J)))
-    detB = _stacked_det(pair.B, rows_B, cols_B)
-    detA = _stacked_det(pair.A, rows_A, cols_A)
-    return float(np.sum(np.asarray(signs) * detB * detA))
+    rows, comps, signs = _minor_indices(n, m)
+    detB = _minor_dets(pair.B, rows)
+    detA = _minor_dets(pair.A, comps)
+    return float(np.sum(np.outer(signs, signs).ravel() * detB * detA))
 
 
 def minor_sums(pair: SymmetricMatrixPair) -> MinorSums:

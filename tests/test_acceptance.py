@@ -69,7 +69,7 @@ def _lemma_campaign():
 
 def test_criterion_02_lemma_campaign():
     with criterion(2, "minor-sum chain, Vieta, pencil coefficients; "
-                      "n in 2..6 x 500 pairs", budget=60.0):
+                      "n in 2..6 x 500 pairs", budget=15.0):
         pairs, reports = _lemma_campaign()
         failures = 0
         worst_vieta = 0.0

@@ -78,6 +78,15 @@ def test_lemma_campaign():
     assert out["trials"] == 20
 
 
+def test_lemma_campaign_at_max_n():
+    r = run_cli("lemma", "--n", "8", "--trials", "3", "--json")
+    assert r.returncode == 0
+    out = json.loads(r.stdout)
+    assert out["n"] == 8
+    assert out["failures"] == []
+    assert out["max_vieta_residual"] <= 1e-8
+
+
 def test_lemma_eps_shift_changes_slack_slightly():
     outs = []
     for eps in ("1e-4", "1e-6"):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -33,10 +34,54 @@ def test_minor_sum_endpoints_are_determinants():
                                                    rel=1e-10, abs=1e-10)
 
 
+def _minor_sum_reference(pair, m):
+    """S_m with one np.ix_ submatrix per (I, J) pair, in minor_sum's order."""
+    idx = range(pair.n)
+    signs, detB, detA = [], [], []
+    for I in itertools.combinations(idx, m):
+        for J in itertools.combinations(idx, m):
+            Ic = [i for i in idx if i not in I]
+            Jc = [j for j in idx if j not in J]
+            signs.append((-1) ** (sum(I) + sum(J)))
+            detB.append(np.linalg.det(pair.B[np.ix_(I, J)]) if m else 1.0)
+            detA.append(np.linalg.det(pair.A[np.ix_(Ic, Jc)]) if m < pair.n
+                        else 1.0)
+    return float(np.sum(np.asarray(signs) * np.asarray(detB)
+                        * np.asarray(detA)))
+
+
+def test_minor_sum_matches_per_pair_reference_exactly():
+    rng = np.random.default_rng(11)
+    pairs = [random_ordered_pair(n, rng) for n in range(2, 9) for _ in range(2)]
+    # dense pair: no zero entry in A or B, so a wrong sign or index shows
+    G = rng.uniform(0.5, 1.5, (8, 8))
+    B = G.T @ G
+    A = B + np.full((8, 8), 0.25) + np.eye(8)
+    assert np.all(A != 0) and np.all(B != 0)
+    pairs.append(SymmetricMatrixPair(A, B))
+    for pair in pairs:
+        for m in range(pair.n + 1):
+            assert minor_sum(pair, m) == _minor_sum_reference(pair, m), (pair.n, m)
+    dense = pairs[-1]
+    assert minor_sum(dense, 0) == np.linalg.det(dense.A)
+    assert minor_sum(dense, 8) == np.linalg.det(dense.B)
+
+
 def test_minor_sum_range_checked():
     pair = SymmetricMatrixPair(np.eye(2), np.eye(2))
     with pytest.raises(ValueError):
         minor_sum(pair, 3)
+    with pytest.raises(ValueError):
+        minor_sum(pair, -1)
+
+
+def test_minor_sum_rejects_non_integral_m():
+    pair = SymmetricMatrixPair(np.diag([2.0, 2.0]), np.eye(2))
+    for bad in (1.5, 2.0, np.float64(1.0), "1", None):
+        with pytest.raises(ValueError, match="m must be an integer"):
+            minor_sum(pair, bad)
+    assert minor_sum(pair, np.int64(1)) == minor_sum(pair, 1) == 4.0
+    assert minor_sum(pair, np.uint8(2)) == 1.0
 
 
 def test_pencil_poly_identity():
