@@ -30,15 +30,17 @@ Violations of depth ~eps^2 hide in tiny dips near degenerate rank-one zeros
 where plain descent overshoots; the probes therefore evaluate candidate
 forms on a structured pool: the refined zeros of Q plus geometric radius
 sweeps along the transverse-Hessian eigendirections at each zero.  Both
-ray searches advance all their directions in lockstep: each step judges
-every active direction's candidate form in one batched check, _clears
-(pool, lattice, top-k refinement), and one vectorized bisection, _bisect,
-moves all the brackets.  The lattice stage stacks at most LOCKSTEP_ROWS
-rows per eigvals3 call, which bounds memory at any direction count; the
-refinement runs one eigmin3 per half-sweep over every surviving
-candidate, each frozen once it converges, so a direction's result does not
-depend on the batch it ran in.  Each ray probe reports its work counters
-as witness["diagnostics"].
+ray searches advance all their directions in lockstep: each step hands
+every active direction's candidate Gram (c, 9, 9) to one batched check,
+_clears (pool, lattice, top-k refinement), and all the brackets move
+together, grown by _grow and then bisected by _bisect.  _clears builds
+the candidates' lattice stacks itself, at most LOCKSTEP_ROWS rows at a
+time (which bounds memory at any direction count): each chunk is one GEMM
+of its gram tensors with the nine rows v_j v_l of the lattice, solved by
+one eigvals3.  The refinement runs one eigmin3 per half-sweep over every
+surviving candidate, each frozen once it converges, so a direction's
+result does not depend on the batch it ran in.  Each ray probe reports
+its work counters as witness["diagnostics"].
 """
 
 from __future__ import annotations
@@ -52,8 +54,8 @@ import numpy as np
 
 from .determinant import _SEXTIC_EXPS, acoustic_det, perfect_square_test
 from .forms import (LAYOUT_PARAMS, QuadraticForm, acoustic_matrix,
-                    detect_shear_layout, form_from_theta, minor_gram_basis,
-                    shear_layout_basis)
+                    detect_shear_layout, form_from_theta, gram_tensor,
+                    minor_gram_basis, shear_layout_basis)
 from .symeig import eigmin3, eigvals3
 
 # noise floor of a refined margin evaluation, relative to the Gram scale;
@@ -440,8 +442,8 @@ def _pool_quadratic(P9: np.ndarray, gram: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the probes' shared search kernel: one batched candidate check, one lockstep
-# bisection
+# the probes' shared search kernel: one batched candidate check, lockstep
+# bracket growth and bisection
 
 # lattice rows per eigvals3 call in _clears: the lattice stage builds and
 # solves LOCKSTEP_ROWS // n candidates at a time (n lattice points), which
@@ -449,31 +451,34 @@ def _pool_quadratic(P9: np.ndarray, gram: np.ndarray) -> np.ndarray:
 LOCKSTEP_ROWS = 1 << 14
 
 
-def _clears(lattice, G4: np.ndarray, pool_min: np.ndarray, Y: np.ndarray,
+def _clears(grams: np.ndarray, pool_min: np.ndarray, Y: np.ndarray,
             floor: float, k: int, iters: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sampled quasiconvexity check of c candidate forms: gram tensors G4
-    (c, 3, 3, 3, 3), pool_min (c,), each one's minimum over the
-    zero-structure pool (inf for an empty pool), and acoustic matrices at
-    the lattice points Y, (3, n) rows, built on demand as
-    lattice(i) -> (len(i), n, 3, 3) for index arrays i, best as the
-    transposed view of (3, 3, len(i), n) storage.  A candidate fails
-    at the first stage whose minimum falls below floor: the pool, the
-    lattice lambda_min (eigvals3 on the survivors' stacked rows, at most
-    LOCKSTEP_ROWS a call), then an iters-sweep refinement from its k lowest
-    lattice points (one eigmin3 per half-sweep over all survivors).
+    """Sampled quasiconvexity check of c candidate forms: Grams (c, 9, 9),
+    pool_min (c,), each one's minimum over the zero-structure pool (inf for
+    an empty pool), and the lattice points Y, (3, n) rows.  A candidate
+    fails at the first stage whose minimum falls below floor: the pool, the
+    lattice lambda_min (at most LOCKSTEP_ROWS rows at a time, each chunk
+    one (9c' x 9) x (9 x n) GEMM of its gram tensors and the nine rows
+    v_j v_l of Y into (3, 3, c', n) storage, and one eigvals3), then an
+    iters-sweep refinement from its k lowest lattice points (one eigmin3
+    per half-sweep over all survivors).
 
     Returns each candidate's stage (0 clears, 1 pool, 2 lattice, 3 refine)
     and its refined minimum (nan where the refinement did not run)."""
-    c = len(G4)
+    G4 = gram_tensor(grams)
+    c, n = len(G4), Y.shape[1]
+    W = _outer_rows(Y).reshape(9, n)
     stage = np.zeros(c, dtype=int)
     refined = np.full(c, np.nan)
     stage[pool_min < floor] = 1
     live = np.flatnonzero(stage == 0)
     top = np.empty((c, k), dtype=int)
-    step = max(1, LOCKSTEP_ROWS // Y.shape[1])
+    step = max(1, LOCKSTEP_ROWS // n)
     for s in range(0, len(live), step):
         i = live[s:s + step]
-        lam = eigvals3(lattice(i).reshape(-1, 3, 3))[:, 0].reshape(len(i), -1)
+        T = (G4[i].transpose(1, 2, 0, 3, 4).reshape(-1, 9) @ W).reshape(
+            3, 3, len(i), n).transpose(2, 3, 0, 1)
+        lam = eigvals3(T.reshape(-1, 3, 3))[:, 0].reshape(len(i), n)
         stage[i[np.min(lam, axis=1) < floor]] = 2
         top[i] = np.argpartition(lam, k - 1, axis=1)[:, :k]
     live = np.flatnonzero(stage == 0)
@@ -543,6 +548,23 @@ def _bisect(ok, lo: np.ndarray, hi: np.ndarray, abs_width: float,
     return lo
 
 
+def _grow(ok, lo: np.ndarray, hi: np.ndarray, factor: float, steps: int,
+          cap: float = np.inf) -> tuple[np.ndarray, np.ndarray]:
+    """Lockstep growth of the brackets [lo[i], hi[i]] below cap: while hi
+    is below cap and ok, lo moves up to hi and hi grows by factor, at most
+    steps times.  ok is as in _bisect.  Returns the grown (lo, hi)."""
+    lo, hi = lo.copy(), hi.copy()
+    i = np.flatnonzero(hi < cap)
+    for _ in range(steps):
+        if not len(i):
+            break
+        i = i[ok(i, hi[i])]
+        lo[i] = hi[i]
+        hi[i] *= factor
+        i = i[hi[i] < cap]
+    return lo, hi
+
+
 # ---------------------------------------------------------------------------
 # milton extremality
 
@@ -585,7 +607,6 @@ def milton_extremality_probe(scan: LatticeScan) -> ProbeReport:
     scan.require_quasiconvex("milton probe")
     q, cfg, margin0 = scan.form, scan.cfg, scan.margin
     G = q.gram
-    G4 = q.gram_tensor()
     guard = GUARD_REL * (1.0 + q.norm())
     P9 = _zero_pool(scan)
     pool_q = _pool_quadratic(P9, G)
@@ -593,15 +614,16 @@ def milton_extremality_probe(scan: LatticeScan) -> ProbeReport:
     Ygrid = sphere_lattice(cfg.grid_resolution)
     Yrows = np.ascontiguousarray(Ygrid.T)
     Tgrid, Xgrid = scan.T, scan.lattice_X
-    Trows = Tgrid.transpose(1, 2, 0)            # (3, 3, n), scan.T's storage
     grid_q = np.einsum("nik,ni,nk->n", Tgrid, Xgrid, Xgrid)
     grid9 = (Xgrid[:, :, None] * Ygrid[:, None, :]).reshape(len(Ygrid), 9)
 
     dirs = _probe_directions(q, cfg)
     c = len(dirs)
     Ms = dirs.reshape(c, 3, 3)
-    L4s = (dirs[:, :, None] * dirs[:, None, :]).reshape(
-        c, 3, 3, 3, 3).transpose(0, 1, 3, 2, 4)
+    L = dirs[:, :, None] * dirs[:, None, :]
+    # (P9 @ dirs[j]) ** 2 for every j, as row-vector products, whose bits
+    # do not depend on the batch
+    pool_l2 = (dirs[:, None] @ P9.T)[:, 0] ** 2
     lo, hi = np.empty(c), np.empty(c)
     qv = np.concatenate([pool_q, grid_q])
     for j, M in enumerate(Ms):
@@ -610,7 +632,7 @@ def milton_extremality_probe(scan: LatticeScan) -> ProbeReport:
         smax2 = float(np.linalg.svd(M, compute_uv=False)[0]) ** 2
         lo[j] = max(0.0, (margin0 - 2.0 * guard)) / max(smax2, 1e-300)
         # pointwise rank-one ratio bound Q/l^2 as the upper bracket, capped
-        l2 = np.concatenate([(P9 @ dirs[j]) ** 2, (grid9 @ dirs[j]) ** 2])
+        l2 = np.concatenate([pool_l2[j], (grid9 @ dirs[j]) ** 2])
         usable = l2 > 1e-18
         h = np.min(qv[usable] / l2[usable], initial=1e6)
         hi[j] = min(max(h * (1.0 + 1e-9) + 1e-15, 1e-15, lo[j] * 1.1), 1e6)
@@ -620,30 +642,13 @@ def milton_extremality_probe(scan: LatticeScan) -> ProbeReport:
     def predicate(idx: np.ndarray, eps: np.ndarray) -> np.ndarray:
         """Does Q - eps[j] l_idx[j]^2 clear, for every j?"""
         work.predicate_evaluations += len(idx)
-
-        def lattice(i):
-            # T - eps (M y)(M y)^T in (3, 3, len(i), n) storage, from the
-            # (3, n) rows of M Y^T
-            T = _outer_rows(np.swapaxes(Ms[idx[i]] @ Yrows, 0, 1))
-            T *= eps[i, None]
-            np.subtract(Trows[:, :, None], T, out=T)
-            return T.transpose(2, 3, 0, 1)
-
-        pool_min = [np.min(pool_q - e * (P9 @ dirs[j]) ** 2, initial=np.inf)
-                    for j, e in zip(idx, eps)]
-        G4s = G4 - eps[:, None, None, None, None] * L4s[idx]
-        return work.judge(lattice, G4s, np.array(pool_min), Yrows, -guard,
-                          16, 14)
+        pool_min = np.min(pool_q - eps[:, None] * pool_l2[idx], axis=1,
+                          initial=np.inf)
+        return work.judge(G - eps[:, None, None] * L[idx], pool_min, Yrows,
+                          -guard, 16, 14)
 
     # grow each bracket by 4x while its upper end clears, up to the cap
-    expansions = np.zeros(c, dtype=int)
-    grow = np.flatnonzero(hi < 1e6)
-    while len(grow):
-        up = grow[predicate(grow, hi[grow])]
-        lo[up] = hi[up]
-        hi[up] *= 4.0
-        expansions[up] += 1
-        grow = up[(hi[up] < 1e6) & (expansions[up] < 40)]
+    lo, hi = _grow(predicate, lo, hi, 4.0, 40, cap=1e6)
     capped = np.flatnonzero(hi >= 1e6)
     eps_star = np.zeros(c)
     if len(capped):
@@ -715,14 +720,9 @@ def extreme_point_probe(scan: LatticeScan) -> ProbeReport:
     P9 = _zero_pool(scan)
     G = q.gram
 
-    # candidate forms are theta-combinations of 9 fixed basis Grams, so the
-    # lattice acoustic matrices and pool values are linear in theta and the
-    # basis contributions can be preassembled once
-    B4 = basis.reshape(9, 3, 3, 3, 3).transpose(0, 1, 3, 2, 4)
+    # candidate forms are theta-combinations of 9 fixed basis Grams, so
+    # their pool values are too
     Ylean = np.ascontiguousarray(sphere_lattice(32).T)
-    # the (9, 3, 3, n) storage of the basis stacks, which each tensordot
-    # below reads in place
-    TB = _acoustic_stack(Ylean, B4.transpose(3, 4, 0, 1, 2)).transpose(1, 2, 3, 0)
     poolB = np.array([_pool_quadratic(P9, Bk) for Bk in basis])
 
     rng = np.random.default_rng(cfg.seed)
@@ -740,12 +740,10 @@ def extreme_point_probe(scan: LatticeScan) -> ProbeReport:
     work = _Work(len(D))
 
     def clears(th: np.ndarray) -> np.ndarray:
-        return work.judge(
-            lambda i: np.stack([np.tensordot(u, TB, axes=1) for u in th[i]],
-                               axis=2).transpose(2, 3, 0, 1),
-            np.stack([np.tensordot(u, B4, axes=1) for u in th]),
-            np.array([np.min(u @ poolB, initial=np.inf) for u in th]), Ylean,
-            -cfg.tol, 12, 16)
+        # row-vector products, whose bits do not depend on the batch
+        return work.judge(np.tensordot(th, basis, axes=1),
+                          np.min(th[:, None] @ poolB, axis=(1, 2),
+                                 initial=np.inf), Ylean, -cfg.tol, 12, 16)
 
     def feasible(idx: np.ndarray, delta: np.ndarray) -> np.ndarray:
         """Do Q1 = theta/2 + delta[j] d_idx[j] and Q - Q1 both clear?"""
@@ -757,15 +755,8 @@ def extreme_point_probe(scan: LatticeScan) -> ProbeReport:
         return ok
 
     # grow each bracket by 2x while its upper end is feasible, at most 5 times
-    lo, hi = np.zeros(len(D)), np.full(len(D), 0.25 * norm_theta)
-    grown = np.zeros(len(D), dtype=int)
-    grow = np.arange(len(D))
-    while len(grow):
-        up = grow[feasible(grow, hi[grow])]
-        lo[up] = hi[up]
-        hi[up] *= 2.0
-        grown[up] += 1
-        grow = up[grown[up] < 5]
+    lo, hi = _grow(feasible, np.zeros(len(D)),
+                   np.full(len(D), 0.25 * norm_theta), 2.0, 5)
     before = work.predicate_evaluations
     lo = _bisect(feasible, lo, hi, max(1e-12, 1e-9 * norm_theta), 0.0)
     work.bisection_steps = work.predicate_evaluations - before

@@ -188,13 +188,9 @@ def _global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
     parser.add_argument("--grid", type=int,
                         default=d if suppress else 96,
                         help="sphere lattice resolution (points = grid^2)")
-    fmt = parser.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true",
-                     default=d if suppress else False,
-                     help="compact JSON output")
-    fmt.add_argument("--pretty", action="store_true",
-                     default=d if suppress else False,
-                     help="indented JSON output")
+    parser.add_argument("--json", action="store_true",
+                        default=d if suppress else False,
+                        help="compact JSON output (indented by default)")
 
 
 def build_parser() -> argparse.ArgumentParser:

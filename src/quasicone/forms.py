@@ -68,15 +68,14 @@ class QuadraticForm:
     def scaled(self, alpha: float) -> "QuadraticForm":
         return QuadraticForm(alpha * self.gram)
 
-    def __add__(self, other: "QuadraticForm") -> "QuadraticForm":
-        return QuadraticForm(self.gram + other.gram)
-
-    def __sub__(self, other: "QuadraticForm") -> "QuadraticForm":
-        return QuadraticForm(self.gram - other.gram)
-
     def gram_tensor(self) -> np.ndarray:
-        """G4[i, k, j, l] = gram[(i,j), (k,l)], the layout used by T(y)."""
-        return self.gram.reshape(3, 3, 3, 3).transpose(0, 2, 1, 3)
+        return gram_tensor(self.gram)
+
+
+def gram_tensor(gram: np.ndarray) -> np.ndarray:
+    """G4[..., i, k, j, l] = gram[..., (i,j), (k,l)], the layout used by
+    T(y), as a view of one 9x9 Gram or of a stack of them."""
+    return gram.reshape(gram.shape[:-2] + (3, 3, 3, 3)).swapaxes(-3, -2)
 
 
 @dataclass(frozen=True)

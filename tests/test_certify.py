@@ -163,7 +163,7 @@ def test_acoustic_stack_matches_einsum(seed, n, shift, log_scale):
     G4 = q.gram_tensor()
     # vectors components first: (3, n) rows, and (3, c, n) for c forms
     V = rng.standard_normal((3, n)) * rng.uniform(0.5, 2.0, n)
-    # a stack of forms of norm |G|, as the extreme point's layout basis
+    # a stack of forms of norm |G| sharing the rows V, as a trailing K shape
     grams = np.stack([q.gram, q.norm() * minor_gram_basis()[seed % 9]])
     B4 = grams.reshape(2, 3, 3, 3, 3).transpose(0, 1, 3, 2, 4)
     Gc = np.stack([QuadraticForm(g).gram_tensor() for g in grams])
@@ -309,13 +309,13 @@ def _candidates(seed, c):
     T = np.stack([_acoustic_stack(Y, g.transpose(2, 3, 0, 1)) for g in G4])
     pools = rng.uniform(0.0, 1.0, (c, 5))
     pools[rng.random(c) < 0.2, 0] = -1.0
-    return T, G4, pools, Y
+    return grams, T, G4, pools, Y
 
 
-def _assert_clears_matches_reference(T, G4, pools, Y, k, iters,
+def _assert_clears_matches_reference(grams, T, G4, pools, Y, k, iters,
                                      floor=-1e-12):
-    stage, refined = _clears(lambda i: T[i], G4, np.min(pools, axis=1), Y,
-                             floor, k, iters)
+    stage, refined = _clears(grams, np.min(pools, axis=1), Y, floor, k,
+                             iters)
     ref = [_clears_reference(*a, Y, floor, k, iters)
            for a in zip(T, G4, pools)]
     assert stage.tolist() == [r[0] for r in ref]
@@ -370,6 +370,48 @@ def test_lockstep_row_cap_leaves_probe_reports_unchanged(monkeypatch):
     monkeypatch.setattr(certify, "LOCKSTEP_ROWS", 1)
     assert reports() == default
     assert set(rows) == {n}    # one candidate per call
+
+
+def _grow_scalar(lo, hi, t, factor, steps, cap):
+    """One bracket grown alone, as the probes' per-bracket loops did: the
+    grown (lo, hi) and the points judged."""
+    judged = 0
+    for _ in range(steps):
+        if not hi < cap:
+            break
+        judged += 1
+        if not hi <= t:
+            break
+        lo, hi = hi, hi * factor
+    return lo, hi, judged
+
+
+@settings(max_examples=60, deadline=None)
+@given(brackets=st.lists(st.tuples(
+           # some upper ends that reach a cap exactly as they grow
+           st.floats(1e-3, 1e3) | st.sampled_from([0.625, 2.5, 10.0, 62.5]),
+           st.floats(1e-3, 1e5)), max_size=8),
+       factor=st.sampled_from([2.0, 4.0]), steps=st.integers(0, 6),
+       cap=st.sampled_from([np.inf, 10.0, 1e3]))
+def test_grow_matches_per_bracket_loop(brackets, factor, steps, cap):
+    hi0 = np.array([h for h, _ in brackets], dtype=float)
+    t = np.array([t for _, t in brackets], dtype=float)
+    lo0 = 0.5 * hi0
+    judged = []
+
+    def ok(i, x):
+        judged.append(len(i))
+        return x <= t[i]
+
+    ref = [_grow_scalar(*b, factor, steps, cap) for b in zip(lo0, hi0, t)]
+    lo, hi = certify._grow(ok, lo0, hi0, factor, steps, cap)
+    assert lo.tolist() == [r[0] for r in ref]
+    assert hi.tolist() == [r[1] for r in ref]
+    # the same points judged, so predicate_evaluations cannot drift
+    assert sum(judged) == sum(r[2] for r in ref)
+    # the inputs are left as they were
+    assert (lo0.tolist(), hi0.tolist()) == ([b[0] / 2 for b in brackets],
+                                            [b[0] for b in brackets])
 
 
 def test_probe_diagnostics_count_the_search():

@@ -10,7 +10,7 @@ from quasicone.forms import (FormError, NullLagrangianCoeffs,
                              detect_shear_layout, form_from_json,
                              form_from_reduced, form_from_single_shear,
                              form_from_theta, form_from_voigt, form_to_json,
-                             minor_gram_basis, reduce_modulo_null_lagrangians,
+                             gram_tensor, minor_gram_basis, reduce_modulo_null_lagrangians,
                              shear_layout_basis, vec_index)
 
 
@@ -137,6 +137,21 @@ def test_biquadratic_zero_x():
 def test_biquadratic_choi_lam_kernel_point():
     u = np.ones(3) / np.sqrt(3)
     assert abs(biquadratic_eval(catalog("choi_lam"), u, u)) < 1e-14
+
+
+def test_gram_tensor_is_a_view_of_one_gram_or_a_stack():
+    rng = np.random.default_rng(3)
+    grams = rng.standard_normal((4, 9, 9))
+    G4 = gram_tensor(grams)
+    assert G4.shape == (4, 3, 3, 3, 3) and np.shares_memory(G4, grams)
+    for g, g4 in zip(grams, G4):
+        one = gram_tensor(g)
+        assert np.shares_memory(one, g) and np.array_equal(one, g4)
+        # G4[i, k, j, l] = gram[(i, j), (k, l)]
+        for i, k, j, l in np.ndindex(3, 3, 3, 3):
+            assert one[i, k, j, l] == g[vec_index(i, j), vec_index(k, l)]
+    q = QuadraticForm(grams[0] + grams[0].T)
+    assert np.array_equal(q.gram_tensor(), gram_tensor(q.gram))
 
 
 def test_acoustic_matrix_identity_reduced():
