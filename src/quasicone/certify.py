@@ -1,11 +1,18 @@
 """Numerical certification engines.
 
 lattice_scan computes min over unit y of lambda_min(T(y)) on a
-deterministic spherical Fibonacci lattice with batched alternating
-refinement (each step minimizes the biquadratic exactly in one of x, y via
-the 3x3 eigenproblem).  Vectors are stored components first, as (3, n)
-rows.  A half-sweep is one GEMM, a transposed 9x9 reshaping of the Gram
-tensor times the nine rows v_j v_l of v (x) v (_acoustic_stack), into
+deterministic spherical Fibonacci lattice: one GEMM builds every lattice
+acoustic matrix and one eigmin3 solves them all.  Only the lattice's basins
+are refined: the local minima among its SEED_POOL lowest points (within
+seed radius, as lines) seed a few alternating sweeps (each step minimizes
+the biquadratic exactly in one of x, y via the 3x3 eigenproblem), then a
+safeguarded Riemannian Newton iteration on S^2 x S^2 (Absil, Mahony &
+Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008), which
+converges quadratically at a simple minimum and linearly at the
+quartic-flat rank-one zeros of the theorem's extremal forms, where
+alternating descent is sublinear.  Vectors are stored components first, as
+(3, n) rows.  A half-sweep is one GEMM, a transposed 9x9 reshaping of the
+Gram tensor times the nine rows v_j v_l of v (x) v (_acoustic_stack), into
 (3, 3, n) storage, plus one eigmin3 on its (n, 3, 3) transposed view,
 which returns the eigenvectors as the (n, 3) view of (3, n) rows.  Each
 form is scanned once; its LatticeScan is shared by the margin report and
@@ -62,9 +69,25 @@ from .symeig import eigmin3, eigvals3
 # bisection certifies non-quasiconvexity only below this
 GUARD_REL = 16.0 * np.finfo(float).eps
 
-# fixed work caps: refinement sweeps per scan, bisection steps per ray
-REFINE_ITERS = 40
+# basin seeding of a scan: the SEED_POOL lowest lattice points are the
+# candidates, and at most SEED_CAP of them, each with no lower candidate
+# within SEED_RADIUS lattice spacings sqrt(2 pi / n) as lines, are refined
+SEED_POOL = 256
+SEED_CAP = 48
+SEED_RADIUS = 2.3
+# fixed work caps: alternating sweeps and Newton steps per scan, bisection
+# steps per ray
+SEED_SWEEPS = 4
+NEWTON_ITERS = 40
 BISECTION_ITERS = 60
+# Newton safeguards, relative to the form's scale: the least eigenvalue of
+# the Levenberg-shifted Hessian, the longest tangent step (radians), the
+# step halvings tried before a seed is left where it is, and the value
+# decrease below which a step counts as rounding
+NEWTON_SHIFT = 1e-12
+NEWTON_STEP_MAX = 0.25
+NEWTON_BACKTRACKS = 4
+NEWTON_TOL = np.finfo(float).eps
 # grid^2 lattice points; one scan at 512 takes ~40 s and ~300 MB (2-vCPU VM)
 MAX_GRID_RESOLUTION = 512
 
@@ -112,7 +135,8 @@ class CertifyConfig:
 class MarginReport:
     """Minimum of lambda_min(T(y)) over the unit sphere with its minimizers,
     and the scan's deterministic work counters as diagnostics: lattice
-    points, refinement sweeps run and their cap."""
+    points, basin seeds refined, alternating sweeps run and their cap, and
+    Newton steps run."""
 
     margin: float
     minimizers: tuple  # tuples (y, x, value), unit vectors as tuples
@@ -266,10 +290,11 @@ def _descend(G4: np.ndarray, X: np.ndarray, Y: np.ndarray, vals: np.ndarray,
 class LatticeScan:
     """One scan of a form over sphere_lattice(cfg.grid_resolution): the
     lattice acoustic matrices T with their smallest eigenvalues and unit
-    eigenvectors, the refined points (X, Y, vals) after sweeps refinement
-    sweeps, and the sampled margin min(vals, lattice_lam).  T (n, 3, 3) is
-    the transposed view of (3, 3, n) storage, and lattice_X, X and Y (n, 3)
-    are views of (3, n) rows."""
+    eigenvectors, the refined basin seeds (X, Y, vals) after sweeps
+    alternating sweeps and newton_steps Newton steps, and the sampled
+    margin min(vals, lattice_lam).  T (n, 3, 3) is the transposed view of
+    (3, 3, n) storage, and lattice_X (n, 3), X and Y (seeds, 3) are views
+    of components-first rows."""
 
     form: QuadraticForm
     cfg: CertifyConfig
@@ -281,6 +306,7 @@ class LatticeScan:
     Y: np.ndarray
     vals: np.ndarray
     sweeps: int
+    newton_steps: int
 
     def require_quasiconvex(self, who: str) -> None:
         if self.margin < -self.cfg.tol:
@@ -299,8 +325,10 @@ class LatticeScan:
             for (y, x, v) in kept)
         return MarginReport(margin=margin, minimizers=minimizers, diagnostics={
             "lattice_points": len(self.lattice_lam),
+            "seeds": len(vals),
             "refinement_sweeps": self.sweeps,
-            "refinement_sweep_cap": REFINE_ITERS})
+            "refinement_sweep_cap": SEED_SWEEPS,
+            "newton_steps": self.newton_steps})
 
     def rank_one_zeros(self) -> list:
         """Clustered unit pairs (x, y) with Q(x (x) y) <= tol.
@@ -316,19 +344,140 @@ class LatticeScan:
 
 def lattice_scan(q: QuadraticForm, cfg: CertifyConfig = CertifyConfig()) -> LatticeScan:
     """Scan q: lambda_min(T(y)) and its eigenvector x at every point y of
-    sphere_lattice(cfg.grid_resolution), then every point refined together
-    by _descend, a one-form batch that runs until no point improves or for
-    REFINE_ITERS sweeps.  The margin is the least value seen, lattice or
-    refined."""
-    G4 = q.gram_tensor()
+    sphere_lattice(cfg.grid_resolution), then the lattice's basin seeds
+    (_basin_seeds) refined by SEED_SWEEPS alternating sweeps (_descend) and
+    by _newton.  The margin is the least value seen, lattice or refined.
+
+    The scan runs on the Gram scaled by 2^-e to largest entry in [1/2, 1),
+    and T and the values are scaled back by 2^e.  Both scalings are exact,
+    so the fixed floors of the refinement are relative to the form, Q and
+    2Q follow bitwise-equal paths, and no square overflows."""
+    e = math.frexp(float(np.max(np.abs(q.gram))))[1]
+    G4 = np.ascontiguousarray(np.ldexp(q.gram_tensor(), -e))
     Y0 = np.ascontiguousarray(sphere_lattice(cfg.grid_resolution).T)
     T = _acoustic_stack(Y0, G4.transpose(2, 3, 0, 1))
     lam, X0 = eigmin3(T)
-    X, Y, vals, sweeps = _descend(G4[None], X0.T[:, None], Y0[:, None],
-                                  lam[None], REFINE_ITERS)
+    seeds = _basin_seeds(Y0, lam)
+    X, Y, vals, sweeps = _descend(G4[None], X0.T[:, seeds][:, None],
+                                  Y0[:, seeds][:, None], lam[seeds][None],
+                                  SEED_SWEEPS)
+    X, Y, vals, steps = _newton(G4, X[:, 0], Y[:, 0], vals[0])
+    for a in (T, lam, vals):
+        np.ldexp(a, e, out=a)
     margin = float(min(np.min(vals), np.min(lam)))
-    return LatticeScan(q, cfg, margin, T, lam, X0, X[:, 0].T, Y[:, 0].T,
-                       vals[0], int(sweeps[0]))
+    return LatticeScan(q, cfg, margin, T, lam, X0, X.T, Y.T, vals,
+                       int(sweeps[0]), steps)
+
+
+def _basin_seeds(Y0: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Indices of the lattice's basin seeds, for lattice points Y0 (3, n)
+    with values lam: of the SEED_POOL lowest points, taken in (lam, index)
+    order, those with no earlier point of the pool within SEED_RADIUS
+    lattice spacings as lines, at most SEED_CAP.  Every lower neighbour of
+    a pool point is in the pool, so each seed is a local minimum of the
+    lattice within that radius; one (pool x pool) Gram decides them all."""
+    m = min(SEED_POOL, len(lam))
+    # the points up to the m-th lowest value, ties included, in index order
+    pool = np.flatnonzero(lam <= np.partition(lam, m - 1)[m - 1])
+    pool = pool[np.argsort(lam[pool], kind="stable")[:m]]
+    P = Y0[:, pool]
+    cos_r = math.cos(SEED_RADIUS * math.sqrt(2.0 * math.pi / len(lam)))
+    shadowed = np.tril(np.abs(P.T @ P) >= cos_r, -1).any(axis=1)
+    return pool[~shadowed][:SEED_CAP]
+
+
+def _tangent_bases(Z: np.ndarray) -> np.ndarray:
+    """Orthonormal tangent bases (s, 3, 2) of the unit vectors Z, (3, s)
+    rows, branch-free (Duff et al., J. Comput. Graph. Tech. 6(1), 2017)."""
+    z0, z1, z2 = Z
+    sign = np.copysign(1.0, z2)
+    a = -1.0 / (sign + z2)
+    b = z0 * z1 * a
+    B = np.empty((len(z0), 3, 2))
+    B[:, 0, 0] = 1.0 + sign * z0 * z0 * a
+    B[:, 1, 0] = sign * b
+    B[:, 2, 0] = -sign * z0
+    B[:, 0, 1] = b
+    B[:, 1, 1] = sign + z1 * z1 * a
+    B[:, 2, 1] = -z1
+    return B
+
+
+def _transverse_hessian(G4: np.ndarray, X: np.ndarray, Y: np.ndarray):
+    """Riemannian gradient and Hessian of f(x, y) = Q(x (x) y) on the
+    product of spheres at s unit pairs, X and Y (3, s) rows, in tangent
+    bases U and V (s, 3, 2) of x and y: g (s, 4) and H (s, 4, 4).  H is the
+    tangent block of the Euclidean Hessian [[2T(y), K], [K^T, 2S(x)]] with
+    the sphere-curvature term -2f I on its diagonal blocks (x^T grad_x f =
+    y^T grad_y f = 2f), which vanishes at a zero.  Returns (g, H, U, V)."""
+    x, y = X.T, Y.T
+    U, V = _tangent_bases(X), _tangent_bases(Y)
+    T = _acoustic_stack(Y, G4.transpose(2, 3, 0, 1))
+    S = _acoustic_stack(X, G4)
+    Tx = T @ x[:, :, None]
+    Sy = S @ y[:, :, None]
+    f2 = 2.0 * (x[:, None] @ Tx)[:, 0, 0]
+    # K[p, q] = d^2 Q / dx_p dy_q
+    K = 2.0 * (np.einsum("pkql,ks,ls->spq", G4, X, Y)
+               + np.einsum("pkjq,js,ks->spq", G4, Y, X))
+    Ut, Vt = U.transpose(0, 2, 1), V.transpose(0, 2, 1)
+    g = 2.0 * np.concatenate([Ut @ Tx, Vt @ Sy], axis=1)[:, :, 0]
+    H = np.empty((len(x), 4, 4))
+    H[:, :2, :2] = 2.0 * Ut @ T @ U
+    H[:, 2:, 2:] = 2.0 * Vt @ S @ V
+    H[:, :2, 2:] = Ut @ K @ V
+    H[:, 2:, :2] = H[:, :2, 2:].transpose(0, 2, 1)
+    H[:, range(4), range(4)] -= f2[:, None]
+    return g, H, U, V
+
+
+def _newton(G4: np.ndarray, X: np.ndarray, Y: np.ndarray, vals: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Safeguarded Riemannian Newton descent of f(x, y) = Q(x (x) y) from s
+    unit pairs X, Y (3, s) with values vals (s,), each x an eigenvector of
+    lambda_min(T(y)); G4 is the gram tensor of a form scaled to largest
+    entry in [1/2, 1), so the fixed floors are relative to the form.
+
+    Each step solves (H + mu I) d = -g in the tangent bases
+    (_transverse_hessian), with the Levenberg shift mu >= 0 that lifts the
+    least eigenvalue to NEWTON_SHIFT and |d| capped at NEWTON_STEP_MAX,
+    retracts y by normalizing y + V d_y and re-solves x exactly: the new
+    value is lambda_min(T(y)) from eigmin3.  A seed takes the step only if
+    its value falls, else it halves the step, at most NEWTON_BACKTRACKS
+    times, so values never rise per seed.  A seed stops, frozen, after the
+    first step that lowers its value by no more than NEWTON_TOL; the
+    iteration ends when none is left or after NEWTON_ITERS steps.  Returns
+    the refined (X, Y, vals), components first, and the steps run."""
+    Ky = G4.transpose(2, 3, 0, 1)
+    X, Y, vals = X.copy(), Y.copy(), vals.copy()
+    live = np.arange(len(vals))
+    steps = 0
+    while len(live) and steps < NEWTON_ITERS:
+        steps += 1
+        g, H, _, V = _transverse_hessian(G4, X[:, live], Y[:, live])
+        w, W = np.linalg.eigh(H)
+        w += np.maximum(0.0, NEWTON_SHIFT - w[:, :1])
+        # d = -W diag(1 / w) W^T g, then capped in length
+        d = -(W @ ((g[:, None] @ W)[:, 0] / w)[:, :, None])[:, :, 0]
+        d *= np.minimum(1.0, NEWTON_STEP_MAX / np.maximum(
+            np.linalg.norm(d, axis=1), 1e-300))[:, None]
+        dy = (V @ d[:, 2:, None])[:, :, 0].T
+        before = vals[live]
+        k = np.arange(len(live))   # positions in live still to step
+        for _ in range(NEWTON_BACKTRACKS + 1):
+            i = live[k]
+            Yt = Y[:, i] + dy[:, k]
+            Yt /= np.linalg.norm(Yt, axis=0)
+            vt, Xt = eigmin3(_acoustic_stack(Yt, Ky))
+            better = vt < vals[i]
+            i = i[better]
+            X[:, i], Y[:, i], vals[i] = Xt.T[:, better], Yt[:, better], vt[better]
+            k = k[~better]
+            if not len(k):
+                break
+            dy *= 0.5
+        live = live[before - vals[live] > NEWTON_TOL]
+    return X, Y, vals, steps
 
 
 def _cluster_pairs(X: np.ndarray, Y: np.ndarray, vals: np.ndarray,
@@ -371,33 +520,6 @@ def rank_one_zeros(q: QuadraticForm, cfg: CertifyConfig = CertifyConfig()) -> li
 _POOL_RADII = np.geomspace(1e-5, 0.32, 28)
 
 
-def _tangent_bases(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal tangent pairs (t1, t2) for each unit row of Z."""
-    n = len(Z)
-    a = np.zeros((n, 3))
-    a[np.arange(n), np.argmin(np.abs(Z), axis=1)] = 1.0
-    t1 = a - np.sum(a * Z, axis=1)[:, None] * Z
-    t1 /= np.linalg.norm(t1, axis=1)[:, None]
-    t2 = np.cross(Z, t1)
-    return t1, t2
-
-
-def _transverse_hessian(G4: np.ndarray, x0: np.ndarray, y0: np.ndarray):
-    """4x4 Hessian of Q(x (x) y) on the product of spheres at a zero."""
-    U, V = np.stack(_tangent_bases(np.stack([x0, y0])), axis=2)
-    T = np.einsum("j,ikjl,l->ik", y0, G4, y0)
-    S = np.einsum("i,ikjl,k->jl", x0, G4, x0)
-    # K[p, q] = d^2 Q / dx_p dy_q
-    K = 2.0 * (np.einsum("pkql,k,l->pq", G4, x0, y0)
-               + np.einsum("pkjq,j,k->pq", G4, y0, x0))
-    H = np.zeros((4, 4))
-    H[:2, :2] = 2.0 * U.T @ T @ U
-    H[2:, 2:] = 2.0 * V.T @ S @ V
-    H[:2, 2:] = U.T @ K @ V
-    H[2:, :2] = H[:2, 2:].T
-    return H, U, V
-
-
 def _zero_pool(scan: LatticeScan):
     """(P, 9) rank-one sample matrix around the refined zeros of the scanned
     form; P = 0 when it has no rank-one zeros.
@@ -411,30 +533,22 @@ def _zero_pool(scan: LatticeScan):
     near = scan.vals <= zt
     if not np.any(near):
         return np.zeros((0, 9))
-    pool_x = []
-    pool_y = []
     reps = _cluster_pairs(scan.X[near], scan.Y[near], scan.vals[near], cap=12)
-    for (y0, x0, _) in reps:
-        x0 = np.asarray(x0)
-        y0 = np.asarray(y0)
-        H, U, V = _transverse_hessian(G4, x0, y0)
-        _, W = np.linalg.eigh(H)
-        for k in range(4):
-            xdir = U @ W[:2, k]
-            ydir = V @ W[2:, k]
-            for sgn in (1.0, -1.0):
-                xx = x0[None, :] + sgn * _POOL_RADII[:, None] * xdir[None, :]
-                yy = y0[None, :] + sgn * _POOL_RADII[:, None] * ydir[None, :]
-                xx /= np.linalg.norm(xx, axis=1)[:, None]
-                yy /= np.linalg.norm(yy, axis=1)[:, None]
-                pool_x.append(xx)
-                pool_y.append(yy)
-        pool_x.append(x0[None, :])
-        pool_y.append(y0[None, :])
-    Xp = np.concatenate(pool_x)
-    Yp = np.concatenate(pool_y)
-    P9 = (Xp[:, :, None] * Yp[:, None, :]).reshape(len(Xp), 9)
-    return P9
+    Y0, X0 = (np.array([r[k] for r in reps]) for k in (0, 1))
+    _, H, U, V = _transverse_hessian(G4, X0.T, Y0.T)
+    W = np.linalg.eigh(H)[1]
+    radii = np.concatenate([_POOL_RADII, -_POOL_RADII])[:, None]
+
+    def sweeps(Z, D):
+        """The zeros Z (r, 3), then the unit points Z + rho D[:, :, k] for
+        every eigendirection k of D (r, 3, 4) and signed radius rho."""
+        P = Z[:, None, None] + radii * D.transpose(0, 2, 1)[:, :, None]
+        P /= np.linalg.norm(P, axis=-1)[..., None]
+        return np.concatenate([Z, P.reshape(-1, 3)])
+
+    Xp = sweeps(X0, U @ W[:, :2])
+    Yp = sweeps(Y0, V @ W[:, 2:])
+    return (Xp[:, :, None] * Yp[:, None, :]).reshape(len(Xp), 9)
 
 
 def _pool_quadratic(P9: np.ndarray, gram: np.ndarray) -> np.ndarray:
@@ -768,18 +882,20 @@ def extreme_point_probe(scan: LatticeScan) -> ProbeReport:
         best_theta = 0.5 * theta + best_delta * D[j]
 
     # full-margin validation of the best candidate; shrink toward the ray
-    # until both margins clear
+    # until both margins clear.  Q - Q1 is scanned only when Q1 clears, or
+    # at the last step, whose margins the witness reports either way
     value = 0.0
     witness_theta = best_theta
     m1 = m2 = None
     if best_delta > 0.0:
         delta_dir = (best_theta - 0.5 * theta) / best_delta
         delta = best_delta
-        for _ in range(24):
+        for step in range(24):
             th = 0.5 * theta + delta * delta_dir
             q1 = form_from_theta(layout, th)
             m1 = lattice_scan(q1, cfg).margin
-            m2 = lattice_scan(QuadraticForm(G - q1.gram), cfg).margin
+            if m1 >= -cfg.tol or step == 23:
+                m2 = lattice_scan(QuadraticForm(G - q1.gram), cfg).margin
             if m1 >= -cfg.tol and m2 >= -cfg.tol:
                 value = delta
                 witness_theta = th

@@ -64,8 +64,9 @@ class SymmetricMatrixPair:
     def n(self) -> int:
         return self.A.shape[0]
 
-    def check_hypotheses(self) -> None:
-        """Raise HypothesisError unless B >= 0 and A - B >= 0."""
+    def check_hypotheses(self) -> np.ndarray:
+        """Raise HypothesisError unless B >= 0 and A - B >= 0; returns the
+        eigenvalues of B, ascending."""
         scale = max(float(np.linalg.norm(self.A, 2)),
                     float(np.linalg.norm(self.B, 2)), 1.0)
         tol = PSD_TOL_REL * scale
@@ -77,6 +78,7 @@ class SymmetricMatrixPair:
         if wAB[0] < -tol:
             raise HypothesisError(
                 f"A - B is not positive semidefinite (min eigenvalue {wAB[0]:.3e})")
+        return wB
 
     def shifted(self, eps: float) -> "SymmetricMatrixPair":
         I = np.eye(self.n)
@@ -144,7 +146,11 @@ def pencil_roots(pair: SymmetricMatrixPair) -> np.ndarray:
     reduced by the Cholesky factor B = L L^T to those of L^-1 A L^-T.
     A singular B is not shifted silently; apply pair.shifted(eps) explicitly.
     """
-    wB = np.linalg.eigvalsh(pair.B)
+    return _pencil_roots(pair, np.linalg.eigvalsh(pair.B))
+
+
+def _pencil_roots(pair: SymmetricMatrixPair, wB: np.ndarray) -> np.ndarray:
+    """pencil_roots(pair), given the eigenvalues wB of pair.B, ascending."""
     scale = max(abs(wB[-1]), 1.0)
     if wB[0] <= SINGULAR_REL_TOL * scale:
         raise HypothesisError(
@@ -187,7 +193,7 @@ def minor_chain_check(pair: SymmetricMatrixPair) -> ChainReport:
     Also verifies, when B is positive definite (min eigenvalue > PD_CUTOFF),
     that S_m = det(B) * e_{n-m}(pencil roots) to 1e-8 relative.
     """
-    pair.check_hypotheses()
+    wB = pair.check_hypotheses()
     n = pair.n
     sums = minor_sums(pair).s
     normalized = [sums[m] / math.comb(n, m) for m in range(n + 1)]
@@ -199,8 +205,8 @@ def minor_chain_check(pair: SymmetricMatrixPair) -> ChainReport:
     vieta_checked = False
     vieta_residual = 0.0
     roots = None
-    if np.linalg.eigvalsh(pair.B)[0] > PD_CUTOFF:
-        r = pencil_roots(pair)
+    if wB[0] > PD_CUTOFF:
+        r = _pencil_roots(pair, wB)
         roots = tuple(float(t) for t in r)
         detB = float(np.linalg.det(pair.B))
         e = _elementary_symmetric(r)

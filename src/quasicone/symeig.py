@@ -60,9 +60,10 @@ def _upper(M: np.ndarray) -> np.ndarray:
     return M.reshape(len(M), 9).T[_DIAG_UPPER]
 
 
-def eigvals3(M: np.ndarray) -> np.ndarray:
+def eigvals3(M: np.ndarray, upper: np.ndarray | None = None) -> np.ndarray:
     """Eigenvalues, ascending, of a stack of symmetric 3x3 matrices (n,3,3),
-    as an (n, 3) array.
+    as an (n, 3) array.  upper, if given, is the stack's upper triangle as
+    gathered by _upper(M), which eigmin3 reuses; it is left unchanged.
 
     The smallest eigenvalue is accurate on every row.  The upper two lose
     up to sqrt(eps) span where they nearly coincide, because those rows keep
@@ -73,14 +74,15 @@ def eigvals3(M: np.ndarray) -> np.ndarray:
     single = M.ndim == 2
     if single:
         M = M[None]
-    C = _upper(M)
+    C = _upper(M) if upper is None else upper
     sq = np.abs(C)
     scale = sq.max(axis=0)
     np.maximum(scale, 1e-300, out=scale)
     q = C[:3].sum(axis=0)
     q /= 3.0
-    C[:3] -= q                                  # M - q I
-    np.multiply(C, C, out=sq)
+    D = C[:3] - q                               # M - q I
+    np.multiply(D, D, out=sq[:3])
+    np.multiply(C[3:], C[3:], out=sq[3:])
     p = sq[:3].sum(axis=0)
     off = sq[3:].sum(axis=0)
     off *= 2.0
@@ -88,8 +90,11 @@ def eigvals3(M: np.ndarray) -> np.ndarray:
     p /= 6.0
     np.sqrt(p, out=p)
     isotropic = p <= 1e-14 * scale
-    C /= p + isotropic      # (M - q I) / p; isotropic rows, reset below, by p + 1
-    c00, c11, c22, c01, c02, c12 = C
+    # (M - q I) / p, into sq; isotropic rows, reset below, by p + 1
+    denom = p + isotropic
+    np.divide(D, denom, out=sq[:3])
+    np.divide(C[3:], denom, out=sq[3:])
+    c00, c11, c22, c01, c02, c12 = sq
     # r = det(C) / 2 = cos(3 phi)
     r = c11 * c22
     r -= c12 * c12
@@ -137,19 +142,20 @@ def eigmin3(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     The eigenvector is the largest column of adj(M - l1 I); rows where the
     smallest eigenvalue is nearly repeated (the adjugate nearly vanishes)
-    use LAPACK.  Eigenvalues of the other rows are eigvals3's.  The vectors
+    use LAPACK.  Eigenvalues of the other rows are eigvals3's, computed from
+    the same upper-triangle gather as the adjugate.  The vectors
     come back as the (n, 3) transposed view of (3, n) rows.
     """
     M = np.asarray(M, dtype=float)
     single = M.ndim == 2
     if single:
         M = M[None]
-    lam = eigvals3(M)
+    B = _upper(M)
+    lam = eigvals3(M, B)
     l1 = lam[:, 0]
     span = lam[:, 2] - l1
     np.maximum(span, 1e-300, out=span)
     gap = lam[:, 1] - l1
-    B = _upper(M)
     B[:3] -= l1                                 # M - l1 I
     # the adjugate's six distinct entries, each a cross product component
     u, w, x, z = _ADJ

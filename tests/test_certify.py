@@ -150,6 +150,169 @@ def test_rank_one_zeros_requires_quasiconvex():
         rank_one_zeros(q, FAST)
 
 
+def _rotation(rng):
+    Q, R = np.linalg.qr(rng.standard_normal((3, 3)))
+    return Q * np.sign(np.diag(R))
+
+
+def _scan_form(kind, seed, shift):
+    """A seeded Gram of the given kind, with a random minor shift if asked:
+    PSD, indefinite, or choi / choi_lam in rotated coordinates (x -> R x,
+    y -> S y), whose zeros are quartic-flat and irrational."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((9, 9))
+    if kind == "psd":
+        gram = A @ A.T / 9.0
+    elif kind == "indefinite":
+        gram = (A + A.T) / 2.0
+    else:
+        P = np.kron(_rotation(rng), _rotation(rng))
+        gram = P.T @ catalog(kind).gram @ P
+    q = QuadraticForm(gram)
+    if shift:
+        q = add_null_lagrangian(q, NullLagrangianCoeffs(rng.uniform(-2, 2, 9)))
+    return q
+
+
+def _reference_margin(q, grid):
+    """The margin of the full refinement that basin seeding replaces: every
+    lattice point refined by up to 40 alternating sweeps."""
+    G4 = q.gram_tensor()
+    Y0 = np.ascontiguousarray(sphere_lattice(grid).T)
+    lam, X0 = eigmin3(_acoustic_stack(Y0, G4.transpose(2, 3, 0, 1)))
+    vals = certify._descend(G4[None], X0.T[:, None], Y0[:, None], lam[None],
+                            40)[2]
+    return float(min(np.min(vals), np.min(lam)))
+
+
+@settings(max_examples=24, deadline=None)
+@given(kind=st.sampled_from(["psd", "indefinite", "choi", "choi_lam"]),
+       seed=st.integers(0, 2**32 - 1), shift=st.booleans())
+def test_basin_seeded_margin_matches_full_refinement(kind, seed, shift):
+    q = _scan_form(kind, seed, shift)
+    scan = lattice_scan(q, _GRID32)
+    assert scan.margin <= _reference_margin(q, 32) + 1e-12 * (1.0 + q.norm())
+    assert scan.margin >= np.linalg.eigvalsh(q.gram)[0] - _GRID32.tol
+    # refined values never rise above their lattice seeds
+    assert len(scan.vals) <= certify.SEED_CAP
+    assert np.min(scan.vals) <= np.min(scan.lattice_lam)
+    if kind in ("choi", "choi_lam"):
+        assert abs(scan.margin) <= 1e-15 * q.norm()
+
+
+@settings(max_examples=20, deadline=None)
+@given(kind=st.sampled_from(["psd", "indefinite", "choi_lam"]),
+       k=st.integers(-900, 900))
+def test_scan_follows_power_of_two_scaling_bitwise(kind, k):
+    # the scan runs on the Gram scaled to largest entry in [1/2, 1), so Q
+    # and 2^k Q take bitwise-equal paths, far beyond where squares of the
+    # Gram's entries would overflow or underflow
+    q = _scan_form(kind, 5, False)
+    base = lattice_scan(q, _GRID32)
+    scan = lattice_scan(QuadraticForm(np.ldexp(q.gram, k)), _GRID32)
+    assert scan.margin == np.ldexp(base.margin, k)
+    assert scan.vals.tobytes() == np.ldexp(base.vals, k).tobytes()
+    assert scan.Y.tobytes() == base.Y.tobytes()
+    assert scan.newton_steps == base.newton_steps
+
+
+def _zero_pool_loop(scan):
+    """The per-zero, per-direction, per-sign loop that _zero_pool batches,
+    on the same helpers: the zeros' rows in the order _zero_pool puts them
+    (each zero, then its sweeps)."""
+    G4 = scan.form.gram_tensor()
+    near = scan.vals <= 1e-10 * (1.0 + scan.form.norm())
+    reps = _cluster_pairs(scan.X[near], scan.Y[near], scan.vals[near], cap=12)
+    zeros, sweeps = [], []
+    for (y0, x0, _) in reps:
+        _, H, U, V = certify._transverse_hessian(G4, x0[:, None], y0[:, None])
+        W = np.linalg.eigh(H[0])[1]
+        zeros.append((x0, y0))
+        for k in range(4):
+            for sgn in (1.0, -1.0):
+                for r in certify._POOL_RADII:
+                    x = x0 + sgn * r * (U[0] @ W[:2, k])
+                    y = y0 + sgn * r * (V[0] @ W[2:, k])
+                    sweeps.append((x / np.linalg.norm(x), y / np.linalg.norm(y)))
+    return np.array([np.outer(x, y).ravel() for (x, y) in zeros + sweeps])
+
+
+@pytest.mark.parametrize("name", ["choi", "choi_lam"])
+def test_zero_pool_matches_per_zero_loop(name):
+    scan = lattice_scan(catalog(name), _GRID32)
+    P9 = certify._zero_pool(scan)
+    ref = _zero_pool_loop(scan)
+    assert P9.shape == ref.shape == (225 * len(scan.rank_one_zeros()), 9)
+    # a one-zero GEMM and eigh round apart from the batch, and flip the sign
+    # of an eigendirection, which swaps its +- sweeps: compare row sets
+    for A, B in ((P9, ref), (ref, P9)):
+        nearest = [np.min(np.linalg.norm(B - a, axis=1)) for a in A]
+        assert max(nearest) <= 1e-12
+
+
+def test_choi_reports_each_axis_zero_once():
+    # the three axis lines are choi's zeros; e1 was missed and e3 reported
+    # twice while the refinement left these quartic-flat zeros unconverged
+    scan = lattice_scan(catalog("choi"), _GRID32)
+    ys = [y for (_, y) in scan.rank_one_zeros()]
+    ys += [y for (y, _, _) in scan.margin_report().minimizers]
+    axes = sorted(int(np.argmax(np.abs(y))) for y in ys)
+    assert axes == [0, 0, 1, 1, 2, 2]
+    assert all(np.max(np.abs(y)) >= 1.0 - 1e-6 for y in ys)
+
+
+def test_lattice_scan_refines_at_most_the_seed_cap():
+    # a counter, not a timer: after its one lattice-wide eigmin3 a grid-96
+    # scan solves stacks of at most SEED_CAP rows, so a return to refining
+    # every lattice point fails here
+    rows = []
+
+    def eigmin3_spy(M):
+        rows.append(len(M))
+        return eigmin3(M)
+
+    with mock.patch.object(certify, "eigmin3", eigmin3_spy):
+        scan = lattice_scan(catalog("convex_identity"), CertifyConfig())
+        rows_identity = list(rows)
+        rows.clear()
+        lattice_scan(catalog("choi"), CertifyConfig())
+    n = len(sphere_lattice(96))
+    for r in (rows_identity, rows):
+        assert r[0] == n and 1 < len(r) and max(r[1:]) <= certify.SEED_CAP
+    # 1,306 tied lattice points on T = I: the cap bounds the seeds
+    assert len(scan.vals) == certify.SEED_CAP
+    assert scan.margin_report().diagnostics["seeds"] == certify.SEED_CAP
+
+
+def test_transverse_hessian_matches_finite_differences():
+    # along the curves (x, y)(t) = normalized (x + t U a, y + t V b), f has
+    # derivative g . d and second derivative d . H d at t = 0, as the
+    # normalizing retraction is of second order
+    rng = np.random.default_rng(4)
+    A = rng.standard_normal((9, 9))
+    G4 = QuadraticForm(A + A.T).gram_tensor()
+    X, Y = rng.standard_normal((2, 3, 5))
+    X /= np.linalg.norm(X, axis=0)
+    Y /= np.linalg.norm(Y, axis=0)
+    g, H, U, V = certify._transverse_hessian(G4, X, Y)
+    d = rng.standard_normal((5, 4))
+    h = 1e-4
+
+    def f(t):
+        x = X.T + t * (U @ d[:, :2, None])[:, :, 0]
+        y = Y.T + t * (V @ d[:, 2:, None])[:, :, 0]
+        x /= np.linalg.norm(x, axis=1)[:, None]
+        y /= np.linalg.norm(y, axis=1)[:, None]
+        return np.einsum("si,ikjl,sk,sj,sl->s", x, G4, x, y, y)
+
+    f0, fp, fm = f(0.0), f(h), f(-h)
+    np.testing.assert_allclose((fp - fm) / (2 * h), np.sum(g * d, axis=1),
+                               rtol=1e-6, atol=1e-7)
+    np.testing.assert_allclose((fp - 2 * f0 + fm) / h**2,
+                               np.einsum("si,sij,sj->s", d, H, d),
+                               rtol=1e-4, atol=1e-4)
+
+
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([0, 1, 12, 1024]),
        shift=st.booleans(), log_scale=st.floats(-6.0, 6.0))

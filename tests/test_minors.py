@@ -1,5 +1,6 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -161,6 +162,19 @@ def test_chain_campaign_small():
         if rep.vieta_checked:
             assert rep.vieta_residual <= 1e-8
 
+
+
+def test_chain_solves_each_symmetric_eigenproblem_once():
+    # B, A - B and the reduced pencil: three eigvalsh calls per pair, and
+    # the report is the one pencil_roots gives on its own
+    rng = np.random.default_rng(31)
+    for n in range(3, 9):
+        pair = random_ordered_pair(n, rng)
+        with mock.patch.object(np.linalg, "eigvalsh",
+                               wraps=np.linalg.eigvalsh) as evh:
+            rep = minor_chain_check(pair)
+        assert rep.vieta_checked and evh.call_count == 3
+        assert rep.roots == tuple(float(t) for t in pencil_roots(pair))
 
 def test_chain_rejects_bad_hypotheses():
     with pytest.raises(HypothesisError, match="A - B"):

@@ -4,6 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quasicone import symeig
 from quasicone.symeig import eigmin3, eigvals3
 
 EPS = np.finfo(float).eps
@@ -173,3 +174,62 @@ def test_view_of_components_first_storage_is_bitwise_identical(n, seed, kinds):
         ls, vs = eigmin3(view[i])
         lc, vc = eigmin3(A[i])
         assert ls.tobytes() == lc.tobytes() and vs.tobytes() == vc.tobytes()
+
+
+def _eigmin3_two_gathers(M):
+    """eigmin3 as it was before it shared eigvals3's gather: eigvals3, then
+    a second upper-triangle gather for the adjugate, and eigh on the rows
+    near a repeated l1."""
+    lam = eigvals3(M)
+    l1 = lam[:, 0].copy()
+    span = np.maximum(lam[:, 2] - l1, 1e-300)
+    gap = lam[:, 1] - l1
+    B = symeig._upper(M)
+    B[:3] -= l1
+    u, w, x, z = symeig._ADJ
+    adj = B[u] * B[w] - B[x] * B[z]
+    sq = adj * adj
+    c0, c1, c2 = symeig._COLUMNS
+    n0, n1, n2 = sq[c0] + sq[c1] + sq[c2]
+    nv = np.maximum(n0, n1)
+    best = np.maximum(n1 > n0, 2 * (n2 > nv))
+    nv = np.sqrt(np.maximum(nv, n2))
+    onehot = best == np.arange(3)[:, None]
+    v = adj[c0] * onehot[0]
+    v += adj[c1] * onehot[1]
+    v += adj[c2] * onehot[2]
+    v /= nv + (nv == 0.0)
+    bad = (gap <= 1e-7 * span) | (nv <= 1e-12 * span * span)
+    if bad.any():
+        evals, evecs = np.linalg.eigh(M[bad])
+        l1[bad] = evals[:, 0]
+        v[:, bad] = evecs[:, :, 0].T
+    return l1, v.T
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.sampled_from([2, 12, 9216]), seed=st.integers(0, 2**32 - 1))
+def test_eigmin3_gathers_once_and_matches_two_gathers(n, seed):
+    # random rows with isotropic rows and rows at eigmin3's line mixed in
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, 3, 3))
+    A = (A + A.transpose(0, 2, 1)) / 2
+    special = rng.permutation(n)[:max(2, n // 8)]
+    A[special[::2]] = (rng.standard_normal(len(special[::2]))[:, None, None]
+                       * np.eye(3))
+    A[special[1::2]] = _rotated_spectra(
+        rng, [[-1.0, -1.0 + EIGMIN_LINE, 1.0]] * len(special[1::2]))
+    view = np.ascontiguousarray(A.transpose(1, 2, 0)).transpose(2, 0, 1)
+    ref = _eigmin3_two_gathers(A)
+    for M in (A, view):
+        with mock.patch.object(symeig, "_upper", wraps=symeig._upper) as up:
+            l1, v = eigmin3(M)
+        assert up.call_count == 1
+        assert l1.tobytes() == ref[0].tobytes()
+        assert np.ascontiguousarray(v).tobytes() == \
+            np.ascontiguousarray(ref[1]).tobytes()
+    # eigvals3 leaves the rows it is handed unchanged for eigmin3's adjugate
+    C = symeig._upper(A)
+    C0 = C.copy()
+    assert eigvals3(A, C).tobytes() == eigvals3(A).tobytes()
+    assert C.tobytes() == C0.tobytes()
