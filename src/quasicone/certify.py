@@ -19,9 +19,9 @@ form is scanned once; its LatticeScan is shared by the margin report and
 the probes built on top of it:
 
   * milton_extremality_probe: largest coefficient eps such that Q - eps*l^2
-    stays quasiconvex, maximized over unit rank-one directions l, by
-    bisection.  Quadratic forms losing quasiconvexity under every convex
-    subtraction ("extremal") show max eps ~ 0.
+    stays quasiconvex, maximized over unit rank-one directions l, in closed
+    form per sample.  Quadratic forms losing quasiconvexity under every
+    convex subtraction ("extremal") show max eps ~ 0.
   * extreme_point_probe: searches the form's own 9-parameter shear layout
     for a quasiconvex splitting 0 <= Q1 <= Q off the ray {alpha Q}.
   * extremal_polynomial_probe: exact extremality test of the sextic
@@ -36,18 +36,13 @@ the probes built on top of it:
 Violations of depth ~eps^2 hide in tiny dips near degenerate rank-one zeros
 where plain descent overshoots; the probes therefore evaluate candidate
 forms on a structured pool: the refined zeros of Q plus geometric radius
-sweeps along the transverse-Hessian eigendirections at each zero.  Both
-ray searches advance all their directions in lockstep: each step hands
-every active direction's candidate Gram (c, 9, 9) to one batched check,
-_clears (pool, lattice, top-k refinement), and all the brackets move
-together, grown by _grow and then bisected by _bisect.  _clears builds
-the candidates' lattice stacks itself, at most LOCKSTEP_ROWS rows at a
-time (which bounds memory at any direction count): each chunk is one GEMM
-of its gram tensors with the nine rows v_j v_l of the lattice, solved by
-one eigvals3.  The refinement runs one eigmin3 per half-sweep over every
-surviving candidate, each frozen once it converges, so a direction's
-result does not depend on the batch it ran in.  Each ray probe reports
-its work counters as witness["diagnostics"].
+sweeps along the transverse-Hessian eigendirections at each zero.  The
+extreme point's ray search advances all its directions in lockstep: each
+step hands every active direction's candidate Gram (c, 9, 9) to one
+batched check, _clears (pool, lattice, top-k refinement, at most
+LOCKSTEP_ROWS lattice rows at a time), and the brackets move together,
+grown by _grow and then bisected by _bisect.  Milton and the extreme point
+report their work counters as witness["diagnostics"].
 """
 
 from __future__ import annotations
@@ -63,10 +58,10 @@ from .determinant import _SEXTIC_EXPS, acoustic_det, perfect_square_test
 from .forms import (LAYOUT_PARAMS, QuadraticForm, acoustic_matrix,
                     detect_shear_layout, form_from_theta, gram_tensor,
                     minor_gram_basis, shear_layout_basis)
-from .symeig import eigmin3, eigvals3
+from .symeig import _COLUMNS, _adjugate, _upper, eigmin3, eigvals3
 
 # noise floor of a refined margin evaluation, relative to the Gram scale;
-# bisection certifies non-quasiconvexity only below this
+# the probes certify non-quasiconvexity only below this
 GUARD_REL = 16.0 * np.finfo(float).eps
 
 # basin seeding of a scan: the SEED_POOL lowest lattice points are the
@@ -289,19 +284,17 @@ def _descend(G4: np.ndarray, X: np.ndarray, Y: np.ndarray, vals: np.ndarray,
 @dataclass(frozen=True, eq=False)
 class LatticeScan:
     """One scan of a form over sphere_lattice(cfg.grid_resolution): the
-    lattice acoustic matrices T with their smallest eigenvalues and unit
-    eigenvectors, the refined basin seeds (X, Y, vals) after sweeps
-    alternating sweeps and newton_steps Newton steps, and the sampled
-    margin min(vals, lattice_lam).  T (n, 3, 3) is the transposed view of
-    (3, 3, n) storage, and lattice_X (n, 3), X and Y (seeds, 3) are views
-    of components-first rows."""
+    lattice acoustic matrices T with their smallest eigenvalues, the
+    refined basin seeds (X, Y, vals) after sweeps alternating sweeps and
+    newton_steps Newton steps, and the sampled margin min(vals,
+    lattice_lam).  T (n, 3, 3) is the transposed view of (3, 3, n) storage,
+    and X and Y (seeds, 3) are views of components-first rows."""
 
     form: QuadraticForm
     cfg: CertifyConfig
     margin: float
     T: np.ndarray
     lattice_lam: np.ndarray
-    lattice_X: np.ndarray
     X: np.ndarray
     Y: np.ndarray
     vals: np.ndarray
@@ -365,7 +358,7 @@ def lattice_scan(q: QuadraticForm, cfg: CertifyConfig = CertifyConfig()) -> Latt
     for a in (T, lam, vals):
         np.ldexp(a, e, out=a)
     margin = float(min(np.min(vals), np.min(lam)))
-    return LatticeScan(q, cfg, margin, T, lam, X0, X.T, Y.T, vals,
+    return LatticeScan(q, cfg, margin, T, lam, X.T, Y.T, vals,
                        int(sweeps[0]), steps)
 
 
@@ -556,26 +549,25 @@ def _pool_quadratic(P9: np.ndarray, gram: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the probes' shared search kernel: one batched candidate check, lockstep
+# the extreme point's search kernel: one batched candidate check, lockstep
 # bracket growth and bisection
 
-# lattice rows per eigvals3 call in _clears: the lattice stage builds and
-# solves LOCKSTEP_ROWS // n candidates at a time (n lattice points), which
-# bounds its memory and keeps each stack near eigvals3's fastest size
+# lattice rows per chunk of Milton's and _clears' lattice stages: each takes
+# LOCKSTEP_ROWS // n directions or candidates at a time (n lattice points),
+# which bounds its memory and keeps each stack near eigvals3's fastest size
 LOCKSTEP_ROWS = 1 << 14
 
 
 def _clears(grams: np.ndarray, pool_min: np.ndarray, Y: np.ndarray,
             floor: float, k: int, iters: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sampled quasiconvexity check of c candidate forms: Grams (c, 9, 9),
-    pool_min (c,), each one's minimum over the zero-structure pool (inf for
-    an empty pool), and the lattice points Y, (3, n) rows.  A candidate
-    fails at the first stage whose minimum falls below floor: the pool, the
-    lattice lambda_min (at most LOCKSTEP_ROWS rows at a time, each chunk
-    one (9c' x 9) x (9 x n) GEMM of its gram tensors and the nine rows
-    v_j v_l of Y into (3, 3, c', n) storage, and one eigvals3), then an
-    iters-sweep refinement from its k lowest lattice points (one eigmin3
-    per half-sweep over all survivors).
+    """The extreme point's sampled quasiconvexity check of c candidate
+    forms: Grams (c, 9, 9), pool_min (c,), each one's minimum over the
+    zero-structure pool (inf for an empty pool), and the lattice points Y,
+    (3, n) rows.  A candidate fails at the first stage whose minimum falls
+    below floor: the pool, the lattice lambda_min (LOCKSTEP_ROWS rows at a
+    time, each chunk one GEMM of its gram tensors and the nine rows v_j v_l
+    of Y, and one eigvals3), then an iters-sweep refinement from its k
+    lowest lattice points (one eigmin3 per half-sweep over all survivors).
 
     Returns each candidate's stage (0 clears, 1 pool, 2 lattice, 3 refine)
     and its refined minimum (nan where the refinement did not run)."""
@@ -610,10 +602,10 @@ def _clears(grams: np.ndarray, pool_min: np.ndarray, Y: np.ndarray,
 
 @dataclass
 class _Work:
-    """Deterministic work counters of a ray probe, reported as its
-    diagnostics: ray points judged, lockstep batches (_clears calls, each
-    on all the directions active at a step), candidate forms failing at
-    each _clears stage, and bisection steps."""
+    """The extreme point's deterministic work counters, its diagnostics:
+    ray points judged, lockstep batches (_clears calls, each on all the
+    directions active at a step), candidate forms failing at each _clears
+    stage, and bisection steps."""
 
     directions: int
     predicate_evaluations: int = 0
@@ -662,20 +654,19 @@ def _bisect(ok, lo: np.ndarray, hi: np.ndarray, abs_width: float,
     return lo
 
 
-def _grow(ok, lo: np.ndarray, hi: np.ndarray, factor: float, steps: int,
-          cap: float = np.inf) -> tuple[np.ndarray, np.ndarray]:
-    """Lockstep growth of the brackets [lo[i], hi[i]] below cap: while hi
-    is below cap and ok, lo moves up to hi and hi grows by factor, at most
-    steps times.  ok is as in _bisect.  Returns the grown (lo, hi)."""
+def _grow(ok, lo: np.ndarray, hi: np.ndarray, factor: float, steps: int
+          ) -> tuple[np.ndarray, np.ndarray]:
+    """Lockstep growth of the brackets [lo[i], hi[i]]: while ok, lo moves up
+    to hi and hi grows by factor, at most steps times.  ok is as in
+    _bisect.  Returns the grown (lo, hi)."""
     lo, hi = lo.copy(), hi.copy()
-    i = np.flatnonzero(hi < cap)
+    i = np.arange(len(lo))
     for _ in range(steps):
         if not len(i):
             break
         i = i[ok(i, hi[i])]
         lo[i] = hi[i]
         hi[i] *= factor
-        i = i[hi[i] < cap]
     return lo, hi
 
 
@@ -686,99 +677,98 @@ def _probe_directions(q: QuadraticForm, cfg: CertifyConfig) -> np.ndarray:
     """Unit 9-vector directions: half seeded random, half Gram-eigenvector
     aligned (the eigenvectors themselves, then seeded in-pair mixes)."""
     rng = np.random.default_rng(cfg.seed)
-    total = cfg.probe_directions
-    n_rand = total // 2
-    dirs = []
+    n_rand = cfg.probe_directions // 2
     R = rng.standard_normal((n_rand, 9))
     R /= np.linalg.norm(R, axis=1)[:, None]
-    dirs.append(R)
-    _, V = np.linalg.eigh(q.gram)
-    eigcols = [V[:, k] for k in range(9)]
-    aligned = []
-    while len(aligned) < total - n_rand:
-        if len(aligned) < 9:
-            aligned.append(eigcols[len(aligned)])
-        else:
-            i, j = rng.integers(0, 9, size=2)
-            t = rng.uniform(0.0, 2.0 * np.pi)
-            v = np.cos(t) * eigcols[i] + np.sin(t) * eigcols[j]
-            nv = np.linalg.norm(v)
-            if nv > 1e-12:
-                aligned.append(v / nv)
-    dirs.append(np.array(aligned))
-    return np.concatenate(dirs)
+    V = np.linalg.eigh(q.gram)[1].T
+    aligned = list(V[:cfg.probe_directions - n_rand])
+    while len(aligned) < cfg.probe_directions - n_rand:
+        i, j = rng.integers(0, 9, size=2)
+        t = rng.uniform(0.0, 2.0 * np.pi)
+        v = np.cos(t) * V[i] + np.sin(t) * V[j]
+        if np.linalg.norm(v) > 1e-12:
+            aligned.append(v / np.linalg.norm(v))
+    return np.concatenate([R, aligned])
+
+
+def _shifted_adjugate(U: np.ndarray, shift: float) -> tuple[np.ndarray, np.ndarray]:
+    """adj(A) and det(A), zeroed where A is not positive definite, of
+    A = M + shift I, for M given as symeig's upper rows U, shifted in place."""
+    U[:3] += shift
+    adj = _adjugate(U)
+    det = U[0] * adj[0] + U[3] * adj[3] + U[4] * adj[4]
+    return adj, np.where((U[0] > 0) & (adj[2] > 0) & (det > 0), det, 0.0)
+
+
+def _rank_one_bound(adj: np.ndarray, det: np.ndarray, m: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """The largest eps with A - eps m m^T >= 0 (A from _shifted_adjugate, m
+    (3, ...)): det A / m^T adj(A) m, 0 where A is not positive definite, inf
+    where m^T adj(A) m = 0; and w = adj(A) m, argmin of x^T A x / (m^T x)^2.
+    Elementwise, so the bits do not depend on the batch."""
+    cols = adj[_COLUMNS]
+    w = cols[0] * m[0] + cols[1] * m[1] + cols[2] * m[2]
+    quad = m[0] * w[0] + m[1] * w[1] + m[2] * w[2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(det > 0, np.where(quad > 0, det / quad, np.inf), 0), w
 
 
 def milton_extremality_probe(scan: LatticeScan) -> ProbeReport:
     """Max over unit rank-one directions l of sup{eps : Q - eps l^2 quasiconvex}.
 
-    eps*(l) is found by bisection, all directions in lockstep; the
-    predicate is _clears on the zero-structure pool, the scan's lattice
-    acoustic matrices T - eps*L and a top-16 refinement, certifying
-    violation below the evaluation noise floor.  The max direction is
-    re-verified with the full margin.
+    With l = <M, .> and m = M y, Q - eps l^2 has acoustic matrix
+    T(y) - eps m m^T, so each sample bounds eps*(l) by the exact eps where
+    lambda_min >= -guard stops holding there (_rank_one_bound of
+    A = T(y) + guard I).  eps*(l) is the least bound over the pool
+    ((Q + guard) / l^2), the scan's lattice (LOCKSTEP_ROWS (direction,
+    point) pairs at a time) and 14 sweeps from each direction's 16 lowest
+    lattice points, each exact in x (x ~ adj(A) m), then in y (S(x),
+    p = M^T x), all on the scan's 2^-e-normalized Gram.  refuted needs
+    Q - (1 - 1e-4) eps* l^2 (off the sampled boundary) to pass a full scan.
     """
     scan.require_quasiconvex("milton probe")
-    q, cfg, margin0 = scan.form, scan.cfg, scan.margin
-    G = q.gram
-    guard = GUARD_REL * (1.0 + q.norm())
+    q, cfg = scan.form, scan.cfg
+    e = math.frexp(float(np.max(np.abs(q.gram))))[1]
+    G = np.ldexp(q.gram, -e)
+    guard = math.ldexp(GUARD_REL * (1.0 + q.norm()), -e)
     P9 = _zero_pool(scan)
-    pool_q = _pool_quadratic(P9, G)
-
-    Ygrid = sphere_lattice(cfg.grid_resolution)
-    Yrows = np.ascontiguousarray(Ygrid.T)
-    Tgrid, Xgrid = scan.T, scan.lattice_X
-    grid_q = np.einsum("nik,ni,nk->n", Tgrid, Xgrid, Xgrid)
-    grid9 = (Xgrid[:, :, None] * Ygrid[:, None, :]).reshape(len(Ygrid), 9)
+    pool_q = _pool_quadratic(P9, G) + guard
+    Y = np.ascontiguousarray(sphere_lattice(cfg.grid_resolution).T)
+    adj, det = _shifted_adjugate(np.ldexp(_upper(scan.T), -e), guard)
 
     dirs = _probe_directions(q, cfg)
-    c = len(dirs)
-    Ms = dirs.reshape(c, 3, 3)
-    L = dirs[:, :, None] * dirs[:, None, :]
-    # (P9 @ dirs[j]) ** 2 for every j, as row-vector products, whose bits
-    # do not depend on the batch
-    pool_l2 = (dirs[:, None] @ P9.T)[:, 0] ** 2
-    lo, hi = np.empty(c), np.empty(c)
-    qv = np.concatenate([pool_q, grid_q])
-    for j, M in enumerate(Ms):
-        # l(x (x) y) <= sigma_max(M) on unit pairs, so Q - eps l^2 stays
-        # quasiconvex at least up to margin / sigma_max^2
-        smax2 = float(np.linalg.svd(M, compute_uv=False)[0]) ** 2
-        lo[j] = max(0.0, (margin0 - 2.0 * guard)) / max(smax2, 1e-300)
-        # pointwise rank-one ratio bound Q/l^2 as the upper bracket, capped
-        l2 = np.concatenate([pool_l2[j], (grid9 @ dirs[j]) ** 2])
-        usable = l2 > 1e-18
-        h = np.min(qv[usable] / l2[usable], initial=1e6)
-        hi[j] = min(max(h * (1.0 + 1e-9) + 1e-15, 1e-15, lo[j] * 1.1), 1e6)
-
-    work = _Work(c)
-
-    def predicate(idx: np.ndarray, eps: np.ndarray) -> np.ndarray:
-        """Does Q - eps[j] l_idx[j]^2 clear, for every j?"""
-        work.predicate_evaluations += len(idx)
-        pool_min = np.min(pool_q - eps[:, None] * pool_l2[idx], axis=1,
-                          initial=np.inf)
-        return work.judge(G - eps[:, None, None] * L[idx], pool_min, Yrows,
-                          -guard, 16, 14)
-
-    # grow each bracket by 4x while its upper end clears, up to the cap
-    lo, hi = _grow(predicate, lo, hi, 4.0, 40, cap=1e6)
-    capped = np.flatnonzero(hi >= 1e6)
-    eps_star = np.zeros(c)
-    if len(capped):
-        eps_star[capped[predicate(capped, np.full(len(capped), 1e6))]] = 1e6
-    rest = np.flatnonzero(eps_star == 0.0)
-    before = work.predicate_evaluations
-    eps_star[rest] = _bisect(lambda i, x: predicate(rest[i], x),
-                             lo[rest], hi[rest], 1e-12, 1e-4)
-    work.bisection_steps = work.predicate_evaluations - before
+    c, n, k = len(dirs), Y.shape[1], 16
+    D = dirs.reshape(c, 3, 3)
+    pool, lattice, top = np.empty(c), np.empty(c), np.empty((c, k), dtype=int)
+    step = max(1, LOCKSTEP_ROWS // n)
+    for s in range(0, c, step):
+        j = slice(s, s + step)
+        # stacked matrix products, whose bits do not depend on the batch
+        l2 = (dirs[j, None] @ P9.T)[:, 0] ** 2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            pool[j] = np.min(np.where(pool_q > 0, pool_q / l2, 0), 1, initial=np.inf)
+        r = _rank_one_bound(adj[:, None], det, (D[j] @ Y).transpose(1, 0, 2))[0]
+        lattice[j] = np.min(r, axis=1)
+        top[j] = np.argpartition(r, k - 1, axis=1)[:, :k]
+    # the first x step reads the lattice's table: refine binds only below it
+    V, table, refine = Y[:, top], (adj[:, top], det[top]), np.full(c, np.inf)
+    G4 = gram_tensor(G)
+    for Mk, K in ((D, G4), (D.transpose(0, 2, 1), G4.transpose(2, 3, 0, 1))) * 14:
+        r, W = _rank_one_bound(*table, (Mk @ V.transpose(1, 0, 2)).transpose(1, 0, 2))
+        refine = np.minimum(refine, np.min(r, axis=1))
+        V = W / np.maximum(np.linalg.norm(W, axis=0), 1e-300)
+        table = _shifted_adjugate(_upper(_acoustic_stack(
+            V.reshape(3, -1), K)).reshape(6, c, k), guard)
+    bounds = np.stack([pool, lattice, refine])
+    eps_star = np.ldexp(np.min(bounds, axis=0), e)
+    binding = np.bincount(np.argmin(bounds, axis=0), minlength=3)
 
     n_rand = cfg.probe_directions // 2
     eigen_table = [{"direction": [float(u) for u in dirs[j]],
                     "eps_star": float(eps_star[j])}
                    for j in range(n_rand, min(n_rand + 9, c))]
-    # the witness is the first direction within one bisection width of the
-    # max, so rounding noise in eps* cannot swap it
+    # the witness is the first direction within the validation back-off of
+    # the max, so rounding noise in eps* cannot swap it
     value = float(np.max(eps_star))
     j_best = int(np.flatnonzero(
         eps_star >= value - max(1e-12, 1e-4 * value))[0])
@@ -787,12 +777,15 @@ def milton_extremality_probe(scan: LatticeScan) -> ProbeReport:
         "direction": [float(u) for u in m_best],
         "eps_star": eps_best,
         "eigen_directions": eigen_table,
-        "diagnostics": work.to_json(),
+        "diagnostics": {
+            "directions": c, "lattice_points": n, "pool_points": len(P9),
+            "refinement_starts": c * k, "refinement_sweeps": 14,
+            "binding": dict(zip(("pool", "lattice", "refine"), binding.tolist()))},
     }
     if value > MILTON_REFUTED_MIN:
-        check = QuadraticForm(G - eps_best * np.outer(m_best, m_best))
-        witness["validation_margin"] = lattice_scan(check, cfg).margin
-        verdict = "refuted"
+        check = QuadraticForm(q.gram - (1 - 1e-4) * eps_best * np.outer(m_best, m_best))
+        witness["validation_margin"] = margin = lattice_scan(check, cfg).margin
+        verdict = "refuted" if margin >= -cfg.tol else "inconclusive"
     elif value <= MILTON_CONSISTENT_MAX:
         verdict = "consistent"
     else:

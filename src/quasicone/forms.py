@@ -63,7 +63,9 @@ class QuadraticForm:
         return float(v @ self.gram @ v)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.gram, "fro"))
+        # on the Gram scaled by a power of two, so that no square overflows
+        e = np.frexp(np.max(np.abs(self.gram)))[1]
+        return float(np.ldexp(np.linalg.norm(np.ldexp(self.gram, -e)), e))
 
     def scaled(self, alpha: float) -> "QuadraticForm":
         return QuadraticForm(alpha * self.gram)

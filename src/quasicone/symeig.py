@@ -60,6 +60,15 @@ def _upper(M: np.ndarray) -> np.ndarray:
     return M.reshape(len(M), 9).T[_DIAG_UPPER]
 
 
+def _adjugate(B: np.ndarray) -> np.ndarray:
+    """adj(M), in the same layout, of symmetric M given as upper rows B."""
+    u, w, x, z = _ADJ
+    adj = B[u]
+    adj *= B[w]
+    adj -= B[x] * B[z]
+    return adj
+
+
 def eigvals3(M: np.ndarray, upper: np.ndarray | None = None) -> np.ndarray:
     """Eigenvalues, ascending, of a stack of symmetric 3x3 matrices (n,3,3),
     as an (n, 3) array.  upper, if given, is the stack's upper triangle as
@@ -157,14 +166,8 @@ def eigmin3(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     np.maximum(span, 1e-300, out=span)
     gap = lam[:, 1] - l1
     B[:3] -= l1                                 # M - l1 I
-    # the adjugate's six distinct entries, each a cross product component
-    u, w, x, z = _ADJ
-    adj = B[u]
-    adj *= B[w]
-    sq = B[x]
-    sq *= B[z]
-    adj -= sq
-    np.multiply(adj, adj, out=sq)
+    adj = _adjugate(B)
+    sq = np.multiply(adj, adj, out=B)
     c0, c1, c2 = _COLUMNS
     norms2 = sq[c0] + sq[c1]
     norms2 += sq[c2]                            # squared column norms (3, n)

@@ -1,6 +1,8 @@
+import dataclasses
 import functools
 import itertools
 import json
+import warnings
 from fractions import Fraction
 from unittest import mock
 
@@ -10,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from quasicone import certify
+from quasicone import certify, symeig
 from quasicone.certify import (CLUSTER_ANGLE, CertifyConfig, PreconditionError,
                                _acoustic_stack, _clears, _cluster_pairs,
                                canonical_sign,
@@ -535,13 +537,11 @@ def test_lockstep_row_cap_leaves_probe_reports_unchanged(monkeypatch):
     assert set(rows) == {n}    # one candidate per call
 
 
-def _grow_scalar(lo, hi, t, factor, steps, cap):
+def _grow_scalar(lo, hi, t, factor, steps):
     """One bracket grown alone, as the probes' per-bracket loops did: the
     grown (lo, hi) and the points judged."""
     judged = 0
     for _ in range(steps):
-        if not hi < cap:
-            break
         judged += 1
         if not hi <= t:
             break
@@ -550,13 +550,10 @@ def _grow_scalar(lo, hi, t, factor, steps, cap):
 
 
 @settings(max_examples=60, deadline=None)
-@given(brackets=st.lists(st.tuples(
-           # some upper ends that reach a cap exactly as they grow
-           st.floats(1e-3, 1e3) | st.sampled_from([0.625, 2.5, 10.0, 62.5]),
-           st.floats(1e-3, 1e5)), max_size=8),
-       factor=st.sampled_from([2.0, 4.0]), steps=st.integers(0, 6),
-       cap=st.sampled_from([np.inf, 10.0, 1e3]))
-def test_grow_matches_per_bracket_loop(brackets, factor, steps, cap):
+@given(brackets=st.lists(st.tuples(st.floats(1e-3, 1e3), st.floats(1e-3, 1e5)),
+                         max_size=8),
+       factor=st.sampled_from([2.0, 4.0]), steps=st.integers(0, 6))
+def test_grow_matches_per_bracket_loop(brackets, factor, steps):
     hi0 = np.array([h for h, _ in brackets], dtype=float)
     t = np.array([t for _, t in brackets], dtype=float)
     lo0 = 0.5 * hi0
@@ -566,8 +563,8 @@ def test_grow_matches_per_bracket_loop(brackets, factor, steps, cap):
         judged.append(len(i))
         return x <= t[i]
 
-    ref = [_grow_scalar(*b, factor, steps, cap) for b in zip(lo0, hi0, t)]
-    lo, hi = certify._grow(ok, lo0, hi0, factor, steps, cap)
+    ref = [_grow_scalar(*b, factor, steps) for b in zip(lo0, hi0, t)]
+    lo, hi = certify._grow(ok, lo0, hi0, factor, steps)
     assert lo.tolist() == [r[0] for r in ref]
     assert hi.tolist() == [r[1] for r in ref]
     # the same points judged, so predicate_evaluations cannot drift
@@ -580,15 +577,20 @@ def test_grow_matches_per_bracket_loop(brackets, factor, steps, cap):
 def test_probe_diagnostics_count_the_search():
     scan = lattice_scan(catalog("choi"),
                         CertifyConfig(grid_resolution=32, probe_directions=4))
-    for probe, checks_per_point in ((milton_extremality_probe, 1),
-                                    (extreme_point_probe, 2)):
-        d = probe(scan).witness["diagnostics"]
-        assert d["directions"] == 4
-        assert 0 < d["bisection_steps"] < d["predicate_evaluations"]
-        assert d["lockstep_batches"] <= d["predicate_evaluations"]
-        assert d["bisection_steps"] <= 4 * certify.BISECTION_ITERS
-        assert 0 < sum(d["failed"].values()) \
-            <= checks_per_point * d["predicate_evaluations"]
+    d = milton_extremality_probe(scan).witness["diagnostics"]
+    assert d == {"directions": 4, "lattice_points": len(sphere_lattice(32)),
+                 "pool_points": len(certify._zero_pool(scan)),
+                 "refinement_starts": 4 * 16, "refinement_sweeps": 14,
+                 "binding": d["binding"]}
+    assert d["pool_points"] > 0
+    assert set(d["binding"]) == {"pool", "lattice", "refine"}
+    assert sum(d["binding"].values()) == 4
+    d = extreme_point_probe(scan).witness["diagnostics"]
+    assert d["directions"] == 4
+    assert 0 < d["bisection_steps"] < d["predicate_evaluations"]
+    assert d["lockstep_batches"] <= d["predicate_evaluations"]
+    assert d["bisection_steps"] <= 4 * certify.BISECTION_ITERS
+    assert 0 < sum(d["failed"].values()) <= 2 * d["predicate_evaluations"]
 
 
 def test_milton_refutes_convex_identity():
@@ -615,26 +617,175 @@ def test_milton_choi_lam_consistent():
 
 
 def test_milton_witness_direction_ignores_rounding_noise(monkeypatch):
-    # choi_lam's eps* are all rounding noise (~1e-14); perturbing them, as
-    # reordering a float sum would, must not move the reported direction
+    # choi_lam's eps* are all rounding noise (~1e-14); perturbing every
+    # sample's bound and pool value, as reordering a float sum would, must
+    # not move the reported direction
     scan = lattice_scan(catalog("choi_lam"),
                         CertifyConfig(grid_resolution=32, probe_directions=8))
     base = milton_extremality_probe(scan)
-    bisect = certify._bisect
+    bound, pool = certify._rank_one_bound, certify._pool_quadratic
     for seed in range(3):
         rng = np.random.default_rng(seed)
 
-        def noisy(*args):
-            lo = bisect(*args)
-            return (lo * (1.0 + 1e-6 * rng.uniform(-1.0, 1.0, len(lo)))
-                    + 1e-15 * rng.random(len(lo)))
+        def noise(a):
+            return a * (1.0 + 1e-6 * rng.uniform(-1.0, 1.0, a.shape))
+
+        def noisy_bound(*args):
+            r, w = bound(*args)
+            return noise(r) + 1e-15 * rng.random(r.shape), w
 
         with monkeypatch.context() as m:
-            m.setattr(certify, "_bisect", noisy)
+            m.setattr(certify, "_rank_one_bound", noisy_bound)
+            m.setattr(certify, "_pool_quadratic", lambda *a: noise(pool(*a)))
             rep = milton_extremality_probe(scan)
+        assert rep.value != base.value    # the noise reached the max
         assert rep.verdict == base.verdict == "consistent"
         assert rep.witness["direction"] == base.witness["direction"]
         assert rep.value - rep.witness["eps_star"] <= 1e-12
+
+
+def test_milton_runs_no_search(monkeypatch):
+    # eps* is read off each sample in closed form: no bracket, predicate or
+    # candidate-form eigen-solve
+    calls = []
+    for name in ("_clears", "_grow", "_bisect", "eigvals3"):
+        def spy(*args, _name=name, _fn=getattr(certify, name), **kw):
+            calls.append(_name)
+            return _fn(*args, **kw)
+        monkeypatch.setattr(certify, name, spy)
+    for name in ("convex_identity", "choi_lam"):
+        rep = milton_extremality_probe(lattice_scan(catalog(name), FAST))
+        assert rep.verdict in ("refuted", "consistent")
+    assert calls == []
+
+
+def test_milton_refuted_needs_a_validated_witness(monkeypatch):
+    scan = lattice_scan(catalog("convex_identity"), FAST)
+    base = milton_extremality_probe(scan)
+    assert base.verdict == "refuted"
+    scans = []
+
+    def failing_scan(q, cfg):
+        s = lattice_scan(q, cfg)
+        scans.append(s)
+        return dataclasses.replace(s, margin=-1e-6)
+
+    monkeypatch.setattr(certify, "lattice_scan", failing_scan)
+    rep = milton_extremality_probe(scan)
+    assert len(scans) == 1
+    assert rep.verdict == "inconclusive"
+    assert rep.witness["validation_margin"] == -1e-6
+    assert (rep.value, rep.witness["eps_star"]) == (base.value,
+                                                    base.witness["eps_star"])
+    # the validated form is Q - (1 - 1e-4) eps* l^2 in the witness direction
+    m = np.array(base.witness["direction"])
+    np.testing.assert_array_equal(
+        scans[0].form.gram, catalog("convex_identity").gram
+        - (1.0 - 1e-4) * base.witness["eps_star"] * np.outer(m, m))
+
+
+def test_milton_is_exact_at_1e200():
+    cfg = CertifyConfig(grid_resolution=16, probe_directions=2)
+    q = catalog("convex_identity")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        big = milton_extremality_probe(lattice_scan(q.scaled(1e200), cfg))
+    ref = milton_extremality_probe(lattice_scan(q, cfg))
+    assert big.verdict == ref.verdict == "refuted"
+    assert abs(big.value - 1e200 * ref.value) <= 1e-12 * 1e200 * ref.value
+
+
+def _shifted_bound(A, m):
+    """_rank_one_bound of one matrix A and one vector m."""
+    U = np.array(A, dtype=float)[None]
+    adj, det = certify._shifted_adjugate(symeig._upper(U), 0.0)
+    return certify._rank_one_bound(adj, det, np.asarray(m, dtype=float)[:, None])
+
+
+def _eigvalsh_bound(A, m):
+    """The largest eps with lambda_min(A - eps m m^T) >= 0, by bisection."""
+    lo, hi = 0.0, 1.0
+    while np.linalg.eigvalsh(A - hi * np.outer(m, m))[0] >= 0:
+        lo, hi = hi, 2.0 * hi
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if np.linalg.eigvalsh(A - mid * np.outer(m, m))[0] >= 0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@settings(max_examples=60, deadline=None)
+@given(B=arrays(float, (3, 3), elements=st.floats(-2.0, 2.0)),
+       m=arrays(float, 3, elements=st.just(0.0) | st.floats(0.05, 2.0)
+                | st.floats(-2.0, -0.05)),
+       shift=st.floats(1e-3, 2.0))
+def test_rank_one_bound_matches_eigvalsh_bisection(B, m, shift):
+    A = B @ B.T + shift * np.eye(3)
+    r, w = _shifted_bound(A, m)
+    np.testing.assert_allclose(w[:, 0], np.linalg.det(A) * np.linalg.solve(A, m),
+                               rtol=1e-9, atol=1e-9 * np.linalg.norm(A) ** 2)
+    if not np.any(m):
+        assert r[0] == np.inf
+    else:
+        assert r[0] == pytest.approx(_eigvalsh_bound(A, m), rel=1e-8)
+    # not positive definite: no room at all
+    for C in (-A, A - (np.linalg.eigvalsh(A)[0] + shift) * np.eye(3)):
+        assert _shifted_bound(C, m)[0][0] == 0.0
+
+
+def test_rank_one_bound_edge_cases():
+    A = np.diag([1.0, 2.0, 4.0])
+    assert _shifted_bound(A, np.zeros(3))[0][0] == np.inf
+    assert _shifted_bound(A, [1.0, 0.0, 0.0])[0][0] == 1.0
+    # singular counts as not positive definite: no room is claimed
+    assert _shifted_bound(np.diag([1.0, 0.0, 4.0]), [1.0, 0.0, 0.0])[0][0] == 0.0
+    assert _shifted_bound(np.diag([1.0, -1.0, -4.0]), [1.0, 0.0, 0.0])[0][0] == 0.0
+
+
+def _random_form(kind, rng):
+    """A quasiconvex form with a positive margin: PSD, reduced orthotropic,
+    or either shifted by a random minor combination."""
+    if kind.startswith("psd"):
+        A = rng.standard_normal((9, 9))
+        q = QuadraticForm(A @ A.T / 9.0 + 0.05 * np.eye(9))
+    else:
+        A = rng.uniform(-1.0, 1.0, (3, 3))
+        q = form_from_reduced(ReducedOrthotropicForm(
+            A @ A.T + 0.5 * np.eye(3), *rng.uniform(0.5, 2.0, 3)))
+    if kind.endswith("shifted"):
+        q = add_null_lagrangian(q, NullLagrangianCoeffs(rng.uniform(-2, 2, 9)))
+    return q
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), grid=st.sampled_from([16, 32]),
+       kind=st.sampled_from(["psd", "reduced", "psd_shifted",
+                             "reduced_shifted"]))
+def test_milton_eps_star_is_the_sampled_threshold(seed, grid, kind):
+    # one random direction l: Q - eps l^2 just below eps* clears the sampled
+    # check (pool, lattice, top-16 refinement of 14 sweeps) at the noise
+    # floor, and just above it fails there
+    rng = np.random.default_rng(seed)
+    q = _random_form(kind, rng)
+    m = rng.standard_normal(9)
+    m /= np.linalg.norm(m)
+    scan = lattice_scan(q, CertifyConfig(grid_resolution=grid,
+                                         probe_directions=1))
+    with mock.patch.object(certify, "_probe_directions",
+                           lambda *_: m[None]):
+        eps = milton_extremality_probe(scan).witness["eps_star"]
+    assert eps > 0
+    P9 = certify._zero_pool(scan)
+    Y = np.ascontiguousarray(sphere_lattice(grid).T)
+    guard = certify.GUARD_REL * (1.0 + q.norm())
+    grams = np.stack([q.gram - f * eps * np.outer(m, m)
+                      for f in (1.0 - 1e-4, 1.0 + 1e-3)])
+    pool_min = np.array([np.min(certify._pool_quadratic(P9, g), initial=np.inf)
+                         for g in grams])
+    stage = _clears(grams, pool_min, Y, -guard, 16, 14)[0]
+    assert stage[0] == 0 and stage[1] > 0
 
 
 def test_milton_requires_quasiconvex():
