@@ -22,8 +22,11 @@ the probes built on top of it:
     stays quasiconvex, maximized over unit rank-one directions l, in closed
     form per sample.  Quadratic forms losing quasiconvexity under every
     convex subtraction ("extremal") show max eps ~ 0.
-  * extreme_point_probe: searches the form's own 9-parameter shear layout
-    for a quasiconvex splitting 0 <= Q1 <= Q off the ray {alpha Q}.
+  * extreme_point_probe: largest distance delta from theta/2, along unit
+    directions d in the form's own 9-parameter shear layout orthogonal to
+    theta, such that Q1 = theta/2 + delta d and Q - Q1 both stay
+    quasiconvex, in closed form per sample (a 3x3 pencil's spectral
+    radius).  An extreme point of the cone shows max delta ~ 0.
   * extremal_polynomial_probe: exact extremality test of the sextic
     det T(y): the scan's rank-one zeros, snapped to rationals, give value
     and gradient rows over the Newton polytope N(det), ranked in exact
@@ -34,15 +37,14 @@ the probes built on top of it:
     can refute polyconvexity.
 
 Violations of depth ~eps^2 hide in tiny dips near degenerate rank-one zeros
-where plain descent overshoots; the probes therefore evaluate candidate
-forms on a structured pool: the refined zeros of Q plus geometric radius
-sweeps along the transverse-Hessian eigendirections at each zero.  The
-extreme point's ray search advances all its directions in lockstep: each
-step hands every active direction's candidate Gram (c, 9, 9) to one
-batched check, _clears (pool, lattice, top-k refinement, at most
-LOCKSTEP_ROWS lattice rows at a time), and the brackets move together,
-grown by _grow and then bisected by _bisect.  Milton and the extreme point
-report their work counters as witness["diagnostics"].
+where plain descent overshoots; Milton and the extreme point therefore
+also bound their coefficient on a structured pool: the refined zeros of Q
+plus geometric radius sweeps along the transverse-Hessian eigendirections
+at each zero.  Neither searches: each sample (pool point, lattice point,
+or a point of a few exact alternating sweeps from the most binding lattice
+points) admits the coefficient up to a closed-form bound, and the least
+bound is validated by full scans.  Both report their work counters as
+witness["diagnostics"].
 """
 
 from __future__ import annotations
@@ -70,11 +72,9 @@ GUARD_REL = 16.0 * np.finfo(float).eps
 SEED_POOL = 256
 SEED_CAP = 48
 SEED_RADIUS = 2.3
-# fixed work caps: alternating sweeps and Newton steps per scan, bisection
-# steps per ray
+# fixed work caps: alternating sweeps and Newton steps per scan
 SEED_SWEEPS = 4
 NEWTON_ITERS = 40
-BISECTION_ITERS = 60
 # Newton safeguards, relative to the form's scale: the least eigenvalue of
 # the Levenberg-shifted Hessian, the longest tangent step (radians), the
 # step halvings tried before a seed is left where it is, and the value
@@ -205,79 +205,45 @@ def canonical_sign(V: np.ndarray) -> np.ndarray:
     return out[0] if single else out
 
 
-def _outer_rows(V: np.ndarray) -> np.ndarray:
-    """The nine rows v_j v_l of v (x) v, (3, 3) + V.shape[1:], for vectors
-    stored components first, V (3, ...), in C-contiguous storage."""
-    return np.multiply(V[:, None], V[None], out=np.empty((3, 3) + V.shape[1:]))
-
-
 def _acoustic_stack(V: np.ndarray, K: np.ndarray) -> np.ndarray:
-    """sum_{j,l} V[j, ..., n] V[l, ..., n] K[..., j, l, ...] for every
-    column of V, components first: V is (3, n) or (3, c, n), and K has the
-    batch shape (c,) leading.  K reshaped to (9, m), transposed, multiplies
-    the nine rows v_j v_l of v (x) v (_outer_rows) in one GEMM per batch
-    index, into (K's trailing shape) + (..., n) storage.  Returns its
-    transposed view, V.shape[1:] + K's trailing shape, so that a 3x3
-    stack's reshape(-1, 3, 3) and reshape(-1, 9).T stay views.
+    """sum_{j,l} V[j, n] V[l, n] K[j, l, ...] for every column of V, (3, n)
+    rows.  K reshaped to (9, m), transposed, multiplies the nine rows
+    v_j v_l of v (x) v in one GEMM, into (K's trailing shape) + (n,)
+    storage.  Returns its transposed view, (n,) + K's trailing shape, so
+    that a 3x3 stack's reshape(-1, 3, 3) and reshape(-1, 9).T stay views.
     With the gram tensor G4[i, k, j, l], K = G4 contracts x (giving S(x),
     the y block) and K = G4.transpose(2, 3, 0, 1) contracts y (giving T(y),
     the x block)."""
-    lead = V.shape[1:]
-    batch = lead[:-1]
-    W = _outer_rows(V)
-    K9 = K.reshape(batch + (9, -1))
-    out = np.empty(K9.shape[-1:] + lead)
-    # swapaxes(0, -2) moves the (9, m) row axis behind the batch axis, if any
-    np.matmul(K9.swapaxes(-1, -2), W.reshape((9,) + lead).swapaxes(0, -2),
-              out=out.swapaxes(0, -2))
-    trail = K.shape[len(batch) + 2:]
-    out = out.reshape(trail + lead)
-    return out.transpose(*range(len(trail), out.ndim), *range(len(trail)))
+    n = V.shape[1]
+    trail = K.shape[2:]
+    out = K.reshape(9, -1).T @ (V[:, None] * V[None]).reshape(9, n)
+    return out.reshape(trail + (n,)).transpose(len(trail), *range(len(trail)))
 
 
 def _descend(G4: np.ndarray, X: np.ndarray, Y: np.ndarray, vals: np.ndarray,
-             max_iters: int) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                                      np.ndarray]:
-    """Batched block descent of c forms (gram tensors G4, (c, 3, 3, 3, 3))
-    from k starts each, vectors components first: y starts Y (3, c, k) with
-    their solved x blocks X (3, c, k) and values vals (c, k).  A sweep
-    minimizes exactly in y, then in x; each half-sweep is one batched GEMM
-    (_acoustic_stack) and one eigmin3 over the rows of every live form,
-    whose (3, n) eigenvector rows become the next X or Y without a copy.
+             max_iters: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Block descent of one form (gram tensor G4) from k starts, vectors
+    components first: y starts Y (3, k) with their solved x blocks X (3, k)
+    and values vals (k,).  A sweep minimizes exactly in y, then in x; each
+    half-sweep is one GEMM (_acoustic_stack) and one eigmin3, whose (3, k)
+    eigenvector rows become the next X or Y without a copy.
 
-    A form stops, frozen, after the first sweep in which no point's value
-    falls by 1e-16 (1 + max |value|) or more, or after max_iters sweeps, so
-    its result does not depend on the other forms of the batch.  Returns
+    The descent stops after the first sweep in which no point's value falls
+    by 1e-16 (1 + max |value|) or more, or after max_iters sweeps.  Returns
     the refined (X, Y, values), whose values never rise per point, and the
-    sweeps each form ran, (c,).
+    sweeps run.
     """
-    # contiguous, so that G4 and Ky both reshape to (c, 9, 9) as views
-    G4 = np.ascontiguousarray(G4)
-    Ky = G4.transpose(0, 3, 4, 1, 2)
-    live = np.arange(len(vals))
-    sweeps = np.zeros(len(vals), dtype=int)
-    for _ in range(max_iters):
-        if not len(live):
+    Ky = G4.transpose(2, 3, 0, 1)
+    sweeps = 0
+    while sweeps < max_iters:
+        sweeps += 1
+        Y = eigmin3(_acoustic_stack(X, G4))[1].T
+        new_vals, X = eigmin3(_acoustic_stack(Y, Ky))
+        X = X.T
+        improvement = np.max(vals - new_vals)
+        vals = new_vals
+        if improvement < 1e-16 * (1.0 + np.max(np.abs(new_vals))):
             break
-        # while every form is live the arrays are used and rebound whole, so
-        # a one-form scan copies nothing; rows are scattered only after a
-        # full sweep has rebound them, so the caller's arrays are never
-        # written
-        whole = len(live) == len(vals)
-        sel = slice(None) if whole else live
-        shape = (3, len(live)) + Y.shape[2:]
-        _, Yl = eigmin3(_acoustic_stack(X[:, sel], G4[sel]).reshape(-1, 3, 3))
-        Yl = Yl.T.reshape(shape)
-        new_vals, Xl = eigmin3(_acoustic_stack(Yl, Ky[sel]).reshape(-1, 3, 3))
-        Xl, new_vals = Xl.T.reshape(shape), new_vals.reshape(shape[1:])
-        improvement = np.max(vals[sel] - new_vals, axis=1)
-        if whole:
-            X, Y, vals = Xl, Yl, new_vals
-        else:
-            X[:, sel], Y[:, sel], vals[sel] = Xl, Yl, new_vals
-        sweeps[live] += 1
-        done = improvement < 1e-16 * (1.0 + np.max(np.abs(new_vals), axis=1))
-        live = live[~done]
     return X, Y, vals, sweeps
 
 
@@ -351,15 +317,13 @@ def lattice_scan(q: QuadraticForm, cfg: CertifyConfig = CertifyConfig()) -> Latt
     T = _acoustic_stack(Y0, G4.transpose(2, 3, 0, 1))
     lam, X0 = eigmin3(T)
     seeds = _basin_seeds(Y0, lam)
-    X, Y, vals, sweeps = _descend(G4[None], X0.T[:, seeds][:, None],
-                                  Y0[:, seeds][:, None], lam[seeds][None],
-                                  SEED_SWEEPS)
-    X, Y, vals, steps = _newton(G4, X[:, 0], Y[:, 0], vals[0])
+    X, Y, vals, sweeps = _descend(G4, X0.T[:, seeds], Y0[:, seeds],
+                                  lam[seeds], SEED_SWEEPS)
+    X, Y, vals, steps = _newton(G4, X, Y, vals)
     for a in (T, lam, vals):
         np.ldexp(a, e, out=a)
     margin = float(min(np.min(vals), np.min(lam)))
-    return LatticeScan(q, cfg, margin, T, lam, X.T, Y.T, vals,
-                       int(sweeps[0]), steps)
+    return LatticeScan(q, cfg, margin, T, lam, X.T, Y.T, vals, sweeps, steps)
 
 
 def _basin_seeds(Y0: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -548,126 +512,10 @@ def _pool_quadratic(P9: np.ndarray, gram: np.ndarray) -> np.ndarray:
     return np.einsum("pi,ij,pj->p", P9, gram, P9)
 
 
-# ---------------------------------------------------------------------------
-# the extreme point's search kernel: one batched candidate check, lockstep
-# bracket growth and bisection
-
-# lattice rows per chunk of Milton's and _clears' lattice stages: each takes
-# LOCKSTEP_ROWS // n directions or candidates at a time (n lattice points),
-# which bounds its memory and keeps each stack near eigvals3's fastest size
+# lattice rows per chunk of the probes' lattice stages: each takes
+# LOCKSTEP_ROWS // n directions at a time (n lattice points), which bounds
+# its memory and keeps each stack near eigvals3's fastest size
 LOCKSTEP_ROWS = 1 << 14
-
-
-def _clears(grams: np.ndarray, pool_min: np.ndarray, Y: np.ndarray,
-            floor: float, k: int, iters: int) -> tuple[np.ndarray, np.ndarray]:
-    """The extreme point's sampled quasiconvexity check of c candidate
-    forms: Grams (c, 9, 9), pool_min (c,), each one's minimum over the
-    zero-structure pool (inf for an empty pool), and the lattice points Y,
-    (3, n) rows.  A candidate fails at the first stage whose minimum falls
-    below floor: the pool, the lattice lambda_min (LOCKSTEP_ROWS rows at a
-    time, each chunk one GEMM of its gram tensors and the nine rows v_j v_l
-    of Y, and one eigvals3), then an iters-sweep refinement from its k
-    lowest lattice points (one eigmin3 per half-sweep over all survivors).
-
-    Returns each candidate's stage (0 clears, 1 pool, 2 lattice, 3 refine)
-    and its refined minimum (nan where the refinement did not run)."""
-    G4 = gram_tensor(grams)
-    c, n = len(G4), Y.shape[1]
-    W = _outer_rows(Y).reshape(9, n)
-    stage = np.zeros(c, dtype=int)
-    refined = np.full(c, np.nan)
-    stage[pool_min < floor] = 1
-    live = np.flatnonzero(stage == 0)
-    top = np.empty((c, k), dtype=int)
-    step = max(1, LOCKSTEP_ROWS // n)
-    for s in range(0, len(live), step):
-        i = live[s:s + step]
-        T = (G4[i].transpose(1, 2, 0, 3, 4).reshape(-1, 9) @ W).reshape(
-            3, 3, len(i), n).transpose(2, 3, 0, 1)
-        lam = eigvals3(T.reshape(-1, 3, 3))[:, 0].reshape(len(i), n)
-        stage[i[np.min(lam, axis=1) < floor]] = 2
-        top[i] = np.argpartition(lam, k - 1, axis=1)[:, :k]
-    live = np.flatnonzero(stage == 0)
-    if not len(live):
-        return stage, refined
-    Yk = Y[:, top[live]]
-    vals, X = eigmin3(_acoustic_stack(
-        Yk, G4[live].transpose(0, 3, 4, 1, 2)).reshape(-1, 3, 3))
-    vals = _descend(G4[live], X.T.reshape(Yk.shape), Yk,
-                    vals.reshape(len(live), k), iters)[2]
-    refined[live] = np.min(vals, axis=1)
-    stage[live[~(refined[live] >= floor)]] = 3
-    return stage, refined
-
-
-@dataclass
-class _Work:
-    """The extreme point's deterministic work counters, its diagnostics:
-    ray points judged, lockstep batches (_clears calls, each on all the
-    directions active at a step), candidate forms failing at each _clears
-    stage, and bisection steps."""
-
-    directions: int
-    predicate_evaluations: int = 0
-    lockstep_batches: int = 0
-    failed_pool: int = 0
-    failed_lattice: int = 0
-    failed_refine: int = 0
-    bisection_steps: int = 0
-
-    def judge(self, *clears_args) -> np.ndarray:
-        """One lockstep batch: _clears(*clears_args), counted.  A bool per
-        candidate."""
-        stage = _clears(*clears_args)[0]
-        fails = np.bincount(stage, minlength=4)
-        self.lockstep_batches += 1
-        self.failed_pool += int(fails[1])
-        self.failed_lattice += int(fails[2])
-        self.failed_refine += int(fails[3])
-        return stage == 0
-
-    def to_json(self) -> dict:
-        return {"directions": self.directions,
-                "predicate_evaluations": self.predicate_evaluations,
-                "lockstep_batches": self.lockstep_batches,
-                "failed": {"pool": self.failed_pool,
-                           "lattice": self.failed_lattice,
-                           "refine": self.failed_refine},
-                "bisection_steps": self.bisection_steps}
-
-
-def _bisect(ok, lo: np.ndarray, hi: np.ndarray, abs_width: float,
-            rel_width: float) -> np.ndarray:
-    """Lockstep bisection of the brackets [lo[i], hi[i]]: for each, the
-    largest lo found with ok, to a width of max(abs_width, rel_width * lo)
-    or BISECTION_ITERS steps.  ok(i, x) judges the points x of the brackets
-    i (an index array) together and returns a bool per point."""
-    lo, hi = lo.copy(), hi.copy()
-    for _ in range(BISECTION_ITERS):
-        i = np.flatnonzero(hi - lo > np.maximum(abs_width, rel_width * lo))
-        if not len(i):
-            break
-        mid = 0.5 * (lo[i] + hi[i])
-        good = ok(i, mid)
-        lo[i[good]] = mid[good]
-        hi[i[~good]] = mid[~good]
-    return lo
-
-
-def _grow(ok, lo: np.ndarray, hi: np.ndarray, factor: float, steps: int
-          ) -> tuple[np.ndarray, np.ndarray]:
-    """Lockstep growth of the brackets [lo[i], hi[i]]: while ok, lo moves up
-    to hi and hi grows by factor, at most steps times.  ok is as in
-    _bisect.  Returns the grown (lo, hi)."""
-    lo, hi = lo.copy(), hi.copy()
-    i = np.arange(len(lo))
-    for _ in range(steps):
-        if not len(i):
-            break
-        i = i[ok(i, hi[i])]
-        lo[i] = hi[i]
-        hi[i] *= factor
-    return lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -797,15 +645,76 @@ def milton_extremality_probe(scan: LatticeScan) -> ProbeReport:
 # ---------------------------------------------------------------------------
 # extreme point probe
 
+def _whiten(A: np.ndarray, B: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """L^-1 B L^-T for the closed-form Cholesky factor of A = L L^T, for
+    stacks A (n, 3, 3) and B (n, ..., 3, 3); L^-1 (n, 3, 3); and whether
+    each A is positive definite, its three pivots positive.  A pivot that
+    is not is taken as 1, so that the outputs stay finite."""
+    a00, a11, a22, a01, a02, a12 = _upper(A)
+
+    def root(p):
+        return np.sqrt(np.where(p > 0, p, 1.0))
+
+    l00 = root(a00)
+    l10, l20 = a01 / l00, a02 / l00
+    p1 = a11 - l10 * l10
+    l11 = root(p1)
+    l21 = (a12 - l20 * l10) / l11
+    p2 = a22 - l20 * l20 - l21 * l21
+    l22 = root(p2)
+    d0, d1, d2 = 1.0 / l00, 1.0 / l11, 1.0 / l22
+    Li = np.zeros((len(l00), 3, 3))
+    Li[:, 0, 0], Li[:, 1, 1], Li[:, 2, 2] = d0, d1, d2
+    Li[:, 1, 0] = -l10 * d0 * d1
+    Li[:, 2, 1] = -l21 * d1 * d2
+    Li[:, 2, 0] = (l10 * l21 - l11 * l20) * d0 * d1 * d2
+    Lb = Li.reshape((len(Li),) + (1,) * (B.ndim - 3) + (3, 3))
+    return Lb @ B @ Lb.swapaxes(-1, -2), Li, (a00 > 0) & (p1 > 0) & (p2 > 0)
+
+
+def _ray_bound(rho: np.ndarray, pd: np.ndarray) -> np.ndarray:
+    """The largest delta with A +- delta B >= 0, for rho the spectral
+    radius of L^-1 B L^-T (_whiten): 1 / rho (inf at rho = +-0), and 0
+    where A is not positive definite."""
+    with np.errstate(divide="ignore"):
+        return np.where(pd, 1.0 / np.abs(rho), 0.0)
+
+
+def _pencil_step(C: np.ndarray, Li: np.ndarray, pd: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """For whitened pencils C = L^-1 B L^-T (m, 3, 3) with L^-1 and pd from
+    _whiten: min over x of x^T A x / |x^T B x|, as _ray_bound, and its
+    minimizer x = L^-T v, v the eigenvector of the eigenvalue of C largest
+    in magnitude (eigmin3 on C or on -C), unit, as (3, m) rows."""
+    m = len(C)
+    lam, V = eigmin3(np.concatenate([C, -C]))
+    upper = lam[m:] < lam[:m]       # lambda_max(C) = -lambda_min(-C) binds
+    v = np.where(upper, V[m:].T, V[:m].T)
+    x = (Li.swapaxes(1, 2) @ v.T[:, :, None])[:, :, 0].T
+    x /= np.linalg.norm(x, axis=0)
+    return _ray_bound(-np.minimum(lam[:m], lam[m:]), pd), x
+
+
 def extreme_point_probe(scan: LatticeScan) -> ProbeReport:
     """Search the scanned form's 9-parameter shear layout for a splitting
     0 <= Q1 <= Q (in the quasiconvex order) far from the ray {alpha Q}.
 
-    The feasible set is convex, so each seeded start is a ray bisection in
-    the orthogonal complement of the parameter ray, all starts in lockstep;
-    value is the largest validated distance; feasibility is _clears on Q1,
-    then on Q - Q1 for the Q1 that clear, over a grid-32 lattice.
-    Consistent (extreme point) when value stays below 1e-5 * |theta_q|.
+    Q1 = theta/2 + delta d and Q - Q1 = theta/2 - delta d, for seeded unit
+    d orthogonal to theta, are mirror images about theta/2, so at a sample
+    y both stay above the floor -tol exactly while A +- delta T_d(y) >= 0,
+    A = T_theta(y)/2 + tol I: for delta <= 1 / rho(L^-1 T_d L^-T), A = L L^T
+    (0 where A is not positive definite; _whiten, _ray_bound).  delta*(d)
+    is the least bound over the pool ((Q_theta/2 + tol) / |Q_d|), a grid-32
+    lattice (T_d is linear in d: the nine whitened basis stacks are built
+    once, and LOCKSTEP_ROWS // n directions are one GEMM and one eigvals3)
+    and 16 exact alternating sweeps from each direction's 12 most binding
+    lattice points (_pencil_step, in x with T(y), then in y with S(x)),
+    capped at 8 |theta|.  value is the distance, from (1 - 1e-4) delta*
+    (off the sampled boundary) shrunk by 0.7 at most 23 times, at which
+    full scans of Q1 and Q - Q1 both clear -tol, in the direction of the
+    largest delta*.  Consistent (extreme point) when value stays below
+    1e-5 * |theta_q|.
     """
     q, cfg = scan.form, scan.cfg
     layout, theta = detect_shear_layout(q)
@@ -823,85 +732,92 @@ def extreme_point_probe(scan: LatticeScan) -> ProbeReport:
 
     basis = shear_layout_basis(layout)
     norm_theta = float(np.linalg.norm(theta))
-    theta_hat = theta / norm_theta
-    P9 = _zero_pool(scan)
-    G = q.gram
-
-    # candidate forms are theta-combinations of 9 fixed basis Grams, so
-    # their pool values are too
-    Ylean = np.ascontiguousarray(sphere_lattice(32).T)
-    poolB = np.array([_pool_quadratic(P9, Bk) for Bk in basis])
-
+    tol = cfg.tol
     rng = np.random.default_rng(cfg.seed)
-    # orthonormal basis of the complement of theta_hat
-    Bperp = np.linalg.qr(
-        np.concatenate([theta_hat[:, None], rng.standard_normal((9, 8))], axis=1)
+    # orthonormal basis of the complement of theta, and unit directions in
+    # it, as stacked products whose bits are those of one draw at a time
+    Bperp = np.linalg.qr(np.concatenate(
+        [theta[:, None] / norm_theta, rng.standard_normal((9, 8))], axis=1)
     )[0][:, 1:]
-    D = []
-    for _ in range(cfg.probe_directions):
-        d = Bperp @ rng.standard_normal(8)
-        nd = np.linalg.norm(d)
-        if nd >= 1e-12:
-            D.append(d / nd)
-    D = np.array(D).reshape(-1, 9)
-    work = _Work(len(D))
+    Z = rng.standard_normal((cfg.probe_directions, 8))
+    D = (Bperp @ Z[:, :, None])[:, :, 0]
+    D /= np.sqrt(D[:, None] @ D[:, :, None])[:, 0]
+    c, k = len(D), 12
 
-    def clears(th: np.ndarray) -> np.ndarray:
-        # row-vector products, whose bits do not depend on the batch
-        return work.judge(np.tensordot(th, basis, axes=1),
-                          np.min(th[:, None] @ poolB, axis=(1, 2),
-                                 initial=np.inf), Ylean, -cfg.tol, 12, 16)
+    # gram tensors of theta/2, then of the basis; Ky contracts y (T(y)),
+    # Kx contracts x (S(x))
+    G10 = gram_tensor(np.concatenate(
+        [np.tensordot(0.5 * theta, basis, axes=1)[None], basis]))
+    Ky, Kx = G10.transpose(3, 4, 0, 1, 2), G10.transpose(1, 2, 0, 3, 4)
 
-    def feasible(idx: np.ndarray, delta: np.ndarray) -> np.ndarray:
-        """Do Q1 = theta/2 + delta[j] d_idx[j] and Q - Q1 both clear?"""
-        work.predicate_evaluations += len(idx)
-        th = 0.5 * theta + delta[:, None] * D[idx]
-        ok = clears(th)
-        if ok.any():
-            ok[ok] = clears(theta - th[ok])
-        return ok
+    def pencils(V, K):
+        """A = T_theta/2 + tol I and the nine basis stacks at V (3, m)."""
+        S = _acoustic_stack(V, K)
+        return S[:, 0] + tol * np.eye(3), S[:, 1:]
 
-    # grow each bracket by 2x while its upper end is feasible, at most 5 times
-    lo, hi = _grow(feasible, np.zeros(len(D)),
-                   np.full(len(D), 0.25 * norm_theta), 2.0, 5)
-    before = work.predicate_evaluations
-    lo = _bisect(feasible, lo, hi, max(1e-12, 1e-9 * norm_theta), 0.0)
-    work.bisection_steps = work.predicate_evaluations - before
-    best_delta = 0.0
-    best_theta = 0.5 * theta
-    if len(D) and lo.max() > 0.0:
-        j = int(np.argmax(lo))
-        best_delta = float(lo[j])
-        best_theta = 0.5 * theta + best_delta * D[j]
+    P9 = _zero_pool(scan)
+    poolB = np.array([_pool_quadratic(P9, Bk) for Bk in basis])
+    pool_num = 0.5 * theta @ poolB + tol
+    Y = np.ascontiguousarray(sphere_lattice(32).T)
+    n = Y.shape[1]
+    W, _, pd = _whiten(*pencils(Y, Ky))
+    W = W.transpose(1, 0, 2, 3).reshape(9, 9 * n)
+    pool, lattice, top = np.empty(c), np.empty(c), np.empty((c, k), dtype=int)
+    step = max(1, LOCKSTEP_ROWS // n)
+    for s in range(0, c, step):
+        j = slice(s, s + step)
+        # stacked matrix products, whose bits do not depend on the batch
+        qd = np.abs(D[j, None] @ poolB)[:, 0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            pool[j] = np.min(np.where(pool_num > 0, pool_num / qd, 0), 1,
+                             initial=np.inf)
+        lam = eigvals3((D[j, None] @ W).reshape(-1, 3, 3))
+        r = _ray_bound(np.maximum(lam[:, 2], -lam[:, 0]).reshape(-1, n), pd)
+        lattice[j] = np.min(r, axis=1)
+        top[j] = np.argpartition(r, k - 1, axis=1)[:, :k]
+    # each point's own T_d or S_d, whitened; the first x step only solves
+    # x, its bound being the lattice's own
+    V, Dk = Y[:, top.ravel()], np.repeat(D, k, axis=0)[:, None]
+    refine = np.full(c, np.inf)
+    for s, K in enumerate((Ky, Kx) * 16):
+        A, SB = pencils(V, K)
+        Bd = (Dk @ SB.reshape(-1, 9, 9)).reshape(-1, 3, 3)
+        r, V = _pencil_step(*_whiten(A, Bd))
+        if s:
+            refine = np.minimum(refine, np.min(r.reshape(c, k), axis=1))
+    bounds = np.stack([pool, lattice, refine])
+    delta_star = np.minimum(np.min(bounds, axis=0), 8.0 * norm_theta)
+    binding = np.bincount(np.argmin(bounds, axis=0), minlength=3)
 
-    # full-margin validation of the best candidate; shrink toward the ray
+    # full-margin validation of the best direction; shrink toward the ray
     # until both margins clear.  Q - Q1 is scanned only when Q1 clears, or
     # at the last step, whose margins the witness reports either way
-    value = 0.0
-    witness_theta = best_theta
-    m1 = m2 = None
-    if best_delta > 0.0:
-        delta_dir = (best_theta - 0.5 * theta) / best_delta
-        delta = best_delta
-        for step in range(24):
-            th = 0.5 * theta + delta * delta_dir
-            q1 = form_from_theta(layout, th)
-            m1 = lattice_scan(q1, cfg).margin
-            if m1 >= -cfg.tol or step == 23:
-                m2 = lattice_scan(QuadraticForm(G - q1.gram), cfg).margin
-            if m1 >= -cfg.tol and m2 >= -cfg.tol:
-                value = delta
-                witness_theta = th
-                break
-            delta *= 0.7
+    j = int(np.argmax(delta_star))
+    delta = (1 - 1e-4) * float(delta_star[j])
+    value, witness_theta, m1, m2 = 0.0, 0.5 * theta, None, None
+    for step in range(24 if delta > 0.0 else 0):
+        th = 0.5 * theta + delta * D[j]
+        q1 = form_from_theta(layout, th)
+        m1 = lattice_scan(q1, cfg).margin
+        if m1 >= -tol or step == 23:
+            m2 = lattice_scan(QuadraticForm(q.gram - q1.gram), cfg).margin
+        if m1 >= -tol and m2 >= -tol:
+            value, witness_theta = delta, th
+            break
+        delta *= 0.7
     witness = {
         "layout": layout,
         "theta_q": [float(u) for u in theta],
+        "direction": [float(u) for u in D[j]],
+        "delta_star": float(delta_star[j]),
         "theta_witness": [float(u) for u in witness_theta],
         "distance": float(value),
         "margin_q1": m1,
         "margin_complement": m2,
-        "diagnostics": work.to_json(),
+        "diagnostics": {
+            "directions": c, "lattice_points": n, "pool_points": len(P9),
+            "refinement_starts": c * k, "refinement_sweeps": 16,
+            "binding": dict(zip(("pool", "lattice", "refine"), binding.tolist()))},
     }
     verdict = "consistent" if value <= EXTREME_POINT_REL * norm_theta else "refuted"
     return ProbeReport(kind="extreme_point", value=float(value),
@@ -1089,12 +1005,22 @@ def polyconvexity_test(q: QuadraticForm,
     <N_k, Z> = 0) with phi* <= <Gram, Z>; Z is re-checked before use, and
     the lowest re-checked bound is kept.
 
-    Verdict: consistent = polyconvex (primal >= -tol); refuted = not
-    polyconvex (re-checked dual bound < -1e-5); otherwise inconclusive.
+    The method runs on the Gram scaled by 2^-e to largest entry in
+    [1/2, 1), as lattice_scan does, which is exact, so that its floors and
+    thresholds are relative to the form.  (Not relative to the minor-free
+    part M0 = Gram - sum c_proj_k N_k alone: the projection leaves rounding
+    noise of ~eps max |Gram| in M0, which that scale would blow up to O(1)
+    on a rotated null Lagrangian, refuting a polyconvex form.)  Verdict,
+    on the scaled values: consistent = polyconvex (primal >= -tol); refuted
+    = not polyconvex (re-checked dual bound < -1e-5); otherwise
+    inconclusive.  value, primal, dual_bound, gap and coefficients are
+    scaled back by 2^e.
     """
     G = q.gram
     c_proj = np.einsum("kij,ij->k", _MINOR_STACK, G)
     M0 = G - np.einsum("k,kij->ij", c_proj, _MINOR_STACK)
+    e = math.frexp(float(np.max(np.abs(G))))[1]
+    G, c_proj, M0 = (np.ldexp(a, -e) for a in (G, c_proj, M0))
     scale = 1.0 + float(np.linalg.norm(M0))
     x = np.zeros(10)
     x[9] = float(np.linalg.eigvalsh(M0)[0]) - scale
@@ -1123,7 +1049,9 @@ def polyconvexity_test(q: QuadraticForm,
         verdict, poly_flag = "refuted", False
     else:
         verdict, poly_flag = "inconclusive", None
-    witness = {"method": "barrier", "coefficients": [float(u) for u in c],
+    value, dual = math.ldexp(value, e), math.ldexp(dual, e)
+    witness = {"method": "barrier",
+               "coefficients": [float(u) for u in np.ldexp(c, e)],
                "primal": value, "polyconvex": poly_flag,
                "newton_steps": newton_steps}
     if Z_best is None:

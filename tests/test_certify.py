@@ -14,7 +14,7 @@ from hypothesis.extra.numpy import arrays
 
 from quasicone import certify, symeig
 from quasicone.certify import (CLUSTER_ANGLE, CertifyConfig, PreconditionError,
-                               _acoustic_stack, _clears, _cluster_pairs,
+                               _acoustic_stack, _cluster_pairs,
                                canonical_sign,
                                extremal_polynomial_probe, extreme_point_probe,
                                lattice_scan, milton_extremality_probe,
@@ -25,7 +25,8 @@ from quasicone.determinant import acoustic_det
 from quasicone.forms import (NullLagrangianCoeffs, QuadraticForm,
                              ReducedOrthotropicForm, acoustic_matrix,
                              add_null_lagrangian, biquadratic_eval, catalog,
-                             form_from_reduced, minor_gram_basis)
+                             form_from_reduced, form_from_theta,
+                             minor_gram_basis)
 from quasicone.poly import monomial_exponents
 from quasicone.symeig import eigmin3, eigvals3
 
@@ -182,8 +183,7 @@ def _reference_margin(q, grid):
     G4 = q.gram_tensor()
     Y0 = np.ascontiguousarray(sphere_lattice(grid).T)
     lam, X0 = eigmin3(_acoustic_stack(Y0, G4.transpose(2, 3, 0, 1)))
-    vals = certify._descend(G4[None], X0.T[:, None], Y0[:, None], lam[None],
-                            40)[2]
+    vals = certify._descend(G4, X0.T, Y0, lam, 40)[2]
     return float(min(np.min(vals), np.min(lam)))
 
 
@@ -326,37 +326,26 @@ def test_acoustic_stack_matches_einsum(seed, n, shift, log_scale):
         q = add_null_lagrangian(q, NullLagrangianCoeffs(
             10.0 ** log_scale * rng.uniform(-2.0, 2.0, 9)))
     G4 = q.gram_tensor()
-    # vectors components first: (3, n) rows, and (3, c, n) for c forms
+    # vectors components first: (3, n) rows
     V = rng.standard_normal((3, n)) * rng.uniform(0.5, 2.0, n)
     # a stack of forms of norm |G| sharing the rows V, as a trailing K shape
     grams = np.stack([q.gram, q.norm() * minor_gram_basis()[seed % 9]])
     B4 = grams.reshape(2, 3, 3, 3, 3).transpose(0, 1, 3, 2, 4)
-    Gc = np.stack([QuadraticForm(g).gram_tensor() for g in grams])
-    Vc = rng.standard_normal((3, 2, n)) * rng.uniform(0.5, 2.0, (2, n))
     # (stack, reference, the rows v the stack's entries are quadratic in)
     pairs = [(_acoustic_stack(V, G4.transpose(2, 3, 0, 1)),
               np.einsum("jn,ikjl,ln->nik", V, G4, V), V),   # T(y), the x block
              (_acoustic_stack(V, G4),
               np.einsum("in,ikjl,kn->njl", V, G4, V), V),   # S(x), the y block
              (_acoustic_stack(V, B4.transpose(3, 4, 0, 1, 2)),
-              np.einsum("jn,kimjl,ln->nkim", V, B4, V), V),
-             # a batch of forms, each with its own rows, as _clears and
-             # _descend build them
-             (_acoustic_stack(Vc, Gc.transpose(0, 3, 4, 1, 2)),
-              np.einsum("jcn,cikjl,lcn->cnik", Vc, Gc, Vc), Vc),
-             (_acoustic_stack(Vc, Gc),
-              np.einsum("icn,cikjl,kcn->cnjl", Vc, Gc, Vc), Vc)]
+              np.einsum("jn,kimjl,ln->nkim", V, B4, V), V)]
     for got, ref, rows in pairs:
         assert got.shape == ref.shape
         # a few ulp of |G| |v|^2 per row
         tol = 8 * np.finfo(float).eps * q.norm() * np.sum(rows * rows, axis=0)
-        lead = rows.shape[1:]
-        assert np.all(np.abs(got - ref)
-                      <= tol.reshape(lead + (1,) * (got.ndim - len(lead))))
-        # components first: each entry is one contiguous row over the lead
-        # axes, so a stack copied back to row-major storage fails here
-        size = int(np.prod(lead))
-        assert got.reshape(size, got.size // max(size, 1)).T.flags.c_contiguous
+        assert np.all(np.abs(got - ref) <= tol.reshape((n,) + (1,) * (got.ndim - 1)))
+        # components first: each entry is one contiguous row over the n
+        # points, so a stack copied back to row-major storage fails here
+        assert got.reshape(n, got.size // max(n, 1)).T.flags.c_contiguous
 
 
 def _line_gap(a, b):
@@ -433,10 +422,12 @@ def test_cluster_pairs_compares_lines_across_canonical_sign():
 
 
 def _clears_reference(T, G4, pool, Y, floor, k, iters):
-    """The single-candidate check that the batched _clears replaces, on the
-    lattice points Y as (3, n) rows: the stage it stops at (0 clears,
-    1 pool, 2 lattice, 3 refine), its refined minimum (nan before the
-    refinement) and its refinement sweeps."""
+    """A candidate form's sampled quasiconvexity check, on the lattice
+    points Y as (3, n) rows with the form's lattice stack T and pool values
+    pool: the stage it stops at (0 clears, 1 pool, 2 lattice, 3 refine),
+    its refined minimum (nan before the refinement) and its refinement
+    sweeps, the refinement being iters alternating sweeps from its k lowest
+    lattice points."""
     if len(pool) and np.min(pool) < floor:
         return 1, np.nan, 0
     lam = eigvals3(T)[:, 0]
@@ -456,61 +447,12 @@ def _clears_reference(T, G4, pool, Y, floor, k, iters):
     return (0 if refined >= floor else 3), refined, sweeps
 
 
-def _candidates(seed, c):
-    """c Milton-style candidates Q - eps l^2 on the grid-16 lattice, Q one of
-    choi_lam (flat zeros: refinements run every sweep), convex_identity and
-    a random positive definite Gram (early stops), a quarter at eps = 0,
-    with random pools of which a fifth go negative."""
-    rng = np.random.default_rng(seed)
-    Y = np.ascontiguousarray(sphere_lattice(16).T)
-    A = rng.standard_normal((9, 9))
-    bases = np.stack([catalog("choi_lam").gram, np.eye(9), A @ A.T / 9])
-    dirs = rng.standard_normal((c, 9))
-    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    eps = np.where(rng.random(c) < 0.25, 0.0, 10.0 ** rng.uniform(-14, 0, c))
-    grams = bases[rng.integers(0, 3, c)] - eps[:, None, None] * (
-        dirs[:, :, None] * dirs[:, None, :])
-    G4 = np.stack([QuadraticForm(g).gram_tensor() for g in grams])
-    T = np.stack([_acoustic_stack(Y, g.transpose(2, 3, 0, 1)) for g in G4])
-    pools = rng.uniform(0.0, 1.0, (c, 5))
-    pools[rng.random(c) < 0.2, 0] = -1.0
-    return grams, T, G4, pools, Y
-
-
-def _assert_clears_matches_reference(grams, T, G4, pools, Y, k, iters,
-                                     floor=-1e-12):
-    stage, refined = _clears(grams, np.min(pools, axis=1), Y, floor, k,
-                             iters)
-    ref = [_clears_reference(*a, Y, floor, k, iters)
-           for a in zip(T, G4, pools)]
-    assert stage.tolist() == [r[0] for r in ref]
-    # bitwise: same bits, nan where the refinement did not run
-    assert refined.tobytes() == np.array([r[1] for r in ref]).tobytes()
-    return ref
-
-
-@settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), c=st.integers(1, 12),
-       k=st.sampled_from([4, 12, 16]), iters=st.sampled_from([1, 3, 14]),
-       rows=st.sampled_from([1, 600, certify.LOCKSTEP_ROWS]))
-def test_clears_matches_single_candidate_reference(seed, c, k, iters, rows):
-    # rows: 1, 2 or all candidates per lattice-stage eigvals3 (grid 16)
-    with mock.patch.object(certify, "LOCKSTEP_ROWS", rows):
-        _assert_clears_matches_reference(*_candidates(seed, c), k, iters)
-
-
-def test_clears_batch_spans_every_stage_and_sweep_count():
-    batch = _candidates(3, 12)
-    ref = _assert_clears_matches_reference(*batch, 8, 14)
-    assert {r[0] for r in ref} == {0, 1, 2, 3}
-    # the refined candidates stop after different sweep counts, so the
-    # per-candidate early stop is exercised
-    assert len({r[2] for r in ref if r[0] in (0, 3)}) >= 2
-    # a refined minimum equal to the floor clears
-    for r in ref:
-        if r[0] == 3:
-            assert _assert_clears_matches_reference(
-                *batch, 8, 14, floor=r[1])[ref.index(r)][0] == 0
+def _sampled_stage(gram, P9, Y, floor, k, iters):
+    """_clears_reference's stage for one candidate Gram, pool P9 (P, 9)."""
+    G4 = QuadraticForm(gram).gram_tensor()
+    T = _acoustic_stack(Y, G4.transpose(2, 3, 0, 1))
+    return _clears_reference(T, G4, certify._pool_quadratic(P9, gram), Y,
+                             floor, k, iters)[0]
 
 
 def test_lockstep_row_cap_leaves_probe_reports_unchanged(monkeypatch):
@@ -537,43 +479,6 @@ def test_lockstep_row_cap_leaves_probe_reports_unchanged(monkeypatch):
     assert set(rows) == {n}    # one candidate per call
 
 
-def _grow_scalar(lo, hi, t, factor, steps):
-    """One bracket grown alone, as the probes' per-bracket loops did: the
-    grown (lo, hi) and the points judged."""
-    judged = 0
-    for _ in range(steps):
-        judged += 1
-        if not hi <= t:
-            break
-        lo, hi = hi, hi * factor
-    return lo, hi, judged
-
-
-@settings(max_examples=60, deadline=None)
-@given(brackets=st.lists(st.tuples(st.floats(1e-3, 1e3), st.floats(1e-3, 1e5)),
-                         max_size=8),
-       factor=st.sampled_from([2.0, 4.0]), steps=st.integers(0, 6))
-def test_grow_matches_per_bracket_loop(brackets, factor, steps):
-    hi0 = np.array([h for h, _ in brackets], dtype=float)
-    t = np.array([t for _, t in brackets], dtype=float)
-    lo0 = 0.5 * hi0
-    judged = []
-
-    def ok(i, x):
-        judged.append(len(i))
-        return x <= t[i]
-
-    ref = [_grow_scalar(*b, factor, steps) for b in zip(lo0, hi0, t)]
-    lo, hi = certify._grow(ok, lo0, hi0, factor, steps)
-    assert lo.tolist() == [r[0] for r in ref]
-    assert hi.tolist() == [r[1] for r in ref]
-    # the same points judged, so predicate_evaluations cannot drift
-    assert sum(judged) == sum(r[2] for r in ref)
-    # the inputs are left as they were
-    assert (lo0.tolist(), hi0.tolist()) == ([b[0] / 2 for b in brackets],
-                                            [b[0] for b in brackets])
-
-
 def test_probe_diagnostics_count_the_search():
     scan = lattice_scan(catalog("choi"),
                         CertifyConfig(grid_resolution=32, probe_directions=4))
@@ -586,11 +491,12 @@ def test_probe_diagnostics_count_the_search():
     assert set(d["binding"]) == {"pool", "lattice", "refine"}
     assert sum(d["binding"].values()) == 4
     d = extreme_point_probe(scan).witness["diagnostics"]
-    assert d["directions"] == 4
-    assert 0 < d["bisection_steps"] < d["predicate_evaluations"]
-    assert d["lockstep_batches"] <= d["predicate_evaluations"]
-    assert d["bisection_steps"] <= 4 * certify.BISECTION_ITERS
-    assert 0 < sum(d["failed"].values()) <= 2 * d["predicate_evaluations"]
+    assert d == {"directions": 4, "lattice_points": len(sphere_lattice(32)),
+                 "pool_points": len(certify._zero_pool(scan)),
+                 "refinement_starts": 4 * 12, "refinement_sweeps": 16,
+                 "binding": d["binding"]}
+    assert set(d["binding"]) == {"pool", "lattice", "refine"}
+    assert sum(d["binding"].values()) == 4
 
 
 def test_milton_refutes_convex_identity():
@@ -645,18 +551,50 @@ def test_milton_witness_direction_ignores_rounding_noise(monkeypatch):
 
 
 def test_milton_runs_no_search(monkeypatch):
-    # eps* is read off each sample in closed form: no bracket, predicate or
-    # candidate-form eigen-solve
-    calls = []
-    for name in ("_clears", "_grow", "_bisect", "eigvals3"):
-        def spy(*args, _name=name, _fn=getattr(certify, name), **kw):
-            calls.append(_name)
-            return _fn(*args, **kw)
-        monkeypatch.setattr(certify, name, spy)
-    for name in ("convex_identity", "choi_lam"):
-        rep = milton_extremality_probe(lattice_scan(catalog(name), FAST))
-        assert rep.verdict in ("refuted", "consistent")
+    # eps* and delta* are read off each sample in closed form: the only full
+    # scans are the validations of the reported witness, and Milton makes
+    # no candidate-form eigen-solve
+    identity = form_from_reduced(ReducedOrthotropicForm(np.eye(3), 1, 1, 1))
+    forms = {"convex_identity": catalog("convex_identity"),
+             "choi_lam": catalog("choi_lam"), "identity": identity}
+    scans = {name: lattice_scan(q, FAST) for name, q in forms.items()}
+    calls, scanned = [], []
+
+    def eigvals3_spy(*args, **kw):
+        calls.append("eigvals3")
+        return eigvals3(*args, **kw)
+
+    def scan_spy(q, cfg):
+        scanned.append(q.gram)
+        return lattice_scan(q, cfg)
+
+    monkeypatch.setattr(certify, "lattice_scan", scan_spy)
+    with monkeypatch.context() as m:
+        m.setattr(certify, "eigvals3", eigvals3_spy)
+        for name in ("convex_identity", "choi_lam"):
+            scanned.clear()
+            w = milton_extremality_probe(scans[name]).witness
+            l = np.array(w["direction"])
+            validated = [forms[name].gram - (1 - 1e-4) * w["eps_star"]
+                         * np.outer(l, l)] if "validation_margin" in w else []
+            assert len(scanned) == len(validated) == (name != "choi_lam")
+            assert all(map(np.array_equal, scanned, validated))
     assert calls == []
+    for name in ("identity", "choi_lam"):
+        scanned.clear()
+        rep = extreme_point_probe(scans[name])
+        w = rep.witness
+        theta, d = np.array(w["theta_q"]), np.array(w["direction"])
+        # Q1 and Q - Q1 along the validation's shrink sequence
+        deltas = [(1 - 1e-4) * w["delta_star"]]
+        for _ in range(23):
+            deltas.append(0.7 * deltas[-1])
+        q1s = [form_from_theta(w["layout"], 0.5 * theta + t * d).gram
+               for t in deltas]
+        allowed = q1s + [forms[name].gram - g for g in q1s]
+        assert 0 < w["delta_star"] and np.array_equal(scanned[0], q1s[0])
+        assert all(any(np.array_equal(g, a) for a in allowed) for g in scanned)
+        assert len(scanned) == 2 and rep.value == deltas[0]
 
 
 def test_milton_refuted_needs_a_validated_witness(monkeypatch):
@@ -780,11 +718,8 @@ def test_milton_eps_star_is_the_sampled_threshold(seed, grid, kind):
     P9 = certify._zero_pool(scan)
     Y = np.ascontiguousarray(sphere_lattice(grid).T)
     guard = certify.GUARD_REL * (1.0 + q.norm())
-    grams = np.stack([q.gram - f * eps * np.outer(m, m)
-                      for f in (1.0 - 1e-4, 1.0 + 1e-3)])
-    pool_min = np.array([np.min(certify._pool_quadratic(P9, g), initial=np.inf)
-                         for g in grams])
-    stage = _clears(grams, pool_min, Y, -guard, 16, 14)[0]
+    stage = [_sampled_stage(q.gram - f * eps * np.outer(m, m), P9, Y, -guard,
+                            16, 14) for f in (1.0 - 1e-4, 1.0 + 1e-3)]
     assert stage[0] == 0 and stage[1] > 0
 
 
@@ -825,6 +760,79 @@ def test_extreme_point_scaling_invariance_of_verdict():
     r1 = extreme_point_probe(lattice_scan(q, FAST))
     r2 = extreme_point_probe(lattice_scan(q.scaled(2.0), FAST))
     assert r1.verdict == r2.verdict == "refuted"
+
+
+def _pencil_bisection(A, B):
+    """The largest delta with lambda_min(A +- delta B) >= 0, by bisection."""
+    def ok(t):
+        return min(np.linalg.eigvalsh(A + t * B)[0],
+                   np.linalg.eigvalsh(A - t * B)[0]) >= 0
+
+    lo, hi = 0.0, 1.0
+    while ok(hi):
+        lo, hi = hi, 2.0 * hi
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if ok(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@settings(max_examples=60, deadline=None)
+@given(R=arrays(float, (3, 3), elements=st.floats(-2.0, 2.0)),
+       B=arrays(float, (3, 3), elements=st.just(0.0) | st.floats(0.05, 2.0)
+                | st.floats(-2.0, -0.05)),
+       shift=st.floats(1e-3, 2.0))
+def test_pencil_bound_matches_eigvalsh_bisection(R, B, shift):
+    A = R @ R.T + shift * np.eye(3)
+    B = B + B.T
+    lowest = np.linalg.eigvalsh(A)[0]
+    for M in (A, -A, A - (lowest + shift) * np.eye(3)):
+        C, Li, pd = certify._whiten(M[None], B[None])
+        # the lattice stage's bound (eigvals3) and the refinement's
+        # (eigmin3 on C and -C, with its minimizer)
+        lam = eigvals3(C)
+        lattice = certify._ray_bound(np.maximum(lam[:, 2], -lam[:, 0]), pd)[0]
+        refine, x = certify._pencil_step(C, Li, pd)
+        if M is not A:
+            # not positive definite: no room at all
+            assert not pd[0] and lattice == refine[0] == 0.0
+        elif not np.any(B):
+            assert pd[0] and lattice == refine[0] == np.inf
+        else:
+            ref = _pencil_bisection(A, B)
+            # eigvals3's lambda_max keeps sqrt(eps) of the span where the
+            # upper pair nearly coincides
+            assert lattice == pytest.approx(ref, rel=1e-7)
+            assert refine[0] == pytest.approx(ref, rel=1e-8)
+            x = x[:, 0]
+            assert np.linalg.norm(x) == pytest.approx(1.0)
+            assert x @ A @ x / abs(x @ B @ x) == pytest.approx(ref, rel=1e-8)
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_extreme_point_delta_star_is_the_sampled_threshold(seed):
+    # the probe's one seeded direction d: Q1 = theta/2 + delta d and Q - Q1
+    # both clear the sampled check (pool, grid-32 lattice, top-12
+    # refinement of 16 sweeps) at the floor -tol just below delta*, and
+    # one of them fails there just above it
+    q = _random_form("reduced", np.random.default_rng(seed))
+    cfg = CertifyConfig(grid_resolution=32, probe_directions=1, seed=seed)
+    scan = lattice_scan(q, cfg)
+    w = extreme_point_probe(scan).witness
+    theta, d = np.array(w["theta_q"]), np.array(w["direction"])
+    assert 0 < w["delta_star"] < 8 * np.linalg.norm(theta)
+    P9 = certify._zero_pool(scan)
+    Y = np.ascontiguousarray(sphere_lattice(32).T)
+    for f, clears in ((1 - 1e-4, True), (1 + 1e-3, False)):
+        q1 = form_from_theta(w["layout"],
+                             0.5 * theta + f * w["delta_star"] * d).gram
+        stages = [_sampled_stage(g, P9, Y, -cfg.tol, 12, 16)
+                  for g in (q1, q.gram - q1)]
+        assert (max(stages) == 0) == clears
 
 
 def test_extremal_polynomial_norm_cubed_inconclusive():
@@ -1043,12 +1051,30 @@ def test_polyconvexity_choi_dual_witness_rechecks():
 @pytest.mark.parametrize("a, verdict", [(-3e-6, "inconclusive"),
                                         (-3e-5, "refuted")])
 def test_polyconvexity_verdict_band(a, verdict):
-    # phi* = a for a*I: Z = I/9 is dual feasible with <a*I, Z> = a
-    rep = polyconvexity_test(QuadraticForm(a * np.eye(9)), FAST)
+    # phi* = a for diag(1 + a, a, ..., a), a unit-scale form: the first
+    # coordinate is xi_11, on which every minor vanishes, so
+    # Z = (I - e_1 e_1^T) / 8 is dual feasible with <G, Z> = a
+    G = a * np.eye(9)
+    G[0, 0] += 1.0
+    rep = polyconvexity_test(QuadraticForm(G), FAST)
     assert rep.verdict == verdict
     # the bracket holds up to rounding in the eigensolve
     assert rep.value - 1e-15 <= a <= rep.witness["dual_bound"] + 1e-15
     assert rep.witness["gap"] <= 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(form=st.sampled_from([("choi", 0.0), ("choi_lam", 0.0), ("serre", 0.05),
+                             ("serre", 0.0), ("convex_identity", 0.0)]),
+       k=st.integers(-9, 9))
+def test_polyconvexity_verdict_is_scale_invariant(form, k):
+    q = catalog(form[0], eps=form[1])
+    base = polyconvexity_test(q, FAST)
+    rep = polyconvexity_test(q.scaled(10.0 ** k), FAST)
+    assert rep.verdict == base.verdict
+    # to the barrier's duality gap, 1e-10 of the scale
+    assert rep.value == pytest.approx(10.0 ** k * base.value, rel=1e-6,
+                                      abs=1e-9 * 10.0 ** k)
 
 
 def test_polyconvexity_independent_of_probe_directions():
