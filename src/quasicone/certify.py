@@ -2,21 +2,22 @@
 
 lattice_scan computes min over unit y of lambda_min(T(y)) on a
 deterministic spherical Fibonacci lattice: one GEMM builds every lattice
-acoustic matrix and one eigmin3 solves them all.  Only the lattice's basins
-are refined: the local minima among its SEED_POOL lowest points (within
-seed radius, as lines) seed a few alternating sweeps (each step minimizes
-the biquadratic exactly in one of x, y via the 3x3 eigenproblem), then a
-safeguarded Riemannian Newton iteration on S^2 x S^2 (Absil, Mahony &
-Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008), which
-converges quadratically at a simple minimum and linearly at the
-quartic-flat rank-one zeros of the theorem's extremal forms, where
-alternating descent is sublinear.  Vectors are stored components first, as
-(3, n) rows.  A half-sweep is one GEMM, a transposed 9x9 reshaping of the
-Gram tensor times the nine rows v_j v_l of v (x) v (_acoustic_stack), into
-(3, 3, n) storage, plus one eigmin3 on its (n, 3, 3) transposed view,
-which returns the eigenvectors as the (n, 3) view of (3, n) rows.  Each
-form is scanned once; its LatticeScan is shared by the margin report and
-the probes built on top of it:
+acoustic matrix and one values-only eigvals3 solves them all.  Only the
+lattice's basins are refined: the local minima among its SEED_POOL lowest
+points (within seed radius, as lines), the only lattice points whose
+eigenvectors are computed (one eigmin3), seed a few alternating sweeps
+(each step minimizes the biquadratic exactly in one of x, y via the 3x3
+eigenproblem), then a safeguarded Riemannian Newton iteration on
+S^2 x S^2 (Absil, Mahony & Sepulchre, Optimization Algorithms on Matrix
+Manifolds, 2008), which converges quadratically at a simple minimum and
+linearly at the quartic-flat rank-one zeros of the theorem's extremal
+forms, where alternating descent is sublinear.  Vectors are stored
+components first, as (3, n) rows.  A half-sweep is one GEMM, a transposed
+9x9 reshaping of the Gram tensor times the nine rows v_j v_l of v (x) v
+(_acoustic_stack), into (3, 3, n) storage, plus one eigmin3 on its
+(n, 3, 3) transposed view, which returns the eigenvectors as the (n, 3)
+view of (3, n) rows.  Each form is scanned once; its LatticeScan is
+shared by the margin report and the probes built on top of it:
 
   * milton_extremality_probe: largest coefficient eps such that Q - eps*l^2
     stays quasiconvex, maximized over unit rank-one directions l, in closed
@@ -59,7 +60,7 @@ import numpy as np
 from .determinant import _SEXTIC_EXPS, acoustic_det, perfect_square_test
 from .forms import (LAYOUT_PARAMS, QuadraticForm, acoustic_matrix,
                     detect_shear_layout, form_from_theta, gram_tensor,
-                    minor_gram_basis, shear_layout_basis)
+                    minor_gram_basis, scaled_norm, shear_layout_basis)
 from .symeig import _COLUMNS, _adjugate, _upper, eigmin3, eigvals3
 
 # noise floor of a refined margin evaluation, relative to the Gram scale;
@@ -250,11 +251,12 @@ def _descend(G4: np.ndarray, X: np.ndarray, Y: np.ndarray, vals: np.ndarray,
 @dataclass(frozen=True, eq=False)
 class LatticeScan:
     """One scan of a form over sphere_lattice(cfg.grid_resolution): the
-    lattice acoustic matrices T with their smallest eigenvalues, the
-    refined basin seeds (X, Y, vals) after sweeps alternating sweeps and
-    newton_steps Newton steps, and the sampled margin min(vals,
-    lattice_lam).  T (n, 3, 3) is the transposed view of (3, 3, n) storage,
-    and X and Y (seeds, 3) are views of components-first rows."""
+    lattice acoustic matrices T with their smallest eigenvalues (values
+    only, from eigvals3), the refined basin seeds (X, Y, vals) after sweeps
+    alternating sweeps and newton_steps Newton steps, and the sampled
+    margin min(vals, lattice_lam).  T (n, 3, 3) is the transposed view of
+    (3, 3, n) storage, and X and Y (seeds, 3) are views of components-first
+    rows."""
 
     form: QuadraticForm
     cfg: CertifyConfig
@@ -302,10 +304,15 @@ class LatticeScan:
 
 
 def lattice_scan(q: QuadraticForm, cfg: CertifyConfig = CertifyConfig()) -> LatticeScan:
-    """Scan q: lambda_min(T(y)) and its eigenvector x at every point y of
-    sphere_lattice(cfg.grid_resolution), then the lattice's basin seeds
-    (_basin_seeds) refined by SEED_SWEEPS alternating sweeps (_descend) and
-    by _newton.  The margin is the least value seen, lattice or refined.
+    """Scan q: lambda_min(T(y)) at every point y of
+    sphere_lattice(cfg.grid_resolution), values only (eigvals3), then the
+    lattice's basin seeds (_basin_seeds), whose eigenvectors x and start
+    values come from one eigmin3 on at most SEED_CAP rows, refined by
+    SEED_SWEEPS alternating sweeps (_descend) and by _newton.  Only the
+    seeds need an eigenvector, and the smallest eigenvalue of eigvals3 is
+    accurate on every row, so the lattice pass sends no row to LAPACK for
+    an eigenvector, not even where T(y) is isotropic.  The margin is the
+    least value seen, lattice or refined.
 
     The scan runs on the Gram scaled by 2^-e to largest entry in [1/2, 1),
     and T and the values are scaled back by 2^e.  Both scalings are exact,
@@ -315,10 +322,10 @@ def lattice_scan(q: QuadraticForm, cfg: CertifyConfig = CertifyConfig()) -> Latt
     G4 = np.ascontiguousarray(np.ldexp(q.gram_tensor(), -e))
     Y0 = np.ascontiguousarray(sphere_lattice(cfg.grid_resolution).T)
     T = _acoustic_stack(Y0, G4.transpose(2, 3, 0, 1))
-    lam, X0 = eigmin3(T)
+    lam = eigvals3(T)[:, 0]
     seeds = _basin_seeds(Y0, lam)
-    X, Y, vals, sweeps = _descend(G4, X0.T[:, seeds], Y0[:, seeds],
-                                  lam[seeds], SEED_SWEEPS)
+    vals, X = eigmin3(T[seeds])
+    X, Y, vals, sweeps = _descend(G4, X.T, Y0[:, seeds], vals, SEED_SWEEPS)
     X, Y, vals, steps = _newton(G4, X, Y, vals)
     for a in (T, lam, vals):
         np.ldexp(a, e, out=a)
@@ -731,7 +738,7 @@ def extreme_point_probe(scan: LatticeScan) -> ProbeReport:
     scan.require_quasiconvex("extreme point probe")
 
     basis = shear_layout_basis(layout)
-    norm_theta = float(np.linalg.norm(theta))
+    norm_theta = scaled_norm(theta)
     tol = cfg.tol
     rng = np.random.default_rng(cfg.seed)
     # orthonormal basis of the complement of theta, and unit directions in

@@ -63,15 +63,21 @@ class QuadraticForm:
         return float(v @ self.gram @ v)
 
     def norm(self) -> float:
-        # on the Gram scaled by a power of two, so that no square overflows
-        e = np.frexp(np.max(np.abs(self.gram)))[1]
-        return float(np.ldexp(np.linalg.norm(np.ldexp(self.gram, -e)), e))
+        return scaled_norm(self.gram)
 
     def scaled(self, alpha: float) -> "QuadraticForm":
         return QuadraticForm(alpha * self.gram)
 
     def gram_tensor(self) -> np.ndarray:
         return gram_tensor(self.gram)
+
+
+def scaled_norm(a: np.ndarray) -> float:
+    """Frobenius norm of a, taken on a scaled by a power of two so that no
+    square overflows or underflows; bitwise np.linalg.norm(a) where none
+    does."""
+    e = np.frexp(np.max(np.abs(a)))[1]
+    return float(np.ldexp(np.linalg.norm(np.ldexp(a, -e)), e))
 
 
 def gram_tensor(gram: np.ndarray) -> np.ndarray:

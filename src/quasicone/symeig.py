@@ -76,9 +76,10 @@ def eigvals3(M: np.ndarray, upper: np.ndarray | None = None) -> np.ndarray:
 
     The smallest eigenvalue is accurate on every row.  The upper two lose
     up to sqrt(eps) span where they nearly coincide, because those rows keep
-    the trigonometric solve; eigmin3 reads only the lower gap and the span,
-    and the extreme point's lattice stage reads the largest, so its ray
-    bound may err by about sqrt(eps) relative there.
+    the trigonometric solve; the scan's lattice pass reads only the
+    smallest, eigmin3 only the lower gap and the span, and the extreme
+    point's lattice stage the largest, so its ray bound may err by about
+    sqrt(eps) relative there.
     """
     M = np.asarray(M, dtype=float)
     single = M.ndim == 2

@@ -264,26 +264,85 @@ def test_choi_reports_each_axis_zero_once():
 
 
 def test_lattice_scan_refines_at_most_the_seed_cap():
-    # a counter, not a timer: after its one lattice-wide eigmin3 a grid-96
-    # scan solves stacks of at most SEED_CAP rows, so a return to refining
-    # every lattice point fails here
-    rows = []
-
-    def eigmin3_spy(M):
-        rows.append(len(M))
-        return eigmin3(M)
-
-    with mock.patch.object(certify, "eigmin3", eigmin3_spy):
-        scan = lattice_scan(catalog("convex_identity"), CertifyConfig())
-        rows_identity = list(rows)
-        rows.clear()
-        lattice_scan(catalog("choi"), CertifyConfig())
+    # a counter, not a timer: a grid-96 scan solves the lattice with one
+    # values-only eigvals3 and every eigenvector stack it asks for has at
+    # most SEED_CAP rows, so a return to refining every lattice point, or to
+    # eigenvectors over the whole lattice, fails here
     n = len(sphere_lattice(96))
-    for r in (rows_identity, rows):
-        assert r[0] == n and 1 < len(r) and max(r[1:]) <= certify.SEED_CAP
+    rows = {}
+
+    def spy(fn):
+        def counted(M, *args):
+            rows.setdefault(fn.__name__, []).append(len(M))
+            return fn(M, *args)
+        return counted
+
+    with mock.patch.object(certify, "eigmin3", spy(eigmin3)), \
+            mock.patch.object(certify, "eigvals3", spy(eigvals3)):
+        for name in ("choi", "convex_identity"):
+            rows.clear()
+            scan = lattice_scan(catalog(name), CertifyConfig())
+            assert rows["eigvals3"] == [n]
+            assert 1 < len(rows["eigmin3"])
+            assert max(rows["eigmin3"]) <= certify.SEED_CAP
     # 1,306 tied lattice points on T = I: the cap bounds the seeds
     assert len(scan.vals) == certify.SEED_CAP
     assert scan.margin_report().diagnostics["seeds"] == certify.SEED_CAP
+
+
+def test_lattice_scan_sends_at_most_the_seed_cap_to_lapack():
+    # T(y) = |y|^2 I on every lattice point of convex_identity: each row is
+    # isotropic, where an eigenvector needs LAPACK, but the lattice's values
+    # do not, so LAPACK sees only stacks of the seeds and of Newton's steps
+    rows = []
+
+    def spy(fn):
+        def counted(a, *args, **kw):
+            rows.append(int(np.prod(np.shape(a)[:-2])))
+            return fn(a, *args, **kw)
+        return counted
+
+    with mock.patch.object(np.linalg, "eigh", spy(np.linalg.eigh)), \
+            mock.patch.object(np.linalg, "eigvalsh", spy(np.linalg.eigvalsh)):
+        scan = lattice_scan(catalog("convex_identity"), CertifyConfig())
+    assert abs(scan.margin - 1.0) <= 1e-15
+    assert rows and max(rows) <= certify.SEED_CAP
+
+
+def _eigmin3_lattice_scan(q, cfg):
+    """The reference for lattice_scan's values-only lattice pass: one
+    eigmin3 solves every lattice point, and its values pick the seeds and
+    its vectors start them, on the same helpers."""
+    e = np.frexp(np.max(np.abs(q.gram)))[1]
+    G4 = np.ascontiguousarray(np.ldexp(q.gram_tensor(), -e))
+    Y0 = np.ascontiguousarray(sphere_lattice(cfg.grid_resolution).T)
+    T = _acoustic_stack(Y0, G4.transpose(2, 3, 0, 1))
+    lam, X0 = eigmin3(T)
+    seeds = certify._basin_seeds(Y0, lam)
+    X, Y, vals, sweeps = certify._descend(
+        G4, X0.T[:, seeds], Y0[:, seeds], lam[seeds], certify.SEED_SWEEPS)
+    X, Y, vals, steps = certify._newton(G4, X, Y, vals)
+    for a in (T, lam, vals):
+        np.ldexp(a, e, out=a)
+    margin = float(min(np.min(vals), np.min(lam)))
+    return certify.LatticeScan(q, cfg, margin, T, lam, X.T, Y.T, vals,
+                               sweeps, steps)
+
+
+@settings(max_examples=24, deadline=None)
+@given(kind=st.sampled_from(["psd", "indefinite", "choi", "choi_lam"]),
+       seed=st.integers(0, 2**32 - 1), shift=st.booleans())
+def test_values_only_lattice_pass_matches_eigmin3_lattice(kind, seed, shift):
+    q = _scan_form(kind, seed, shift)
+    scan = lattice_scan(q, _GRID32)
+    ref = _eigmin3_lattice_scan(q, _GRID32)
+    # 8 eps 2^e, for the scan's exponent e
+    e = np.frexp(np.max(np.abs(q.gram)))[1]
+    assert abs(scan.margin - ref.margin) <= np.ldexp(8.0 * np.finfo(float).eps, e)
+    if ref.margin >= -_GRID32.tol:
+        assert len(scan.rank_one_zeros()) == len(ref.rank_one_zeros())
+    else:
+        assert scan.margin < -_GRID32.tol
 
 
 def test_transverse_hessian_matches_finite_differences():
@@ -558,15 +617,21 @@ def test_milton_runs_no_search(monkeypatch):
     forms = {"convex_identity": catalog("convex_identity"),
              "choi_lam": catalog("choi_lam"), "identity": identity}
     scans = {name: lattice_scan(q, FAST) for name, q in forms.items()}
-    calls, scanned = [], []
+    calls, scanned, scanning = [], [], []
 
     def eigvals3_spy(*args, **kw):
-        calls.append("eigvals3")
+        # a validation scan's own lattice pass is not a probe's solve
+        if not scanning:
+            calls.append("eigvals3")
         return eigvals3(*args, **kw)
 
     def scan_spy(q, cfg):
         scanned.append(q.gram)
-        return lattice_scan(q, cfg)
+        scanning.append(q)
+        try:
+            return lattice_scan(q, cfg)
+        finally:
+            scanning.pop()
 
     monkeypatch.setattr(certify, "lattice_scan", scan_spy)
     with monkeypatch.context() as m:
@@ -760,6 +825,19 @@ def test_extreme_point_scaling_invariance_of_verdict():
     r1 = extreme_point_probe(lattice_scan(q, FAST))
     r2 = extreme_point_probe(lattice_scan(q.scaled(2.0), FAST))
     assert r1.verdict == r2.verdict == "refuted"
+
+
+def test_extreme_point_verdict_at_1e200():
+    # |theta| is taken on theta scaled by a power of two, so it does not
+    # overflow to inf, which made the consistent threshold inf
+    cfg = CertifyConfig(grid_resolution=16, probe_directions=2)
+    q = form_from_reduced(ReducedOrthotropicForm(np.eye(3), 1.0, 1.0, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        big = extreme_point_probe(lattice_scan(q.scaled(1e200), cfg))
+    ref = extreme_point_probe(lattice_scan(q, cfg))
+    assert big.verdict == ref.verdict == "refuted"
+    assert big.value > certify.EXTREME_POINT_REL * 1e200
 
 
 def _pencil_bisection(A, B):
