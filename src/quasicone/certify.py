@@ -5,19 +5,18 @@ deterministic spherical Fibonacci lattice: one GEMM builds every lattice
 acoustic matrix and one values-only eigvals3 solves them all.  Only the
 lattice's basins are refined: the local minima among its SEED_POOL lowest
 points (within seed radius, as lines), the only lattice points whose
-eigenvectors are computed (one eigmin3), seed a few alternating sweeps
-(each step minimizes the biquadratic exactly in one of x, y via the 3x3
-eigenproblem), then a safeguarded Riemannian Newton iteration on
-S^2 x S^2 (Absil, Mahony & Sepulchre, Optimization Algorithms on Matrix
-Manifolds, 2008), which converges quadratically at a simple minimum and
-linearly at the quartic-flat rank-one zeros of the theorem's extremal
-forms, where alternating descent is sublinear.  Vectors are stored
-components first, as (3, n) rows.  A half-sweep is one GEMM, a transposed
-9x9 reshaping of the Gram tensor times the nine rows v_j v_l of v (x) v
-(_acoustic_stack), into (3, 3, n) storage, plus one eigmin3 on its
-(n, 3, 3) transposed view, which returns the eigenvectors as the (n, 3)
-view of (3, n) rows.  Each form is scanned once; its LatticeScan is
-shared by the margin report and the probes built on top of it:
+eigenvectors are computed (one eigmin3), start a safeguarded Riemannian
+Newton iteration on S^2 x S^2 (Absil, Mahony & Sepulchre, Optimization
+Algorithms on Matrix Manifolds, 2008) with a backtracking line search,
+which converges quadratically at a simple minimum and linearly at the
+quartic-flat rank-one zeros of the theorem's extremal forms, where
+alternating descent is sublinear.  Vectors are stored components first,
+as (3, n) rows.  An acoustic stack is one GEMM, a transposed 9x9
+reshaping of the Gram tensor times the nine rows v_j v_l of v (x) v
+(_acoustic_stack), into (3, 3, n) storage, whose (n, 3, 3) transposed
+view eigmin3 solves, returning the eigenvectors as the (n, 3) view of
+(3, n) rows.  Each form is scanned once; its LatticeScan is shared by
+the margin report and the probes built on top of it:
 
   * milton_extremality_probe: largest coefficient eps such that Q - eps*l^2
     stays quasiconvex, maximized over unit rank-one directions l, in closed
@@ -73,8 +72,7 @@ GUARD_REL = 16.0 * np.finfo(float).eps
 SEED_POOL = 256
 SEED_CAP = 48
 SEED_RADIUS = 2.3
-# fixed work caps: alternating sweeps and Newton steps per scan
-SEED_SWEEPS = 4
+# fixed work cap: Newton steps per scan
 NEWTON_ITERS = 40
 # Newton safeguards, relative to the form's scale: the least eigenvalue of
 # the Levenberg-shifted Hessian, the longest tangent step (radians), the
@@ -82,7 +80,7 @@ NEWTON_ITERS = 40
 # decrease below which a step counts as rounding
 NEWTON_SHIFT = 1e-12
 NEWTON_STEP_MAX = 0.25
-NEWTON_BACKTRACKS = 4
+NEWTON_BACKTRACKS = 8
 NEWTON_TOL = np.finfo(float).eps
 # grid^2 lattice points; one scan at 512 takes ~40 s and ~300 MB (2-vCPU VM)
 MAX_GRID_RESOLUTION = 512
@@ -131,8 +129,7 @@ class CertifyConfig:
 class MarginReport:
     """Minimum of lambda_min(T(y)) over the unit sphere with its minimizers,
     and the scan's deterministic work counters as diagnostics: lattice
-    points, basin seeds refined, alternating sweeps run and their cap, and
-    Newton steps run."""
+    points, basin seeds refined, and Newton steps run."""
 
     margin: float
     minimizers: tuple  # tuples (y, x, value), unit vectors as tuples
@@ -221,52 +218,27 @@ def _acoustic_stack(V: np.ndarray, K: np.ndarray) -> np.ndarray:
     return out.reshape(trail + (n,)).transpose(len(trail), *range(len(trail)))
 
 
-def _descend(G4: np.ndarray, X: np.ndarray, Y: np.ndarray, vals: np.ndarray,
-             max_iters: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Block descent of one form (gram tensor G4) from k starts, vectors
-    components first: y starts Y (3, k) with their solved x blocks X (3, k)
-    and values vals (k,).  A sweep minimizes exactly in y, then in x; each
-    half-sweep is one GEMM (_acoustic_stack) and one eigmin3, whose (3, k)
-    eigenvector rows become the next X or Y without a copy.
-
-    The descent stops after the first sweep in which no point's value falls
-    by 1e-16 (1 + max |value|) or more, or after max_iters sweeps.  Returns
-    the refined (X, Y, values), whose values never rise per point, and the
-    sweeps run.
-    """
-    Ky = G4.transpose(2, 3, 0, 1)
-    sweeps = 0
-    while sweeps < max_iters:
-        sweeps += 1
-        Y = eigmin3(_acoustic_stack(X, G4))[1].T
-        new_vals, X = eigmin3(_acoustic_stack(Y, Ky))
-        X = X.T
-        improvement = np.max(vals - new_vals)
-        vals = new_vals
-        if improvement < 1e-16 * (1.0 + np.max(np.abs(new_vals))):
-            break
-    return X, Y, vals, sweeps
-
-
 @dataclass(frozen=True, eq=False)
 class LatticeScan:
-    """One scan of a form over sphere_lattice(cfg.grid_resolution): the
-    lattice acoustic matrices T with their smallest eigenvalues (values
-    only, from eigvals3), the refined basin seeds (X, Y, vals) after sweeps
-    alternating sweeps and newton_steps Newton steps, and the sampled
-    margin min(vals, lattice_lam).  T (n, 3, 3) is the transposed view of
-    (3, 3, n) storage, and X and Y (seeds, 3) are views of components-first
-    rows."""
+    """One scan of a form over sphere_lattice(cfg.grid_resolution), in the
+    frame of the Gram scaled by 2^-e to largest entry in [1/2, 1): its
+    contiguous gram tensor G4 and the lattice acoustic matrices T, both
+    scaled; the lattice's smallest eigenvalues (values only, from eigvals3),
+    the refined basin seeds (X, Y, vals) after newton_steps Newton steps,
+    and the sampled margin min(vals, lattice_lam), all three scaled back by
+    2^e.  T (n, 3, 3) is the transposed view of (3, 3, n) storage, and X
+    and Y (seeds, 3) are views of components-first rows."""
 
     form: QuadraticForm
     cfg: CertifyConfig
     margin: float
+    e: int
+    G4: np.ndarray
     T: np.ndarray
     lattice_lam: np.ndarray
     X: np.ndarray
     Y: np.ndarray
     vals: np.ndarray
-    sweeps: int
     newton_steps: int
 
     def require_quasiconvex(self, who: str) -> None:
@@ -287,8 +259,6 @@ class LatticeScan:
         return MarginReport(margin=margin, minimizers=minimizers, diagnostics={
             "lattice_points": len(self.lattice_lam),
             "seeds": len(vals),
-            "refinement_sweeps": self.sweeps,
-            "refinement_sweep_cap": SEED_SWEEPS,
             "newton_steps": self.newton_steps})
 
     def rank_one_zeros(self) -> list:
@@ -308,16 +278,16 @@ def lattice_scan(q: QuadraticForm, cfg: CertifyConfig = CertifyConfig()) -> Latt
     sphere_lattice(cfg.grid_resolution), values only (eigvals3), then the
     lattice's basin seeds (_basin_seeds), whose eigenvectors x and start
     values come from one eigmin3 on at most SEED_CAP rows, refined by
-    SEED_SWEEPS alternating sweeps (_descend) and by _newton.  Only the
-    seeds need an eigenvector, and the smallest eigenvalue of eigvals3 is
-    accurate on every row, so the lattice pass sends no row to LAPACK for
-    an eigenvector, not even where T(y) is isotropic.  The margin is the
-    least value seen, lattice or refined.
+    _newton.  Only the seeds need an eigenvector, and the smallest
+    eigenvalue of eigvals3 is accurate on every row, so the lattice pass
+    sends no row to LAPACK for an eigenvector, not even where T(y) is
+    isotropic.  The margin is the least value seen, lattice or refined.
 
     The scan runs on the Gram scaled by 2^-e to largest entry in [1/2, 1),
-    and T and the values are scaled back by 2^e.  Both scalings are exact,
-    so the fixed floors of the refinement are relative to the form, Q and
-    2Q follow bitwise-equal paths, and no square overflows."""
+    and the values are scaled back by 2^e; G4 and T stay in that frame for
+    the probes.  Both scalings are exact, so the fixed floors of the
+    refinement are relative to the form, Q and 2Q follow bitwise-equal
+    paths, and no square overflows."""
     e = math.frexp(float(np.max(np.abs(q.gram))))[1]
     G4 = np.ascontiguousarray(np.ldexp(q.gram_tensor(), -e))
     Y0 = np.ascontiguousarray(sphere_lattice(cfg.grid_resolution).T)
@@ -325,12 +295,11 @@ def lattice_scan(q: QuadraticForm, cfg: CertifyConfig = CertifyConfig()) -> Latt
     lam = eigvals3(T)[:, 0]
     seeds = _basin_seeds(Y0, lam)
     vals, X = eigmin3(T[seeds])
-    X, Y, vals, sweeps = _descend(G4, X.T, Y0[:, seeds], vals, SEED_SWEEPS)
-    X, Y, vals, steps = _newton(G4, X, Y, vals)
-    for a in (T, lam, vals):
+    X, Y, vals, steps = _newton(G4, X.T, Y0[:, seeds], vals)
+    for a in (lam, vals):
         np.ldexp(a, e, out=a)
     margin = float(min(np.min(vals), np.min(lam)))
-    return LatticeScan(q, cfg, margin, T, lam, X.T, Y.T, vals, sweeps, steps)
+    return LatticeScan(q, cfg, margin, e, G4, T, lam, X.T, Y.T, vals, steps)
 
 
 def _basin_seeds(Y0: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -339,14 +308,16 @@ def _basin_seeds(Y0: np.ndarray, lam: np.ndarray) -> np.ndarray:
     order, those with no earlier point of the pool within SEED_RADIUS
     lattice spacings as lines, at most SEED_CAP.  Every lower neighbour of
     a pool point is in the pool, so each seed is a local minimum of the
-    lattice within that radius; one (pool x pool) Gram decides them all."""
+    lattice within that radius; one (pool x pool) Gram decides them all,
+    a point being shadowed when the first pool point near it, as a line,
+    is an earlier one (each point is near itself)."""
     m = min(SEED_POOL, len(lam))
     # the points up to the m-th lowest value, ties included, in index order
     pool = np.flatnonzero(lam <= np.partition(lam, m - 1)[m - 1])
     pool = pool[np.argsort(lam[pool], kind="stable")[:m]]
     P = Y0[:, pool]
     cos_r = math.cos(SEED_RADIUS * math.sqrt(2.0 * math.pi / len(lam)))
-    shadowed = np.tril(np.abs(P.T @ P) >= cos_r, -1).any(axis=1)
+    shadowed = np.argmax(np.abs(P.T @ P) >= cos_r, axis=1) < np.arange(len(pool))
     return pool[~shadowed][:SEED_CAP]
 
 
@@ -536,14 +507,14 @@ def _probe_directions(q: QuadraticForm, cfg: CertifyConfig) -> np.ndarray:
     R = rng.standard_normal((n_rand, 9))
     R /= np.linalg.norm(R, axis=1)[:, None]
     V = np.linalg.eigh(q.gram)[1].T
-    aligned = list(V[:cfg.probe_directions - n_rand])
-    while len(aligned) < cfg.probe_directions - n_rand:
-        i, j = rng.integers(0, 9, size=2)
-        t = rng.uniform(0.0, 2.0 * np.pi)
-        v = np.cos(t) * V[i] + np.sin(t) * V[j]
-        if np.linalg.norm(v) > 1e-12:
-            aligned.append(v / np.linalg.norm(v))
-    return np.concatenate([R, aligned])
+    mixes = [(rng.integers(0, 9, size=2), rng.uniform(0.0, 2.0 * np.pi))
+             for _ in range(cfg.probe_directions - n_rand - 9)]
+    ij = np.array([m[0] for m in mixes], dtype=int).reshape(-1, 2)
+    t = np.array([m[1] for m in mixes]).reshape(-1, 1)
+    W = np.cos(t) * V[ij[:, 0]] + np.sin(t) * V[ij[:, 1]]
+    # stacked products, bitwise the norm of one mix at a time
+    W /= np.sqrt(W[:, None] @ W[:, :, None])[:, 0]
+    return np.concatenate([R, V[:cfg.probe_directions - n_rand], W])
 
 
 def _shifted_adjugate(U: np.ndarray, shift: float) -> tuple[np.ndarray, np.ndarray]:
@@ -582,14 +553,12 @@ def milton_extremality_probe(scan: LatticeScan) -> ProbeReport:
     Q - (1 - 1e-4) eps* l^2 (off the sampled boundary) to pass a full scan.
     """
     scan.require_quasiconvex("milton probe")
-    q, cfg = scan.form, scan.cfg
-    e = math.frexp(float(np.max(np.abs(q.gram))))[1]
-    G = np.ldexp(q.gram, -e)
+    q, cfg, e, G4 = scan.form, scan.cfg, scan.e, scan.G4
     guard = math.ldexp(GUARD_REL * (1.0 + q.norm()), -e)
     P9 = _zero_pool(scan)
-    pool_q = _pool_quadratic(P9, G) + guard
+    pool_q = _pool_quadratic(P9, G4.swapaxes(1, 2).reshape(9, 9)) + guard
     Y = np.ascontiguousarray(sphere_lattice(cfg.grid_resolution).T)
-    adj, det = _shifted_adjugate(np.ldexp(_upper(scan.T), -e), guard)
+    adj, det = _shifted_adjugate(_upper(scan.T), guard)
 
     dirs = _probe_directions(q, cfg)
     c, n, k = len(dirs), Y.shape[1], 16
@@ -607,7 +576,6 @@ def milton_extremality_probe(scan: LatticeScan) -> ProbeReport:
         top[j] = np.argpartition(r, k - 1, axis=1)[:, :k]
     # the first x step reads the lattice's table: refine binds only below it
     V, table, refine = Y[:, top], (adj[:, top], det[top]), np.full(c, np.inf)
-    G4 = gram_tensor(G)
     for Mk, K in ((D, G4), (D.transpose(0, 2, 1), G4.transpose(2, 3, 0, 1))) * 14:
         r, W = _rank_one_bound(*table, (Mk @ V.transpose(1, 0, 2)).transpose(1, 0, 2))
         refine = np.minimum(refine, np.min(r, axis=1))

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -177,13 +177,30 @@ def _scan_form(kind, seed, shift):
     return q
 
 
+def _alternating_descent(G4, X, Y, vals, max_iters):
+    """Block descent from the starts Y (3, k) with their solved x blocks X
+    (3, k) and values vals (k,): each sweep minimizes exactly in y, then in
+    x, until no value falls by 1e-16 (1 + max |value|) or after max_iters
+    sweeps.  Returns the refined values, which never rise per point."""
+    Ky = G4.transpose(2, 3, 0, 1)
+    for _ in range(max_iters):
+        Y = eigmin3(_acoustic_stack(X, G4))[1].T
+        new_vals, X = eigmin3(_acoustic_stack(Y, Ky))
+        X = X.T
+        improvement = np.max(vals - new_vals)
+        vals = new_vals
+        if improvement < 1e-16 * (1.0 + np.max(np.abs(new_vals))):
+            break
+    return vals
+
+
 def _reference_margin(q, grid):
     """The margin of the full refinement that basin seeding replaces: every
     lattice point refined by up to 40 alternating sweeps."""
     G4 = q.gram_tensor()
     Y0 = np.ascontiguousarray(sphere_lattice(grid).T)
     lam, X0 = eigmin3(_acoustic_stack(Y0, G4.transpose(2, 3, 0, 1)))
-    vals = certify._descend(G4, X0.T, Y0, lam, 40)[2]
+    vals = _alternating_descent(G4, X0.T, Y0, lam, 40)
     return float(min(np.min(vals), np.min(lam)))
 
 
@@ -216,6 +233,30 @@ def test_scan_follows_power_of_two_scaling_bitwise(kind, k):
     assert scan.vals.tobytes() == np.ldexp(base.vals, k).tobytes()
     assert scan.Y.tobytes() == base.Y.tobytes()
     assert scan.newton_steps == base.newton_steps
+    # the frame the probes read: exponent, and G4 and T left in it
+    assert scan.e == base.e + k
+    assert scan.G4.flags.c_contiguous
+    assert scan.G4.tobytes() == base.G4.tobytes()
+    assert scan.T.tobytes() == base.T.tobytes()
+
+
+# scans that lost a rank-one zero when the seeds went to Newton without
+# the alternating pre-sweeps and with 4 step halvings: a seed next to a
+# zero stalled, every halved step failing
+@example(kind="choi_lam", seed=228, shift=True, grid=32)
+@example(kind="choi_lam", seed=918, shift=True, grid=96)
+@example(kind="choi", seed=567, shift=True, grid=32)
+@example(kind="choi", seed=1372, shift=False, grid=96)
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["choi", "choi_lam"]),
+       seed=st.integers(0, 2**32 - 1), shift=st.booleans(),
+       grid=st.sampled_from([32, 96]))
+def test_scan_keeps_every_rank_one_zero_of_rotated_forms(kind, seed, shift, grid):
+    # choi vanishes on the three axis lines and choi_lam at seven points,
+    # all quartic-flat; rotations and minor shifts keep them
+    q = _scan_form(kind, seed, shift)
+    zeros = lattice_scan(q, CertifyConfig(grid_resolution=grid)).rank_one_zeros()
+    assert len(zeros) == {"choi": 3, "choi_lam": 7}[kind]
 
 
 def _zero_pool_loop(scan):
@@ -309,24 +350,50 @@ def test_lattice_scan_sends_at_most_the_seed_cap_to_lapack():
     assert rows and max(rows) <= certify.SEED_CAP
 
 
+def _basin_seeds_tril(Y0, lam):
+    """The reference for _basin_seeds' shadowing: a pool point is shadowed
+    when any earlier pool point lies within the seed radius, as a line,
+    read off the strict lower triangle of the pool's |Gram|."""
+    m = min(certify.SEED_POOL, len(lam))
+    pool = np.flatnonzero(lam <= np.partition(lam, m - 1)[m - 1])
+    pool = pool[np.argsort(lam[pool], kind="stable")[:m]]
+    P = Y0[:, pool]
+    cos_r = np.cos(certify.SEED_RADIUS * np.sqrt(2.0 * np.pi / len(lam)))
+    shadowed = np.tril(np.abs(P.T @ P) >= cos_r, -1).any(axis=1)
+    return pool[~shadowed][:certify.SEED_CAP]
+
+
+@pytest.mark.parametrize("grid", [16, 32, 96])
+def test_basin_seeds_match_lower_triangle_shadowing(grid):
+    Y0 = np.ascontiguousarray(sphere_lattice(grid).T)
+    forms = [catalog(name) for name in ("choi", "choi_lam", "convex_identity",
+                                        "serre")]
+    forms += [_scan_form(kind, seed, seed % 2 == 0)
+              for kind in ("psd", "indefinite", "choi", "choi_lam")
+              for seed in range(3)]
+    for q in forms:
+        lam = eigvals3(_acoustic_stack(Y0, q.gram_tensor().transpose(2, 3, 0, 1)))[:, 0]
+        assert np.array_equal(certify._basin_seeds(Y0, lam),
+                              _basin_seeds_tril(Y0, lam))
+
+
 def _eigmin3_lattice_scan(q, cfg):
     """The reference for lattice_scan's values-only lattice pass: one
     eigmin3 solves every lattice point, and its values pick the seeds and
-    its vectors start them, on the same helpers."""
+    its vectors start Newton, on the same helpers."""
     e = np.frexp(np.max(np.abs(q.gram)))[1]
     G4 = np.ascontiguousarray(np.ldexp(q.gram_tensor(), -e))
     Y0 = np.ascontiguousarray(sphere_lattice(cfg.grid_resolution).T)
     T = _acoustic_stack(Y0, G4.transpose(2, 3, 0, 1))
     lam, X0 = eigmin3(T)
     seeds = certify._basin_seeds(Y0, lam)
-    X, Y, vals, sweeps = certify._descend(
-        G4, X0.T[:, seeds], Y0[:, seeds], lam[seeds], certify.SEED_SWEEPS)
-    X, Y, vals, steps = certify._newton(G4, X, Y, vals)
-    for a in (T, lam, vals):
+    X, Y, vals, steps = certify._newton(G4, X0.T[:, seeds], Y0[:, seeds],
+                                        lam[seeds])
+    for a in (lam, vals):
         np.ldexp(a, e, out=a)
     margin = float(min(np.min(vals), np.min(lam)))
-    return certify.LatticeScan(q, cfg, margin, T, lam, X.T, Y.T, vals,
-                               sweeps, steps)
+    return certify.LatticeScan(q, cfg, margin, e, G4, T, lam, X.T, Y.T,
+                               vals, steps)
 
 
 @settings(max_examples=24, deadline=None)
@@ -745,6 +812,33 @@ def test_rank_one_bound_edge_cases():
     # singular counts as not positive definite: no room is claimed
     assert _shifted_bound(np.diag([1.0, 0.0, 4.0]), [1.0, 0.0, 0.0])[0][0] == 0.0
     assert _shifted_bound(np.diag([1.0, -1.0, -4.0]), [1.0, 0.0, 0.0])[0][0] == 0.0
+
+
+def _probe_directions_loop(q, cfg):
+    """The reference for _probe_directions: the in-pair mixes drawn and
+    normalized one at a time, each as a pair (integers, uniform)."""
+    rng = np.random.default_rng(cfg.seed)
+    n_rand = cfg.probe_directions // 2
+    R = rng.standard_normal((n_rand, 9))
+    R /= np.linalg.norm(R, axis=1)[:, None]
+    V = np.linalg.eigh(q.gram)[1].T
+    aligned = list(V[:cfg.probe_directions - n_rand])
+    while len(aligned) < cfg.probe_directions - n_rand:
+        i, j = rng.integers(0, 9, size=2)
+        t = rng.uniform(0.0, 2.0 * np.pi)
+        v = np.cos(t) * V[i] + np.sin(t) * V[j]
+        aligned.append(v / np.linalg.norm(v))
+    return np.concatenate([R, aligned])
+
+
+@pytest.mark.parametrize("n", [1, 4, 19, 20, 32, 256])
+def test_probe_directions_match_one_draw_at_a_time(n):
+    for name in ("choi", "choi_lam", "convex_identity", "serre"):
+        for seed in (0, 1, 42):
+            cfg = CertifyConfig(probe_directions=n, seed=seed)
+            dirs = certify._probe_directions(catalog(name), cfg)
+            assert dirs.shape == (n, 9)
+            assert np.array_equal(dirs, _probe_directions_loop(catalog(name), cfg))
 
 
 def _random_form(kind, rng):
