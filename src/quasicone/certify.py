@@ -7,16 +7,19 @@ lattice's basins are refined: the local minima among its SEED_POOL lowest
 points (within seed radius, as lines), the only lattice points whose
 eigenvectors are computed (one eigmin3), start a safeguarded Riemannian
 Newton iteration on S^2 x S^2 (Absil, Mahony & Sepulchre, Optimization
-Algorithms on Matrix Manifolds, 2008) with a backtracking line search,
-which converges quadratically at a simple minimum and linearly at the
+Algorithms on Matrix Manifolds, 2008) with a backtracking line search
+whose halvings are all tried in one stacked eigen-solve per step, which
+converges quadratically at a simple minimum and linearly at the
 quartic-flat rank-one zeros of the theorem's extremal forms, where
 alternating descent is sublinear.  Vectors are stored components first,
 as (3, n) rows.  An acoustic stack is one GEMM, a transposed 9x9
 reshaping of the Gram tensor times the nine rows v_j v_l of v (x) v
 (_acoustic_stack), into (3, 3, n) storage, whose (n, 3, 3) transposed
 view eigmin3 solves, returning the eigenvectors as the (n, 3) view of
-(3, n) rows.  Each form is scanned once; its LatticeScan is shared by
-the margin report and the probes built on top of it:
+(3, n) rows.  Each form is scanned once: lattice_scan keeps its last
+scan, read-only, and returns it again for the same Gram and config, so
+quasiconvexity_margin then rank_one_zeros scan once, and the LatticeScan
+is shared by the margin report and the probes built on top of it:
 
   * milton_extremality_probe: largest coefficient eps such that Q - eps*l^2
     stays quasiconvex, maximized over unit rank-one directions l, in closed
@@ -76,12 +79,13 @@ SEED_RADIUS = 2.3
 NEWTON_ITERS = 40
 # Newton safeguards, relative to the form's scale: the least eigenvalue of
 # the Levenberg-shifted Hessian, the longest tangent step (radians), the
-# step halvings tried before a seed is left where it is, and the value
-# decrease below which a step counts as rounding
+# step halvings tried, all at once, before a seed is left where it is, and
+# the value decrease below which a step counts as rounding
 NEWTON_SHIFT = 1e-12
 NEWTON_STEP_MAX = 0.25
 NEWTON_BACKTRACKS = 8
 NEWTON_TOL = np.finfo(float).eps
+_HALVINGS = 2.0 ** -np.arange(NEWTON_BACKTRACKS + 1)
 # grid^2 lattice points; one scan at 512 takes ~40 s and ~300 MB (2-vCPU VM)
 MAX_GRID_RESOLUTION = 512
 
@@ -227,7 +231,8 @@ class LatticeScan:
     the refined basin seeds (X, Y, vals) after newton_steps Newton steps,
     and the sampled margin min(vals, lattice_lam), all three scaled back by
     2^e.  T (n, 3, 3) is the transposed view of (3, 3, n) storage, and X
-    and Y (seeds, 3) are views of components-first rows."""
+    and Y (seeds, 3) are views of components-first rows.  lattice_scan
+    makes every array read-only, since it may hand the scan out again."""
 
     form: QuadraticForm
     cfg: CertifyConfig
@@ -273,6 +278,11 @@ class LatticeScan:
                 for (y, x, _) in kept]
 
 
+# the last scan and its key (Gram bytes, cfg): a form asked about twice in
+# a row, as by quasiconvexity_margin then rank_one_zeros, is scanned once
+_last_scan: tuple = (None, None)
+
+
 def lattice_scan(q: QuadraticForm, cfg: CertifyConfig = CertifyConfig()) -> LatticeScan:
     """Scan q: lambda_min(T(y)) at every point y of
     sphere_lattice(cfg.grid_resolution), values only (eigvals3), then the
@@ -287,7 +297,15 @@ def lattice_scan(q: QuadraticForm, cfg: CertifyConfig = CertifyConfig()) -> Latt
     and the values are scaled back by 2^e; G4 and T stay in that frame for
     the probes.  Both scalings are exact, so the fixed floors of the
     refinement are relative to the form, Q and 2Q follow bitwise-equal
-    paths, and no square overflows."""
+    paths, and no square overflows.
+
+    The last scan is kept: a call with a bitwise-equal Gram and an equal
+    cfg returns that same LatticeScan, whose arrays are all read-only, so
+    no reader can change what the next caller gets."""
+    global _last_scan
+    key = (q.gram.tobytes(), cfg)
+    if _last_scan[0] == key:
+        return _last_scan[1]
     e = math.frexp(float(np.max(np.abs(q.gram))))[1]
     G4 = np.ascontiguousarray(np.ldexp(q.gram_tensor(), -e))
     Y0 = np.ascontiguousarray(sphere_lattice(cfg.grid_resolution).T)
@@ -299,7 +317,11 @@ def lattice_scan(q: QuadraticForm, cfg: CertifyConfig = CertifyConfig()) -> Latt
     for a in (lam, vals):
         np.ldexp(a, e, out=a)
     margin = float(min(np.min(vals), np.min(lam)))
-    return LatticeScan(q, cfg, margin, e, G4, T, lam, X.T, Y.T, vals, steps)
+    scan = LatticeScan(q, cfg, margin, e, G4, T, lam, X.T, Y.T, vals, steps)
+    for a in (G4, T, lam, scan.X, scan.Y, vals):
+        a.setflags(write=False)
+    _last_scan = (key, scan)
+    return scan
 
 
 def _basin_seeds(Y0: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -376,13 +398,16 @@ def _newton(G4: np.ndarray, X: np.ndarray, Y: np.ndarray, vals: np.ndarray
     Each step solves (H + mu I) d = -g in the tangent bases
     (_transverse_hessian), with the Levenberg shift mu >= 0 that lifts the
     least eigenvalue to NEWTON_SHIFT and |d| capped at NEWTON_STEP_MAX,
-    retracts y by normalizing y + V d_y and re-solves x exactly: the new
-    value is lambda_min(T(y)) from eigmin3.  A seed takes the step only if
-    its value falls, else it halves the step, at most NEWTON_BACKTRACKS
-    times, so values never rise per seed.  A seed stops, frozen, after the
-    first step that lowers its value by no more than NEWTON_TOL; the
-    iteration ends when none is left or after NEWTON_ITERS steps.  Returns
-    the refined (X, Y, vals), components first, and the steps run."""
+    retracts y by normalizing y + 2^-k V d_y and re-solves x exactly: the
+    new value is lambda_min(T(y)) from eigmin3.  All NEWTON_BACKTRACKS + 1
+    halvings k of all live seeds are one acoustic stack and one eigmin3, so
+    a step costs one eigen-solve; each seed takes the least k whose value
+    falls, else stays where it is, so values never rise per seed.  Scaling
+    by 2^-k is exact, so the trial points are those of halving one at a
+    time.  A seed stops, frozen, after the first step that lowers its value
+    by no more than NEWTON_TOL; the iteration ends when none is left or
+    after NEWTON_ITERS steps.  Returns the refined (X, Y, vals), components
+    first, and the steps run."""
     Ky = G4.transpose(2, 3, 0, 1)
     X, Y, vals = X.copy(), Y.copy(), vals.copy()
     live = np.arange(len(vals))
@@ -397,20 +422,17 @@ def _newton(G4: np.ndarray, X: np.ndarray, Y: np.ndarray, vals: np.ndarray
         d *= np.minimum(1.0, NEWTON_STEP_MAX / np.maximum(
             np.linalg.norm(d, axis=1), 1e-300))[:, None]
         dy = (V @ d[:, 2:, None])[:, :, 0].T
+        # every halving of every live seed's step, seed by seed, (3, live * 9)
+        Yt = (Y[:, live, None] + dy[:, :, None] * _HALVINGS).reshape(3, -1)
+        Yt /= np.linalg.norm(Yt, axis=0)
+        vt, Xt = eigmin3(_acoustic_stack(Yt, Ky))
         before = vals[live]
-        k = np.arange(len(live))   # positions in live still to step
-        for _ in range(NEWTON_BACKTRACKS + 1):
-            i = live[k]
-            Yt = Y[:, i] + dy[:, k]
-            Yt /= np.linalg.norm(Yt, axis=0)
-            vt, Xt = eigmin3(_acoustic_stack(Yt, Ky))
-            better = vt < vals[i]
-            i = i[better]
-            X[:, i], Y[:, i], vals[i] = Xt.T[:, better], Yt[:, better], vt[better]
-            k = k[~better]
-            if not len(k):
-                break
-            dy *= 0.5
+        better = vt.reshape(len(live), -1) < before[:, None]
+        # each seed that can takes its longest step that lowers its value
+        took = np.flatnonzero(better.any(axis=1))
+        t = took * len(_HALVINGS) + np.argmax(better[took], axis=1)
+        i = live[took]
+        X[:, i], Y[:, i], vals[i] = Xt.T[:, t], Yt[:, t], vt[t]
         live = live[before - vals[live] > NEWTON_TOL]
     return X, Y, vals, steps
 
@@ -445,7 +467,8 @@ def quasiconvexity_margin(q: QuadraticForm, cfg: CertifyConfig = CertifyConfig()
 
 
 def rank_one_zeros(q: QuadraticForm, cfg: CertifyConfig = CertifyConfig()) -> list:
-    """Scan q and return its LatticeScan.rank_one_zeros()."""
+    """lattice_scan(q, cfg).rank_one_zeros(), which reuses the scan of a
+    quasiconvexity_margin(q, cfg) just before."""
     return lattice_scan(q, cfg).rank_one_zeros()
 
 
@@ -661,14 +684,18 @@ def _pencil_step(C: np.ndarray, Li: np.ndarray, pd: np.ndarray
     """For whitened pencils C = L^-1 B L^-T (m, 3, 3) with L^-1 and pd from
     _whiten: min over x of x^T A x / |x^T B x|, as _ray_bound, and its
     minimizer x = L^-T v, v the eigenvector of the eigenvalue of C largest
-    in magnitude (eigmin3 on C or on -C), unit, as (3, m) rows."""
-    m = len(C)
-    lam, V = eigmin3(np.concatenate([C, -C]))
-    upper = lam[m:] < lam[:m]       # lambda_max(C) = -lambda_min(-C) binds
-    v = np.where(upper, V[m:].T, V[:m].T)
-    x = (Li.swapaxes(1, 2) @ v.T[:, :, None])[:, :, 0].T
+    in magnitude, unit, as (3, m) rows.  eigvals3 picks the binding side,
+    and one eigmin3 solves only that side, C or -C, so the other side's
+    nearly repeated lower pair (C near rank one) never reaches LAPACK's
+    eigh.  rho is the larger of that side's magnitude and the other's from
+    eigvals3, so a side misread near a tie cannot raise the bound."""
+    lam = eigvals3(C)
+    upper = lam[:, 2] > -lam[:, 0]  # lambda_max(C) = -lambda_min(-C) binds
+    mu, V = eigmin3(np.where(upper[:, None, None], -C, C))
+    x = (Li.swapaxes(1, 2) @ V[:, :, None])[:, :, 0].T
     x /= np.linalg.norm(x, axis=0)
-    return _ray_bound(-np.minimum(lam[:m], lam[m:]), pd), x
+    rho = np.maximum(-mu, np.where(upper, -lam[:, 0], lam[:, 2]))
+    return _ray_bound(rho, pd), x
 
 
 def extreme_point_probe(scan: LatticeScan) -> ProbeReport:

@@ -87,10 +87,10 @@ def cmd_analyze(args) -> dict:
     # the Milton and extremal-sextic probes read the input form's scan;
     # voigt inputs reach the extreme-point probe through their
     # Null-Lagrangian reduction (same biquadratic, same cone structure),
-    # which is a different Gram and so needs its own scan
+    # which is a different Gram and so needs its own scan; for any other
+    # input lattice_scan returns the scan above
     probe_form = form_from_reduced(reduced) if reduced is not None else form
-    probe_scan = (scan if np.array_equal(probe_form.gram, form.gram)
-                  else lattice_scan(probe_form, cfg))
+    probe_scan = lattice_scan(probe_form, cfg)
     probes = {
         "milton": _probe_or_error(milton_extremality_probe, scan),
         "extreme_point": _probe_or_error(extreme_point_probe, probe_scan),

@@ -1,0 +1,13 @@
+import pytest
+
+from quasicone import certify
+
+
+@pytest.fixture(autouse=True)
+def no_kept_scan():
+    """Every test starts and ends with no kept lattice scan, so a test that
+    counts kernel or LAPACK calls sees its own scans, and no scan made
+    under a patched kernel outlives its test."""
+    certify._last_scan = (None, None)
+    yield
+    certify._last_scan = (None, None)

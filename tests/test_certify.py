@@ -304,11 +304,17 @@ def test_choi_reports_each_axis_zero_once():
     assert all(np.max(np.abs(y)) >= 1.0 - 1e-6 for y in ys)
 
 
+# rows of a Newton step's stacked eigen-solve: every halving of every seed,
+# 432 at grid 96, 21x below its 9,216-point lattice
+_STEP_ROWS = certify.SEED_CAP * (certify.NEWTON_BACKTRACKS + 1)
+
+
 def test_lattice_scan_refines_at_most_the_seed_cap():
     # a counter, not a timer: a grid-96 scan solves the lattice with one
-    # values-only eigvals3 and every eigenvector stack it asks for has at
-    # most SEED_CAP rows, so a return to refining every lattice point, or to
-    # eigenvectors over the whole lattice, fails here
+    # values-only eigvals3, the seeds with one eigmin3 of at most SEED_CAP
+    # rows, and each Newton step with one eigmin3 of at most _STEP_ROWS, so
+    # a return to refining every lattice point, to eigenvectors over the
+    # whole lattice, or to one solve per halving fails here
     n = len(sphere_lattice(96))
     rows = {}
 
@@ -324,8 +330,9 @@ def test_lattice_scan_refines_at_most_the_seed_cap():
             rows.clear()
             scan = lattice_scan(catalog(name), CertifyConfig())
             assert rows["eigvals3"] == [n]
-            assert 1 < len(rows["eigmin3"])
-            assert max(rows["eigmin3"]) <= certify.SEED_CAP
+            assert 1 < len(rows["eigmin3"]) <= 1 + scan.newton_steps
+            assert rows["eigmin3"][0] <= certify.SEED_CAP
+            assert max(rows["eigmin3"]) <= _STEP_ROWS
     # 1,306 tied lattice points on T = I: the cap bounds the seeds
     assert len(scan.vals) == certify.SEED_CAP
     assert scan.margin_report().diagnostics["seeds"] == certify.SEED_CAP
@@ -334,7 +341,8 @@ def test_lattice_scan_refines_at_most_the_seed_cap():
 def test_lattice_scan_sends_at_most_the_seed_cap_to_lapack():
     # T(y) = |y|^2 I on every lattice point of convex_identity: each row is
     # isotropic, where an eigenvector needs LAPACK, but the lattice's values
-    # do not, so LAPACK sees only stacks of the seeds and of Newton's steps
+    # do not, so LAPACK sees only stacks of the seeds and of Newton's steps,
+    # each step one stack of every halving of every seed
     rows = []
 
     def spy(fn):
@@ -347,7 +355,73 @@ def test_lattice_scan_sends_at_most_the_seed_cap_to_lapack():
             mock.patch.object(np.linalg, "eigvalsh", spy(np.linalg.eigvalsh)):
         scan = lattice_scan(catalog("convex_identity"), CertifyConfig())
     assert abs(scan.margin - 1.0) <= 1e-15
-    assert rows and max(rows) <= certify.SEED_CAP
+    assert rows and max(rows) <= _STEP_ROWS
+
+
+def test_margin_then_zeros_scan_the_form_once():
+    # the margin-scan pair of calls: one lattice pass, both read the one
+    # kept scan
+    rows = []
+
+    def counted(M, *args):
+        rows.append(len(M))
+        return eigvals3(M, *args)
+
+    q = catalog("choi_lam")
+    with mock.patch.object(certify, "eigvals3", counted):
+        report = quasiconvexity_margin(q, CertifyConfig())
+        zeros = rank_one_zeros(q, CertifyConfig())
+        scan = lattice_scan(q, CertifyConfig())
+    assert rows == [len(sphere_lattice(96))]
+    assert report == scan.margin_report()
+    assert zeros == scan.rank_one_zeros() and len(zeros) == 7
+
+
+def test_kept_scan_needs_the_same_gram_bits_and_config():
+    q = catalog("choi")
+    scan = lattice_scan(q, _GRID32)
+    assert lattice_scan(QuadraticForm(q.gram.copy()), _GRID32) is scan
+    g = q.gram.copy()
+    g[4, 4] = np.nextafter(g[4, 4], np.inf)     # one bit, still symmetric
+    for other in ((QuadraticForm(g), _GRID32),
+                  (q, dataclasses.replace(_GRID32, tol=2e-9)),
+                  (q, dataclasses.replace(_GRID32, seed=1)),
+                  (q, dataclasses.replace(_GRID32, grid_resolution=33))):
+        rescan = lattice_scan(*other)
+        assert rescan is not scan
+        assert rescan.form.gram.tobytes() == other[0].gram.tobytes()
+        assert rescan.cfg == other[1]
+        scan = lattice_scan(q, _GRID32)
+
+
+def test_kept_scan_is_read_only():
+    scan = lattice_scan(catalog("choi_lam"), _GRID32)
+    for name in ("G4", "T", "lattice_lam", "X", "Y", "vals"):
+        a = getattr(scan, name)
+        with pytest.raises(ValueError):
+            a[(0,) * a.ndim] = 0.0
+        with pytest.raises(ValueError):
+            a *= 2.0
+    assert lattice_scan(catalog("choi_lam"), _GRID32) is scan
+
+
+@pytest.mark.parametrize("kind, seed, grid",
+                         [("choi_lam", 3, 32), ("psd", 4, 96), ("choi", 5, 96)])
+def test_kept_scan_equals_a_fresh_scan_bitwise(kind, seed, grid):
+    q, cfg = _scan_form(kind, seed, True), CertifyConfig(grid_resolution=grid)
+    kept = lattice_scan(q, cfg)
+    assert lattice_scan(q, cfg) is kept
+    lattice_scan(catalog("choi"), cfg)          # replaces the kept scan
+    fresh = lattice_scan(q, cfg)
+    assert fresh is not kept
+    for f in dataclasses.fields(certify.LatticeScan):
+        a, b = getattr(kept, f.name), getattr(fresh, f.name)
+        if f.name == "form":
+            a, b = a.gram, b.gram
+        if isinstance(a, np.ndarray):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), f.name
+        else:
+            assert a == b, f.name
 
 
 def _basin_seeds_tril(Y0, lam):
@@ -410,6 +484,65 @@ def test_values_only_lattice_pass_matches_eigmin3_lattice(kind, seed, shift):
         assert len(scan.rank_one_zeros()) == len(ref.rank_one_zeros())
     else:
         assert scan.margin < -_GRID32.tol
+
+
+def _newton_one_halving_at_a_time(G4, X, Y, vals):
+    """The reference for _newton's stacked halvings: the same Newton step,
+    then one eigmin3 per halving, each seed taking the first whose value
+    falls."""
+    Ky = G4.transpose(2, 3, 0, 1)
+    X, Y, vals = X.copy(), Y.copy(), vals.copy()
+    live, steps = np.arange(len(vals)), 0
+    while len(live) and steps < certify.NEWTON_ITERS:
+        steps += 1
+        g, H, _, V = certify._transverse_hessian(G4, X[:, live], Y[:, live])
+        w, W = np.linalg.eigh(H)
+        w += np.maximum(0.0, certify.NEWTON_SHIFT - w[:, :1])
+        d = -(W @ ((g[:, None] @ W)[:, 0] / w)[:, :, None])[:, :, 0]
+        d *= np.minimum(1.0, certify.NEWTON_STEP_MAX / np.maximum(
+            np.linalg.norm(d, axis=1), 1e-300))[:, None]
+        dy = (V @ d[:, 2:, None])[:, :, 0].T
+        before, k = vals[live], np.arange(len(live))
+        for _ in range(certify.NEWTON_BACKTRACKS + 1):
+            i = live[k]
+            Yt = Y[:, i] + dy[:, k]
+            Yt /= np.linalg.norm(Yt, axis=0)
+            vt, Xt = eigmin3(_acoustic_stack(Yt, Ky))
+            better = vt < vals[i]
+            i = i[better]
+            X[:, i], Y[:, i], vals[i] = Xt.T[:, better], Yt[:, better], vt[better]
+            k = k[~better]
+            if not len(k):
+                break
+            dy *= 0.5
+        live = live[before - vals[live] > certify.NEWTON_TOL]
+    return vals, steps
+
+
+@pytest.mark.parametrize("kind, seed, grid", [
+    ("psd", 0, 32), ("indefinite", 1, 96), ("choi", 2, 32), ("choi", 3, 96),
+    ("choi_lam", 4, 32), ("choi_lam", 5, 96)])
+def test_stacked_halvings_match_one_halving_at_a_time(kind, seed, grid,
+                                                     monkeypatch):
+    # the same trial points (2^-k scaling is exact), so only the GEMM's
+    # column rounding can move a value: after one step and after the whole
+    # search each seed is within 8 eps of the sequential search in the
+    # scan's frame, never above its start; taking the shortest falling
+    # halving in place of the longest moves the values further
+    scan = lattice_scan(_scan_form(kind, seed, seed % 2 == 1),
+                        CertifyConfig(grid_resolution=grid))
+    Y0 = np.ascontiguousarray(sphere_lattice(grid).T)
+    seeds = certify._basin_seeds(Y0, np.ldexp(scan.lattice_lam, -scan.e))
+    vals, X = eigmin3(scan.T[seeds])
+    start = (scan.G4, X.T, Y0[:, seeds], vals)
+    *_, new, steps = certify._newton(*start)
+    assert np.array_equal(np.ldexp(new, scan.e), scan.vals)
+    assert steps == scan.newton_steps and np.all(new <= vals)
+    for iters in (1, certify.NEWTON_ITERS):
+        monkeypatch.setattr(certify, "NEWTON_ITERS", iters)
+        ref, _ = _newton_one_halving_at_a_time(*start)
+        new = certify._newton(*start)[2]
+        assert np.max(np.abs(new - ref)) <= 8 * np.finfo(float).eps
 
 
 def test_transverse_hessian_matches_finite_differences():
@@ -585,7 +718,10 @@ def test_lockstep_row_cap_leaves_probe_reports_unchanged(monkeypatch):
     cfg = CertifyConfig(grid_resolution=32, probe_directions=4)
     identity = form_from_reduced(ReducedOrthotropicForm(np.eye(3), 1, 1, 1))
     scans = [lattice_scan(q, cfg) for q in (catalog("choi_lam"), identity)]
-    rows = []   # rows of each lattice-stage eigvals3 call
+    # rows of each lattice-stage eigvals3 call, and of the extreme point's
+    # binding-side picks (_pencil_step), one row per refined point: 4
+    # directions x 12 starts, whatever the cap
+    rows, refined = [], 4 * 12
 
     def eigvals3_spy(M):
         rows.append(len(M))
@@ -602,7 +738,7 @@ def test_lockstep_row_cap_leaves_probe_reports_unchanged(monkeypatch):
     assert max(rows) > n
     monkeypatch.setattr(certify, "LOCKSTEP_ROWS", 1)
     assert reports() == default
-    assert set(rows) == {n}    # one candidate per call
+    assert set(rows) == {n, refined}    # one candidate per lattice call
 
 
 def test_probe_diagnostics_count_the_search():
@@ -964,7 +1100,7 @@ def test_pencil_bound_matches_eigvalsh_bisection(R, B, shift):
     for M in (A, -A, A - (lowest + shift) * np.eye(3)):
         C, Li, pd = certify._whiten(M[None], B[None])
         # the lattice stage's bound (eigvals3) and the refinement's
-        # (eigmin3 on C and -C, with its minimizer)
+        # (eigmin3 on the binding side of C, with its minimizer)
         lam = eigvals3(C)
         lattice = certify._ray_bound(np.maximum(lam[:, 2], -lam[:, 0]), pd)[0]
         refine, x = certify._pencil_step(C, Li, pd)
