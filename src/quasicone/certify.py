@@ -48,6 +48,9 @@ or a point of a few exact alternating sweeps from the most binding lattice
 points) admits the coefficient up to a closed-form bound, and the least
 bound is validated by full scans.  Both report their work counters as
 witness["diagnostics"].
+
+Every floor is a constant in the scan's frame, the Gram scaled by 2^-e:
+cfg.tol is tol 2^e on Q's values, so Q and alpha Q get the same verdicts.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ import numpy as np
 from .determinant import _SEXTIC_EXPS, acoustic_det, perfect_square_test
 from .forms import (LAYOUT_PARAMS, QuadraticForm, acoustic_matrix,
                     detect_shear_layout, form_from_theta, gram_tensor,
-                    minor_gram_basis, scaled_norm, shear_layout_basis)
+                    minor_gram_basis, shear_layout_basis)
 from .symeig import _COLUMNS, _adjugate, _upper, eigmin3, eigvals3
 
 # noise floor of a refined margin evaluation, relative to the Gram scale;
@@ -112,7 +115,7 @@ class PreconditionError(ValueError):
 @dataclass(frozen=True)
 class CertifyConfig:
     grid_resolution: int = 96
-    tol: float = 1e-9
+    tol: float = 1e-9  # relative: a floor of tol 2^e, for the scan's e
     seed: int = 0
     probe_directions: int = 256
 
@@ -247,15 +250,15 @@ class LatticeScan:
     newton_steps: int
 
     def require_quasiconvex(self, who: str) -> None:
-        if self.margin < -self.cfg.tol:
+        if self.margin < -math.ldexp(self.cfg.tol, self.e):
             raise PreconditionError(
                 f"{who} requires a quasiconvex form (margin {self.margin:.3e})")
 
     def margin_report(self) -> MarginReport:
-        """Minimizers: refined pairs within tol of the margin, clustered at
-        angular distance 1e-3, at most 12."""
+        """Minimizers: refined pairs within tol 2^e of the margin, clustered
+        at angular distance 1e-3, at most 12."""
         margin, vals = self.margin, self.vals
-        near = vals <= margin + self.cfg.tol * (1.0 + abs(margin))
+        near = vals <= margin + math.ldexp(self.cfg.tol, self.e)
         kept = _cluster_pairs(self.X[near], self.Y[near], vals[near],
                               cap=MAX_REPORTED_MINIMIZERS)
         minimizers = tuple(
@@ -267,12 +270,12 @@ class LatticeScan:
             "newton_steps": self.newton_steps})
 
     def rank_one_zeros(self) -> list:
-        """Clustered unit pairs (x, y) with Q(x (x) y) <= tol.
+        """Clustered unit pairs (x, y) with Q(x (x) y) <= tol 2^e.
 
         Requires the form to be quasiconvex within tolerance.
         """
         self.require_quasiconvex("rank_one_zeros")
-        near = self.vals <= self.cfg.tol
+        near = self.vals <= math.ldexp(self.cfg.tol, self.e)
         kept = _cluster_pairs(self.X[near], self.Y[near], self.vals[near])
         return [(tuple(float(u) for u in x), tuple(float(u) for u in y))
                 for (y, x, _) in kept]
@@ -486,14 +489,12 @@ def _zero_pool(scan: LatticeScan):
     sweeps are laid along every eigendirection; the eps^2-deep dips of
     Q - eps*l^2 live on those curves.
     """
-    G4 = scan.form.gram_tensor()
-    zt = 1e-10 * (1.0 + scan.form.norm())
-    near = scan.vals <= zt
+    near = scan.vals <= math.ldexp(1e-10, scan.e)
     if not np.any(near):
         return np.zeros((0, 9))
     reps = _cluster_pairs(scan.X[near], scan.Y[near], scan.vals[near], cap=12)
     Y0, X0 = (np.array([r[k] for r in reps]) for k in (0, 1))
-    _, H, U, V = _transverse_hessian(G4, X0.T, Y0.T)
+    _, H, U, V = _transverse_hessian(scan.G4, X0.T, Y0.T)
     W = np.linalg.eigh(H)[1]
     radii = np.concatenate([_POOL_RADII, -_POOL_RADII])[:, None]
 
@@ -572,16 +573,16 @@ def milton_extremality_probe(scan: LatticeScan) -> ProbeReport:
     ((Q + guard) / l^2), the scan's lattice (LOCKSTEP_ROWS (direction,
     point) pairs at a time) and 14 sweeps from each direction's 16 lowest
     lattice points, each exact in x (x ~ adj(A) m), then in y (S(x),
-    p = M^T x), all on the scan's 2^-e-normalized Gram.  refuted needs
-    Q - (1 - 1e-4) eps* l^2 (off the sampled boundary) to pass a full scan.
+    p = M^T x), all on the scan's 2^-e-normalized Gram, as are guard =
+    GUARD_REL and the thresholds.  refuted needs Q - (1 - 1e-4) eps* l^2
+    (off the sampled boundary) to pass a full scan.
     """
     scan.require_quasiconvex("milton probe")
     q, cfg, e, G4 = scan.form, scan.cfg, scan.e, scan.G4
-    guard = math.ldexp(GUARD_REL * (1.0 + q.norm()), -e)
     P9 = _zero_pool(scan)
-    pool_q = _pool_quadratic(P9, G4.swapaxes(1, 2).reshape(9, 9)) + guard
+    pool_q = _pool_quadratic(P9, G4.swapaxes(1, 2).reshape(9, 9)) + GUARD_REL
     Y = np.ascontiguousarray(sphere_lattice(cfg.grid_resolution).T)
-    adj, det = _shifted_adjugate(_upper(scan.T), guard)
+    adj, det = _shifted_adjugate(_upper(scan.T), GUARD_REL)
 
     dirs = _probe_directions(q, cfg)
     c, n, k = len(dirs), Y.shape[1], 16
@@ -604,7 +605,7 @@ def milton_extremality_probe(scan: LatticeScan) -> ProbeReport:
         refine = np.minimum(refine, np.min(r, axis=1))
         V = W / np.maximum(np.linalg.norm(W, axis=0), 1e-300)
         table = _shifted_adjugate(_upper(_acoustic_stack(
-            V.reshape(3, -1), K)).reshape(6, c, k), guard)
+            V.reshape(3, -1), K)).reshape(6, c, k), GUARD_REL)
     bounds = np.stack([pool, lattice, refine])
     eps_star = np.ldexp(np.min(bounds, axis=0), e)
     binding = np.bincount(np.argmin(bounds, axis=0), minlength=3)
@@ -616,8 +617,7 @@ def milton_extremality_probe(scan: LatticeScan) -> ProbeReport:
     # the witness is the first direction within the validation back-off of
     # the max, so rounding noise in eps* cannot swap it
     value = float(np.max(eps_star))
-    j_best = int(np.flatnonzero(
-        eps_star >= value - max(1e-12, 1e-4 * value))[0])
+    j_best = int(np.argmax(eps_star >= value - max(math.ldexp(1e-12, e), 1e-4 * value)))
     m_best, eps_best = dirs[j_best], float(eps_star[j_best])
     witness = {
         "direction": [float(u) for u in m_best],
@@ -628,11 +628,11 @@ def milton_extremality_probe(scan: LatticeScan) -> ProbeReport:
             "refinement_starts": c * k, "refinement_sweeps": 14,
             "binding": dict(zip(("pool", "lattice", "refine"), binding.tolist()))},
     }
-    if value > MILTON_REFUTED_MIN:
+    if value > math.ldexp(MILTON_REFUTED_MIN, e):
         check = QuadraticForm(q.gram - (1 - 1e-4) * eps_best * np.outer(m_best, m_best))
         witness["validation_margin"] = margin = lattice_scan(check, cfg).margin
-        verdict = "refuted" if margin >= -cfg.tol else "inconclusive"
-    elif value <= MILTON_CONSISTENT_MAX:
+        verdict = "refuted" if margin >= -math.ldexp(cfg.tol, e) else "inconclusive"
+    elif value <= math.ldexp(MILTON_CONSISTENT_MAX, e):
         verdict = "consistent"
     else:
         verdict = "inconclusive"
@@ -703,22 +703,23 @@ def extreme_point_probe(scan: LatticeScan) -> ProbeReport:
     0 <= Q1 <= Q (in the quasiconvex order) far from the ray {alpha Q}.
 
     Q1 = theta/2 + delta d and Q - Q1 = theta/2 - delta d, for seeded unit
-    d orthogonal to theta, are mirror images about theta/2, so at a sample
-    y both stay above the floor -tol exactly while A +- delta T_d(y) >= 0,
-    A = T_theta(y)/2 + tol I: for delta <= 1 / rho(L^-1 T_d L^-T), A = L L^T
-    (0 where A is not positive definite; _whiten, _ray_bound).  delta*(d)
-    is the least bound over the pool ((Q_theta/2 + tol) / |Q_d|), a grid-32
-    lattice (T_d is linear in d: the nine whitened basis stacks are built
-    once, and LOCKSTEP_ROWS // n directions are one GEMM and one eigvals3)
-    and 16 exact alternating sweeps from each direction's 12 most binding
-    lattice points (_pencil_step, in x with T(y), then in y with S(x)),
-    capped at 8 |theta|.  value is the distance, from (1 - 1e-4) delta*
+    d orthogonal to theta, are mirror images about theta/2, so in the
+    scan's frame (theta 2^-e) at a sample y both stay above the floor -tol
+    exactly while A +- delta T_d(y) >= 0, A = T_theta(y)/2 + tol I: for
+    delta <= 1 / rho(L^-1 T_d L^-T), A = L L^T (0 where A is not positive
+    definite; _whiten, _ray_bound).  delta*(d) is the least bound over the
+    pool ((Q_theta/2 + tol) / |Q_d|), a grid-32 lattice (T_d is linear in
+    d: the nine whitened basis stacks are built once, and LOCKSTEP_ROWS // n
+    directions are one GEMM and one eigvals3) and 16 exact alternating
+    sweeps from each direction's 12 most binding lattice points
+    (_pencil_step, in x with T(y), then in y with S(x)), capped at 8 |theta|
+    and scaled back by 2^e.  value is the distance, from (1 - 1e-4) delta*
     (off the sampled boundary) shrunk by 0.7 at most 23 times, at which
-    full scans of Q1 and Q - Q1 both clear -tol, in the direction of the
-    largest delta*.  Consistent (extreme point) when value stays below
+    full scans of Q1 and Q - Q1 both clear -tol 2^e, in the direction of
+    the largest delta*.  Consistent (extreme point) when value stays below
     1e-5 * |theta_q|.
     """
-    q, cfg = scan.form, scan.cfg
+    q, cfg, e = scan.form, scan.cfg, scan.e
     layout, theta = detect_shear_layout(q)
     if layout is None:
         raise PreconditionError(
@@ -733,8 +734,8 @@ def extreme_point_probe(scan: LatticeScan) -> ProbeReport:
     scan.require_quasiconvex("extreme point probe")
 
     basis = shear_layout_basis(layout)
-    norm_theta = scaled_norm(theta)
-    tol = cfg.tol
+    norm_theta = math.ldexp(float(np.linalg.norm(np.ldexp(theta, -e))), e)
+    floor = -math.ldexp(cfg.tol, e)
     rng = np.random.default_rng(cfg.seed)
     # orthonormal basis of the complement of theta, and unit directions in
     # it, as stacked products whose bits are those of one draw at a time
@@ -746,23 +747,18 @@ def extreme_point_probe(scan: LatticeScan) -> ProbeReport:
     D /= np.sqrt(D[:, None] @ D[:, :, None])[:, 0]
     c, k = len(D), 12
 
-    # gram tensors of theta/2, then of the basis; Ky contracts y (T(y)),
-    # Kx contracts x (S(x))
-    G10 = gram_tensor(np.concatenate(
-        [np.tensordot(0.5 * theta, basis, axes=1)[None], basis]))
+    # gram tensors of theta 2^-e / 2 + tol I, whose T(y) at a unit y is A,
+    # then of the basis; Ky contracts y (T(y)), Kx contracts x (S(x))
+    A9 = np.tensordot(np.ldexp(0.5 * theta, -e), basis, axes=1) + cfg.tol * np.eye(9)
+    G10 = gram_tensor(np.concatenate([A9[None], basis]))
     Ky, Kx = G10.transpose(3, 4, 0, 1, 2), G10.transpose(1, 2, 0, 3, 4)
-
-    def pencils(V, K):
-        """A = T_theta/2 + tol I and the nine basis stacks at V (3, m)."""
-        S = _acoustic_stack(V, K)
-        return S[:, 0] + tol * np.eye(3), S[:, 1:]
-
     P9 = _zero_pool(scan)
     poolB = np.array([_pool_quadratic(P9, Bk) for Bk in basis])
-    pool_num = 0.5 * theta @ poolB + tol
+    pool_num = _pool_quadratic(P9, A9)
     Y = np.ascontiguousarray(sphere_lattice(32).T)
     n = Y.shape[1]
-    W, _, pd = _whiten(*pencils(Y, Ky))
+    S = _acoustic_stack(Y, Ky)
+    W, _, pd = _whiten(S[:, 0], S[:, 1:])
     W = W.transpose(1, 0, 2, 3).reshape(9, 9 * n)
     pool, lattice, top = np.empty(c), np.empty(c), np.empty((c, k), dtype=int)
     step = max(1, LOCKSTEP_ROWS // n)
@@ -782,13 +778,13 @@ def extreme_point_probe(scan: LatticeScan) -> ProbeReport:
     V, Dk = Y[:, top.ravel()], np.repeat(D, k, axis=0)[:, None]
     refine = np.full(c, np.inf)
     for s, K in enumerate((Ky, Kx) * 16):
-        A, SB = pencils(V, K)
-        Bd = (Dk @ SB.reshape(-1, 9, 9)).reshape(-1, 3, 3)
-        r, V = _pencil_step(*_whiten(A, Bd))
+        S = _acoustic_stack(V, K)
+        Bd = (Dk @ S[:, 1:].reshape(-1, 9, 9)).reshape(-1, 3, 3)
+        r, V = _pencil_step(*_whiten(S[:, 0], Bd))
         if s:
             refine = np.minimum(refine, np.min(r.reshape(c, k), axis=1))
     bounds = np.stack([pool, lattice, refine])
-    delta_star = np.minimum(np.min(bounds, axis=0), 8.0 * norm_theta)
+    delta_star = np.minimum(np.ldexp(np.min(bounds, axis=0), e), 8.0 * norm_theta)
     binding = np.bincount(np.argmin(bounds, axis=0), minlength=3)
 
     # full-margin validation of the best direction; shrink toward the ray
@@ -801,9 +797,9 @@ def extreme_point_probe(scan: LatticeScan) -> ProbeReport:
         th = 0.5 * theta + delta * D[j]
         q1 = form_from_theta(layout, th)
         m1 = lattice_scan(q1, cfg).margin
-        if m1 >= -tol or step == 23:
+        if m1 >= floor or step == 23:
             m2 = lattice_scan(QuadraticForm(q.gram - q1.gram), cfg).margin
-        if m1 >= -tol and m2 >= -tol:
+        if m1 >= floor and m2 >= floor:
             value, witness_theta = delta, th
             break
         delta *= 0.7
@@ -905,9 +901,9 @@ def extremal_polynomial_probe(scan: LatticeScan) -> ProbeReport:
     extremal: consistent, method "exact".  Otherwise inconclusive with the
     nullspace dimension as value; a perfect square is inconclusive (-1).
 
-    Verdict and value are unchanged when Q is scaled by a power of two,
-    which scales p exactly (the candidate and zero counts follow the
-    scan's absolute tol).  A decimal scale rounds p's coefficients, and a
+    Verdict, value and the candidate and zero counts are unchanged when Q
+    is scaled by a power of two, which scales p and the scan's zero cut
+    tol 2^e exactly.  A decimal scale rounds p's coefficients, and a
     rounded coefficient can move p off its rational zeros (choi_lam at
     1e-3 gets a (2,2,2) coefficient of -3.0000000000000004e-09), which
     the probe soundly reads as inconclusive.  p >= 0 itself rests on the

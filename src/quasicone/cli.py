@@ -45,14 +45,15 @@ def _load_form(source: str, eps: float) -> tuple[QuadraticForm,
                                                  Optional[ReducedOrthotropicForm],
                                                  dict]:
     """Resolve a path-or-catalog-name into (form, reduced-view, echo JSON)."""
+    if eps and source != "serre":
+        raise CliError("usage", f"--eps is serre's parameter; {source!r} takes none")
     if source in CATALOG_INFO:
         if source == "reduced":
             raise CliError("usage", "catalog form 'reduced' needs parameters; "
                                     "pass a JSON file with kind 'reduced'")
-        if source == "serre":
-            return catalog("serre", eps=eps), None, {
-                "kind": "catalog", "name": "serre", "eps": eps}
-        return catalog(source), None, {"kind": "catalog", "name": source}
+        params = {"eps": eps} if source == "serre" else {}
+        return catalog(source, **params), None, {
+            "kind": "catalog", "name": source, **params}
     if not os.path.exists(source):
         raise CliError("usage", f"{source!r} is neither a catalog name nor a file",
                        catalog=sorted(CATALOG_INFO))
@@ -184,7 +185,7 @@ def _global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
                         default=d if suppress else 0, help="probe RNG seed")
     parser.add_argument("--tol", type=float,
                         default=d if suppress else 1e-9,
-                        help="certification tolerance")
+                        help="certification tolerance, relative to the form's scale")
     parser.add_argument("--grid", type=int,
                         default=d if suppress else 96,
                         help="sphere lattice resolution (points = grid^2)")

@@ -8,9 +8,10 @@ evaluation Q(x (x) y), the acoustic matrix T(y) with x T(y) x^T = Q(x (x) y),
 the Null-Lagrangian (2x2 minor) basis, and a catalog of historically
 significant forms.
 
-The shear-paired and single-shear 9-parameter layouts live in one table
-(LAYOUT_PARAMS, _COUPLINGS, _SHEARS) that the layout builders and
-detect_shear_layout all read.
+The shear-paired, single-shear and transposed single-shear (the layout of
+xi^T, which odd axis permutations make of single-shear) 9-parameter
+layouts live in one table (LAYOUT_PARAMS, _COUPLINGS, _SHEARS) that the
+layout builders and detect_shear_layout all read.
 """
 
 from __future__ import annotations
@@ -63,21 +64,16 @@ class QuadraticForm:
         return float(v @ self.gram @ v)
 
     def norm(self) -> float:
-        return scaled_norm(self.gram)
+        """Frobenius norm, on the Gram scaled by a power of two so that no
+        square overflows or underflows (bitwise np.linalg.norm otherwise)."""
+        e = np.frexp(np.max(np.abs(self.gram)))[1]
+        return float(np.ldexp(np.linalg.norm(np.ldexp(self.gram, -e)), e))
 
     def scaled(self, alpha: float) -> "QuadraticForm":
         return QuadraticForm(alpha * self.gram)
 
     def gram_tensor(self) -> np.ndarray:
         return gram_tensor(self.gram)
-
-
-def scaled_norm(a: np.ndarray) -> float:
-    """Frobenius norm of a, taken on a scaled by a power of two so that no
-    square overflows or underflows; bitwise np.linalg.norm(a) where none
-    does."""
-    e = np.frexp(np.max(np.abs(a)))[1]
-    return float(np.ldexp(np.linalg.norm(np.ldexp(a, -e)), e))
 
 
 def gram_tensor(gram: np.ndarray) -> np.ndarray:
@@ -185,6 +181,7 @@ _COUPLINGS = [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)]
 _SHEARS = {
     "paired": [((0, 1), (1, 0)), ((0, 2), (2, 0)), ((1, 2), (2, 1))],
     "single": [((0, 1),), ((1, 2),), ((2, 0),)],
+    "transposed": [((1, 0),), ((2, 1),), ((0, 2),)],
 }
 
 
@@ -387,12 +384,15 @@ CATALOG_INFO = {
 }
 
 
-def catalog(name: str, eps: float = 0.0,
-            a=None, b: float = None, c: float = None, d: float = None) -> QuadraticForm:
+def catalog(name: str, **params) -> QuadraticForm:
     """Built-in forms by frozen identifier.
 
-    serre takes the eps parameter; reduced takes (a, b, c, d).
+    serre takes the eps parameter (default 0); reduced takes a, b, c, d.
+    A parameter that the named form does not take is a FormError.
     """
+    extra = set(params) - {"serre": {"eps"}, "reduced": set("abcd")}.get(name, set())
+    if name in CATALOG_INFO and extra:
+        raise FormError(f"catalog form {name!r} takes no {', '.join(sorted(extra))}")
     if name == "convex_identity":
         return QuadraticForm(np.eye(9))
     if name == "choi":
@@ -400,11 +400,12 @@ def catalog(name: str, eps: float = 0.0,
     if name == "choi_lam":
         return form_from_single_shear(_CHOI_A, 1.0, 1.0, 1.0)
     if name == "serre":
-        return QuadraticForm(_gram_serre(float(eps)))
+        return QuadraticForm(_gram_serre(float(params.get("eps", 0.0))))
     if name == "reduced":
-        if a is None or b is None or c is None or d is None:
+        if len(params) < 4:
             raise FormError("catalog('reduced') needs a, b, c, d parameters")
-        return form_from_reduced(ReducedOrthotropicForm(np.asarray(a, float), b, c, d))
+        return form_from_reduced(ReducedOrthotropicForm(
+            np.asarray(params["a"], float), params["b"], params["c"], params["d"]))
     raise FormError(f"unknown catalog form {name!r}")
 
 
@@ -465,7 +466,6 @@ def form_from_json(obj: dict) -> QuadraticForm:
     if kind == "reduced":
         return form_from_reduced(reduced_from_json(obj))
     if kind == "catalog":
-        name = obj.get("name")
-        params = {k: obj[k] for k in ("eps", "a", "b", "c", "d") if k in obj}
-        return catalog(name, **params)
+        return catalog(obj.get("name"), **{k: v for k, v in obj.items()
+                                           if k not in ("kind", "name")})
     raise FormError(f"unknown form kind {kind!r}")

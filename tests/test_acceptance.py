@@ -182,8 +182,10 @@ def test_criterion_09_extreme_point_probe():
         assert rep.verdict == "refuted"
         assert rep.witness["margin_q1"] >= -1e-9
         assert rep.witness["margin_complement"] >= -1e-9
-        # tol=1e-12: the +-tol feasibility slack along first-order-flat
-        # directions scales as sqrt(tol) and must sit below 1e-5*norm
+        # tol=1e-12, relative to the form (a floor of tol 2^e, for the
+        # scan's exponent e): the +-tol feasibility slack along
+        # first-order-flat directions scales as sqrt(tol) and must sit
+        # below 1e-5*norm
         cfg12 = CertifyConfig(tol=1e-12)
         rep = qc.extreme_point_probe(
             qc.lattice_scan(qc.catalog("choi_lam"), cfg12))

@@ -264,7 +264,7 @@ def _zero_pool_loop(scan):
     on the same helpers: the zeros' rows in the order _zero_pool puts them
     (each zero, then its sweeps)."""
     G4 = scan.form.gram_tensor()
-    near = scan.vals <= 1e-10 * (1.0 + scan.form.norm())
+    near = scan.vals <= np.ldexp(1e-10, scan.e)
     reps = _cluster_pairs(scan.X[near], scan.Y[near], scan.vals[near], cap=12)
     zeros, sweeps = [], []
     for (y0, x0, _) in reps:
@@ -466,7 +466,7 @@ def _eigmin3_lattice_scan(q, cfg):
     for a in (lam, vals):
         np.ldexp(a, e, out=a)
     margin = float(min(np.min(vals), np.min(lam)))
-    return certify.LatticeScan(q, cfg, margin, e, G4, T, lam, X.T, Y.T,
+    return certify.LatticeScan(q, cfg, margin, int(e), G4, T, lam, X.T, Y.T,
                                vals, steps)
 
 
@@ -480,10 +480,10 @@ def test_values_only_lattice_pass_matches_eigmin3_lattice(kind, seed, shift):
     # 8 eps 2^e, for the scan's exponent e
     e = np.frexp(np.max(np.abs(q.gram)))[1]
     assert abs(scan.margin - ref.margin) <= np.ldexp(8.0 * np.finfo(float).eps, e)
-    if ref.margin >= -_GRID32.tol:
+    if ref.margin >= -np.ldexp(_GRID32.tol, e):
         assert len(scan.rank_one_zeros()) == len(ref.rank_one_zeros())
     else:
-        assert scan.margin < -_GRID32.tol
+        assert scan.margin < -np.ldexp(_GRID32.tol, e)
 
 
 def _newton_one_halving_at_a_time(G4, X, Y, vals):
@@ -1012,7 +1012,7 @@ def test_milton_eps_star_is_the_sampled_threshold(seed, grid, kind):
     assert eps > 0
     P9 = certify._zero_pool(scan)
     Y = np.ascontiguousarray(sphere_lattice(grid).T)
-    guard = certify.GUARD_REL * (1.0 + q.norm())
+    guard = np.ldexp(certify.GUARD_REL, scan.e)
     stage = [_sampled_stage(q.gram - f * eps * np.outer(m, m), P9, Y, -guard,
                             16, 14) for f in (1.0 - 1e-4, 1.0 + 1e-3)]
     assert stage[0] == 0 and stage[1] > 0
@@ -1125,7 +1125,7 @@ def test_pencil_bound_matches_eigvalsh_bisection(R, B, shift):
 def test_extreme_point_delta_star_is_the_sampled_threshold(seed):
     # the probe's one seeded direction d: Q1 = theta/2 + delta d and Q - Q1
     # both clear the sampled check (pool, grid-32 lattice, top-12
-    # refinement of 16 sweeps) at the floor -tol just below delta*, and
+    # refinement of 16 sweeps) at the floor -2^e tol just below delta*, and
     # one of them fails there just above it
     q = _random_form("reduced", np.random.default_rng(seed))
     cfg = CertifyConfig(grid_resolution=32, probe_directions=1, seed=seed)
@@ -1138,7 +1138,7 @@ def test_extreme_point_delta_star_is_the_sampled_threshold(seed):
     for f, clears in ((1 - 1e-4, True), (1 + 1e-3, False)):
         q1 = form_from_theta(w["layout"],
                              0.5 * theta + f * w["delta_star"] * d).gram
-        stages = [_sampled_stage(g, P9, Y, -cfg.tol, 12, 16)
+        stages = [_sampled_stage(g, P9, Y, -np.ldexp(cfg.tol, scan.e), 12, 16)
                   for g in (q1, q.gram - q1)]
         assert (max(stages) == 0) == clears
 
@@ -1248,14 +1248,15 @@ def _choi_lam_base():
 
 
 @settings(max_examples=20, deadline=None)
-@given(k=st.integers(-20, 20))
+@given(k=st.integers(-40, 40))
+@example(k=27)
 def test_extremal_polynomial_invariant_under_power_of_two_scaling(k):
-    # 2^k scales det T(y) exactly; the candidate and zero counts follow the
-    # scan's absolute tol, the verdict and N(p) do not
+    # 2^k scales det T(y) exactly, and the scan's zero cut 2^e tol with it
     base = _choi_lam_base()
     rep = _probe_of(2.0 ** k * catalog("choi_lam").gram)
     assert (rep.verdict, rep.value) == (base.verdict, base.value)
-    for key in ("method", "newton_polytope", "nullspace_dim"):
+    for key in ("method", "newton_polytope", "nullspace_dim", "candidates",
+                "exact_zeros"):
         assert rep.witness[key] == base.witness[key]
 
 
@@ -1283,6 +1284,11 @@ def test_extremal_polynomial_never_consistent_on_rotated_choi_lam(S):
     # axis) makes the zeros irrational: near-zeros must never become a proof
     rep = _probe_of(_y_transformed(catalog("choi_lam").gram, S))
     assert rep.verdict == "inconclusive"
+
+
+def _catalog(name, eps):
+    """catalog(name), with the parameter eps for serre only."""
+    return catalog(name, eps=eps) if name == "serre" else catalog(name)
 
 
 def test_polyconvexity_identity():
@@ -1376,7 +1382,7 @@ def test_polyconvexity_verdict_band(a, verdict):
                              ("serre", 0.0), ("convex_identity", 0.0)]),
        k=st.integers(-9, 9))
 def test_polyconvexity_verdict_is_scale_invariant(form, k):
-    q = catalog(form[0], eps=form[1])
+    q = _catalog(*form)
     base = polyconvexity_test(q, FAST)
     rep = polyconvexity_test(q.scaled(10.0 ** k), FAST)
     assert rep.verdict == base.verdict
@@ -1397,3 +1403,96 @@ def test_probe_reports_serialize():
     j = rep.to_json()
     assert j["kind"] == "polyconvexity"
     assert j["verdict"] in ("consistent", "refuted", "inconclusive")
+
+
+# ---------------------------------------------------------------------------
+# one frame: every floor is a constant on the Gram scaled by 2^-e
+
+_TINY = CertifyConfig(grid_resolution=16, probe_directions=2)
+_CATALOG = [("convex_identity", 0.0), ("choi", 0.0), ("choi_lam", 0.0),
+            ("serre", 0.0), ("serre", 0.05)]
+
+
+def _outcome(probe, scan):
+    try:
+        return probe(scan).verdict
+    except PreconditionError as exc:
+        return "precondition: " + str(exc).split(" (")[0]
+
+
+@functools.lru_cache(maxsize=None)
+def _scale_outcomes(name, eps, k):
+    """require_quasiconvex, Milton and the extreme point on 10^k Q."""
+    scan = lattice_scan(_catalog(name, eps).scaled(10.0 ** k), _TINY)
+    try:
+        scan.require_quasiconvex("scale test")
+        quasiconvex = True
+    except PreconditionError:
+        quasiconvex = False
+    return (quasiconvex, _outcome(milton_extremality_probe, scan),
+            _outcome(extreme_point_probe, scan))
+
+
+@settings(max_examples=40, deadline=None)
+@given(form=st.sampled_from(_CATALOG), k=st.integers(-9, 9))
+def test_margin_based_verdicts_are_scale_invariant(form, k):
+    # Q and 10^k Q are quasiconvex, extremal and extreme points together
+    assert _scale_outcomes(*form, k) == _scale_outcomes(*form, 0)
+
+
+@pytest.mark.parametrize("scale", [1e-5, 1e-7, 1e-9, 1e-12, 1e-150])
+def test_milton_refutes_convex_identity_at_every_scale(scale):
+    # eps* = margin scales with Q; the thresholds are read in the frame
+    cfg = CertifyConfig(grid_resolution=32, probe_directions=4)
+    q = catalog("convex_identity").scaled(scale)
+    rep = milton_extremality_probe(lattice_scan(q, cfg))
+    assert rep.verdict == "refuted"
+    assert rep.value >= 0.99 * scale
+
+
+def test_probes_run_on_choi_lam_at_2_27():
+    # a scan margin of rounding size, -1.5e-8 here, is no precondition
+    # failure once the floor is 2^e tol
+    cfg = CertifyConfig(grid_resolution=32, probe_directions=4)
+    scan = lattice_scan(catalog("choi_lam").scaled(2.0 ** 27), cfg)
+    assert -1e-7 < scan.margin < -cfg.tol
+    for probe in (milton_extremality_probe, extreme_point_probe,
+                  extremal_polynomial_probe):
+        assert probe(scan).verdict == "consistent"
+
+
+@pytest.mark.parametrize("scale", [1e-5, 1e-7, 1e-9, 1e-12])
+def test_extreme_point_choi_lam_consistent_at_small_scales(scale):
+    # the pencils' floor tol is relative to the form, so a small scale no
+    # longer admits a splitting through the floor alone
+    cfg = CertifyConfig(grid_resolution=32, probe_directions=4)
+    q = catalog("choi_lam").scaled(scale)
+    assert extreme_point_probe(lattice_scan(q, cfg)).verdict == "consistent"
+
+
+_AXIS_PERMUTATIONS = [np.eye(3)[list(p)] for p in itertools.permutations(range(3))]
+
+
+@functools.lru_cache(maxsize=None)
+def _permuted_verdicts(name, eps, perm):
+    """Milton, extreme point and polyconvexity on xi -> Q(P^T xi P)."""
+    P = _AXIS_PERMUTATIONS[perm]
+    K = np.kron(P.T, P.T)
+    if name == "identity":
+        q = form_from_reduced(ReducedOrthotropicForm(np.eye(3), 1.0, 1.0, 1.0))
+    else:
+        q = _catalog(name, eps)
+    q = QuadraticForm(K.T @ q.gram @ K)
+    scan = lattice_scan(q, _TINY)
+    return (_outcome(milton_extremality_probe, scan),
+            _outcome(extreme_point_probe, scan),
+            _outcome(lambda s: polyconvexity_test(s.form, s.cfg), scan))
+
+
+@settings(max_examples=30, deadline=None)
+@given(form=st.sampled_from(_CATALOG + [("identity", 0.0)]),
+       perm=st.integers(1, 5))
+def test_verdicts_are_invariant_under_axis_permutations(form, perm):
+    # a permutation of the axes maps the orthotropic cone onto itself; odd
+    # ones turn the single-shear layout into its transpose
+    assert _permuted_verdicts(*form, perm) == _permuted_verdicts(*form, 0)

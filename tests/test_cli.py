@@ -111,6 +111,39 @@ def test_unknown_form_is_machine_readable_error():
     assert err["error"]["code"] == "usage"
 
 
+def test_eps_on_a_form_without_it_is_a_usage_error(tmp_path):
+    # --eps is serre's parameter; any other form used to ignore it silently
+    path = tmp_path / "choi.json"
+    path.write_text(json.dumps({"kind": "catalog", "name": "choi"}))
+    for form in ("choi", str(path)):
+        r = run_cli("det", form, "--eps", "0.3")
+        assert r.returncode == 2
+        assert json.loads(r.stderr)["error"]["code"] == "usage"
+    # the same parameter inside a catalog form object is a parse error
+    path.write_text(json.dumps({"kind": "catalog", "name": "choi", "eps": 0.3}))
+    r = run_cli("det", str(path))
+    assert r.returncode == 2
+    err = json.loads(r.stderr)["error"]
+    assert err["code"] == "parse" and "takes no eps" in err["message"]
+    r = run_cli("det", "serre", "--eps", "0.3", "--json")
+    assert r.returncode == 0
+    assert json.loads(r.stdout)["form_echo"] == {"kind": "catalog",
+                                                 "name": "serre", "eps": 0.3}
+
+
+def test_analyze_tiny_identity_runs_without_overflow(tmp_path):
+    # 1e-200 I: every floor is a constant in the scan's 2^-e frame, so no
+    # guard blows up to 2^650 there and Milton refutes, as at scale 1
+    path = tmp_path / "tiny.json"
+    vals = [1e-200 if p == r else 0.0 for p in range(9) for r in range(p, 9)]
+    path.write_text(json.dumps({"kind": "gram", "upper_triangle": vals}))
+    r = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m",
+                        "quasicone.cli", "--json", "--grid", "16", "analyze",
+                        str(path)], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["probes"]["milton"]["verdict"] == "refuted"
+
+
 def test_parse_error_reports_location():
     import tempfile
     with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:

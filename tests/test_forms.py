@@ -240,6 +240,23 @@ def test_catalog_unknown_name():
         catalog("unknown_form")
 
 
+def test_catalog_rejects_parameters_the_form_does_not_take():
+    # a parameter the named form ignores would silently give the plain form
+    for name, params in [("choi", {"eps": 0.3}), ("convex_identity", {"b": 1.0}),
+                         ("serre", {"a": np.eye(3).tolist()}),
+                         ("serre", {"epsilon": 0.3}),
+                         ("reduced", {"eps": 0.1, "a": np.eye(3).tolist(),
+                                      "b": 1.0, "c": 1.0, "d": 1.0})]:
+        with pytest.raises(FormError, match="takes no"):
+            catalog(name, **params)
+        with pytest.raises(FormError, match="takes no"):
+            form_from_json({"kind": "catalog", "name": name, **params})
+    assert np.array_equal(catalog("serre").gram, catalog("serre", eps=0.0).gram)
+    assert np.array_equal(
+        form_from_json({"kind": "catalog", "name": "serre", "eps": 0.3}).gram,
+        catalog("serre", eps=0.3).gram)
+
+
 def test_gram_symmetry_validated():
     for entry, value in [((0, 1), 1.0), ((0, 0), np.nan), ((3, 5), np.inf)]:
         G = np.zeros((9, 9))
@@ -321,6 +338,13 @@ def test_detect_shear_layout():
     np.testing.assert_allclose(theta, [1, 1, 1, -1, -1, -1, 1, 1, 1])
     lay, _ = detect_shear_layout(catalog("serre", eps=0.0))
     assert lay is None
+    # swapping two axes, xi -> P^T xi P, turns the single-shear layout into
+    # its transpose, with the same parameters in the permuted order
+    P = np.eye(3)[[1, 0, 2]]
+    K = np.kron(P.T, P.T)
+    lay, theta = detect_shear_layout(QuadraticForm(K.T @ catalog("choi_lam").gram @ K))
+    assert lay == "transposed"
+    np.testing.assert_array_equal(theta, [1, 1, 1, -1, -1, -1, 1, 1, 1])
     # shears within the tolerance (1e-10 * max |G| = 2e-10 here) of a
     # shear-free form snap to exactly 0; one shear above it is kept
     rng = np.random.default_rng(11)
@@ -338,7 +362,7 @@ def test_detect_shear_layout():
 
 def test_form_from_theta_roundtrip():
     rng = np.random.default_rng(4)
-    for layout in ("paired", "single"):
+    for layout in ("paired", "single", "transposed"):
         theta = rng.uniform(0.2, 2.0, 9)
         q = form_from_theta(layout, theta)
         lay2, theta2 = detect_shear_layout(q)
@@ -352,7 +376,7 @@ _finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @settings(max_examples=200, deadline=None)
-@given(layout=st.sampled_from(["paired", "single"]),
+@given(layout=st.sampled_from(["paired", "single", "transposed"]),
        theta=st.lists(_finite, min_size=9, max_size=9))
 def test_layout_table_roundtrip_is_exact(layout, theta):
     theta = np.array(theta) + 0.0  # the Gram holds no negative zeros
