@@ -29,11 +29,13 @@ is shared by the margin report and the probes built on top of it:
     directions d in the form's own 9-parameter shear layout orthogonal to
     theta, such that Q1 = theta/2 + delta d and Q - Q1 both stay
     quasiconvex, in closed form per sample (a 3x3 pencil's spectral
-    radius).  An extreme point of the cone shows max delta ~ 0.
+    radius, from one eigmin3 of -C^2 per sweep step).  An extreme point
+    of the cone shows max delta ~ 0.
   * extremal_polynomial_probe: exact extremality test of the sextic
-    det T(y): the scan's rank-one zeros, snapped to rationals, give value
-    and gradient rows over the Newton polytope N(det), ranked in exact
-    arithmetic; nullspace 1 proves the sextic extremal.
+    det T(y), built on the scan's 2^-e-scaled Gram: the scan's rank-one
+    zeros, snapped to rationals, give gradient rows over the Newton
+    polytope N(det), ranked in exact arithmetic; nullspace 1 proves the
+    sextic extremal, a perfect square included.
   * polyconvexity_test: brackets phi* = max lambda_min(Gram - minor
     combination) with a log-det barrier method in numpy: a primal value
     below phi* and a re-checked dual bound above it.  Only the dual bound
@@ -62,10 +64,10 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .determinant import _SEXTIC_EXPS, acoustic_det, perfect_square_test
-from .forms import (LAYOUT_PARAMS, QuadraticForm, acoustic_matrix,
-                    detect_shear_layout, form_from_theta, gram_tensor,
-                    minor_gram_basis, shear_layout_basis)
+from .determinant import _SEXTIC_EXPS, acoustic_det
+from .forms import (_MINOR_BASIS, LAYOUT_PARAMS, _off_minors, QuadraticForm,
+                    acoustic_matrix, detect_shear_layout, form_from_theta,
+                    gram_tensor, shear_layout_basis)
 from .symeig import _COLUMNS, _adjugate, _upper, eigmin3, eigvals3
 
 # noise floor of a refined margin evaluation, relative to the Gram scale;
@@ -684,18 +686,15 @@ def _pencil_step(C: np.ndarray, Li: np.ndarray, pd: np.ndarray
     """For whitened pencils C = L^-1 B L^-T (m, 3, 3) with L^-1 and pd from
     _whiten: min over x of x^T A x / |x^T B x|, as _ray_bound, and its
     minimizer x = L^-T v, v the eigenvector of the eigenvalue of C largest
-    in magnitude, unit, as (3, m) rows.  eigvals3 picks the binding side,
-    and one eigmin3 solves only that side, C or -C, so the other side's
-    nearly repeated lower pair (C near rank one) never reaches LAPACK's
-    eigh.  rho is the larger of that side's magnitude and the other's from
-    eigvals3, so a side misread near a tie cannot raise the bound."""
-    lam = eigvals3(C)
-    upper = lam[:, 2] > -lam[:, 0]  # lambda_max(C) = -lambda_min(-C) binds
-    mu, V = eigmin3(np.where(upper[:, None, None], -C, C))
+    in magnitude, unit, as (3, m) rows.  One eigmin3 of -C^2 gives both,
+    whichever side binds: its eigenvalues are -lambda_i(C)^2, so the least
+    is -rho^2, rho the spectral radius, with eigenvector v.  A C near rank
+    one, eigenvalues (0, 0, rho), gives -C^2 the lower gap rho^2, so no row
+    reaches LAPACK."""
+    mu, V = eigmin3(-(C @ C))
     x = (Li.swapaxes(1, 2) @ V[:, :, None])[:, :, 0].T
     x /= np.linalg.norm(x, axis=0)
-    rho = np.maximum(-mu, np.where(upper, -lam[:, 0], lam[:, 2]))
-    return _ray_bound(rho, pd), x
+    return _ray_bound(np.sqrt(np.maximum(-mu, 0.0)), pd), x
 
 
 def extreme_point_probe(scan: LatticeScan) -> ProbeReport:
@@ -839,15 +838,14 @@ def _snap(y) -> tuple[Fraction, ...]:
 
 
 def _monomial_rows(exps, z) -> list[list[Fraction]]:
-    """Exact value row and three gradient rows of the monomials exps at z."""
+    """Exact gradient rows of the monomials exps at z, one per variable.
+    Their value row is redundant: by Euler's identity, sum_v z_v d_v m(z)
+    = 6 m(z) for every sextic monomial m."""
     def mono(e):
         return z[0] ** e[0] * z[1] ** e[1] * z[2] ** e[2]
 
-    rows = [[mono(e) for e in exps]]
-    for v in range(3):
-        rows.append([e[v] * mono(tuple(k - (i == v) for i, k in enumerate(e)))
-                     if e[v] else Fraction(0) for e in exps])
-    return rows
+    return [[e[v] * mono(tuple(k - (i == v) for i, k in enumerate(e)))
+             if e[v] else Fraction(0) for e in exps] for v in range(3)]
 
 
 def _newton_polytope(support) -> list[tuple[int, int, int]]:
@@ -892,33 +890,28 @@ def extremal_polynomial_probe(scan: LatticeScan) -> ProbeReport:
     For a quasiconvex form T(y) >= 0, so p >= 0 and p vanishes exactly
     where lambda_min(T(y)) does: the y parts of the scan's rank-one zeros
     are p's zeros.  Each is scaled to largest coordinate +-1, snapped to a
-    rational of denominator <= 64, and kept only if p and grad p vanish
-    there exactly (double coefficients are exact rationals).  Any R with
-    0 <= R <= p vanishes with its gradient at those zeros and has its
-    Newton polytope inside N(p) (Reznick, Duke Math. J. 1978), so the
-    exact nullspace of the value and gradient rows over the monomials of
-    N(p) contains every such R.  Nullspace 1 (the span of p) proves p
+    rational of denominator <= 64, and kept only if grad p vanishes there
+    exactly (double coefficients are exact rationals), which by Euler's
+    identity makes p vanish too.  Any R with 0 <= R <= p vanishes with its
+    gradient at those zeros and has its Newton polytope inside N(p)
+    (Reznick, Duke Math. J. 1978), for every p >= 0, squares included, so
+    the exact nullspace of the gradient rows over the monomials of N(p)
+    contains every such R.  Nullspace 1 (the span of p) proves p
     extremal: consistent, method "exact".  Otherwise inconclusive with the
-    nullspace dimension as value; a perfect square is inconclusive (-1).
+    nullspace dimension as value.
 
-    Verdict, value and the candidate and zero counts are unchanged when Q
-    is scaled by a power of two, which scales p and the scan's zero cut
-    tol 2^e exactly.  A decimal scale rounds p's coefficients, and a
+    p is built from the scan's Gram scaled by 2^-e, which is exact, so
+    scaling Q by a power of two leaves the report unchanged, bit for bit,
+    while Q's entries stay normal doubles (choi_lam from 2^-1000 to
+    2^1000).  A decimal scale rounds p's coefficients, and a
     rounded coefficient can move p off its rational zeros (choi_lam at
     1e-3 gets a (2,2,2) coefficient of -3.0000000000000004e-09), which
     the probe soundly reads as inconclusive.  p >= 0 itself rests on the
     scan's sampled margin.
     """
     scan.require_quasiconvex("extremal polynomial probe")
-    p = acoustic_det(acoustic_matrix(scan.form))
-    flag, root = perfect_square_test(p)
-    if flag:
-        return ProbeReport(
-            kind="extremal_polynomial", value=-1.0,
-            witness={"perfect_square_root": root.to_json(),
-                     "note": "perfect square; deferred to the square test"},
-            verdict="inconclusive")
-
+    p = acoustic_det(acoustic_matrix(
+        QuadraticForm(np.ldexp(scan.form.gram, -scan.e))))
     cols = _newton_polytope(set(p.terms))
     coeffs = [Fraction(p.coefficient(e)) for e in cols]
     candidates = scan.rank_one_zeros()
@@ -943,9 +936,8 @@ def extremal_polynomial_probe(scan: LatticeScan) -> ProbeReport:
 # ---------------------------------------------------------------------------
 # polyconvexity
 
-_MINOR_STACK = np.array(minor_gram_basis())
 # the LMI matrices of max s s.t. M0 - sum u_k N_k - s I > 0: minors, then I
-_LMI_STACK = np.concatenate([_MINOR_STACK, np.eye(9)[None]])
+_LMI_STACK = np.concatenate([_MINOR_BASIS, np.eye(9)[None]])
 
 
 def _center(M0: np.ndarray, x: np.ndarray, t: float) -> tuple[np.ndarray, int]:
@@ -976,16 +968,14 @@ def _dual_point(M0: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Z = X^-1 / tr X^-1 projected off span{N_k}: trace 1, minor-orthogonal,
     and PSD when x is well centred."""
     Xi = np.linalg.inv(M0 - np.einsum("i,ijk->jk", x, _LMI_STACK))
-    Z = Xi / np.trace(Xi)
-    Z = Z - np.einsum("k,kij->ij", np.einsum("kij,ij->k", _MINOR_STACK, Z),
-                      _MINOR_STACK)
+    Z = _off_minors(Xi / np.trace(Xi))
     return (Z + Z.T) / 2
 
 
 def _dual_checks(Z: np.ndarray) -> dict:
     return {"min_eig": float(np.linalg.eigvalsh(Z)[0]),
             "minor_residual": float(np.max(np.abs(
-                np.einsum("kij,ij->k", _MINOR_STACK, Z)))),
+                np.einsum("kij,ij->k", _MINOR_BASIS, Z)))),
             "trace_residual": float(abs(np.trace(Z) - 1.0))}
 
 
@@ -1015,8 +1005,8 @@ def polyconvexity_test(q: QuadraticForm,
     scaled back by 2^e.
     """
     G = q.gram
-    c_proj = np.einsum("kij,ij->k", _MINOR_STACK, G)
-    M0 = G - np.einsum("k,kij->ij", c_proj, _MINOR_STACK)
+    c_proj = np.einsum("kij,ij->k", _MINOR_BASIS, G)
+    M0 = _off_minors(G)
     e = math.frexp(float(np.max(np.abs(G))))[1]
     G, c_proj, M0 = (np.ldexp(a, -e) for a in (G, c_proj, M0))
     scale = 1.0 + float(np.linalg.norm(M0))
@@ -1040,7 +1030,7 @@ def polyconvexity_test(q: QuadraticForm,
 
     c = c_proj + x[:9]
     value = float(np.linalg.eigvalsh(
-        G - np.einsum("k,kij->ij", c, _MINOR_STACK))[0])
+        G - np.einsum("k,kij->ij", c, _MINOR_BASIS))[0])
     if value >= -cfg.tol:
         verdict, poly_flag = "consistent", True
     elif dual < POLYCONVEX_REFUTED_MAX:

@@ -228,11 +228,8 @@ def det_report(q: QuadraticForm,
     residual = None
     if reduced is not None:
         closed = reduced_det_closed_form(reduced)
-        support = set(det.terms) | set(closed.terms)
         scale = 1.0 + max(det.max_coeff(), closed.max_coeff())
-        worst = max((abs(det.terms.get(e, 0.0) - closed.terms.get(e, 0.0))
-                     for e in support), default=0.0)
-        residual = worst / scale
+        residual = poly_combine(det, closed, 1.0, -1.0).max_coeff() / scale
     flag, root = perfect_square_test(det)
     return DetReport(det=det, closed_form_residual=residual,
                      is_perfect_square=flag, square_root=root)

@@ -168,7 +168,13 @@ def minor_gram_basis() -> list[np.ndarray]:
     return basis
 
 
-_MINOR_BASIS = minor_gram_basis()
+_MINOR_BASIS = np.array(minor_gram_basis())
+
+
+def _off_minors(G: np.ndarray) -> np.ndarray:
+    """G less its projection onto the orthonormal Gram basis of the minors."""
+    return G - np.einsum("k,kij->ij", np.einsum("kij,ij->k", _MINOR_BASIS, G),
+                         _MINOR_BASIS)
 
 
 # ---------------------------------------------------------------------------
@@ -265,28 +271,16 @@ def biquadratic_eval(q: QuadraticForm, x, y) -> float:
     return float(v @ q.gram @ v)
 
 
-def _rank_one_agreement(q1: QuadraticForm, q2: QuadraticForm) -> float:
-    """Max relative disagreement of the two biquadratics over 64 seeded pairs."""
-    rng = np.random.default_rng(20240916)
-    worst = 0.0
-    scale = 1.0 + max(q1.norm(), q2.norm())
-    for _ in range(64):
-        x = rng.standard_normal(3)
-        y = rng.standard_normal(3)
-        x /= np.linalg.norm(x)
-        y /= np.linalg.norm(y)
-        worst = max(worst, abs(biquadratic_eval(q1, x, y) - biquadratic_eval(q2, x, y)))
-    return worst / scale
-
-
 def reduce_modulo_null_lagrangians(c: OrthotropicCoefficients) -> ReducedOrthotropicForm:
     """Equivalent shear-paired form agreeing with the Voigt form on rank ones.
 
     Each shear cross term 2*C66*xi12*xi21 equals 2*C66*xi11*xi22 modulo the
     minor xi11 xi22 - xi12 xi21, which moves the shear weight onto the
     diagonal couplings: a12 = C12 + C66, a13 = C13 + C55, a23 = C23 + C44.
-    The identification is verified on 64 seeded rank-one pairs rather than
-    trusted.
+    The identification is checked exactly rather than trusted: two forms
+    agree on every rank one iff their Gram difference is a combination of
+    the nine minors, so the difference, with its projection onto their
+    orthonormal Gram basis removed, must vanish to 1e-11 of max |G_voigt|.
     """
     a = np.array([
         [c.C11, c.C12 + c.C66, c.C13 + c.C55],
@@ -294,10 +288,11 @@ def reduce_modulo_null_lagrangians(c: OrthotropicCoefficients) -> ReducedOrthotr
         [c.C13 + c.C55, c.C23 + c.C44, c.C33],
     ])
     reduced = ReducedOrthotropicForm(a=a, b=c.C66, c=c.C55, d=c.C44)
-    err = _rank_one_agreement(form_from_voigt(c), form_from_reduced(reduced))
-    if err > 1e-11:
-        raise FormError(
-            f"rank-one agreement check failed (relative error {err:.3e})")
+    G = form_from_voigt(c).gram
+    err = np.max(np.abs(_off_minors(G - form_from_reduced(reduced).gram)))
+    if err > 1e-11 * np.max(np.abs(G)):
+        raise FormError("reduction check failed: the forms differ by more "
+                        f"than a null Lagrangian ({err:.3e})")
     return reduced
 
 

@@ -183,10 +183,7 @@ def poly_equal_within(p: HomogeneousPolynomial, q: HomogeneousPolynomial,
     if p.degree != q.degree:
         return False
     scale = 1.0 + max(p.max_coeff(), q.max_coeff())
-    support = set(p.terms) | set(q.terms)
-    worst = max((abs(p.terms.get(e, 0.0) - q.terms.get(e, 0.0)) for e in support),
-                default=0.0)
-    return worst <= tol * scale
+    return poly_combine(p, q, 1.0, -1.0).max_coeff() <= tol * scale
 
 
 @dataclass(frozen=True)

@@ -76,10 +76,11 @@ def eigvals3(M: np.ndarray, upper: np.ndarray | None = None) -> np.ndarray:
 
     The smallest eigenvalue is accurate on every row.  The upper two lose
     up to sqrt(eps) span where they nearly coincide, because those rows keep
-    the trigonometric solve; the scan's lattice pass reads only the
-    smallest, eigmin3 only the lower gap and the span, and the extreme
-    point's lattice stage the largest, so its ray bound may err by about
-    sqrt(eps) relative there.
+    the trigonometric solve.  Its readers: the scan's lattice pass reads
+    only the smallest, eigmin3 only the lower gap and the span, and the
+    extreme point's lattice stage the one largest in magnitude, so its ray
+    bound may err by about sqrt(eps) relative there (its sweeps take
+    theirs, accurate, from eigmin3 of -C^2).
     """
     M = np.asarray(M, dtype=float)
     single = M.ndim == 2

@@ -718,10 +718,9 @@ def test_lockstep_row_cap_leaves_probe_reports_unchanged(monkeypatch):
     cfg = CertifyConfig(grid_resolution=32, probe_directions=4)
     identity = form_from_reduced(ReducedOrthotropicForm(np.eye(3), 1, 1, 1))
     scans = [lattice_scan(q, cfg) for q in (catalog("choi_lam"), identity)]
-    # rows of each lattice-stage eigvals3 call, and of the extreme point's
-    # binding-side picks (_pencil_step), one row per refined point: 4
-    # directions x 12 starts, whatever the cap
-    rows, refined = [], 4 * 12
+    # rows of each lattice-stage eigvals3 call, the only eigvals3 calls of
+    # the two probes
+    rows = []
 
     def eigvals3_spy(M):
         rows.append(len(M))
@@ -738,7 +737,7 @@ def test_lockstep_row_cap_leaves_probe_reports_unchanged(monkeypatch):
     assert max(rows) > n
     monkeypatch.setattr(certify, "LOCKSTEP_ROWS", 1)
     assert reports() == default
-    assert set(rows) == {n, refined}    # one candidate per lattice call
+    assert set(rows) == {n}    # one candidate per lattice call
 
 
 def test_probe_diagnostics_count_the_search():
@@ -1100,7 +1099,7 @@ def test_pencil_bound_matches_eigvalsh_bisection(R, B, shift):
     for M in (A, -A, A - (lowest + shift) * np.eye(3)):
         C, Li, pd = certify._whiten(M[None], B[None])
         # the lattice stage's bound (eigvals3) and the refinement's
-        # (eigmin3 on the binding side of C, with its minimizer)
+        # (eigmin3 of -C^2, with its minimizer)
         lam = eigvals3(C)
         lattice = certify._ray_bound(np.maximum(lam[:, 2], -lam[:, 0]), pd)[0]
         refine, x = certify._pencil_step(C, Li, pd)
@@ -1118,6 +1117,37 @@ def test_pencil_bound_matches_eigvalsh_bisection(R, B, shift):
             x = x[:, 0]
             assert np.linalg.norm(x) == pytest.approx(1.0)
             assert x @ A @ x / abs(x @ B @ x) == pytest.approx(ref, rel=1e-8)
+
+
+@pytest.mark.parametrize("cfg", [
+    CertifyConfig(grid_resolution=32, probe_directions=4), CertifyConfig()])
+def test_pencil_step_sends_no_row_to_lapack(monkeypatch, cfg):
+    # choi_lam's pencils near rank one have eigenvalues (0, 0, rho), whose
+    # nearly repeated lower pair the closed form leaves to LAPACK, while
+    # -C^2 has eigenvalues (-rho^2, 0, 0) and the lower gap rho^2
+    pencil_step = certify._pencil_step
+    rows, inside = [], [False]
+
+    def spy(fn):
+        def counted(a, *args, **kw):
+            if inside[0]:
+                rows.append(int(np.prod(np.shape(a)[:-2])))
+            return fn(a, *args, **kw)
+        return counted
+
+    def step(*args):
+        inside[0] = True
+        try:
+            return pencil_step(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(certify, "_pencil_step", step)
+    monkeypatch.setattr(np.linalg, "eigh", spy(np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy(np.linalg.eigvalsh))
+    rep = extreme_point_probe(lattice_scan(catalog("choi_lam"), cfg))
+    assert rep.verdict == "consistent"
+    assert rows == []
 
 
 @settings(max_examples=15, deadline=None)
@@ -1152,13 +1182,27 @@ def test_extremal_polynomial_norm_cubed_inconclusive():
     assert rep.witness["exact_zeros"] == 0
 
 
-def test_extremal_polynomial_perfect_square_branch():
-    # w1 xi11^2 + w2 xi22^2 + w3 xi33^2: det T(y) = w1 w2 w3 (y1 y2 y3)^2
+def _exact_zero_of(p, z):
+    """Whether p and its gradient vanish at the rational point z, exactly."""
+    return all(sum(Fraction(c) * z[0] ** e[0] * z[1] ** e[1] * z[2] ** e[2]
+                   for e, c in f.terms.items()) == 0
+               for f in [p] + p.gradient())
+
+
+def test_extremal_polynomial_proves_a_perfect_square():
+    # w1 xi11^2 + w2 xi22^2 + w3 xi33^2: det T(y) = w1 w2 w3 (y1 y2 y3)^2, a
+    # square whose Newton polytope is one point, so it is extremal, and the
+    # same exact rank proves it
     q = QuadraticForm(np.diag([1.0, 0, 0, 0, 2.0, 0, 0, 0, 3.0]))
     rep = extremal_polynomial_probe(lattice_scan(q, FAST))
-    assert rep.verdict == "inconclusive"
-    assert rep.value == -1.0
-    assert "perfect_square_root" in rep.witness
+    assert (rep.verdict, rep.value) == ("consistent", 1.0)
+    w = rep.witness
+    assert w["newton_polytope"] == [[2, 2, 2]]
+    assert "perfect_square_root" not in w
+    zeros = [tuple(Fraction(u) for u in z) for z in w["zeros"]]
+    assert zeros and w["exact_zeros"] == len(zeros) <= w["candidates"]
+    p = acoustic_det(acoustic_matrix(q))
+    assert all(_exact_zero_of(p, z) for z in zeros)
 
 
 def _integer_rank(rows):
@@ -1248,16 +1292,33 @@ def _choi_lam_base():
 
 
 @settings(max_examples=20, deadline=None)
-@given(k=st.integers(-40, 40))
+@given(k=st.integers(-1000, 1000))
 @example(k=27)
+@example(k=350)
+@example(k=-350)
+@example(k=400)
+@example(k=-400)
+@example(k=1000)
+@example(k=-1000)
 def test_extremal_polynomial_invariant_under_power_of_two_scaling(k):
-    # 2^k scales det T(y) exactly, and the scan's zero cut 2^e tol with it
+    # the probe builds det T(y) on the scan's 2^-e-scaled Gram, the same
+    # bits at every 2^k, and the scan's zero cut 2^e tol scales with Q
     base = _choi_lam_base()
-    rep = _probe_of(2.0 ** k * catalog("choi_lam").gram)
-    assert (rep.verdict, rep.value) == (base.verdict, base.value)
-    for key in ("method", "newton_polytope", "nullspace_dim", "candidates",
-                "exact_zeros"):
-        assert rep.witness[key] == base.witness[key]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = _probe_of(2.0 ** k * catalog("choi_lam").gram)
+    assert rep.to_json() == base.to_json()
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_extremal_polynomial_of_convex_identity_at_extreme_scales(scale):
+    # det T(y) = |y|^6 times a scale whose cube over- or underflows: on the
+    # scan's frame it is built exactly as at scale 1, with no zeros
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = _probe_of(scale * catalog("convex_identity").gram)
+    assert (rep.verdict, rep.value) == ("inconclusive", 28.0)
+    assert rep.witness["nullspace_dim"] == 28
 
 
 @settings(max_examples=20, deadline=None)

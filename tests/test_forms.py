@@ -60,6 +60,22 @@ def test_reduce_parameter_identification():
     assert (r.b, r.c, r.d) == (0.6, 0.5, 0.4)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-20])
+def test_reduce_rejects_a_wrong_reduction(monkeypatch, scale):
+    # a reduction with the C66 and C55 shears swapped differs from the
+    # Voigt form by more than a null Lagrangian; the check is relative to
+    # the form, so it refuses that at every scale and passes the right one
+    import quasicone.forms as forms
+    c = OrthotropicCoefficients(*(scale * np.array(
+        [1.5, 2.5, 3.5, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6])))
+    reduce_modulo_null_lagrangians(c)
+    right = forms.form_from_reduced
+    monkeypatch.setattr(forms, "form_from_reduced", lambda r: right(
+        ReducedOrthotropicForm(r.a, r.c, r.b, r.d)))
+    with pytest.raises(FormError, match="null Lagrangian"):
+        reduce_modulo_null_lagrangians(c)
+
+
 def test_reduce_agrees_on_rank_ones():
     rng = np.random.default_rng(8)
     for _ in range(20):
