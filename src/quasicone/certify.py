@@ -8,10 +8,12 @@ points (within seed radius, as lines), the only lattice points whose
 eigenvectors are computed (one eigmin3), start a safeguarded Riemannian
 Newton iteration on S^2 x S^2 (Absil, Mahony & Sepulchre, Optimization
 Algorithms on Matrix Manifolds, 2008) with a backtracking line search
-whose halvings are all tried in one stacked eigen-solve per step, which
-converges quadratically at a simple minimum and linearly at the
-quartic-flat rank-one zeros of the theorem's extremal forms, where
-alternating descent is sublinear.  Vectors are stored components first,
+whose halvings, and one extrapolated 3x step, are all tried in one
+stacked eigen-solve per step.  It converges quadratically at a simple
+minimum; at the quartic-flat rank-one zeros of the theorem's extremal
+forms, where a Newton step only shrinks the distance to 2/3 (Decker,
+Keller & Kelley, SIAM J. Numer. Anal. 20, 1983), the 3x step lands on
+the zero.  Vectors are stored components first,
 as (3, n) rows.  An acoustic stack is one GEMM, a transposed 9x9
 reshaping of the Gram tensor times the nine rows v_j v_l of v (x) v
 (_acoustic_stack), into (3, 3, n) storage, whose (n, 3, 3) transposed
@@ -90,7 +92,10 @@ NEWTON_SHIFT = 1e-12
 NEWTON_STEP_MAX = 0.25
 NEWTON_BACKTRACKS = 8
 NEWTON_TOL = np.finfo(float).eps
-_HALVINGS = 2.0 ** -np.arange(NEWTON_BACKTRACKS + 1)
+# the step lengths tried at once: 3, the Newton step corrected for a
+# quartic-flat zero (f ~ t^4, where the plain step lands at 2t/3), then
+# 1, 1/2, ..., 2^-NEWTON_BACKTRACKS
+_STEPS = np.concatenate([[3.0], 2.0 ** -np.arange(NEWTON_BACKTRACKS + 1)])
 # grid^2 lattice points; one scan at 512 takes ~40 s and ~300 MB (2-vCPU VM)
 MAX_GRID_RESOLUTION = 512
 
@@ -403,16 +408,21 @@ def _newton(G4: np.ndarray, X: np.ndarray, Y: np.ndarray, vals: np.ndarray
     Each step solves (H + mu I) d = -g in the tangent bases
     (_transverse_hessian), with the Levenberg shift mu >= 0 that lifts the
     least eigenvalue to NEWTON_SHIFT and |d| capped at NEWTON_STEP_MAX,
-    retracts y by normalizing y + 2^-k V d_y and re-solves x exactly: the
-    new value is lambda_min(T(y)) from eigmin3.  All NEWTON_BACKTRACKS + 1
-    halvings k of all live seeds are one acoustic stack and one eigmin3, so
-    a step costs one eigen-solve; each seed takes the least k whose value
-    falls, else stays where it is, so values never rise per seed.  Scaling
-    by 2^-k is exact, so the trial points are those of halving one at a
-    time.  A seed stops, frozen, after the first step that lowers its value
-    by no more than NEWTON_TOL; the iteration ends when none is left or
-    after NEWTON_ITERS steps.  Returns the refined (X, Y, vals), components
-    first, and the steps run."""
+    retracts y by normalizing y + s V d_y and re-solves x exactly: the new
+    value is lambda_min(T(y)) from eigmin3.  The trial lengths s are
+    _STEPS: 3, then the NEWTON_BACKTRACKS + 1 halvings 2^-k.  All of them,
+    for all live seeds, are one acoustic stack and one eigmin3, so a step
+    costs one eigen-solve.  Each seed takes the least k whose value falls,
+    as halving one at a time would (scaling by 2^-k is exact, so the trial
+    points are the same), or the 3x trial where its value is no higher
+    than that and than the start, else stays where it is, so values never
+    rise per seed.  At a quartic-flat zero, f ~ t^4, the Newton step lands
+    at 2t/3 and the 3x step on the zero, where values fall below rounding,
+    so the 3x trial there often only ties; at a simple minimum it
+    overshoots and is not taken.  A seed stops, frozen, after the first
+    step that lowers its value by no more than NEWTON_TOL; the iteration
+    ends when none is left or after NEWTON_ITERS steps.  Returns the
+    refined (X, Y, vals), components first, and the steps run."""
     Ky = G4.transpose(2, 3, 0, 1)
     X, Y, vals = X.copy(), Y.copy(), vals.copy()
     live = np.arange(len(vals))
@@ -427,16 +437,19 @@ def _newton(G4: np.ndarray, X: np.ndarray, Y: np.ndarray, vals: np.ndarray
         d *= np.minimum(1.0, NEWTON_STEP_MAX / np.maximum(
             np.linalg.norm(d, axis=1), 1e-300))[:, None]
         dy = (V @ d[:, 2:, None])[:, :, 0].T
-        # every halving of every live seed's step, seed by seed, (3, live * 9)
-        Yt = (Y[:, live, None] + dy[:, :, None] * _HALVINGS).reshape(3, -1)
+        # every step length of every live seed, seed by seed, (3, live * 10)
+        Yt = (Y[:, live, None] + dy[:, :, None] * _STEPS).reshape(3, -1)
         Yt /= np.linalg.norm(Yt, axis=0)
         vt, Xt = eigmin3(_acoustic_stack(Yt, Ky))
-        before = vals[live]
-        better = vt.reshape(len(live), -1) < before[:, None]
-        # each seed that can takes its longest step that lowers its value
-        took = np.flatnonzero(better.any(axis=1))
-        t = took * len(_HALVINGS) + np.argmax(better[took], axis=1)
-        i = live[took]
+        before, r = vals[live], np.arange(len(live))
+        v = vt.reshape(len(live), -1)
+        # each seed takes its longest halving that lowers its value, or the
+        # 3x trial where that is no higher than both; a seed with neither
+        # stays
+        k = 1 + np.argmax(v[:, 1:] < before[:, None], axis=1)
+        k[v[:, 0] <= np.minimum(v[r, k], before)] = 0
+        took = (k == 0) | (v[r, k] < before)
+        t, i = r[took] * len(_STEPS) + k[took], live[took]
         X[:, i], Y[:, i], vals[i] = Xt.T[:, t], Yt[:, t], vt[t]
         live = live[before - vals[live] > NEWTON_TOL]
     return X, Y, vals, steps
@@ -685,16 +698,25 @@ def _pencil_step(C: np.ndarray, Li: np.ndarray, pd: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray]:
     """For whitened pencils C = L^-1 B L^-T (m, 3, 3) with L^-1 and pd from
     _whiten: min over x of x^T A x / |x^T B x|, as _ray_bound, and its
-    minimizer x = L^-T v, v the eigenvector of the eigenvalue of C largest
+    minimizer x = L^-T u, u an eigenvector of an eigenvalue of C largest
     in magnitude, unit, as (3, m) rows.  One eigmin3 of -C^2 gives both,
     whichever side binds: its eigenvalues are -lambda_i(C)^2, so the least
-    is -rho^2, rho the spectral radius, with eigenvector v.  A C near rank
-    one, eigenvalues (0, 0, rho), gives -C^2 the lower gap rho^2, so no row
-    reaches LAPACK."""
+    is -rho^2, rho the spectral radius, with eigenvector v.  Where C has
+    both +rho and -rho, v may be any mix a u+ + b u- of their eigenvectors
+    (B = e1 e2^T + e2 e1^T and A = I give v = e1, with x^T B x = 0), so u
+    is (C +- rho I) v = 2 rho a u+ or -2 rho b u-, the larger, picked by
+    the sign of v^T C v = rho (a^2 - b^2); it is v itself where C = 0.  A C
+    near rank one, eigenvalues (0, 0, rho), gives -C^2 the lower gap
+    rho^2, so no row reaches LAPACK."""
     mu, V = eigmin3(-(C @ C))
-    x = (Li.swapaxes(1, 2) @ V[:, :, None])[:, :, 0].T
+    rho = np.sqrt(np.maximum(-mu, 0.0))
+    CV = (C @ V[:, :, None])[:, :, 0]
+    U = CV + np.where(np.sum(V * CV, axis=1) >= 0.0, rho, -rho)[:, None] * V
+    zero = ~U.any(axis=1)
+    U[zero] = V[zero]
+    x = (Li.swapaxes(1, 2) @ U[:, :, None])[:, :, 0].T
     x /= np.linalg.norm(x, axis=0)
-    return _ray_bound(np.sqrt(np.maximum(-mu, 0.0)), pd), x
+    return _ray_bound(rho, pd), x
 
 
 def extreme_point_probe(scan: LatticeScan) -> ProbeReport:

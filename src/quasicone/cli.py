@@ -10,6 +10,7 @@ report and do not change the exit code.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -194,7 +195,10 @@ def _global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
                         help="compact JSON output (indented by default)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: each parse_args call
+    starts a fresh namespace, so calls share no values."""
     ap = argparse.ArgumentParser(
         prog="quasicone",
         description="Analyze and certify quasiconvex quadratic forms on 3x3 "
@@ -228,8 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         out = args.fn(args)
     except CliError as exc:

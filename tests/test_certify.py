@@ -259,38 +259,98 @@ def test_scan_keeps_every_rank_one_zero_of_rotated_forms(kind, seed, shift, grid
     assert len(zeros) == {"choi": 3, "choi_lam": 7}[kind]
 
 
+# choi_lam's seven zero lines in y: the axes and the four diagonals
+_CHOI_LAM_LINES = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1],
+                            [1, 1, -1], [1, -1, 1], [-1, 1, 1]]) / np.sqrt(
+                                [1, 1, 1, 3, 3, 3, 3])[:, None]
+
+
+@pytest.mark.parametrize("grid", [32, 96])
+@pytest.mark.parametrize("shift", [None, 0, 1, 2, 3])
+def test_choi_lam_zeros_lie_on_the_exact_lines(grid, shift):
+    # the axis zeros are quartic-flat: plain Newton stalled 1e-4 from them,
+    # where the values fall below rounding, and the 3x trial lands on them
+    # (a minor shift leaves every rank-one value, so every zero, in place)
+    q = catalog("choi_lam")
+    if shift is not None:
+        rng = np.random.default_rng(shift)
+        q = add_null_lagrangian(q, NullLagrangianCoeffs(rng.uniform(-2, 2, 9)))
+    Y = np.array([y for (_, y) in lattice_scan(
+        q, CertifyConfig(grid_resolution=grid)).rank_one_zeros()])
+    gap = np.minimum(np.linalg.norm(Y[:, None] - _CHOI_LAM_LINES, axis=2),
+                     np.linalg.norm(Y[:, None] + _CHOI_LAM_LINES, axis=2))
+    assert len(Y) == 7
+    assert sorted(np.argmin(gap, axis=1)) == list(range(7))
+    assert np.max(np.min(gap, axis=1)) <= 1e-7
+
+
+@pytest.mark.parametrize("grid", [32, 96])
+@pytest.mark.parametrize("kind", ["choi", "choi_lam"])
+def test_quartic_flat_scans_take_few_newton_steps(kind, grid):
+    # a counter, not a timer: plain Newton took 12-20 steps on these forms,
+    # converging linearly at their quartic-flat zeros, and 3-6 elsewhere
+    scans = [lattice_scan(catalog(kind), CertifyConfig(grid_resolution=grid))]
+    scans += [lattice_scan(_scan_form(kind, seed, False),
+                           CertifyConfig(grid_resolution=grid))
+              for seed in range(4)]
+    assert max(s.newton_steps for s in scans) <= 8
+
+
 def _zero_pool_loop(scan):
-    """The per-zero, per-direction, per-sign loop that _zero_pool batches,
-    on the same helpers: the zeros' rows in the order _zero_pool puts them
-    (each zero, then its sweeps)."""
-    G4 = scan.form.gram_tensor()
+    """The per-zero loop that _zero_pool batches, on the same helpers and
+    the scan's frame G4: each zero (x0, y0), its transverse Hessian's
+    eigenvalues and its four unit sweep directions (U w_x, V w_y) in R^6."""
     near = scan.vals <= np.ldexp(1e-10, scan.e)
     reps = _cluster_pairs(scan.X[near], scan.Y[near], scan.vals[near], cap=12)
-    zeros, sweeps = [], []
+    out = []
     for (y0, x0, _) in reps:
-        _, H, U, V = certify._transverse_hessian(G4, x0[:, None], y0[:, None])
-        W = np.linalg.eigh(H[0])[1]
-        zeros.append((x0, y0))
-        for k in range(4):
-            for sgn in (1.0, -1.0):
-                for r in certify._POOL_RADII:
-                    x = x0 + sgn * r * (U[0] @ W[:2, k])
-                    y = y0 + sgn * r * (V[0] @ W[2:, k])
-                    sweeps.append((x / np.linalg.norm(x), y / np.linalg.norm(y)))
-    return np.array([np.outer(x, y).ravel() for (x, y) in zeros + sweeps])
+        _, H, U, V = certify._transverse_hessian(scan.G4, x0[:, None],
+                                                 y0[:, None])
+        w, W = np.linalg.eigh(H[0])
+        out.append((x0, y0, w, np.concatenate([U[0] @ W[:2], V[0] @ W[2:]]).T))
+    return out
+
+
+def _sweep_direction(rows, x0, y0, rho):
+    """The unit direction (u_x, u_y) of a sweep row x (x) y at signed radius
+    rho from the zero (x0, y0): with M = x y^T, M y0 / (x0^T M y0) is
+    x / (x . x0) = x0 + rho u_x, and M^T x0 / (x0^T M y0) is y0 + rho u_y."""
+    M = rows.reshape(-1, 3, 3)
+    s = (x0 @ M @ y0)[:, None]
+    return np.concatenate([M @ y0 / s - x0, x0 @ M / s - y0], axis=1) / rho[:, None]
 
 
 @pytest.mark.parametrize("name", ["choi", "choi_lam"])
 def test_zero_pool_matches_per_zero_loop(name):
+    # the zeros' rows, then per zero 4 eigendirections x 56 signed radii.  An
+    # eigh basis is fixed only up to sign, and only up to a rotation within
+    # an exactly repeated eigenvalue (choi_lam's exact zeros have 1, 1 and
+    # 0.4226, 0.4226), so compare each direction group's span, read off
+    # the rows at the largest radius, and every row against its direction
     scan = lattice_scan(catalog(name), _GRID32)
     P9 = certify._zero_pool(scan)
     ref = _zero_pool_loop(scan)
-    assert P9.shape == ref.shape == (225 * len(scan.rank_one_zeros()), 9)
-    # a one-zero GEMM and eigh round apart from the batch, and flip the sign
-    # of an eigendirection, which swaps its +- sweeps: compare row sets
-    for A, B in ((P9, ref), (ref, P9)):
-        nearest = [np.min(np.linalg.norm(B - a, axis=1)) for a in A]
-        assert max(nearest) <= 1e-12
+    r = len(ref)
+    assert r == len(scan.rank_one_zeros())
+    assert P9.shape == (225 * r, 9)
+    radii = np.concatenate([certify._POOL_RADII, -certify._POOL_RADII])
+    n = len(radii)
+    for i, (x0, y0, w, D) in enumerate(ref):
+        assert np.max(np.abs(P9[i] - np.outer(x0, y0).ravel())) <= 1e-12
+        sweeps = P9[r + 4 * n * i:r + 4 * n * (i + 1)].reshape(4, n, 9)
+        far = np.argmax(radii)
+        U = _sweep_direction(sweeps[:, far], x0, y0, radii[[far] * 4])
+        for k in range(4):
+            u = U[k]
+            x, y = x0 + radii[:, None] * u[:3], y0 + radii[:, None] * u[3:]
+            x /= np.linalg.norm(x, axis=1)[:, None]
+            y /= np.linalg.norm(y, axis=1)[:, None]
+            rebuilt = (x[:, :, None] * y[:, None]).reshape(n, 9)
+            assert np.max(np.abs(sweeps[k] - rebuilt)) <= 1e-12
+        for group in np.split(np.arange(4), 1 + np.flatnonzero(np.diff(w) > 1e-9)):
+            assert len(group) < 4
+            span = U[group].T @ U[group]
+            assert np.max(np.abs(span - D[group].T @ D[group])) <= 1e-12
 
 
 def test_choi_reports_each_axis_zero_once():
@@ -304,9 +364,9 @@ def test_choi_reports_each_axis_zero_once():
     assert all(np.max(np.abs(y)) >= 1.0 - 1e-6 for y in ys)
 
 
-# rows of a Newton step's stacked eigen-solve: every halving of every seed,
-# 432 at grid 96, 21x below its 9,216-point lattice
-_STEP_ROWS = certify.SEED_CAP * (certify.NEWTON_BACKTRACKS + 1)
+# rows of a Newton step's stacked eigen-solve: every trial step of every
+# seed, 480 at grid 96, 19x below its 9,216-point lattice
+_STEP_ROWS = certify.SEED_CAP * len(certify._STEPS)
 
 
 def test_lattice_scan_refines_at_most_the_seed_cap():
@@ -314,7 +374,7 @@ def test_lattice_scan_refines_at_most_the_seed_cap():
     # values-only eigvals3, the seeds with one eigmin3 of at most SEED_CAP
     # rows, and each Newton step with one eigmin3 of at most _STEP_ROWS, so
     # a return to refining every lattice point, to eigenvectors over the
-    # whole lattice, or to one solve per halving fails here
+    # whole lattice, or to one solve per trial step fails here
     n = len(sphere_lattice(96))
     rows = {}
 
@@ -342,7 +402,7 @@ def test_lattice_scan_sends_at_most_the_seed_cap_to_lapack():
     # T(y) = |y|^2 I on every lattice point of convex_identity: each row is
     # isotropic, where an eigenvector needs LAPACK, but the lattice's values
     # do not, so LAPACK sees only stacks of the seeds and of Newton's steps,
-    # each step one stack of every halving of every seed
+    # each step one stack of every trial step of every seed
     rows = []
 
     def spy(fn):
@@ -486,13 +546,21 @@ def test_values_only_lattice_pass_matches_eigmin3_lattice(kind, seed, shift):
         assert scan.margin < -np.ldexp(_GRID32.tol, e)
 
 
-def _newton_one_halving_at_a_time(G4, X, Y, vals):
-    """The reference for _newton's stacked halvings: the same Newton step,
-    then one eigmin3 per halving, each seed taking the first whose value
-    falls."""
+def _newton_one_trial_at_a_time(G4, X, Y, vals):
+    """The reference for _newton's stacked trials: the same Newton step,
+    then one eigmin3 per trial, the 3x trial first, then the halvings until
+    each seed has one whose value falls; a seed takes the 3x trial where it
+    is no higher than that halving and its start, else that halving."""
     Ky = G4.transpose(2, 3, 0, 1)
     X, Y, vals = X.copy(), Y.copy(), vals.copy()
     live, steps = np.arange(len(vals)), 0
+
+    def trial(i, dy):
+        Yt = Y[:, i] + dy
+        Yt /= np.linalg.norm(Yt, axis=0)
+        vt, Xt = eigmin3(_acoustic_stack(Yt, Ky))
+        return vt, Xt.T, Yt
+
     while len(live) and steps < certify.NEWTON_ITERS:
         steps += 1
         g, H, _, V = certify._transverse_hessian(G4, X[:, live], Y[:, live])
@@ -502,19 +570,25 @@ def _newton_one_halving_at_a_time(G4, X, Y, vals):
         d *= np.minimum(1.0, certify.NEWTON_STEP_MAX / np.maximum(
             np.linalg.norm(d, axis=1), 1e-300))[:, None]
         dy = (V @ d[:, 2:, None])[:, :, 0].T
-        before, k = vals[live], np.arange(len(live))
+        before = vals[live]
+        v3, X3, Y3 = trial(live, dy * 3.0)
+        # the first falling halving of each seed, or its start
+        vh, Xh, Yh = before.copy(), X[:, live], Y[:, live]
+        k = np.arange(len(live))
         for _ in range(certify.NEWTON_BACKTRACKS + 1):
-            i = live[k]
-            Yt = Y[:, i] + dy[:, k]
-            Yt /= np.linalg.norm(Yt, axis=0)
-            vt, Xt = eigmin3(_acoustic_stack(Yt, Ky))
-            better = vt < vals[i]
-            i = i[better]
-            X[:, i], Y[:, i], vals[i] = Xt.T[:, better], Yt[:, better], vt[better]
+            vt, Xt, Yt = trial(live[k], dy[:, k])
+            better = vt < before[k]
+            j = k[better]
+            vh[j], Xh[:, j], Yh[:, j] = vt[better], Xt[:, better], Yt[:, better]
             k = k[~better]
             if not len(k):
                 break
             dy *= 0.5
+        take3 = v3 <= vh
+        i = live[take3]
+        X[:, i], Y[:, i], vals[i] = X3[:, take3], Y3[:, take3], v3[take3]
+        i = live[~take3]
+        X[:, i], Y[:, i], vals[i] = Xh[:, ~take3], Yh[:, ~take3], vh[~take3]
         live = live[before - vals[live] > certify.NEWTON_TOL]
     return vals, steps
 
@@ -524,11 +598,12 @@ def _newton_one_halving_at_a_time(G4, X, Y, vals):
     ("choi_lam", 4, 32), ("choi_lam", 5, 96)])
 def test_stacked_halvings_match_one_halving_at_a_time(kind, seed, grid,
                                                      monkeypatch):
-    # the same trial points (2^-k scaling is exact), so only the GEMM's
-    # column rounding can move a value: after one step and after the whole
-    # search each seed is within 8 eps of the sequential search in the
-    # scan's frame, never above its start; taking the shortest falling
-    # halving in place of the longest moves the values further
+    # the same trial points (2^-k scaling is exact, and 3x rounds alike in
+    # both), so only the GEMM's column rounding can move a value: after one
+    # step and after the whole search each seed is within 8 eps of the
+    # sequential search in the scan's frame, never above its start; taking
+    # the shortest falling halving in place of the longest moves the values
+    # further
     scan = lattice_scan(_scan_form(kind, seed, seed % 2 == 1),
                         CertifyConfig(grid_resolution=grid))
     Y0 = np.ascontiguousarray(sphere_lattice(grid).T)
@@ -540,7 +615,7 @@ def test_stacked_halvings_match_one_halving_at_a_time(kind, seed, grid,
     assert steps == scan.newton_steps and np.all(new <= vals)
     for iters in (1, certify.NEWTON_ITERS):
         monkeypatch.setattr(certify, "NEWTON_ITERS", iters)
-        ref, _ = _newton_one_halving_at_a_time(*start)
+        ref, _ = _newton_one_trial_at_a_time(*start)
         new = certify._newton(*start)[2]
         assert np.max(np.abs(new - ref)) <= 8 * np.finfo(float).eps
 
@@ -1087,6 +1162,10 @@ def _pencil_bisection(A, B):
     return lo
 
 
+# C = B + B^T has eigenvalues +-rho, a tie where eigmin3 of -C^2 may
+# return any mix of their eigenvectors, here e1 with x^T B x = 0
+@example(R=np.zeros((3, 3)), B=np.diag([1.0, 0.0], 1), shift=1.0)
+@example(R=np.zeros((3, 3)), B=np.diag([1.5, 0.0], 1), shift=1.0)
 @settings(max_examples=60, deadline=None)
 @given(R=arrays(float, (3, 3), elements=st.floats(-2.0, 2.0)),
        B=arrays(float, (3, 3), elements=st.just(0.0) | st.floats(0.05, 2.0)

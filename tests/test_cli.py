@@ -227,6 +227,26 @@ def test_analyze_scans_its_input_form_once(monkeypatch, capsys):
     assert len({id(s) for g, s in scanned if np.array_equal(g, gram)}) == 1
 
 
+def test_main_calls_share_one_parser_and_no_flag_values(capsys):
+    import quasicone.cli
+
+    assert quasicone.cli.build_parser() is quasicone.cli.build_parser()
+    runs = [["--json", "--seed", "9", "lemma", "--n", "4", "--trials", "2",
+             "--eps", "0.1"],
+            ["lemma", "--trials", "1"],
+            ["lemma", "--trials", "1", "--seed", "5", "--json"]]
+    outs = []
+    for argv in runs:
+        assert quasicone.cli.main(argv) == 0
+        outs.append(capsys.readouterr().out.strip())
+    first, second, third = (json.loads(o) for o in outs)
+    assert [first[k] for k in ("seed", "n", "trials", "eps")] == [9, 4, 2, 0.1]
+    assert [second[k] for k in ("seed", "n", "trials", "eps")] == [0, 3, 1, 0.0]
+    assert [third[k] for k in ("seed", "n", "trials", "eps")] == [5, 3, 1, 0.0]
+    # --json prints one compact line, its absence indented JSON
+    assert ["\n" in o for o in outs] == [False, True, False]
+
+
 def test_non_object_form_file_is_a_parse_error(tmp_path):
     path = tmp_path / "list.json"
     path.write_text("[1, 2]")
