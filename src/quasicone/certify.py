@@ -50,15 +50,17 @@ plus geometric radius sweeps along the transverse-Hessian eigendirections
 at each zero.  Neither searches: each sample (pool point, lattice point,
 or a point of a few exact alternating sweeps from the most binding lattice
 points) admits the coefficient up to a closed-form bound, and the least
-bound is validated by full scans.  Both report their work counters as
-witness["diagnostics"].
+bound is validated by full scans.  Both take _probe_directions, the probe
+lattice and GUARD_REL as slack and floor, and report witness["diagnostics"].
 
 Every floor is a constant in the scan's frame, the Gram scaled by 2^-e:
-cfg.tol is tol 2^e on Q's values, so Q and alpha Q get the same verdicts.
+cfg.tol is tol 2^e on Q's values (the ray probes read it only through
+require_quasiconvex), so Q and alpha Q get the same verdicts.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -175,16 +177,12 @@ class ProbeReport:
 # ---------------------------------------------------------------------------
 # sphere lattice
 
-_LATTICE_CACHE: dict[int, np.ndarray] = {}
-
-
+@functools.cache
 def sphere_lattice(resolution: int) -> np.ndarray:
     """Spherical Fibonacci lattice of resolution^2 points in canonical sign
-    (first nonzero coordinate positive), rows sorted.  The sort removes no
-    point; its row order fixes which points the probes' top-k refinements
-    pick."""
-    if resolution in _LATTICE_CACHE:
-        return _LATTICE_CACHE[resolution]
+    (first nonzero coordinate positive), rows sorted, read-only, built once
+    per resolution.  The sort removes no point; its row order fixes which
+    points the probes' top-k refinements pick."""
     n = resolution * resolution
     i = np.arange(n)
     z = 1.0 - (2.0 * i + 1.0) / n
@@ -193,10 +191,8 @@ def sphere_lattice(resolution: int) -> np.ndarray:
     pts = np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
     pts = canonical_sign(pts)
     pts = np.unique(np.round(pts, 12), axis=0)
-    norms = np.linalg.norm(pts, axis=1)
-    pts = pts / norms[:, None]
+    pts /= np.linalg.norm(pts, axis=1)[:, None]
     pts.setflags(write=False)
-    _LATTICE_CACHE[resolution] = pts
     return pts
 
 
@@ -236,20 +232,18 @@ def _acoustic_stack(V: np.ndarray, K: np.ndarray) -> np.ndarray:
 class LatticeScan:
     """One scan of a form over sphere_lattice(cfg.grid_resolution), in the
     frame of the Gram scaled by 2^-e to largest entry in [1/2, 1): its
-    contiguous gram tensor G4 and the lattice acoustic matrices T, both
-    scaled; the lattice's smallest eigenvalues (values only, from eigvals3),
-    the refined basin seeds (X, Y, vals) after newton_steps Newton steps,
-    and the sampled margin min(vals, lattice_lam), all three scaled back by
-    2^e.  T (n, 3, 3) is the transposed view of (3, 3, n) storage, and X
-    and Y (seeds, 3) are views of components-first rows.  lattice_scan
-    makes every array read-only, since it may hand the scan out again."""
+    contiguous gram tensor G4, scaled; the lattice's smallest eigenvalues
+    (values only, from eigvals3), the refined basin seeds (X, Y, vals)
+    after newton_steps Newton steps, and the sampled margin min(vals,
+    lattice_lam), all three scaled back by 2^e.  X and Y (seeds, 3) are
+    views of components-first rows.  lattice_scan makes every array
+    read-only, since it may hand the scan out again."""
 
     form: QuadraticForm
     cfg: CertifyConfig
     margin: float
     e: int
     G4: np.ndarray
-    T: np.ndarray
     lattice_lam: np.ndarray
     X: np.ndarray
     Y: np.ndarray
@@ -304,8 +298,8 @@ def lattice_scan(q: QuadraticForm, cfg: CertifyConfig = CertifyConfig()) -> Latt
     isotropic.  The margin is the least value seen, lattice or refined.
 
     The scan runs on the Gram scaled by 2^-e to largest entry in [1/2, 1),
-    and the values are scaled back by 2^e; G4 and T stay in that frame for
-    the probes.  Both scalings are exact, so the fixed floors of the
+    and the values are scaled back by 2^e; G4 stays in that frame for the
+    probes.  Both scalings are exact, so the fixed floors of the
     refinement are relative to the form, Q and 2Q follow bitwise-equal
     paths, and no square overflows.
 
@@ -327,8 +321,8 @@ def lattice_scan(q: QuadraticForm, cfg: CertifyConfig = CertifyConfig()) -> Latt
     for a in (lam, vals):
         np.ldexp(a, e, out=a)
     margin = float(min(np.min(vals), np.min(lam)))
-    scan = LatticeScan(q, cfg, margin, e, G4, T, lam, X.T, Y.T, vals, steps)
-    for a in (G4, T, lam, scan.X, scan.Y, vals):
+    scan = LatticeScan(q, cfg, margin, e, G4, lam, X.T, Y.T, vals, steps)
+    for a in (G4, lam, scan.X, scan.Y, vals):
         a.setflags(write=False)
     _last_scan = (key, scan)
     return scan
@@ -533,27 +527,30 @@ def _pool_quadratic(P9: np.ndarray, gram: np.ndarray) -> np.ndarray:
 # LOCKSTEP_ROWS // n directions at a time (n lattice points), which bounds
 # its memory and keeps each stack near eigvals3's fastest size
 LOCKSTEP_ROWS = 1 << 14
+# both ray probes sample sphere_lattice(PROBE_GRID), whatever the scan's grid
+PROBE_GRID = 32
 
 
-# ---------------------------------------------------------------------------
-# milton extremality
-
-def _probe_directions(q: QuadraticForm, cfg: CertifyConfig) -> np.ndarray:
-    """Unit 9-vector directions: half seeded random, half Gram-eigenvector
-    aligned (the eigenvectors themselves, then seeded in-pair mixes)."""
+def _probe_directions(axes: np.ndarray, cfg: CertifyConfig) -> np.ndarray:
+    """cfg.probe_directions unit directions in the span of the unit rows
+    of axes (9, 9): half seeded random combinations of the axes, half
+    axis-aligned (the axes in order, then seeded in-pair mixes of them)."""
     rng = np.random.default_rng(cfg.seed)
     n_rand = cfg.probe_directions // 2
-    R = rng.standard_normal((n_rand, 9))
-    R /= np.linalg.norm(R, axis=1)[:, None]
-    V = np.linalg.eigh(q.gram)[1].T
+    R = (rng.standard_normal((n_rand, 1, 9)) @ axes)[:, 0]
     mixes = [(rng.integers(0, 9, size=2), rng.uniform(0.0, 2.0 * np.pi))
              for _ in range(cfg.probe_directions - n_rand - 9)]
     ij = np.array([m[0] for m in mixes], dtype=int).reshape(-1, 2)
     t = np.array([m[1] for m in mixes]).reshape(-1, 1)
-    W = np.cos(t) * V[ij[:, 0]] + np.sin(t) * V[ij[:, 1]]
-    # stacked products, bitwise the norm of one mix at a time
+    W = np.concatenate([R, np.cos(t) * axes[ij[:, 0]] + np.sin(t) * axes[ij[:, 1]]])
+    # stacked products, bitwise the norm of one direction at a time
     W /= np.sqrt(W[:, None] @ W[:, :, None])[:, 0]
-    return np.concatenate([R, V[:cfg.probe_directions - n_rand], W])
+    return np.concatenate([W[:n_rand], axes[:cfg.probe_directions - n_rand],
+                           W[n_rand:]])
+
+
+# ---------------------------------------------------------------------------
+# milton extremality
 
 
 def _shifted_adjugate(U: np.ndarray, shift: float) -> tuple[np.ndarray, np.ndarray]:
@@ -585,21 +582,23 @@ def milton_extremality_probe(scan: LatticeScan) -> ProbeReport:
     T(y) - eps m m^T, so each sample bounds eps*(l) by the exact eps where
     lambda_min >= -guard stops holding there (_rank_one_bound of
     A = T(y) + guard I).  eps*(l) is the least bound over the pool
-    ((Q + guard) / l^2), the scan's lattice (LOCKSTEP_ROWS (direction,
+    ((Q + guard) / l^2), the probe lattice (LOCKSTEP_ROWS (direction,
     point) pairs at a time) and 14 sweeps from each direction's 16 lowest
     lattice points, each exact in x (x ~ adj(A) m), then in y (S(x),
     p = M^T x), all on the scan's 2^-e-normalized Gram, as are guard =
-    GUARD_REL and the thresholds.  refuted needs Q - (1 - 1e-4) eps* l^2
-    (off the sampled boundary) to pass a full scan.
+    GUARD_REL and the thresholds; the axes of the directions l are the
+    Gram's eigenvectors.  refuted needs Q - (1 - 1e-4) eps* l^2 (off the
+    sampled boundary) to clear -guard in a full scan.
     """
     scan.require_quasiconvex("milton probe")
     q, cfg, e, G4 = scan.form, scan.cfg, scan.e, scan.G4
     P9 = _zero_pool(scan)
     pool_q = _pool_quadratic(P9, G4.swapaxes(1, 2).reshape(9, 9)) + GUARD_REL
-    Y = np.ascontiguousarray(sphere_lattice(cfg.grid_resolution).T)
-    adj, det = _shifted_adjugate(_upper(scan.T), GUARD_REL)
+    Y = np.ascontiguousarray(sphere_lattice(PROBE_GRID).T)
+    T = _acoustic_stack(Y, G4.transpose(2, 3, 0, 1))
+    adj, det = _shifted_adjugate(_upper(T), GUARD_REL)
 
-    dirs = _probe_directions(q, cfg)
+    dirs = _probe_directions(np.linalg.eigh(q.gram)[1].T, cfg)
     c, n, k = len(dirs), Y.shape[1], 16
     D = dirs.reshape(c, 3, 3)
     pool, lattice, top = np.empty(c), np.empty(c), np.empty((c, k), dtype=int)
@@ -646,7 +645,7 @@ def milton_extremality_probe(scan: LatticeScan) -> ProbeReport:
     if value > math.ldexp(MILTON_REFUTED_MIN, e):
         check = QuadraticForm(q.gram - (1 - 1e-4) * eps_best * np.outer(m_best, m_best))
         witness["validation_margin"] = margin = lattice_scan(check, cfg).margin
-        verdict = "refuted" if margin >= -math.ldexp(cfg.tol, e) else "inconclusive"
+        verdict = "refuted" if margin >= -math.ldexp(GUARD_REL, e) else "inconclusive"
     elif value <= math.ldexp(MILTON_CONSISTENT_MAX, e):
         verdict = "consistent"
     else:
@@ -723,22 +722,24 @@ def extreme_point_probe(scan: LatticeScan) -> ProbeReport:
     """Search the scanned form's 9-parameter shear layout for a splitting
     0 <= Q1 <= Q (in the quasiconvex order) far from the ray {alpha Q}.
 
-    Q1 = theta/2 + delta d and Q - Q1 = theta/2 - delta d, for seeded unit
-    d orthogonal to theta, are mirror images about theta/2, so in the
-    scan's frame (theta 2^-e) at a sample y both stay above the floor -tol
-    exactly while A +- delta T_d(y) >= 0, A = T_theta(y)/2 + tol I: for
-    delta <= 1 / rho(L^-1 T_d L^-T), A = L L^T (0 where A is not positive
-    definite; _whiten, _ray_bound).  delta*(d) is the least bound over the
-    pool ((Q_theta/2 + tol) / |Q_d|), a grid-32 lattice (T_d is linear in
-    d: the nine whitened basis stacks are built once, and LOCKSTEP_ROWS // n
-    directions are one GEMM and one eigvals3) and 16 exact alternating
-    sweeps from each direction's 12 most binding lattice points
-    (_pencil_step, in x with T(y), then in y with S(x)), capped at 8 |theta|
-    and scaled back by 2^e.  value is the distance, from (1 - 1e-4) delta*
-    (off the sampled boundary) shrunk by 0.7 at most 23 times, at which
-    full scans of Q1 and Q - Q1 both clear -tol 2^e, in the direction of
-    the largest delta*.  Consistent (extreme point) when value stays below
-    1e-5 * |theta_q|.
+    Q1 = theta/2 + delta d and Q - Q1 = theta/2 - delta d, for unit d
+    orthogonal to theta, are mirror images about theta/2, so in the scan's
+    frame (theta 2^-e) at a sample y both stay above the floor -guard
+    exactly while A +- delta T_d(y) >= 0, A = T_theta(y)/2 + guard I, guard
+    = GUARD_REL: for delta <= 1 / rho(L^-1 T_d L^-T), A = L L^T (0 where A
+    is not positive definite; _whiten, _ray_bound); the axes of the
+    directions d are the layout axes projected off theta, largest theta_k
+    first, which meet splittings random directions miss.  delta*(d) is the
+    least bound over the pool ((Q_theta/2 + guard) / |Q_d|), the probe
+    lattice (T_d is linear in d: the nine whitened basis stacks are built
+    once, and LOCKSTEP_ROWS // n directions are one GEMM and one eigvals3)
+    and 16 exact alternating sweeps from each direction's 12 most binding
+    lattice points (_pencil_step, in x with T(y), then in y with S(x)),
+    capped at 8 |theta| and scaled back by 2^e.  value is the distance,
+    from (1 - 1e-4) delta* (off the sampled boundary) shrunk by 0.7 at most
+    23 times, at which full scans of Q1 and Q - Q1 both clear -guard 2^e,
+    in the direction of the largest delta*.  Consistent (extreme point)
+    when value stays below 1e-5 * |theta_q|.
     """
     q, cfg, e = scan.form, scan.cfg, scan.e
     layout, theta = detect_shear_layout(q)
@@ -755,32 +756,28 @@ def extreme_point_probe(scan: LatticeScan) -> ProbeReport:
     scan.require_quasiconvex("extreme point probe")
 
     basis = shear_layout_basis(layout)
-    norm_theta = math.ldexp(float(np.linalg.norm(np.ldexp(theta, -e))), e)
-    floor = -math.ldexp(cfg.tol, e)
-    rng = np.random.default_rng(cfg.seed)
-    # orthonormal basis of the complement of theta, and unit directions in
-    # it, as stacked products whose bits are those of one draw at a time
-    Bperp = np.linalg.qr(np.concatenate(
-        [theta[:, None] / norm_theta, rng.standard_normal((9, 8))], axis=1)
-    )[0][:, 1:]
-    Z = rng.standard_normal((cfg.probe_directions, 8))
-    D = (Bperp @ Z[:, :, None])[:, :, 0]
-    D /= np.sqrt(D[:, None] @ D[:, :, None])[:, 0]
+    u = np.ldexp(theta, -e)
+    norm_theta = math.ldexp(float(np.linalg.norm(u)), e)
+    floor = -math.ldexp(GUARD_REL, e)
+    axes = (np.eye(9) - np.outer(u, u / (u @ u)))[np.argsort(-theta, kind="stable")]
+    D = _probe_directions(axes / np.linalg.norm(axes, axis=1)[:, None], cfg)
     c, k = len(D), 12
 
-    # gram tensors of theta 2^-e / 2 + tol I, whose T(y) at a unit y is A,
-    # then of the basis; Ky contracts y (T(y)), Kx contracts x (S(x))
-    A9 = np.tensordot(np.ldexp(0.5 * theta, -e), basis, axes=1) + cfg.tol * np.eye(9)
+    # gram tensors of theta 2^-e / 2 + guard I, whose T(y) at a unit y is
+    # A, then of the basis; Ky contracts y (T(y)), Kx contracts x (S(x))
+    A9 = np.tensordot(np.ldexp(0.5 * theta, -e), basis, axes=1) + GUARD_REL * np.eye(9)
     G10 = gram_tensor(np.concatenate([A9[None], basis]))
     Ky, Kx = G10.transpose(3, 4, 0, 1, 2), G10.transpose(1, 2, 0, 3, 4)
     P9 = _zero_pool(scan)
     poolB = np.array([_pool_quadratic(P9, Bk) for Bk in basis])
     pool_num = _pool_quadratic(P9, A9)
-    Y = np.ascontiguousarray(sphere_lattice(32).T)
+    Y = np.ascontiguousarray(sphere_lattice(PROBE_GRID).T)
     n = Y.shape[1]
     S = _acoustic_stack(Y, Ky)
     W, _, pd = _whiten(S[:, 0], S[:, 1:])
-    W = W.transpose(1, 0, 2, 3).reshape(9, 9 * n)
+    # rows of -C, same rho: along a positive-theta axis C is rank one minus
+    # c I, a repeated pair that eigvals3 keeps in closed form only on top
+    W = -W.transpose(1, 0, 2, 3).reshape(9, 9 * n)
     pool, lattice, top = np.empty(c), np.empty(c), np.empty((c, k), dtype=int)
     step = max(1, LOCKSTEP_ROWS // n)
     for s in range(0, c, step):

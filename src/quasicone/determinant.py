@@ -187,10 +187,13 @@ def pencil_identity_check(q: QuadraticForm, q1: QuadraticForm,
     The residual per sample is the best-scaling coefficient distance
     min_mu |det(T - lam T1) - mu det(T)| relative to the larger coefficient
     magnitude.  When every sample is proportional, the cubic
-    mu(lam) = 1 - gamma lam + beta lam^2 - alpha lam^3 is fitted.
+    mu(lam) = 1 - gamma lam + beta lam^2 - alpha lam^3 is fitted.  Both
+    Grams are scaled by one exact 2^-k, which leaves every mu unchanged.
     """
     lam_samples = [float(t) for t in lam_samples]
-    det_t = acoustic_det(acoustic_matrix(q))
+    k = np.frexp(max(np.max(np.abs(q.gram)), np.max(np.abs(q1.gram))))[1]
+    g, g1 = np.ldexp(q.gram, -k), np.ldexp(q1.gram, -k)
+    det_t = acoustic_det(acoustic_matrix(QuadraticForm(g)))
     if det_t.is_zero():
         raise ValueError("det(T) is identically zero; proportionality undefined")
     base = np.array([det_t.coefficient(e) for e in _SEXTIC_EXPS])
@@ -199,13 +202,13 @@ def pencil_identity_check(q: QuadraticForm, q1: QuadraticForm,
     residuals = []
     scalings = []
     for lam in lam_samples:
-        mixed = QuadraticForm(q.gram - lam * q1.gram)
+        mixed = QuadraticForm(g - lam * g1)
         det_lam = acoustic_det(acoustic_matrix(mixed))
         vec = np.array([det_lam.coefficient(e) for e in _SEXTIC_EXPS])
         mu = float(vec @ base) / base_norm2
         resid = vec - mu * base
-        scale = 1.0 + max(float(np.max(np.abs(vec))), abs(mu) * float(np.max(np.abs(base))))
-        residuals.append(float(np.max(np.abs(resid))) / scale)
+        scale = max(float(np.max(np.abs(vec))), abs(mu) * float(np.max(np.abs(base))))
+        residuals.append(float(np.max(np.abs(resid))) / scale if scale else 0.0)
         scalings.append(mu)
 
     proportional = all(r <= PENCIL_REL_TOL for r in residuals)

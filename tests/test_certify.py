@@ -25,8 +25,8 @@ from quasicone.determinant import acoustic_det
 from quasicone.forms import (NullLagrangianCoeffs, QuadraticForm,
                              ReducedOrthotropicForm, acoustic_matrix,
                              add_null_lagrangian, biquadratic_eval, catalog,
-                             form_from_reduced, form_from_theta,
-                             minor_gram_basis)
+                             detect_shear_layout, form_from_reduced,
+                             form_from_theta, minor_gram_basis)
 from quasicone.poly import monomial_exponents
 from quasicone.symeig import eigmin3, eigvals3
 
@@ -233,11 +233,10 @@ def test_scan_follows_power_of_two_scaling_bitwise(kind, k):
     assert scan.vals.tobytes() == np.ldexp(base.vals, k).tobytes()
     assert scan.Y.tobytes() == base.Y.tobytes()
     assert scan.newton_steps == base.newton_steps
-    # the frame the probes read: exponent, and G4 and T left in it
+    # the frame the probes read: exponent, and G4 left in it
     assert scan.e == base.e + k
     assert scan.G4.flags.c_contiguous
     assert scan.G4.tobytes() == base.G4.tobytes()
-    assert scan.T.tobytes() == base.T.tobytes()
 
 
 # scans that lost a rank-one zero when the seeds went to Newton without
@@ -456,7 +455,7 @@ def test_kept_scan_needs_the_same_gram_bits_and_config():
 
 def test_kept_scan_is_read_only():
     scan = lattice_scan(catalog("choi_lam"), _GRID32)
-    for name in ("G4", "T", "lattice_lam", "X", "Y", "vals"):
+    for name in ("G4", "lattice_lam", "X", "Y", "vals"):
         a = getattr(scan, name)
         with pytest.raises(ValueError):
             a[(0,) * a.ndim] = 0.0
@@ -526,7 +525,7 @@ def _eigmin3_lattice_scan(q, cfg):
     for a in (lam, vals):
         np.ldexp(a, e, out=a)
     margin = float(min(np.min(vals), np.min(lam)))
-    return certify.LatticeScan(q, cfg, margin, int(e), G4, T, lam, X.T, Y.T,
+    return certify.LatticeScan(q, cfg, margin, int(e), G4, lam, X.T, Y.T,
                                vals, steps)
 
 
@@ -608,7 +607,8 @@ def test_stacked_halvings_match_one_halving_at_a_time(kind, seed, grid,
                         CertifyConfig(grid_resolution=grid))
     Y0 = np.ascontiguousarray(sphere_lattice(grid).T)
     seeds = certify._basin_seeds(Y0, np.ldexp(scan.lattice_lam, -scan.e))
-    vals, X = eigmin3(scan.T[seeds])
+    T = _acoustic_stack(Y0, scan.G4.transpose(2, 3, 0, 1))
+    vals, X = eigmin3(T[seeds])
     start = (scan.G4, X.T, Y0[:, seeds], vals)
     *_, new, steps = certify._newton(*start)
     assert np.array_equal(np.ldexp(new, scan.e), scan.vals)
@@ -936,7 +936,12 @@ def test_milton_runs_no_search(monkeypatch):
         allowed = q1s + [forms[name].gram - g for g in q1s]
         assert 0 < w["delta_star"] and np.array_equal(scanned[0], q1s[0])
         assert all(any(np.array_equal(g, a) for a in allowed) for g in scanned)
-        assert len(scanned) == 2 and rep.value == deltas[0]
+        # the identity's first trial clears; choi_lam's, a boundary form
+        # whose splittings are rounding, clears after one 0.7 shrink, each
+        # trial scanning Q1, then Q - Q1
+        k = {"identity": 0, "choi_lam": 1}[name]
+        assert len(scanned) == 2 * k + 2 and rep.value == deltas[k]
+        assert all(map(np.array_equal, scanned[::2], q1s))
 
 
 def test_milton_refuted_needs_a_validated_witness(monkeypatch):
@@ -1024,31 +1029,55 @@ def test_rank_one_bound_edge_cases():
     assert _shifted_bound(np.diag([1.0, -1.0, -4.0]), [1.0, 0.0, 0.0])[0][0] == 0.0
 
 
-def _probe_directions_loop(q, cfg):
-    """The reference for _probe_directions: the in-pair mixes drawn and
-    normalized one at a time, each as a pair (integers, uniform)."""
+def _probe_directions_loop(axes, cfg):
+    """The reference for _probe_directions: every direction drawn and
+    normalized one at a time, the in-pair mixes each as a pair (integers,
+    uniform)."""
     rng = np.random.default_rng(cfg.seed)
     n_rand = cfg.probe_directions // 2
-    R = rng.standard_normal((n_rand, 9))
-    R /= np.linalg.norm(R, axis=1)[:, None]
-    V = np.linalg.eigh(q.gram)[1].T
-    aligned = list(V[:cfg.probe_directions - n_rand])
+
+    def unit(v):
+        return v / np.linalg.norm(v)
+
+    R = [unit(rng.standard_normal(9) @ axes) for _ in range(n_rand)]
+    aligned = list(axes[:cfg.probe_directions - n_rand])
     while len(aligned) < cfg.probe_directions - n_rand:
         i, j = rng.integers(0, 9, size=2)
         t = rng.uniform(0.0, 2.0 * np.pi)
-        v = np.cos(t) * V[i] + np.sin(t) * V[j]
-        aligned.append(v / np.linalg.norm(v))
-    return np.concatenate([R, aligned])
+        aligned.append(unit(np.cos(t) * axes[i] + np.sin(t) * axes[j]))
+    return np.array(R + aligned).reshape(-1, 9)
+
+
+def _layout_axes(q):
+    """The extreme point's axes: the layout axes projected off theta, unit,
+    largest theta_k first."""
+    theta = detect_shear_layout(q)[1]
+    u = theta / np.linalg.norm(theta)
+    axes = (np.eye(9) - np.outer(u, u))[np.argsort(-theta, kind="stable")]
+    return axes / np.linalg.norm(axes, axis=1)[:, None]
 
 
 @pytest.mark.parametrize("n", [1, 4, 19, 20, 32, 256])
 def test_probe_directions_match_one_draw_at_a_time(n):
+    # the Gram eigenvectors, Milton's axes, and the layout axes off theta,
+    # the extreme point's; every direction is unit, and the extreme
+    # point's stay orthogonal to theta
     for name in ("choi", "choi_lam", "convex_identity", "serre"):
-        for seed in (0, 1, 42):
-            cfg = CertifyConfig(probe_directions=n, seed=seed)
-            dirs = certify._probe_directions(catalog(name), cfg)
-            assert dirs.shape == (n, 9)
-            assert np.array_equal(dirs, _probe_directions_loop(catalog(name), cfg))
+        q = catalog(name)
+        axes = [np.linalg.eigh(q.gram)[1].T]
+        if name != "serre":
+            axes.append(_layout_axes(q))
+        for a in axes:
+            for seed in (0, 1, 42):
+                cfg = CertifyConfig(probe_directions=n, seed=seed)
+                dirs = certify._probe_directions(a, cfg)
+                assert dirs.shape == (n, 9)
+                assert np.array_equal(dirs, _probe_directions_loop(a, cfg))
+                np.testing.assert_allclose(np.linalg.norm(dirs, axis=1), 1.0,
+                                           rtol=0, atol=1e-15)
+        if name != "serre":
+            theta = detect_shear_layout(q)[1]
+            assert np.max(np.abs(dirs @ theta)) <= 1e-15 * np.linalg.norm(theta)
 
 
 def _random_form(kind, rng):
@@ -1085,7 +1114,7 @@ def test_milton_eps_star_is_the_sampled_threshold(seed, grid, kind):
         eps = milton_extremality_probe(scan).witness["eps_star"]
     assert eps > 0
     P9 = certify._zero_pool(scan)
-    Y = np.ascontiguousarray(sphere_lattice(grid).T)
+    Y = np.ascontiguousarray(sphere_lattice(certify.PROBE_GRID).T)
     guard = np.ldexp(certify.GUARD_REL, scan.e)
     stage = [_sampled_stage(q.gram - f * eps * np.outer(m, m), P9, Y, -guard,
                             16, 14) for f in (1.0 - 1e-4, 1.0 + 1e-3)]
@@ -1177,9 +1206,9 @@ def test_pencil_bound_matches_eigvalsh_bisection(R, B, shift):
     lowest = np.linalg.eigvalsh(A)[0]
     for M in (A, -A, A - (lowest + shift) * np.eye(3)):
         C, Li, pd = certify._whiten(M[None], B[None])
-        # the lattice stage's bound (eigvals3) and the refinement's
+        # the lattice stage's bound (eigvals3 of -C) and the refinement's
         # (eigmin3 of -C^2, with its minimizer)
-        lam = eigvals3(C)
+        lam = eigvals3(-C)
         lattice = certify._ray_bound(np.maximum(lam[:, 2], -lam[:, 0]), pd)[0]
         refine, x = certify._pencil_step(C, Li, pd)
         if M is not A:
@@ -1232,10 +1261,10 @@ def test_pencil_step_sends_no_row_to_lapack(monkeypatch, cfg):
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_extreme_point_delta_star_is_the_sampled_threshold(seed):
-    # the probe's one seeded direction d: Q1 = theta/2 + delta d and Q - Q1
-    # both clear the sampled check (pool, grid-32 lattice, top-12
-    # refinement of 16 sweeps) at the floor -2^e tol just below delta*, and
-    # one of them fails there just above it
+    # the probe's one direction d: Q1 = theta/2 + delta d and Q - Q1 both
+    # clear the sampled check (pool, probe lattice, top-12 refinement of 16
+    # sweeps) at the floor -2^e guard just below delta*, and one of them
+    # fails there just above it
     q = _random_form("reduced", np.random.default_rng(seed))
     cfg = CertifyConfig(grid_resolution=32, probe_directions=1, seed=seed)
     scan = lattice_scan(q, cfg)
@@ -1243,13 +1272,153 @@ def test_extreme_point_delta_star_is_the_sampled_threshold(seed):
     theta, d = np.array(w["theta_q"]), np.array(w["direction"])
     assert 0 < w["delta_star"] < 8 * np.linalg.norm(theta)
     P9 = certify._zero_pool(scan)
-    Y = np.ascontiguousarray(sphere_lattice(32).T)
+    Y = np.ascontiguousarray(sphere_lattice(certify.PROBE_GRID).T)
+    guard = np.ldexp(certify.GUARD_REL, scan.e)
     for f, clears in ((1 - 1e-4, True), (1 + 1e-3, False)):
         q1 = form_from_theta(w["layout"],
                              0.5 * theta + f * w["delta_star"] * d).gram
-        stages = [_sampled_stage(g, P9, Y, -np.ldexp(cfg.tol, scan.e), 12, 16)
+        stages = [_sampled_stage(g, P9, Y, -guard, 12, 16)
                   for g in (q1, q.gram - q1)]
         assert (max(stages) == 0) == clears
+
+
+_TOLS = (1e-11, 1e-9, 1e-8, 1e-7)
+
+
+def _extreme_point_over_tols(q, seed):
+    """The extreme point at the CLI defaults, one report per tol of _TOLS,
+    and the consistent threshold 1e-5 |theta|."""
+    reps = [extreme_point_probe(lattice_scan(q, CertifyConfig(tol=t, seed=seed)))
+            for t in _TOLS]
+    return reps, certify.EXTREME_POINT_REL * np.linalg.norm(reps[0].witness["theta_q"])
+
+
+@pytest.mark.parametrize("seed", [0, 9])
+def test_choi_lam_extreme_point_does_not_follow_tol(seed):
+    # the sextic probe proves choi_lam's det T(y) extremal, so the theorem
+    # makes it an extreme point; with the tol slack its distance grew with
+    # tol and read refuted from 1e-8 on.  Neither the pencils nor the
+    # validation floors read tol: every report is the same, bit for bit
+    reps, threshold = _extreme_point_over_tols(catalog("choi_lam"), seed)
+    assert len({json.dumps(r.to_json()) for r in reps}) == 1
+    assert reps[0].verdict == "consistent"
+    assert reps[0].value <= 1e-3 * threshold
+
+
+@pytest.mark.parametrize("seed", [0, 9])
+def test_choi_extreme_point_finds_its_splitting_at_every_tol(seed):
+    # choi = choi_lam + (xi12^2 + xi23^2 + xi31^2), two quasiconvex forms of
+    # its own layout, is not an extreme point: the layout's shear axes meet
+    # that splitting, at a distance that does not follow tol, where random
+    # directions read the tol slack (consistent at 1e-11)
+    reps, threshold = _extreme_point_over_tols(catalog("choi"), seed)
+    assert len({json.dumps(r.to_json()) for r in reps}) == 1
+    assert reps[0].verdict == "refuted"
+    assert reps[0].value >= 1e3 * threshold
+    # choi_lam with other extra shears, at the default tol
+    layout, theta = detect_shear_layout(catalog("choi_lam"))
+    for bcd in ((1, 1, 2), (3, 1, 1)):
+        q = form_from_theta(layout, theta + np.concatenate([np.zeros(6), bcd]))
+        rep = extreme_point_probe(lattice_scan(q, CertifyConfig(seed=seed)))
+        assert rep.verdict == "refuted"
+        assert rep.value >= 1e3 * certify.EXTREME_POINT_REL * np.linalg.norm(
+            rep.witness["theta_q"])
+
+
+def _diagonal_change(name, d1, d2):
+    """Q(D1 xi D2) for the catalog form name: Gram P^T G P, P = D1 (x) D2,
+    which keeps the single-shear layout and the extremality of det T(y)."""
+    P = np.kron(np.diag(d1), np.diag(d2)).astype(float)
+    return QuadraticForm(P.T @ catalog(name).gram @ P)
+
+
+# ROADMAP's seven diagonal changes, on which choi' read consistent on
+# three or four with the tol slack and random directions
+_DIAGONAL_PAIRS = [((1, 2, 3), (1, 1, 1)), ((1, 1, 1), (2, 1, 1)),
+                   ((1, 2, 1), (1, 1, 3)), ((2, 3, 5), (1, 7, 1)),
+                   ((1.5, 1, 1), (1, 1, 1)), ((1, 1, 1), (1, 10, 1)),
+                   ((1, 1, 1), (1, 30, 1))]
+
+
+@pytest.mark.parametrize("d1, d2", _DIAGONAL_PAIRS)
+def test_extreme_point_reads_diagonal_changes_of_choi(d1, d2):
+    # a diagonal change is an automorphism of the cone within the layout:
+    # choi_lam' stays an extreme point and choi' splits, at grid 32 with 4
+    # directions, whose two axis-aligned ones are the largest theta_k
+    for seed in (0, 7, 9):
+        cfg = CertifyConfig(grid_resolution=32, probe_directions=4, seed=seed)
+        lam = extreme_point_probe(lattice_scan(_diagonal_change("choi_lam", d1, d2), cfg))
+        rep = extreme_point_probe(lattice_scan(_diagonal_change("choi", d1, d2), cfg))
+        assert lam.verdict == "consistent"
+        assert rep.verdict == "refuted"
+        assert rep.value >= 0.01 * np.linalg.norm(rep.witness["theta_q"])
+
+
+def _split_reach(layout_theta, extra):
+    """How far the splitting Q = R + S reaches from theta/2 along the part
+    of S orthogonal to theta: Q1 = theta/2 + t S_perp stays between 0 and
+    Q, as a combination of R and S with nonnegative weights, for
+    t <= min(1 / 2c, 1 / 2(1 - c)), c = <S, theta> / |theta|^2."""
+    c = extra @ layout_theta / (layout_theta @ layout_theta)
+    s_perp = extra - c * layout_theta
+    return min(1 / (2 * c), 1 / (2 * (1 - c))) * np.linalg.norm(s_perp)
+
+
+_RATIONAL = st.builds(Fraction, st.integers(1, 4), st.integers(1, 2))
+
+
+@settings(max_examples=20, deadline=None)
+@given(d=st.lists(_RATIONAL, min_size=6, max_size=6),
+       seed=st.integers(0, 2**32 - 1))
+def test_extreme_point_property_over_diagonal_changes(d, seed):
+    # over rational D1, D2 with entries in [1/2, 4]: choi_lam' reads
+    # consistent within a tenth of its threshold, and choi' refuted at a
+    # quarter of its known splitting's reach or more.  18 directions put
+    # every layout axis among the sampled ones: with 4, the two
+    # axis-aligned ones are the largest theta_k, couplings where D weights
+    # the diagonal, and no coupling axis meets choi's splitting
+    d1, d2 = [float(u) for u in d[:3]], [float(u) for u in d[3:]]
+    cfg = CertifyConfig(grid_resolution=32, probe_directions=18, seed=seed)
+    lam = extreme_point_probe(lattice_scan(_diagonal_change("choi_lam", d1, d2), cfg))
+    rep = extreme_point_probe(lattice_scan(_diagonal_change("choi", d1, d2), cfg))
+    theta, theta_lam = (np.array(r.witness["theta_q"]) for r in (rep, lam))
+    assert lam.verdict == "consistent"
+    assert lam.value <= 0.1 * certify.EXTREME_POINT_REL * np.linalg.norm(theta_lam)
+    assert rep.verdict == "refuted"
+    assert rep.value >= 0.25 * _split_reach(theta, theta - theta_lam)
+
+
+@pytest.mark.parametrize("name", ["choi_lam", "choi", "convex_identity", "reduced"])
+def test_extreme_point_sends_no_row_to_lapack(monkeypatch, name):
+    # along a positive-theta axis the whitened pencil is rank one minus a
+    # multiple of I; its repeated pair, on top in -C, keeps eigvals3's
+    # closed form, so no 3x3 row of the probe's own solves (its validation
+    # scans aside) reaches LAPACK
+    q = (_random_form("reduced", np.random.default_rng(3)) if name == "reduced"
+         else catalog(name))
+    scan = lattice_scan(q, CertifyConfig(grid_resolution=32, probe_directions=4))
+    rows, scanning = [], []
+
+    def spy(fn):
+        def counted(a, *args, **kw):
+            if not scanning and np.shape(a)[-1] == 3:
+                rows.append(int(np.prod(np.shape(a)[:-2])))
+            return fn(a, *args, **kw)
+        return counted
+
+    def scan_spy(q, cfg):
+        scanning.append(q)
+        try:
+            return lattice_scan(q, cfg)
+        finally:
+            scanning.pop()
+
+    monkeypatch.setattr(certify, "lattice_scan", scan_spy)
+    monkeypatch.setattr(np.linalg, "eigh", spy(np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy(np.linalg.eigvalsh))
+    rep = extreme_point_probe(scan)
+    assert rep.witness["diagnostics"]["directions"] == 4
+    assert rows == []
 
 
 def test_extremal_polynomial_norm_cubed_inconclusive():

@@ -233,6 +233,28 @@ def test_pencil_identity_fails_for_unrelated_forms():
     assert rep.residuals[0] > 1e-3
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-60, 1e60])
+def test_pencil_identity_is_relative_at_every_scale(scale):
+    # both Grams share one 2^-e: two unrelated forms stay unrelated at
+    # 1e-6, where a residual floored at 1 read them proportional, and the
+    # check neither underflows at 1e-60 nor overflows at 1e60
+    rng = np.random.default_rng(0)
+    A, B = rng.standard_normal((2, 9, 9))
+    lams = [0.5, 1.0]
+    ref = pencil_identity_check(QuadraticForm(A + A.T), QuadraticForm(B + B.T), lams)
+    rep = pencil_identity_check(QuadraticForm(scale * (A + A.T)),
+                                QuadraticForm(scale * (B + B.T)), lams)
+    assert not rep.proportional and rep.gamma is None
+    np.testing.assert_allclose(rep.residuals, ref.residuals, rtol=1e-12)
+    assert min(rep.residuals) > 0.4
+    q = catalog("choi_lam").scaled(scale)
+    rep = pencil_identity_check(q, q.scaled(0.5), [0.1, 0.4, 0.9, 1.3, 1.8, 2.0])
+    assert rep.proportional
+    assert rep.gamma == pytest.approx(1.5, abs=1e-9)
+    assert rep.beta == pytest.approx(0.75, abs=1e-9)
+    assert rep.alpha == pytest.approx(0.125, abs=1e-9)
+
+
 def test_pencil_identity_zero_det_errors():
     zero = QuadraticForm(np.zeros((9, 9)))
     with pytest.raises(ValueError):
