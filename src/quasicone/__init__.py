@@ -23,8 +23,7 @@ from .minors import (ChainReport, HypothesisError, MinorSums,
                      minor_sums, pencil_poly, pencil_roots,
                      random_ordered_pair)
 from .poly import (HomogeneousPolynomial, UnivariatePolynomial, poly_combine,
-                   poly_equal_within, poly_eval, poly_mul,
-                   univariate_from_samples)
+                   poly_equal_within, poly_eval, poly_mul)
 
 __all__ = [
     "AcousticMatrix", "CertifyConfig", "ChainReport", "DetReport",
@@ -43,5 +42,4 @@ __all__ = [
     "poly_equal_within", "poly_eval", "poly_mul", "polyconvexity_test",
     "quasiconvexity_margin", "random_ordered_pair", "rank_one_zeros",
     "reduce_modulo_null_lagrangians", "reduced_det_closed_form",
-    "univariate_from_samples",
 ]

@@ -538,11 +538,13 @@ def _probe_directions(axes: np.ndarray, cfg: CertifyConfig) -> np.ndarray:
     rng = np.random.default_rng(cfg.seed)
     n_rand = cfg.probe_directions // 2
     R = (rng.standard_normal((n_rand, 1, 9)) @ axes)[:, 0]
-    mixes = [(rng.integers(0, 9, size=2), rng.uniform(0.0, 2.0 * np.pi))
-             for _ in range(cfg.probe_directions - n_rand - 9)]
-    ij = np.array([m[0] for m in mixes], dtype=int).reshape(-1, 2)
-    t = np.array([m[1] for m in mixes]).reshape(-1, 1)
-    W = np.concatenate([R, np.cos(t) * axes[ij[:, 0]] + np.sin(t) * axes[ij[:, 1]]])
+    # a mix pairs axis i with axis j = (i + step) % 9, one of the other eight
+    i, step, t = np.array([(rng.integers(0, 9), rng.integers(1, 9),
+                            rng.uniform(0.0, 2.0 * np.pi))
+                           for _ in range(cfg.probe_directions - n_rand - 9)]
+                          ).reshape(-1, 3).T
+    i, j, t = i.astype(int), (i + step).astype(int) % 9, t[:, None]
+    W = np.concatenate([R, np.cos(t) * axes[i] + np.sin(t) * axes[j]])
     # stacked products, bitwise the norm of one direction at a time
     W /= np.sqrt(W[:, None] @ W[:, :, None])[:, 0]
     return np.concatenate([W[:n_rand], axes[:cfg.probe_directions - n_rand],

@@ -5,7 +5,8 @@ The square test is exact and does not depend on the coordinates: a square
 p = s^2 of a cubic s determines s through the first three orders of
 sqrt(p)'s power series about any point where p > 0, so the test expands
 about the largest of a fixed set of unit vectors, fits the cubic to the
-series there, and checks root^2 against p coefficient by coefficient."""
+series there, and checks root^2 against p coefficient by coefficient.  One
+DFT of p(a + t h) at the roots of unity gives the series along every ray."""
 
 from __future__ import annotations
 
@@ -15,8 +16,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .forms import AcousticMatrix, QuadraticForm, ReducedOrthotropicForm, acoustic_matrix
-from .poly import (HomogeneousPolynomial, monomial_exponents, poly_combine,
-                   poly_eval_many, poly_mul)
+from .poly import (HomogeneousPolynomial, _circle_coefficients,
+                   monomial_exponents, poly_combine, poly_eval_many, poly_mul)
 
 # monomial support of the reduced-form determinant: pure sextics, the six
 # quartic-quadratic mixtures, and the central monomial
@@ -104,7 +105,8 @@ def perfect_square_test(
 
     Let a be the anchor point where p is largest.  If p = s^2 with s cubic
     and s(a) > 0, then s(a + h) = S0 + S1 + S2 + S3 exactly (s is a cubic),
-    where, with P_k = D^k p(a)[h, ..., h] / k!,
+    where P_k = D^k p(a)[h, ..., h] / k! is the t^k coefficient of
+    p(a + t h), read off its values at the seven 7th roots of unity,
 
         S0 = sqrt(P0), S1 = P1 / 2S0, S2 = (P2 - S1^2) / 2S0,
         S3 = (P3 - 2 S1 S2) / 2S0.
@@ -124,16 +126,9 @@ def perfect_square_test(
     if vals[k] <= 0.0:
         return False, None
 
-    a = _ANCHORS[k]
-    grad = p.gradient()
-    hess = [g.gradient() for g in grad]
-    D1 = np.array([g(a) for g in grad])
-    D2 = np.array([[h(a) for h in row] for row in hess])
-    D3 = np.array([[[t(a) for t in h.gradient()] for h in row] for row in hess])
-    H = _ANCHORS - a
-    P1 = H @ D1
-    P2 = np.einsum("ni,ij,nj->n", H, D2, H) / 2.0
-    P3 = np.einsum("ni,nj,nk,ijk->n", H, H, H, D3) / 6.0
+    a, H = _ANCHORS[k], _ANCHORS - _ANCHORS[k]
+    _, P1, P2, P3 = _circle_coefficients(lambda t: poly_eval_many(
+        p, (a + t[:, None, None] * H).reshape(-1, 3)).reshape(len(t), -1), 6)[:4]
     S0 = np.sqrt(vals[k])
     S1 = P1 / (2.0 * S0)
     S2 = (P2 - S1 * S1) / (2.0 * S0)
@@ -231,8 +226,9 @@ def det_report(q: QuadraticForm,
     residual = None
     if reduced is not None:
         closed = reduced_det_closed_form(reduced)
-        scale = 1.0 + max(det.max_coeff(), closed.max_coeff())
-        residual = poly_combine(det, closed, 1.0, -1.0).max_coeff() / scale
+        scale = max(det.max_coeff(), closed.max_coeff())
+        gap = poly_combine(det, closed, 1.0, -1.0).max_coeff()
+        residual = gap / scale if scale else 0.0
     flag, root = perfect_square_test(det)
     return DetReport(det=det, closed_form_residual=residual,
                      is_perfect_square=flag, square_root=root)

@@ -14,8 +14,8 @@ definite the pencil roots are real and lie in [1, inf).
 minor_sum computes S_m as this direct minor expansion: for each matrix it
 gathers every m x m (or complementary) submatrix with one fancy index into a
 single stack and takes one batched determinant of it.  It never reads the
-pencil's coefficients, so it stays independent of pencil_poly's interpolation
-and the two check each other.
+pencil's coefficients, so it stays independent of pencil_poly (one DFT of
+det(A - tB) at the n + 1 roots of unity) and the two check each other.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forms import _symmetric
-from .poly import UnivariatePolynomial, default_abscissae, univariate_from_samples
+from .poly import UnivariatePolynomial, _circle_coefficients
 
 MAX_N = 8
 PSD_TOL_REL = 1e-10
@@ -131,12 +131,10 @@ def minor_sums(pair: SymmetricMatrixPair) -> MinorSums:
 
 
 def pencil_poly(pair: SymmetricMatrixPair) -> UnivariatePolynomial:
-    """Coefficients of det(A - tB), by interpolation at n+1 nodes in [0, 2]."""
-    n = pair.n
-    ts = default_abscissae(n)
-    samples = [(t, float(np.linalg.det(pair.A - t * pair.B))) for t in ts]
-    poly, _ = univariate_from_samples(samples, n)
-    return poly
+    """Coefficients of det(A - tB), from its values at the n + 1 roots of
+    unity."""
+    return UnivariatePolynomial(tuple(_circle_coefficients(
+        lambda t: np.linalg.det(pair.A - t[:, None, None] * pair.B), pair.n)))
 
 
 def pencil_roots(pair: SymmetricMatrixPair) -> np.ndarray:

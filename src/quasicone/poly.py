@@ -5,13 +5,14 @@ coefficients.  Degrees 2, 3 and 6 are the ones that actually occur here
 (acoustic-matrix entries, square-root candidates, determinants), but the
 arithmetic is degree-agnostic.  All values are immutable once constructed;
 coefficients below 1e-14 of the largest one are pruned so supports stay
-sparse.
+sparse, and an inf or NaN one raises ValueError.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -55,6 +56,8 @@ class HomogeneousPolynomial:
                 raise ValueError(
                     f"exponent {exp} does not sum to degree {self.degree}")
             c = float(coef)
+            if not math.isfinite(c):
+                raise ValueError(f"coefficient of {exp} is {c}, not finite")
             if c != 0.0 and abs(c) > cutoff:
                 cleaned[exp] = c
         object.__setattr__(self, "terms", cleaned)
@@ -142,9 +145,9 @@ def poly_eval(p: HomogeneousPolynomial, point) -> float:
 
 
 def poly_eval_many(p: HomogeneousPolynomial, points: np.ndarray) -> np.ndarray:
-    """Evaluate p at an (n, 3) array of points."""
-    points = np.asarray(points, dtype=float)
-    out = np.zeros(points.shape[0])
+    """Evaluate p at an (n, 3) array of real or complex points."""
+    points = np.asarray(points)
+    out = np.zeros(points.shape[0], dtype=np.result_type(points, float))
     for (e1, e2, e3), coef in p.terms.items():
         out += coef * points[:, 0]**e1 * points[:, 1]**e2 * points[:, 2]**e3
     return out
@@ -212,54 +215,12 @@ class UnivariatePolynomial:
         return {"coefficients": list(self.coefficients)}
 
 
-def univariate_from_samples(samples: Iterable[tuple[float, float]],
-                            degree: int) -> tuple[UnivariatePolynomial, float]:
-    """Fit the unique degree-`degree` polynomial through (t, value) samples.
-
-    Exactly interpolates when given degree+1 distinct abscissae; falls back
-    to least squares when oversampled.  Returns (polynomial, residual) where
-    residual is the max absolute misfit at the samples.
-    """
-    pts = [(float(t), float(v)) for t, v in samples]
-    ts = np.array([t for t, _ in pts])
-    vs = np.array([v for _, v in pts])
-    if len(set(ts.tolist())) < degree + 1:
-        raise ValueError(
-            f"need at least {degree + 1} distinct abscissae, got {len(set(ts.tolist()))}")
-    if len(ts) == degree + 1:
-        coefs = _newton_interpolate(ts, vs)
-    else:
-        V = np.vander(ts, degree + 1, increasing=True)
-        coefs, *_ = np.linalg.lstsq(V, vs, rcond=None)
-    V = np.vander(ts, degree + 1, increasing=True)
-    residual = float(np.max(np.abs(V @ coefs - vs))) if len(vs) else 0.0
-    return UnivariatePolynomial(tuple(coefs.tolist())), residual
-
-
-def _newton_interpolate(ts: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """Exact-count interpolation via divided differences in extended
-    precision; much better coefficient accuracy than a Vandermonde solve on
-    equispaced nodes."""
-    t = ts.astype(np.longdouble)
-    dd = vs.astype(np.longdouble).copy()
-    n = len(t)
-    for k in range(1, n):
-        dd[k:] = (dd[k:] - dd[k - 1:-1]) / (t[k:] - t[:-k])
-    # Horner on the Newton form: acc(x) <- acc(x)*(x - t_k) + dd[k]
-    coefs = np.zeros(n, dtype=np.longdouble)
-    for k in range(n - 1, -1, -1):
-        shifted = np.zeros_like(coefs)
-        shifted[1:] = coefs[:-1]
-        coefs = shifted - t[k] * coefs
-        coefs[0] += dd[k]
-    return coefs.astype(float)
-
-
-def default_abscissae(degree: int) -> np.ndarray:
-    """Equally spaced interpolation nodes in [0, 2], degree+1 of them."""
-    if degree == 0:
-        return np.array([0.0])
-    return np.linspace(0.0, 2.0, degree + 1)
+def _circle_coefficients(f, degree: int) -> np.ndarray:
+    """Coefficients c_0..c_degree, along axis 0, of real polynomials in t
+    from their values f(t), stacked along axis 0, at the degree + 1 roots of
+    unity: one DFT, so each errs by about eps * max |f| on the circle."""
+    t = np.exp(2j * np.pi * np.arange(degree + 1) / (degree + 1))
+    return np.fft.fft(f(t), axis=0).real / (degree + 1)
 
 
 def monomial_exponents(degree: int) -> list[tuple[int, int, int]]:

@@ -1031,8 +1031,8 @@ def test_rank_one_bound_edge_cases():
 
 def _probe_directions_loop(axes, cfg):
     """The reference for _probe_directions: every direction drawn and
-    normalized one at a time, the in-pair mixes each as a pair (integers,
-    uniform)."""
+    normalized one at a time, the in-pair mixes each as (axis, offset to
+    the other axis, uniform)."""
     rng = np.random.default_rng(cfg.seed)
     n_rand = cfg.probe_directions // 2
 
@@ -1042,7 +1042,8 @@ def _probe_directions_loop(axes, cfg):
     R = [unit(rng.standard_normal(9) @ axes) for _ in range(n_rand)]
     aligned = list(axes[:cfg.probe_directions - n_rand])
     while len(aligned) < cfg.probe_directions - n_rand:
-        i, j = rng.integers(0, 9, size=2)
+        i = rng.integers(0, 9)
+        j = (i + rng.integers(1, 9)) % 9
         t = rng.uniform(0.0, 2.0 * np.pi)
         aligned.append(unit(np.cos(t) * axes[i] + np.sin(t) * axes[j]))
     return np.array(R + aligned).reshape(-1, 9)
@@ -1078,6 +1079,18 @@ def test_probe_directions_match_one_draw_at_a_time(n):
         if name != "serre":
             theta = detect_shear_layout(q)[1]
             assert np.max(np.abs(dirs @ theta)) <= 1e-15 * np.linalg.norm(theta)
+
+
+def test_probe_directions_are_distinct_up_to_sign():
+    # an in-pair mix of an axis with itself would be that axis again
+    for name in ("choi", "choi_lam", "convex_identity"):
+        q = catalog(name)
+        for a in (np.linalg.eigh(q.gram)[1].T, _layout_axes(q)):
+            for seed in (0, 9, 42):
+                dirs = certify._probe_directions(
+                    a, CertifyConfig(probe_directions=256, seed=seed))
+                cos = np.abs(dirs @ dirs.T) - np.eye(len(dirs))
+                assert np.max(cos) < 1.0 - 1e-9
 
 
 def _random_form(kind, rng):

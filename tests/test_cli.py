@@ -265,6 +265,18 @@ def test_non_finite_gram_file_is_a_parse_error(tmp_path):
     assert json.loads(r.stderr)["error"]["code"] == "parse"
 
 
+@pytest.mark.parametrize("scale", [1e110, 1e200])
+def test_det_of_a_form_whose_det_overflows_is_an_invalid_error(tmp_path, scale):
+    from quasicone.forms import catalog, form_to_json
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(form_to_json(catalog("choi_lam").scaled(scale))))
+    r = run_cli("det", str(path))
+    assert r.returncode == 2
+    err = json.loads(r.stderr)["error"]
+    assert err["code"] == "invalid"
+    assert "not finite" in err["message"]
+
+
 def test_oversized_grid_is_an_invalid_error():
     r = run_cli("analyze", "choi_lam", "--grid", "513")
     assert r.returncode == 2

@@ -202,6 +202,25 @@ def test_perfect_square_monomial():
     assert poly_equal_within(root, Mono((3, 0, 0)), 1e-9)
 
 
+_dense_cubics = st.lists(st.tuples(st.floats(0.1, 1.0), st.booleans()),
+                         min_size=10, max_size=10).map(
+    lambda cs: [m if positive else -m for m, positive in cs])
+
+
+@settings(max_examples=100, deadline=None)
+@given(coefs=_dense_cubics)
+def test_dense_cubic_square_is_found_and_a_central_bump_is_not(coefs):
+    # every coefficient of s is nonzero; 1e-6 of max |s^2| on y1^2 y2^2 y3^2
+    # is a hundred times the square test's tolerance
+    s = HomogeneousPolynomial(3, dict(zip(CUBIC_EXPS, coefs)))
+    p = poly_mul(s, s)
+    flag, root = perfect_square_test(p)
+    assert flag
+    assert _square_gap(root, p) <= 1e-8
+    bumped = poly_combine(p, Mono((2, 2, 2)), 1.0, 1e-6 * p.max_coeff())
+    assert perfect_square_test(bumped) == (False, None)
+
+
 def test_perfect_square_degree_checked():
     with pytest.raises(ValueError):
         perfect_square_test(Mono((2, 0, 0)))
@@ -269,3 +288,30 @@ def test_det_report_closed_form_residual():
     j = rep.to_json()
     assert j["square_root"] is None
     assert j["det"]["degree"] == 6
+
+
+def _scaled_reduced(scale):
+    a = np.array([[2.0, 0.3, -0.2], [0.3, 1.5, 0.4], [-0.2, 0.4, 1.8]])
+    return ReducedOrthotropicForm(scale * a, scale, 0.7 * scale, 1.3 * scale)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-30])
+def test_det_report_closed_form_residual_is_relative_at_every_scale(scale):
+    # a reduced view of twice the form has 8x its det: the gap is 7/8 of
+    # the larger det at any scale, with no floor to hide it when small
+    r = _scaled_reduced(scale)
+    assert det_report(form_from_reduced(r), r).closed_form_residual <= 1e-12
+    twice = det_report(form_from_reduced(r), _scaled_reduced(2.0 * scale))
+    assert twice.closed_form_residual >= 0.5
+
+
+def test_det_report_closed_form_residual_of_zero_dets_is_zero():
+    r = ReducedOrthotropicForm(np.zeros((3, 3)), 0.0, 0.0, 0.0)
+    assert det_report(form_from_reduced(r), r).closed_form_residual == 0.0
+
+
+@pytest.mark.parametrize("scale", [1e110, 1e200])
+def test_det_report_raises_when_the_det_overflows(scale):
+    # a det coefficient of inf is no zero det, and no perfect square
+    with pytest.raises(ValueError, match="not finite"):
+        det_report(catalog("choi_lam").scaled(scale))

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -96,6 +97,59 @@ def test_pencil_poly_zero_b():
     pair = SymmetricMatrixPair(A, np.zeros((3, 3)))
     np.testing.assert_allclose(pencil_poly(pair).coefficients, (24.0,),
                                atol=1e-10)
+
+
+def _exact_det(M):
+    """det of a list of Fraction rows, by exact elimination."""
+    n, det = len(M), Fraction(1)
+    for c in range(n):
+        p = next((r for r in range(c, n) if M[r][c] != 0), None)
+        if p is None:
+            return Fraction(0)
+        if p != c:
+            M[c], M[p], det = M[p], M[c], -det
+        det *= M[c][c]
+        for r in range(c + 1, n):
+            f = M[r][c] / M[c][c]
+            M[r] = [x - f * y for x, y in zip(M[r], M[c])]
+    return det
+
+
+def _exact_pencil(pair):
+    """Coefficients of det(A - tB) in exact rationals: exact dets at
+    t = 0..n, Newton's divided differences, then Horner on the Newton
+    form."""
+    n = pair.n
+    A = [[Fraction(x) for x in row] for row in pair.A.tolist()]
+    B = [[Fraction(x) for x in row] for row in pair.B.tolist()]
+    dd = [_exact_det([[a - t * b for a, b in zip(ra, rb)]
+                      for ra, rb in zip(A, B)]) for t in range(n + 1)]
+    for k in range(1, n + 1):
+        for i in range(n, k - 1, -1):
+            dd[i] = (dd[i] - dd[i - 1]) / k
+    coefs = [dd[n]]
+    for k in range(n - 1, -1, -1):
+        coefs = [dd[k] - k * coefs[0]] + [
+            a - k * b for a, b in zip(coefs, coefs[1:] + [0])]
+    return coefs
+
+
+def test_exact_pencil_reference_on_the_identity():
+    pair = SymmetricMatrixPair(np.eye(3), np.eye(3))
+    assert _exact_pencil(pair) == [1, -3, 3, -1]
+
+
+def test_pencil_poly_meets_an_exact_rational_reference():
+    # each coefficient within 1e-13 of the largest |S_m|, n = 2..8
+    rng = np.random.default_rng(0)
+    for n in range(2, 9):
+        for _ in range(5):
+            pair = random_ordered_pair(n, rng)
+            ref = _exact_pencil(pair)
+            got = pencil_poly(pair).coefficients
+            got += (0.0,) * (n + 1 - len(got))
+            bound = Fraction(1e-13) * max(abs(c) for c in ref)
+            assert max(abs(Fraction(g) - r) for g, r in zip(got, ref)) <= bound
 
 
 def test_pencil_poly_matches_signed_minor_sums():

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from quasicone.minors import SymmetricMatrixPair, pencil_poly
 from quasicone.poly import (DegreeMismatchError, HomogeneousPolynomial,
-                            UnivariatePolynomial, default_abscissae,
+                            UnivariatePolynomial, _circle_coefficients,
                             monomial_exponents, poly_combine,
-                            poly_equal_within, poly_eval, poly_mul,
-                            univariate_from_samples)
+                            poly_equal_within, poly_eval, poly_mul)
 
 Mono = HomogeneousPolynomial.monomial
 
@@ -75,30 +75,29 @@ def test_equal_within_reflexive_and_distinct():
 
 
 def test_interpolation_cubic():
-    poly, resid = univariate_from_samples(
-        [(t, (1 - t) ** 3) for t in (0.0, 1.0, 2.0, 3.0)], 3)
-    np.testing.assert_allclose(poly.coefficients, (1.0, -3.0, 3.0, -1.0),
-                               atol=1e-12)
-    assert resid < 1e-12
+    coefs = _circle_coefficients(lambda t: (1 - t) ** 3, 3)
+    np.testing.assert_allclose(coefs, (1.0, -3.0, 3.0, -1.0), rtol=0,
+                               atol=1e-14)
 
 
 def test_interpolation_constant():
-    poly, _ = univariate_from_samples([(0.0, 5.0)], 0)
-    assert poly.coefficients == (5.0,)
+    # one node, t = 1
+    coefs = _circle_coefficients(lambda t: np.full(t.shape, 5.0), 0)
+    assert coefs.tolist() == [5.0]
 
 
 def test_interpolation_pencil_2x2():
     # det(diag(2,2) - t I) = (2-t)^2 = 4 - 4t + t^2
-    A = np.diag([2.0, 2.0])
-    samples = [(t, float(np.linalg.det(A - t * np.eye(2))))
-               for t in default_abscissae(2)]
-    poly, _ = univariate_from_samples(samples, 2)
-    np.testing.assert_allclose(poly.coefficients, (4.0, -4.0, 1.0), atol=1e-12)
+    pair = SymmetricMatrixPair(np.diag([2.0, 2.0]), np.eye(2))
+    np.testing.assert_allclose(pencil_poly(pair).coefficients,
+                               (4.0, -4.0, 1.0), rtol=0, atol=1e-14)
 
 
-def test_interpolation_needs_distinct_abscissae():
-    with pytest.raises(ValueError):
-        univariate_from_samples([(1.0, 2.0), (1.0, 3.0)], 1)
+@pytest.mark.parametrize("coef", [np.inf, -np.inf, np.nan])
+def test_non_finite_coefficient_raises(coef):
+    # 1e-14 * inf is no pruning cutoff: inf and NaN are errors, named
+    with pytest.raises(ValueError, match=r"\(2, 2, 2\) is (-?inf|nan)"):
+        HomogeneousPolynomial(6, {(6, 0, 0): 1.0, (2, 2, 2): coef})
 
 
 def test_univariate_trailing_zeros_trimmed():
@@ -139,14 +138,18 @@ def test_mul_commutative_distributive():
 
 
 def test_interpolation_roundtrip_well_conditioned():
+    # a batch of polynomials along a trailing axis comes back coefficient by
+    # coefficient, and the fit agrees with the original off the circle
     rng = np.random.default_rng(3)
     for deg in (2, 4, 6, 9):
-        coefs = rng.uniform(-2, 2, deg + 1)
-        ts = default_abscissae(deg)
-        vals = [float(np.polyval(coefs[::-1], t)) for t in ts]
-        poly, _ = univariate_from_samples(list(zip(ts, vals)), deg)
+        coefs = rng.uniform(-2, 2, (deg + 1, 5))
+        got = _circle_coefficients(
+            lambda t: np.polynomial.polynomial.polyval(t, coefs).T, deg)
+        assert got.shape == (deg + 1, 5)
+        assert np.max(np.abs(got - coefs)) <= 1e-14 * np.max(np.abs(coefs))
+        poly = UnivariatePolynomial(tuple(got[:, 0]))
         for t in np.linspace(0, 2, 17):
-            want = float(np.polyval(coefs[::-1], t))
+            want = float(np.polyval(coefs[::-1, 0], t))
             assert abs(poly(t) - want) <= 1e-10 * (1 + abs(want))
 
 
