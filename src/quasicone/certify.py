@@ -144,8 +144,9 @@ class CertifyConfig:
 @dataclass(frozen=True)
 class MarginReport:
     """Minimum of lambda_min(T(y)) over the unit sphere with its minimizers,
-    and the scan's deterministic work counters as diagnostics: lattice
-    points, basin seeds refined, and Newton steps run."""
+    and as diagnostics the scan's deterministic work counters (lattice
+    points, basin seeds refined, Newton steps run) and the exponent e of its
+    frame, 2^(e-1) <= max |gram| < 2^e, so a caller can gate at -tol 2^e."""
 
     margin: float
     minimizers: tuple  # tuples (y, x, value), unit vectors as tuples
@@ -268,7 +269,8 @@ class LatticeScan:
         return MarginReport(margin=margin, minimizers=minimizers, diagnostics={
             "lattice_points": len(self.lattice_lam),
             "seeds": len(vals),
-            "newton_steps": self.newton_steps})
+            "newton_steps": self.newton_steps,
+            "exponent": self.e})
 
     def rank_one_zeros(self) -> list:
         """Clustered unit pairs (x, y) with Q(x (x) y) <= tol 2^e.

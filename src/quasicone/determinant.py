@@ -1,6 +1,10 @@
 """Symbolic acoustic determinants, the reduced-form closed form, the
 perfect-square test, and the pencil proportionality check det(T - lam T1).
 
+det T(y) is one contraction of the Gram tensor, for one form or a stack;
+its 3^6 index terms are binned onto the 28 sextic monomials, so integer
+Grams give exact coefficients.
+
 The square test is exact and does not depend on the coordinates: a square
 p = s^2 of a cubic s determines s through the first three orders of
 sqrt(p)'s power series about any point where p > 0, so the test expands
@@ -10,12 +14,15 @@ DFT of p(a + t h) at the roots of unity gives the series along every ray."""
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .forms import AcousticMatrix, QuadraticForm, ReducedOrthotropicForm, acoustic_matrix
+from .forms import (AcousticMatrix, QuadraticForm, ReducedOrthotropicForm,
+                    acoustic_matrix, gram_tensor)
 from .poly import (HomogeneousPolynomial, _circle_coefficients,
                    monomial_exponents, poly_combine, poly_eval_many, poly_mul)
 
@@ -47,20 +54,34 @@ class DetReport:
 
 
 def acoustic_det(t: AcousticMatrix) -> HomogeneousPolynomial:
-    """Symbolic 3x3 determinant by cofactor expansion along the first row."""
-    e = t.entries
+    """Symbolic 3x3 determinant, from one tensor contraction."""
+    return HomogeneousPolynomial(6, dict(zip(_SEXTIC_EXPS, _det_coefficients(t.tensor))))
 
-    def mul(p, q):
-        return poly_mul(p, q)
 
-    def sub(p, q):
-        return poly_combine(p, q, 1.0, -1.0)
+@functools.lru_cache(maxsize=None)
+def _det_tables() -> tuple[np.ndarray, list, np.ndarray]:
+    """The Levi-Civita symbol, the contraction path, and the 0/1 matrix that
+    bins the 3^6 index tuples of y_j y_l y_m y_n y_p y_q onto _SEXTIC_EXPS."""
+    eps = np.fromfunction(lambda a, b, c: (b - a) * (c - a) * (c - b) / 2, (3, 3, 3))
+    path = np.einsum_path(_DET_SUBSCRIPTS, eps, *np.zeros((3, 1, 3, 3, 3)),
+                          optimize="optimal")[0]
+    bins = np.eye(len(_SEXTIC_EXPS))[[
+        _SEXTIC_EXPS.index((t.count(0), t.count(1), t.count(2)))
+        for t in itertools.product(range(3), repeat=6)]]
+    eps.flags.writeable = bins.flags.writeable = False
+    return eps, path, bins
 
-    c00 = sub(mul(e[1][1], e[2][2]), mul(e[1][2], e[2][1]))
-    c01 = sub(mul(e[1][0], e[2][2]), mul(e[1][2], e[2][0]))
-    c02 = sub(mul(e[1][0], e[2][1]), mul(e[1][1], e[2][0]))
-    det = sub(mul(e[0][0], c00), mul(e[0][1], c01))
-    return poly_combine(det, mul(e[0][2], c02), 1.0, 1.0)
+
+_DET_SUBSCRIPTS = "abc,...ajl,...bmn,...cpq->...jlmnpq"
+
+
+def _det_coefficients(G4: np.ndarray) -> np.ndarray:
+    """Coefficients of det T(y) = eps_abc T_0a T_1b T_2c in _SEXTIC_EXPS
+    order, for one tensor G4 or a stack; an overflow is left as inf or NaN."""
+    eps, path, bins = _det_tables()
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = np.einsum(_DET_SUBSCRIPTS, eps, *np.moveaxis(G4, -4, 0), optimize=path)
+        return terms.reshape(G4.shape[:-4] + (-1,)) @ bins
 
 
 def reduced_det_closed_form(r: ReducedOrthotropicForm) -> HomogeneousPolynomial:
@@ -183,28 +204,25 @@ def pencil_identity_check(q: QuadraticForm, q1: QuadraticForm,
     min_mu |det(T - lam T1) - mu det(T)| relative to the larger coefficient
     magnitude.  When every sample is proportional, the cubic
     mu(lam) = 1 - gamma lam + beta lam^2 - alpha lam^3 is fitted.  Both
-    Grams are scaled by one exact 2^-k, which leaves every mu unchanged.
+    Grams are scaled by one exact 2^-k, which leaves every mu unchanged,
+    and all the dets come from one contraction of the stacked Grams.
     """
     lam_samples = [float(t) for t in lam_samples]
     k = np.frexp(max(np.max(np.abs(q.gram)), np.max(np.abs(q1.gram))))[1]
     g, g1 = np.ldexp(q.gram, -k), np.ldexp(q1.gram, -k)
-    det_t = acoustic_det(acoustic_matrix(QuadraticForm(g)))
-    if det_t.is_zero():
+    dets = _det_coefficients(gram_tensor(
+        g - np.array([0.0, *lam_samples])[:, None, None] * g1))
+    if not np.all(np.isfinite(dets)):
+        raise ValueError("a coefficient of det(T - lam T1) is not finite")
+    base, vecs = dets[0], dets[1:]
+    if not base.any():
         raise ValueError("det(T) is identically zero; proportionality undefined")
-    base = np.array([det_t.coefficient(e) for e in _SEXTIC_EXPS])
-    base_norm2 = float(base @ base)
 
-    residuals = []
-    scalings = []
-    for lam in lam_samples:
-        mixed = QuadraticForm(g - lam * g1)
-        det_lam = acoustic_det(acoustic_matrix(mixed))
-        vec = np.array([det_lam.coefficient(e) for e in _SEXTIC_EXPS])
-        mu = float(vec @ base) / base_norm2
-        resid = vec - mu * base
-        scale = max(float(np.max(np.abs(vec))), abs(mu) * float(np.max(np.abs(base))))
-        residuals.append(float(np.max(np.abs(resid))) / scale if scale else 0.0)
-        scalings.append(mu)
+    mu = vecs @ base / (base @ base)
+    gap = np.max(np.abs(vecs - mu[:, None] * base), axis=1)
+    scale = np.maximum(np.max(np.abs(vecs), axis=1), np.abs(mu) * np.max(np.abs(base)))
+    residuals = [float(r / s) if s else 0.0 for r, s in zip(gap, scale)]
+    scalings = [float(u) for u in mu]
 
     proportional = all(r <= PENCIL_REL_TOL for r in residuals)
     gamma = beta = alpha = None

@@ -11,11 +11,12 @@ S_0 = det(A) and S_n = det(B).  When A >= B >= 0 (as quadratic forms) the
 normalized sequence S_m / C(n, m) is non-increasing in m, and for B positive
 definite the pencil roots are real and lie in [1, inf).
 
-minor_sum computes S_m as this direct minor expansion: for each matrix it
-gathers every m x m (or complementary) submatrix with one fancy index into a
-single stack and takes one batched determinant of it.  It never reads the
-pencil's coefficients, so it stays independent of pencil_poly (one DFT of
-det(A - tB) at the n + 1 roots of unity) and the two check each other.
+minor_sums computes every S_m as this direct minor expansion.  One Laplace
+recursion along the first row builds all m x m minors of A and B from the
+(m - 1) x (m - 1) ones, for 0 < m < n; S_0 and S_n are LAPACK's det(A) and
+det(B), which keep relative accuracy where B is nearly singular.  It never
+reads the pencil's coefficients, so it stays independent of pencil_poly (one
+DFT of det(A - tB) at the n + 1 roots of unity) and the two check each other.
 """
 
 from __future__ import annotations
@@ -93,22 +94,39 @@ class MinorSums:
 
 
 @functools.lru_cache(maxsize=None)
-def _minor_indices(n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row sets I of size m in combinations order, as a (C(n, m), m) array,
-    their complements as a (C(n, m), n - m) array, and (-1)^sum(I)."""
+def _laplace_tables(n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For m-subsets I, J of range(n) in combinations order: the flat
+    indices, at [I, J, k], of M[I[0], J[k]] in an n x n matrix and of the
+    minor (I[1:], J without J[k]) in the order-(m - 1) table, which the
+    Laplace step multiplies; and the sign (-1)^(sum I + sum J)."""
+    prev = {S: i for i, S in enumerate(itertools.combinations(range(n), m - 1))}
     subsets = list(itertools.combinations(range(n), m))
-    rows = np.array(subsets, dtype=np.intp).reshape(len(subsets), m)
-    comps = np.array([[i for i in range(n) if i not in S] for S in subsets],
-                     dtype=np.intp).reshape(len(subsets), n - m)
-    signs = np.array([(-1) ** sum(S) for S in subsets])
-    for a in (rows, comps, signs):
+    first, rest = np.array([(S[0], prev[S[1:]]) for S in subsets]).T[:, :, None, None]
+    drop = np.array([[prev[S[:k] + S[k + 1:]] for k in range(m)] for S in subsets])
+    parity = np.array([sum(S) for S in subsets])
+    tables = (first * n + np.array(subsets), rest * len(prev) + drop,
+              (-1.0) ** np.add.outer(parity, parity))
+    for a in tables:
         a.flags.writeable = False
-    return rows, comps, signs
+    return tables
 
 
-def _minor_dets(M: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """det(M[I, J]) for every pair of rows I, J of R, flattened I-major."""
-    return np.linalg.det(M[R[:, None, :, None], R[None, :, None, :]]).ravel()
+def minor_sums(pair: SymmetricMatrixPair) -> MinorSums:
+    """S_0..S_n: the proper minors of B and A from one Laplace recursion,
+    the full-order ones from LAPACK."""
+    n = pair.n
+    M = np.stack((pair.B, pair.A)).reshape(2, -1)
+    minors = [np.ones((2, 1, 1))]
+    for m in range(1, n):
+        at_M, at_D, _ = _laplace_tables(n, m)
+        minors.append((M.take(at_M, axis=1) * minors[-1].reshape(2, -1).take(at_D, axis=1))
+                      @ (-1.0) ** np.arange(m))
+    # the complement of the i-th m-subset is the (C - 1 - i)-th (n - m)-subset
+    inner = [float(np.vdot(_laplace_tables(n, m)[2],
+                           minors[m][0] * minors[n - m][1][::-1, ::-1]))
+             for m in range(1, n)]
+    return MinorSums((float(np.linalg.det(pair.A)), *inner,
+                      float(np.linalg.det(pair.B))))
 
 
 def minor_sum(pair: SymmetricMatrixPair, m: int) -> float:
@@ -120,14 +138,7 @@ def minor_sum(pair: SymmetricMatrixPair, m: int) -> float:
         raise ValueError(f"m must be an integer, got {m!r}") from None
     if not (0 <= m <= n):
         raise ValueError(f"m must be in [0, {n}], got {m}")
-    rows, comps, signs = _minor_indices(n, m)
-    detB = _minor_dets(pair.B, rows)
-    detA = _minor_dets(pair.A, comps)
-    return float(np.sum(np.outer(signs, signs).ravel() * detB * detA))
-
-
-def minor_sums(pair: SymmetricMatrixPair) -> MinorSums:
-    return MinorSums(tuple(minor_sum(pair, m) for m in range(pair.n + 1)))
+    return minor_sums(pair).s[m]
 
 
 def pencil_poly(pair: SymmetricMatrixPair) -> UnivariatePolynomial:
@@ -206,11 +217,10 @@ def minor_chain_check(pair: SymmetricMatrixPair) -> ChainReport:
     if wB[0] > PD_CUTOFF:
         r = _pencil_roots(pair, wB)
         roots = tuple(float(t) for t in r)
-        detB = float(np.linalg.det(pair.B))
         e = _elementary_symmetric(r)
         worst = 0.0
         for m in range(n + 1):
-            predicted = detB * e[n - m]
+            predicted = sums[n] * e[n - m]
             denom = max(abs(sums[m]), abs(predicted), 1.0)
             worst = max(worst, abs(sums[m] - predicted) / denom)
         vieta_checked = True

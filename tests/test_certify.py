@@ -239,6 +239,17 @@ def test_scan_follows_power_of_two_scaling_bitwise(kind, k):
     assert scan.G4.tobytes() == base.G4.tobytes()
 
 
+@pytest.mark.parametrize("k", [-600, -3, 1, 700])
+def test_margin_report_states_its_frame(k):
+    # a caller of quasiconvexity_margin gates at -tol 2^e, as
+    # require_quasiconvex does: Q and 2^k Q differ in e by exactly k
+    q = catalog("choi_lam")
+    base = quasiconvexity_margin(q, _GRID32).diagnostics
+    diag = quasiconvexity_margin(QuadraticForm(np.ldexp(q.gram, k)), _GRID32).diagnostics
+    assert base["exponent"] == lattice_scan(q, _GRID32).e == 1
+    assert diag == {**base, "exponent": base["exponent"] + k}
+
+
 # scans that lost a rank-one zero when the seeds went to Newton without
 # the alternating pre-sweeps and with 4 step halvings: a seed next to a
 # zero stalled, every halved step failing

@@ -79,6 +79,52 @@ def test_acoustic_det_zero_matrix():
     assert det.is_zero()
 
 
+def _cofactor_det(t):
+    """det T(y) by cofactor expansion along the first row, in dict-based
+    polynomial arithmetic: the reference for acoustic_det's contraction."""
+    e = t.entries
+
+    def minor(i, j, k, l):
+        return poly_combine(poly_mul(e[1][i], e[2][j]), poly_mul(e[1][k], e[2][l]),
+                            1.0, -1.0)
+
+    det = poly_combine(poly_mul(e[0][0], minor(1, 2, 2, 1)),
+                       poly_mul(e[0][1], minor(0, 2, 2, 0)), 1.0, -1.0)
+    return poly_combine(det, poly_mul(e[0][2], minor(0, 1, 1, 0)), 1.0, 1.0)
+
+
+def _integer_grams():
+    rng = np.random.default_rng(8)
+    for name in ("choi", "choi_lam", "convex_identity"):
+        yield catalog(name).gram
+    for d1, d2 in (((1, 2, 3), (1, 1, 1)), ((1, 2, 1), (1, 1, 3)),
+                   ((2, 3, 5), (1, 7, 1)), ((1, 1, 1), (1, 30, 1))):
+        P = np.kron(np.diag(d1), np.diag(d2)).astype(float)
+        for name in ("choi", "choi_lam"):
+            yield P.T @ catalog(name).gram @ P
+    for _ in range(20):
+        X = rng.integers(-3, 4, (9, 9))
+        yield (X + X.T).astype(float)
+
+
+def test_acoustic_det_equals_the_cofactor_expansion_on_integer_grams():
+    # integer coefficients throughout: any order of summation is exact
+    for gram in _integer_grams():
+        t = acoustic_matrix(QuadraticForm(gram))
+        assert acoustic_det(t).terms == _cofactor_det(t).terms
+
+
+def test_acoustic_det_meets_the_cofactor_expansion_on_random_grams():
+    rng = np.random.default_rng(4)
+    for scale in (1.0, 1e-8, 1e8):
+        for _ in range(30):
+            X = scale * rng.standard_normal((9, 9))
+            t = acoustic_matrix(QuadraticForm(X + X.T))
+            got, ref = acoustic_det(t), _cofactor_det(t)
+            gap = poly_combine(got, ref, 1.0, -1.0).max_coeff()
+            assert gap <= 1e-14 * ref.max_coeff()
+
+
 def test_closed_form_identity_coefficients():
     closed = reduced_det_closed_form(_reduced_identity())
     assert closed.coefficient((4, 2, 0)) == pytest.approx(3.0)
@@ -272,6 +318,48 @@ def test_pencil_identity_is_relative_at_every_scale(scale):
     assert rep.gamma == pytest.approx(1.5, abs=1e-9)
     assert rep.beta == pytest.approx(0.75, abs=1e-9)
     assert rep.alpha == pytest.approx(0.125, abs=1e-9)
+
+
+def _pencil_reference(q, q1, lams):
+    """mu and the residual per lambda, one cofactor expansion per sample."""
+    k = np.frexp(max(np.max(np.abs(q.gram)), np.max(np.abs(q1.gram))))[1]
+    g, g1 = np.ldexp(q.gram, -k), np.ldexp(q1.gram, -k)
+    base = _det_vector(g)
+    mus, residuals = [], []
+    for lam in lams:
+        vec = _det_vector(g - lam * g1)
+        mu = vec @ base / (base @ base)
+        scale = max(np.max(np.abs(vec)), abs(mu) * np.max(np.abs(base)))
+        mus.append(mu)
+        residuals.append(np.max(np.abs(vec - mu * base)) / scale)
+    return mus, residuals
+
+
+def _det_vector(gram):
+    det = _cofactor_det(acoustic_matrix(QuadraticForm(gram)))
+    return np.array([det.coefficient(e) for e in monomial_exponents(6)])
+
+
+def test_pencil_identity_matches_a_per_sample_cofactor_reference():
+    rng = np.random.default_rng(6)
+    lams = [-1.5, 0.1, 0.4, 0.9, 1.3, 1.8]
+    pairs = [(catalog("choi_lam"), catalog("choi_lam").scaled(0.5)),
+             (catalog("choi"), catalog("convex_identity"))]
+    for _ in range(10):
+        X, Y = rng.standard_normal((2, 9, 9))
+        pairs.append((QuadraticForm(X + X.T), QuadraticForm(Y + Y.T)))
+    for q, q1 in pairs:
+        rep = pencil_identity_check(q, q1, lams)
+        mus, residuals = _pencil_reference(q, q1, lams)
+        np.testing.assert_allclose(rep.scalings, mus, rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(rep.residuals, residuals, rtol=1e-13, atol=1e-13)
+
+
+def test_pencil_identity_raises_when_a_det_overflows():
+    q = catalog("choi_lam")
+    for lam in (1e120, 1e300):
+        with pytest.raises(ValueError, match="not finite"):
+            pencil_identity_check(q, q.scaled(0.5), [0.5, lam])
 
 
 def test_pencil_identity_zero_det_errors():

@@ -1,12 +1,13 @@
-import itertools
-import math
 from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from quasicone.minors import (HypothesisError, SymmetricMatrixPair,
+from quasicone.minors import (MAX_N, HypothesisError, SymmetricMatrixPair,
                               minor_chain_check, minor_sum, minor_sums,
                               pencil_poly, pencil_roots, random_ordered_pair)
 
@@ -30,43 +31,41 @@ def test_minor_sum_endpoints_are_determinants():
         A = rng.standard_normal((n, n))
         B = rng.standard_normal((n, n))
         pair = SymmetricMatrixPair(A + A.T, B + B.T)
-        assert minor_sum(pair, 0) == pytest.approx(np.linalg.det(pair.A),
-                                                   rel=1e-10, abs=1e-10)
-        assert minor_sum(pair, n) == pytest.approx(np.linalg.det(pair.B),
-                                                   rel=1e-10, abs=1e-10)
+        assert minor_sum(pair, 0) == np.linalg.det(pair.A)
+        assert minor_sum(pair, n) == np.linalg.det(pair.B)
 
 
-def _minor_sum_reference(pair, m):
-    """S_m with one np.ix_ submatrix per (I, J) pair, in minor_sum's order."""
-    idx = range(pair.n)
-    signs, detB, detA = [], [], []
-    for I in itertools.combinations(idx, m):
-        for J in itertools.combinations(idx, m):
-            Ic = [i for i in idx if i not in I]
-            Jc = [j for j in idx if j not in J]
-            signs.append((-1) ** (sum(I) + sum(J)))
-            detB.append(np.linalg.det(pair.B[np.ix_(I, J)]) if m else 1.0)
-            detA.append(np.linalg.det(pair.A[np.ix_(Ic, Jc)]) if m < pair.n
-                        else 1.0)
-    return float(np.sum(np.asarray(signs) * np.asarray(detB)
-                        * np.asarray(detA)))
+def _integer_pair(n, rng):
+    """Symmetric pair with entries in -4..4: every minor and every S_m is
+    an integer that a double holds exactly."""
+    X, Y = rng.integers(-2, 3, (2, n, n))
+    return SymmetricMatrixPair(X + X.T, Y + Y.T)
 
 
-def test_minor_sum_matches_per_pair_reference_exactly():
+def test_minor_sums_are_exact_on_small_integer_pairs():
+    # the Laplace recursion adds integer products only, so 0 < m < n is
+    # bitwise the exact rational S_m; the endpoints are LAPACK's dets
     rng = np.random.default_rng(11)
-    pairs = [random_ordered_pair(n, rng) for n in range(2, 9) for _ in range(2)]
-    # dense pair: no zero entry in A or B, so a wrong sign or index shows
-    G = rng.uniform(0.5, 1.5, (8, 8))
-    B = G.T @ G
-    A = B + np.full((8, 8), 0.25) + np.eye(8)
-    assert np.all(A != 0) and np.all(B != 0)
-    pairs.append(SymmetricMatrixPair(A, B))
-    for pair in pairs:
-        for m in range(pair.n + 1):
-            assert minor_sum(pair, m) == _minor_sum_reference(pair, m), (pair.n, m)
-    dense = pairs[-1]
-    assert minor_sum(dense, 0) == np.linalg.det(dense.A)
-    assert minor_sum(dense, 8) == np.linalg.det(dense.B)
+    for n in range(2, 9):
+        for _ in range(4):
+            pair = _integer_pair(n, rng)
+            sums, ref = minor_sums(pair).s, _exact_pencil(pair)
+            for m in range(1, n):
+                assert Fraction(sums[m]) == (-1) ** m * ref[m], (n, m)
+            assert sums[0] == np.linalg.det(pair.A)
+            assert sums[n] == np.linalg.det(pair.B)
+
+
+def test_minor_sums_meet_the_exact_rational_pencil():
+    # every S_m within 1e-14 of the largest |S_m|, n = 2..8
+    rng = np.random.default_rng(11)
+    for n in range(2, MAX_N + 1):
+        for _ in range(3):
+            pair = random_ordered_pair(n, rng)
+            ref = [(-1) ** m * c for m, c in enumerate(_exact_pencil(pair))]
+            bound = Fraction(1e-14) * max(abs(c) for c in ref)
+            sums = minor_sums(pair).s
+            assert max(abs(Fraction(s) - r) for s, r in zip(sums, ref)) <= bound
 
 
 def test_minor_sum_range_checked():
@@ -155,7 +154,7 @@ def test_pencil_poly_meets_an_exact_rational_reference():
 def test_pencil_poly_matches_signed_minor_sums():
     # the two independent computations are the oracle pair for each other
     rng = np.random.default_rng(42)
-    for n in (2, 3, 4, 5, 6):
+    for n in range(2, MAX_N + 1):
         for _ in range(20):
             pair = random_ordered_pair(n, rng)
             sums = minor_sums(pair).s
@@ -277,3 +276,22 @@ def test_size_limits():
         SymmetricMatrixPair(np.eye(1), np.eye(1))
     with pytest.raises(ValueError):
         SymmetricMatrixPair(np.eye(9), np.eye(9))
+
+
+_factors = st.integers(2, MAX_N).flatmap(lambda n: st.tuples(*[
+    arrays(np.float64, (n, n), elements=st.floats(-1.0, 1.0))] * 3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(factors=_factors)
+def test_minor_sums_invariant_under_orthogonal_congruence(factors):
+    # det(P (A - tB) P^T) = det(A - tB) for orthogonal P, so every S_m is
+    # invariant; A >= B >= 0 with A - B >= I keeps max |S_m| >= 1
+    G, H, M = factors
+    n = len(G)
+    B = G.T @ G / n
+    A = B + H.T @ H / n + np.eye(n)
+    P = np.linalg.qr(M)[0]
+    sums = np.array(minor_sums(SymmetricMatrixPair(A, B)).s)
+    turned = np.array(minor_sums(SymmetricMatrixPair(P @ A @ P.T, P @ B @ P.T)).s)
+    assert np.max(np.abs(turned - sums)) <= 1e-12 * np.max(np.abs(sums))
