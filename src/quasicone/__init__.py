@@ -12,9 +12,8 @@ from .certify import (CertifyConfig, LatticeScan, MarginReport,
 from .determinant import (DetReport, acoustic_det, det_report,
                           pencil_identity_check, perfect_square_test,
                           reduced_det_closed_form)
-from .forms import (AcousticMatrix, NullLagrangianCoeffs,
-                    OrthotropicCoefficients, QuadraticForm,
-                    ReducedOrthotropicForm, acoustic_matrix,
+from .forms import (NullLagrangianCoeffs, OrthotropicCoefficients,
+                    QuadraticForm, ReducedOrthotropicForm, acoustic_matrix,
                     add_null_lagrangian, biquadratic_eval, catalog,
                     form_from_reduced, form_from_single_shear, form_from_voigt,
                     minor_gram_basis, reduce_modulo_null_lagrangians)
@@ -26,7 +25,7 @@ from .poly import (HomogeneousPolynomial, UnivariatePolynomial, poly_combine,
                    poly_equal_within, poly_eval, poly_mul)
 
 __all__ = [
-    "AcousticMatrix", "CertifyConfig", "ChainReport", "DetReport",
+    "CertifyConfig", "ChainReport", "DetReport",
     "HomogeneousPolynomial", "HypothesisError", "LatticeScan", "MarginReport",
     "MinorSums",
     "NullLagrangianCoeffs", "OrthotropicCoefficients", "PreconditionError",

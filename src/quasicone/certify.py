@@ -70,8 +70,8 @@ import numpy as np
 
 from .determinant import _SEXTIC_EXPS, acoustic_det
 from .forms import (_MINOR_BASIS, LAYOUT_PARAMS, _off_minors, QuadraticForm,
-                    acoustic_matrix, detect_shear_layout, form_from_theta,
-                    gram_tensor, shear_layout_basis)
+                    detect_shear_layout, form_from_theta, gram_tensor,
+                    shear_layout_basis)
 from .symeig import _COLUMNS, _adjugate, _upper, eigmin3, eigvals3
 
 # noise floor of a refined margin evaluation, relative to the Gram scale;
@@ -132,8 +132,8 @@ class CertifyConfig:
         if not 8 <= self.grid_resolution <= MAX_GRID_RESOLUTION:
             raise ValueError(
                 f"grid_resolution must be in [8, {MAX_GRID_RESOLUTION}]")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tol must be positive and finite")
         if self.probe_directions < 1:
             raise ValueError("probe_directions must be >= 1")
 
@@ -313,7 +313,7 @@ def lattice_scan(q: QuadraticForm, cfg: CertifyConfig = CertifyConfig()) -> Latt
     if _last_scan[0] == key:
         return _last_scan[1]
     e = math.frexp(float(np.max(np.abs(q.gram))))[1]
-    G4 = np.ascontiguousarray(np.ldexp(q.gram_tensor(), -e))
+    G4 = np.ascontiguousarray(np.ldexp(gram_tensor(q.gram), -e))
     Y0 = np.ascontiguousarray(sphere_lattice(cfg.grid_resolution).T)
     T = _acoustic_stack(Y0, G4.transpose(2, 3, 0, 1))
     lam = eigvals3(T)[:, 0]
@@ -923,18 +923,17 @@ def extremal_polynomial_probe(scan: LatticeScan) -> ProbeReport:
     extremal: consistent, method "exact".  Otherwise inconclusive with the
     nullspace dimension as value.
 
-    p is built from the scan's Gram scaled by 2^-e, which is exact, so
-    scaling Q by a power of two leaves the report unchanged, bit for bit,
-    while Q's entries stay normal doubles (choi_lam from 2^-1000 to
-    2^1000).  A decimal scale rounds p's coefficients, and a
+    p is built from the scan's tensor G4, the Gram scaled by 2^-e, which
+    is exact, so scaling Q by a power of two leaves the report unchanged,
+    bit for bit, while Q's entries stay normal doubles (choi_lam from
+    2^-1000 to 2^1000).  A decimal scale rounds p's coefficients, and a
     rounded coefficient can move p off its rational zeros (choi_lam at
     1e-3 gets a (2,2,2) coefficient of -3.0000000000000004e-09), which
     the probe soundly reads as inconclusive.  p >= 0 itself rests on the
     scan's sampled margin.
     """
     scan.require_quasiconvex("extremal polynomial probe")
-    p = acoustic_det(acoustic_matrix(
-        QuadraticForm(np.ldexp(scan.form.gram, -scan.e))))
+    p = acoustic_det(scan.G4)
     cols = _newton_polytope(set(p.terms))
     coeffs = [Fraction(p.coefficient(e)) for e in cols]
     candidates = scan.rank_one_zeros()

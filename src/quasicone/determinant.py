@@ -1,9 +1,10 @@
 """Symbolic acoustic determinants, the reduced-form closed form, the
 perfect-square test, and the pencil proportionality check det(T - lam T1).
 
-det T(y) is one contraction of the Gram tensor, for one form or a stack;
-its 3^6 index terms are binned onto the 28 sextic monomials, so integer
-Grams give exact coefficients.
+T(y) is held as its Gram tensor (forms.acoustic_matrix), and the sextic
+det T(y) is the one symbolic object built from it: one contraction of the
+tensor, for one form or a stack, whose 3^6 index terms are binned onto the
+28 sextic monomials, so integer Grams give exact coefficients.
 
 The square test is exact and does not depend on the coordinates: a square
 p = s^2 of a cubic s determines s through the first three orders of
@@ -21,8 +22,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .forms import (AcousticMatrix, QuadraticForm, ReducedOrthotropicForm,
-                    acoustic_matrix, gram_tensor)
+from .forms import (QuadraticForm, ReducedOrthotropicForm, acoustic_matrix,
+                    gram_tensor)
 from .poly import (HomogeneousPolynomial, _circle_coefficients,
                    monomial_exponents, poly_combine, poly_eval_many, poly_mul)
 
@@ -53,9 +54,12 @@ class DetReport:
         }
 
 
-def acoustic_det(t: AcousticMatrix) -> HomogeneousPolynomial:
-    """Symbolic 3x3 determinant, from one tensor contraction."""
-    return HomogeneousPolynomial(6, dict(zip(_SEXTIC_EXPS, _det_coefficients(t.tensor))))
+def acoustic_det(t: np.ndarray) -> HomogeneousPolynomial:
+    """det T(y) from T's (3, 3, 3, 3) coefficient tensor, as acoustic_matrix
+    returns it, by one tensor contraction."""
+    if np.shape(t) != (3, 3, 3, 3):
+        raise ValueError(f"acoustic_det needs a (3, 3, 3, 3) tensor, got {np.shape(t)}")
+    return HomogeneousPolynomial(6, dict(zip(_SEXTIC_EXPS, _det_coefficients(t))))
 
 
 @functools.lru_cache(maxsize=None)

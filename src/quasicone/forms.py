@@ -5,8 +5,9 @@ vectorization (i, j) -> 3*(i-1) + j (1-based), so Q(xi) = vec(xi) . G . vec(xi).
 The module provides the Voigt orthotropic constructor, the reduction modulo
 Null-Lagrangians to the 9-parameter shear-paired layout, biquadratic
 evaluation Q(x (x) y), the acoustic matrix T(y) with x T(y) x^T = Q(x (x) y),
-the Null-Lagrangian (2x2 minor) basis, and a catalog of historically
-significant forms.
+held as its coefficient tensor (a view of the Gram, T_ik(y) =
+y_j G4[i, k, j, l] y_l), the Null-Lagrangian (2x2 minor) basis, and a
+catalog of historically significant forms.
 
 The shear-paired, single-shear and transposed single-shear (the layout of
 xi^T, which odd axis permutations make of single-shear) 9-parameter
@@ -19,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .poly import HomogeneousPolynomial
 
 SYM_REL_TOL = 1e-12
 
@@ -71,9 +70,6 @@ class QuadraticForm:
 
     def scaled(self, alpha: float) -> "QuadraticForm":
         return QuadraticForm(alpha * self.gram)
-
-    def gram_tensor(self) -> np.ndarray:
-        return gram_tensor(self.gram)
 
 
 def gram_tensor(gram: np.ndarray) -> np.ndarray:
@@ -305,41 +301,10 @@ def add_null_lagrangian(q: QuadraticForm, n: NullLagrangianCoeffs) -> QuadraticF
     return QuadraticForm(G)
 
 
-@dataclass(frozen=True)
-class AcousticMatrix:
-    """Symmetric 3x3 matrix of degree-2 polynomials with x T(y) x^T = Q(x (x) y)."""
-
-    entries: tuple  # 3x3 nested tuple of HomogeneousPolynomial, degree 2
-    tensor: np.ndarray  # G4[i,k,j,l] with T_ik(y) = y_j G4[i,k,j,l] y_l
-
-    def entry(self, i: int, k: int) -> HomogeneousPolynomial:
-        return self.entries[i][k]
-
-    def evaluate(self, y) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        return np.einsum("j,ikjl,l->ik", y, self.tensor, y)
-
-
-def acoustic_matrix(q: QuadraticForm) -> AcousticMatrix:
-    """T_ik(y) = sum_{j,l} gram[(i,j),(k,l)] y_j y_l, symmetrized."""
-    G4 = q.gram_tensor()
-    rows = []
-    for i in range(3):
-        row = []
-        for k in range(3):
-            terms: dict[tuple[int, int, int], float] = {}
-            for j in range(3):
-                for l in range(j, 3):
-                    coef = G4[i, k, j, l] + (G4[i, k, l, j] if l > j else 0.0)
-                    if coef != 0.0:
-                        exp = [0, 0, 0]
-                        exp[j] += 1
-                        exp[l] += 1
-                        key = tuple(exp)
-                        terms[key] = terms.get(key, 0.0) + coef
-            row.append(HomogeneousPolynomial(2, terms))
-        rows.append(tuple(row))
-    return AcousticMatrix(entries=tuple(rows), tensor=G4)
+def acoustic_matrix(q: QuadraticForm) -> np.ndarray:
+    """T(y), with x T(y) x^T = Q(x (x) y), as its read-only (3, 3, 3, 3)
+    coefficient tensor G4: T_ik(y) = sum_{j,l} y_j G4[i, k, j, l] y_l."""
+    return gram_tensor(q.gram)
 
 
 # ---------------------------------------------------------------------------

@@ -125,8 +125,11 @@ def minor_sums(pair: SymmetricMatrixPair) -> MinorSums:
     inner = [float(np.vdot(_laplace_tables(n, m)[2],
                            minors[m][0] * minors[n - m][1][::-1, ::-1]))
              for m in range(1, n)]
-    return MinorSums((float(np.linalg.det(pair.A)), *inner,
-                      float(np.linalg.det(pair.B))))
+    # np.linalg.det sums the logs of LAPACK's LU pivots, so a pivot that
+    # underflows to 0 warns "divide by zero", though the det (+-0) is exact
+    with np.errstate(divide="ignore"):
+        return MinorSums((float(np.linalg.det(pair.A)), *inner,
+                          float(np.linalg.det(pair.B))))
 
 
 def minor_sum(pair: SymmetricMatrixPair, m: int) -> float:

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -38,8 +38,9 @@ def test_config_validation():
         CertifyConfig(grid_resolution=4)
     with pytest.raises(ValueError):
         CertifyConfig(grid_resolution=513)
-    with pytest.raises(ValueError):
-        CertifyConfig(tol=0.0)
+    for tol in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            CertifyConfig(tol=tol)
     with pytest.raises(ValueError):
         CertifyConfig(probe_directions=0)
 
@@ -197,7 +198,7 @@ def _alternating_descent(G4, X, Y, vals, max_iters):
 def _reference_margin(q, grid):
     """The margin of the full refinement that basin seeding replaces: every
     lattice point refined by up to 40 alternating sweeps."""
-    G4 = q.gram_tensor()
+    G4 = acoustic_matrix(q)
     Y0 = np.ascontiguousarray(sphere_lattice(grid).T)
     lam, X0 = eigmin3(_acoustic_stack(Y0, G4.transpose(2, 3, 0, 1)))
     vals = _alternating_descent(G4, X0.T, Y0, lam, 40)
@@ -516,7 +517,7 @@ def test_basin_seeds_match_lower_triangle_shadowing(grid):
               for kind in ("psd", "indefinite", "choi", "choi_lam")
               for seed in range(3)]
     for q in forms:
-        lam = eigvals3(_acoustic_stack(Y0, q.gram_tensor().transpose(2, 3, 0, 1)))[:, 0]
+        lam = eigvals3(_acoustic_stack(Y0, acoustic_matrix(q).transpose(2, 3, 0, 1)))[:, 0]
         assert np.array_equal(certify._basin_seeds(Y0, lam),
                               _basin_seeds_tril(Y0, lam))
 
@@ -526,7 +527,7 @@ def _eigmin3_lattice_scan(q, cfg):
     eigmin3 solves every lattice point, and its values pick the seeds and
     its vectors start Newton, on the same helpers."""
     e = np.frexp(np.max(np.abs(q.gram)))[1]
-    G4 = np.ascontiguousarray(np.ldexp(q.gram_tensor(), -e))
+    G4 = np.ascontiguousarray(np.ldexp(acoustic_matrix(q), -e))
     Y0 = np.ascontiguousarray(sphere_lattice(cfg.grid_resolution).T)
     T = _acoustic_stack(Y0, G4.transpose(2, 3, 0, 1))
     lam, X0 = eigmin3(T)
@@ -637,7 +638,7 @@ def test_transverse_hessian_matches_finite_differences():
     # normalizing retraction is of second order
     rng = np.random.default_rng(4)
     A = rng.standard_normal((9, 9))
-    G4 = QuadraticForm(A + A.T).gram_tensor()
+    G4 = acoustic_matrix(QuadraticForm(A + A.T))
     X, Y = rng.standard_normal((2, 3, 5))
     X /= np.linalg.norm(X, axis=0)
     Y /= np.linalg.norm(Y, axis=0)
@@ -670,7 +671,7 @@ def test_acoustic_stack_matches_einsum(seed, n, shift, log_scale):
     if shift:
         q = add_null_lagrangian(q, NullLagrangianCoeffs(
             10.0 ** log_scale * rng.uniform(-2.0, 2.0, 9)))
-    G4 = q.gram_tensor()
+    G4 = acoustic_matrix(q)
     # vectors components first: (3, n) rows
     V = rng.standard_normal((3, n)) * rng.uniform(0.5, 2.0, n)
     # a stack of forms of norm |G| sharing the rows V, as a trailing K shape
@@ -794,7 +795,7 @@ def _clears_reference(T, G4, pool, Y, floor, k, iters):
 
 def _sampled_stage(gram, P9, Y, floor, k, iters):
     """_clears_reference's stage for one candidate Gram, pool P9 (P, 9)."""
-    G4 = QuadraticForm(gram).gram_tensor()
+    G4 = acoustic_matrix(QuadraticForm(gram))
     T = _acoustic_stack(Y, G4.transpose(2, 3, 0, 1))
     return _clears_reference(T, G4, certify._pool_quadratic(P9, gram), Y,
                              floor, k, iters)[0]
@@ -1617,6 +1618,30 @@ def test_extremal_polynomial_never_consistent_on_rotated_choi_lam(S):
     # axis) makes the zeros irrational: near-zeros must never become a proof
     rep = _probe_of(_y_transformed(catalog("choi_lam").gram, S))
     assert rep.verdict == "inconclusive"
+
+
+def _assert_sextic_reads_the_scans_frame(q):
+    # the probe's p is det T(y) of scan.G4, bit for bit the det of the
+    # rebuilt form 2^-e Q, so its witness is the one that form gives
+    scan = lattice_scan(q, _GRID32)
+    assert (acoustic_det(scan.G4).terms
+            == acoustic_det(acoustic_matrix(q.scaled(2.0 ** -scan.e))).terms)
+
+
+@pytest.mark.parametrize("name, scale", [
+    ("choi", 1.0), ("choi_lam", 1.0), ("convex_identity", 1.0), ("serre", 1.0),
+    ("choi_lam", 2.0 ** -600), ("choi_lam", 2.0 ** 600), ("choi_lam", 1e-5),
+    ("choi_lam", 1e-3), ("choi_lam", 1e3), ("choi_lam", 1e4)])
+def test_extremal_polynomial_reads_the_scans_frame(name, scale):
+    _assert_sextic_reads_the_scans_frame(catalog(name).scaled(scale))
+
+
+@settings(max_examples=20, deadline=None)
+@given(X=arrays(np.float64, (9, 9), elements=st.floats(-1.0, 1.0)),
+       s=st.integers(-5, 4))
+def test_extremal_polynomial_reads_the_scans_frame_of_any_gram(X, s):
+    assume(np.any(X))
+    _assert_sextic_reads_the_scans_frame(QuadraticForm(10.0 ** s * (X + X.T)))
 
 
 def _catalog(name, eps):

@@ -9,12 +9,20 @@ import pytest
 CLI = [sys.executable, "-m", "quasicone.cli"]
 
 
+def _not_json(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def run_cli(*args, env=None):
+    """Run the CLI; any stdout it prints must parse as strict JSON (no NaN
+    or Infinity)."""
     e = os.environ.copy()
     if env:
         e.update(env)
-    return subprocess.run(CLI + list(args), capture_output=True, text=True,
-                          env=e)
+    r = subprocess.run(CLI + list(args), capture_output=True, text=True, env=e)
+    if r.stdout.strip():
+        json.loads(r.stdout, parse_constant=_not_json)
+    return r
 
 
 def test_catalog_listing_stable():
@@ -280,6 +288,13 @@ def test_det_of_a_form_whose_det_overflows_is_an_invalid_error(tmp_path, scale):
 def test_oversized_grid_is_an_invalid_error():
     r = run_cli("analyze", "choi_lam", "--grid", "513")
     assert r.returncode == 2
+    assert json.loads(r.stderr)["error"]["code"] == "invalid"
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_non_finite_tol_is_an_invalid_error(tol):
+    r = run_cli("--tol", tol, "analyze", "choi_lam")
+    assert r.returncode == 2 and not r.stdout
     assert json.loads(r.stderr)["error"]["code"] == "invalid"
 
 

@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from quasicone.determinant import (acoustic_det, det_report,
                                    pencil_identity_check, perfect_square_test,
                                    reduced_det_closed_form)
-from quasicone.forms import (QuadraticForm, ReducedOrthotropicForm,
-                             acoustic_matrix, catalog, form_from_reduced)
+from quasicone.forms import (NullLagrangianCoeffs, QuadraticForm,
+                             ReducedOrthotropicForm, acoustic_matrix,
+                             add_null_lagrangian, catalog, form_from_reduced)
 from quasicone.poly import (HomogeneousPolynomial, monomial_exponents,
-                            poly_combine, poly_equal_within, poly_mul)
+                            poly_combine, poly_equal_within, poly_eval_many,
+                            poly_mul)
 
 Mono = HomogeneousPolynomial.monomial
 CUBIC_EXPS = monomial_exponents(3)
@@ -79,10 +81,16 @@ def test_acoustic_det_zero_matrix():
     assert det.is_zero()
 
 
-def _cofactor_det(t):
+def _cofactor_det(gram):
     """det T(y) by cofactor expansion along the first row, in dict-based
-    polynomial arithmetic: the reference for acoustic_det's contraction."""
-    e = t.entries
+    polynomial arithmetic on entries built from the Gram alone: the
+    reference for acoustic_det's contraction."""
+    terms = [[{} for _ in range(3)] for _ in range(3)]
+    for i, j, k, l in np.ndindex(3, 3, 3, 3):
+        # gram[(i, j), (k, l)] y_j y_l is a term of T_ik
+        exp = tuple(int(j == v) + int(l == v) for v in range(3))
+        terms[i][k][exp] = terms[i][k].get(exp, 0.0) + gram[3 * i + j, 3 * k + l]
+    e = [[HomogeneousPolynomial(2, t) for t in row] for row in terms]
 
     def minor(i, j, k, l):
         return poly_combine(poly_mul(e[1][i], e[2][j]), poly_mul(e[1][k], e[2][l]),
@@ -110,8 +118,7 @@ def _integer_grams():
 def test_acoustic_det_equals_the_cofactor_expansion_on_integer_grams():
     # integer coefficients throughout: any order of summation is exact
     for gram in _integer_grams():
-        t = acoustic_matrix(QuadraticForm(gram))
-        assert acoustic_det(t).terms == _cofactor_det(t).terms
+        assert _det(gram).terms == _cofactor_det(gram).terms
 
 
 def test_acoustic_det_meets_the_cofactor_expansion_on_random_grams():
@@ -119,8 +126,7 @@ def test_acoustic_det_meets_the_cofactor_expansion_on_random_grams():
     for scale in (1.0, 1e-8, 1e8):
         for _ in range(30):
             X = scale * rng.standard_normal((9, 9))
-            t = acoustic_matrix(QuadraticForm(X + X.T))
-            got, ref = acoustic_det(t), _cofactor_det(t)
+            got, ref = _det(X + X.T), _cofactor_det(X + X.T)
             gap = poly_combine(got, ref, 1.0, -1.0).max_coeff()
             assert gap <= 1e-14 * ref.max_coeff()
 
@@ -148,12 +154,49 @@ def test_closed_form_matches_symbolic_campaign():
         assert poly_equal_within(sym, reduced_det_closed_form(r), 1e-10)
 
 
-def test_det_scaling_cubes():
-    r = ReducedOrthotropicForm(np.eye(3) * 1.3, 0.7, 0.9, 1.1)
-    q = form_from_reduced(r)
-    det1 = acoustic_det(acoustic_matrix(q))
-    det2 = acoustic_det(acoustic_matrix(q.scaled(2.0)))
-    assert poly_equal_within(det2, det1.scale(8.0), 1e-12)
+# Grams I + X X^T / 9 with entries at most 2: T(y) >= |y|^2 I, so det T(y)
+# >= |y|^6 and max |p| >= 1, which gives a relative tolerance its meaning
+_pd_grams = arrays(np.float64, (9, 9), elements=st.floats(
+    -1.0, 1.0, allow_subnormal=False)).map(lambda X: np.eye(9) + X @ X.T / 9)
+_SAMPLES = np.random.default_rng(5).standard_normal((20, 3))
+_SAMPLES /= np.linalg.norm(_SAMPLES, axis=1, keepdims=True)
+
+
+def test_acoustic_det_names_a_wrong_shape():
+    with pytest.raises(ValueError, match=r"got \(3, 3\)"):
+        acoustic_det(np.zeros((3, 3)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(gram=_pd_grams, k=st.integers(-100, 100))
+@example(gram=form_from_reduced(
+    ReducedOrthotropicForm(np.eye(3) * 1.3, 0.7, 0.9, 1.1)).gram, k=1)
+def test_det_scaling_cubes(gram, k):
+    # every coefficient of det T(y) for Q 2^k is 2^(3k) times Q's, bit for bit
+    q = QuadraticForm(gram)
+    det = acoustic_det(acoustic_matrix(q))
+    scaled = acoustic_det(acoustic_matrix(q.scaled(2.0 ** k)))
+    assert scaled.terms == {e: np.ldexp(c, 3 * k) for e, c in det.terms.items()}
+
+
+@settings(max_examples=50, deadline=None)
+@given(gram=_pd_grams, w=arrays(np.float64, 9, elements=st.floats(-2.0, 2.0)))
+def test_det_is_unchanged_by_null_lagrangian_shifts(gram, w):
+    q = QuadraticForm(gram)
+    det = acoustic_det(acoustic_matrix(q))
+    shifted = acoustic_det(acoustic_matrix(
+        add_null_lagrangian(q, NullLagrangianCoeffs(w))))
+    assert poly_combine(shifted, det, 1.0, -1.0).max_coeff() <= 1e-13 * det.max_coeff()
+
+
+@settings(max_examples=50, deadline=None)
+@given(gram=_pd_grams, R=_rotations, S=_rotations)
+def test_det_follows_a_coordinate_change(gram, R, S):
+    # Q'(xi) = Q(R^T xi S) has T'(y) = R T(S^T y) R^T, so det T'(y) = det T(S^T y)
+    det = _det(gram)
+    turned = _det(_rotated_gram(gram, R, S))
+    gap = poly_eval_many(turned, _SAMPLES) - poly_eval_many(det, _SAMPLES @ S)
+    assert np.max(np.abs(gap)) <= 1e-13 * det.max_coeff()
 
 
 def test_perfect_square_binomial_cube_pair():
@@ -336,7 +379,7 @@ def _pencil_reference(q, q1, lams):
 
 
 def _det_vector(gram):
-    det = _cofactor_det(acoustic_matrix(QuadraticForm(gram)))
+    det = _cofactor_det(gram)
     return np.array([det.coefficient(e) for e in monomial_exponents(6)])
 
 

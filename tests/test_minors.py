@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -282,8 +282,16 @@ _factors = st.integers(2, MAX_N).flatmap(lambda n: st.tuples(*[
     arrays(np.float64, (n, n), elements=st.floats(-1.0, 1.0))] * 3))
 
 
+def _underflowing_pivot():
+    # B has rank one, entry 6.25e-278, so an LU pivot of P B P^T underflows to 0
+    G = np.zeros((4, 4))
+    G[0, 3] = 5e-139
+    return G, np.zeros((4, 4)), np.full((4, 4), 0.4001)
+
+
 @settings(max_examples=100, deadline=None)
 @given(factors=_factors)
+@example(factors=_underflowing_pivot())
 def test_minor_sums_invariant_under_orthogonal_congruence(factors):
     # det(P (A - tB) P^T) = det(A - tB) for orthogonal P, so every S_m is
     # invariant; A >= B >= 0 with A - B >= I keeps max |S_m| >= 1
