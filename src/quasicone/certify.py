@@ -181,17 +181,19 @@ class ProbeReport:
 @functools.cache
 def sphere_lattice(resolution: int) -> np.ndarray:
     """Spherical Fibonacci lattice of resolution^2 points in canonical sign
-    (first nonzero coordinate positive), rows sorted, read-only, built once
-    per resolution.  The sort removes no point; its row order fixes which
-    points the probes' top-k refinements pick."""
+    (first nonzero coordinate positive), rounded to 12 decimals and
+    renormalized, rows in lexicographic order (one lexsort, first
+    coordinate first), read-only, built once per resolution.  No point is
+    removed: the rounded rows are distinct, so the order is total, and it
+    fixes which points the probes' top-k refinements pick."""
     n = resolution * resolution
     i = np.arange(n)
     z = 1.0 - (2.0 * i + 1.0) / n
     phi = i * np.pi * (3.0 - np.sqrt(5.0))
     r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
     pts = np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
-    pts = canonical_sign(pts)
-    pts = np.unique(np.round(pts, 12), axis=0)
+    pts = np.round(canonical_sign(pts), 12)
+    pts = pts[np.lexsort(pts.T[::-1])]
     pts /= np.linalg.norm(pts, axis=1)[:, None]
     pts.setflags(write=False)
     return pts
@@ -336,17 +338,22 @@ def _basin_seeds(Y0: np.ndarray, lam: np.ndarray) -> np.ndarray:
     order, those with no earlier point of the pool within SEED_RADIUS
     lattice spacings as lines, at most SEED_CAP.  Every lower neighbour of
     a pool point is in the pool, so each seed is a local minimum of the
-    lattice within that radius; one (pool x pool) Gram decides them all,
-    a point being shadowed when the first pool point near it, as a line,
-    is an earlier one (each point is near itself)."""
+    lattice within that radius.  A point is shadowed when the first pool
+    point near it, as a line, is an earlier one (each point is near
+    itself), read off the (pool x pool) Gram in row blocks of 32: each
+    block is a GEMM of a contiguous copy of P.T (P.T @ P itself would go
+    to SYRK, several times slower at this size) into 64 KiB, not a
+    512 KiB Gram per scan."""
     m = min(SEED_POOL, len(lam))
     # the points up to the m-th lowest value, ties included, in index order
     pool = np.flatnonzero(lam <= np.partition(lam, m - 1)[m - 1])
     pool = pool[np.argsort(lam[pool], kind="stable")[:m]]
     P = Y0[:, pool]
     cos_r = math.cos(SEED_RADIUS * math.sqrt(2.0 * math.pi / len(lam)))
-    shadowed = np.argmax(np.abs(P.T @ P) >= cos_r, axis=1) < np.arange(len(pool))
-    return pool[~shadowed][:SEED_CAP]
+    PT = np.ascontiguousarray(P.T)
+    first = np.concatenate([np.argmax(np.abs(PT[s:s + 32] @ P) >= cos_r, axis=1)
+                            for s in range(0, len(pool), 32)])
+    return pool[first >= np.arange(len(pool))][:SEED_CAP]
 
 
 def _tangent_bases(Z: np.ndarray) -> np.ndarray:

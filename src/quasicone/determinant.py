@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -243,14 +244,27 @@ def pencil_identity_check(q: QuadraticForm, q1: QuadraticForm,
 
 def det_report(q: QuadraticForm,
                reduced: Optional[ReducedOrthotropicForm] = None) -> DetReport:
-    """Symbolic determinant plus closed-form cross-check and square test."""
-    det = acoustic_det(acoustic_matrix(q))
+    """Symbolic determinant plus closed-form cross-check and square test.
+
+    The det is built, and the square test run, on the Gram scaled by
+    2^-2k, k = ceil(e/2) for the Gram's exponent e, so that a tiny Q's det
+    does not underflow to a zero sextic, which would pass as a square.  The
+    det and the root are reported in Q's frame, scaled back exactly by 2^6k
+    and 2^3k; a det coefficient that overflows there raises ValueError."""
+    k = (math.frexp(float(np.max(np.abs(q.gram))))[1] + 1) // 2
+    coefs = _det_coefficients(np.ldexp(acoustic_matrix(q), -2 * k))
+    with np.errstate(over="ignore"):
+        det = HomogeneousPolynomial(6, dict(zip(_SEXTIC_EXPS, np.ldexp(coefs, 6 * k))))
     residual = None
     if reduced is not None:
         closed = reduced_det_closed_form(reduced)
         scale = max(det.max_coeff(), closed.max_coeff())
         gap = poly_combine(det, closed, 1.0, -1.0).max_coeff()
         residual = gap / scale if scale else 0.0
-    flag, root = perfect_square_test(det)
+    flag, root = perfect_square_test(
+        HomogeneousPolynomial(6, dict(zip(_SEXTIC_EXPS, coefs))))
+    if root is not None:
+        root = HomogeneousPolynomial(3, {m: math.ldexp(c, 3 * k)
+                                         for m, c in root.terms.items()})
     return DetReport(det=det, closed_form_residual=residual,
                      is_perfect_square=flag, square_root=root)

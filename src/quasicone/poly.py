@@ -10,6 +10,7 @@ sparse, and an inf or NaN one raises ValueError.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -25,6 +26,15 @@ PRUNE_REL = 1e-14
 def _graded_lex_key(exp: tuple[int, int, int]) -> tuple:
     # graded lexicographic: total degree first, then lex with y1 > y2 > y3
     return (sum(exp), tuple(-e for e in exp))
+
+
+@functools.cache
+def _exponent(exp) -> tuple[int, int, int]:
+    """exp as a triple of non-negative ints, checked once per distinct key."""
+    out = tuple(int(e) for e in exp)
+    if len(out) != NVARS or any(e < 0 for e in out):
+        raise ValueError(f"bad exponent {out}")
+    return out
 
 
 class DegreeMismatchError(ValueError):
@@ -46,12 +56,9 @@ class HomogeneousPolynomial:
         if self.degree < 0:
             raise ValueError("degree must be non-negative")
         cleaned = {}
-        maxmag = max((abs(c) for c in self.terms.values()), default=0.0)
-        cutoff = PRUNE_REL * maxmag
+        cutoff = PRUNE_REL * max(map(abs, self.terms.values()), default=0.0)
         for exp, coef in self.terms.items():
-            exp = tuple(int(e) for e in exp)
-            if len(exp) != NVARS or any(e < 0 for e in exp):
-                raise ValueError(f"bad exponent {exp}")
+            exp = _exponent(exp)
             if sum(exp) != self.degree:
                 raise ValueError(
                     f"exponent {exp} does not sum to degree {self.degree}")

@@ -52,6 +52,22 @@ def test_lattice_deterministic_unit():
     assert Y is Y2  # cached
 
 
+@pytest.mark.parametrize("grid", [*range(8, 65), 96, 128, 256, 512])
+def test_lattice_rows_are_the_sorted_distinct_rounded_points(grid):
+    # the rows and their order, bitwise, are those of the np.unique
+    # reference: the sort removes no point, so the probes pick the same ones
+    n = grid * grid
+    i = np.arange(n)
+    z = 1.0 - (2.0 * i + 1.0) / n
+    phi = i * np.pi * (3.0 - np.sqrt(5.0))
+    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    pts = np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
+    ref = np.unique(np.round(canonical_sign(pts), 12), axis=0)
+    ref /= np.linalg.norm(ref, axis=1)[:, None]
+    Y = sphere_lattice(grid)
+    assert Y.shape == (n, 3) and Y.tobytes() == ref.tobytes()
+
+
 def test_margin_convex_identity():
     rep = quasiconvexity_margin(catalog("convex_identity"), FAST)
     assert rep.margin == pytest.approx(1.0, abs=1e-9)
@@ -508,8 +524,10 @@ def _basin_seeds_tril(Y0, lam):
     return pool[~shadowed][:certify.SEED_CAP]
 
 
-@pytest.mark.parametrize("grid", [16, 32, 96])
+@pytest.mark.parametrize("grid", [8, 9, 16, 32, 96])
 def test_basin_seeds_match_lower_triangle_shadowing(grid):
+    # at grids 8 and 9 the pool is the whole lattice, 64 or 81 points, and
+    # its last row block is partial
     Y0 = np.ascontiguousarray(sphere_lattice(grid).T)
     forms = [catalog(name) for name in ("choi", "choi_lam", "convex_identity",
                                         "serre")]

@@ -305,3 +305,17 @@ def test_import_loads_no_scipy():
                        text=True)
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "[]"
+
+
+def test_cold_scan_and_analyze_load_no_numpy_ma():
+    # np.unique(..., axis=0) imports numpy.ma lazily, most of the cost of a
+    # cold lattice build; the exact name, as numpy.matrixlib shares the prefix
+    code = ("import sys, quasicone; from quasicone import certify, cli; "
+            "certify.lattice_scan(quasicone.catalog('choi_lam'), "
+            "certify.CertifyConfig(grid_resolution=96)); "
+            "cli.main(['--json', 'analyze', 'choi_lam']); "
+            "print('numpy.ma' in sys.modules, file=sys.stderr)")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stderr.strip() == "False"

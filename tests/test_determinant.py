@@ -441,6 +441,18 @@ def test_det_report_closed_form_residual_of_zero_dets_is_zero():
     assert det_report(form_from_reduced(r), r).closed_form_residual == 0.0
 
 
+@pytest.mark.parametrize("scale", [1e-110, 1e-200])
+def test_det_report_square_test_survives_underflow(scale):
+    # det T(y) underflows to zero in Q's frame at these scales; a zero
+    # sextic would pass as a square, so the test runs in the scaled frame
+    assert not det_report(catalog("choi_lam").scaled(scale)).is_perfect_square
+    diag = QuadraticForm(np.diag([2.0, 0, 0, 0, 3.0, 0, 0, 0, 5.0]) * scale)
+    rep = det_report(diag)
+    assert rep.is_perfect_square
+    assert rep.square_root.coefficient((1, 1, 1)) == pytest.approx(
+        np.sqrt(30.0) * scale ** 1.5, rel=1e-12)
+
+
 @pytest.mark.parametrize("scale", [1e110, 1e200])
 def test_det_report_raises_when_the_det_overflows(scale):
     # a det coefficient of inf is no zero det, and no perfect square
