@@ -2,16 +2,21 @@
 perfect-square test, and the pencil proportionality check det(T - lam T1).
 
 T(y) is held as its Gram tensor (forms.acoustic_matrix), and the sextic
-det T(y) is the one symbolic object built from it: one contraction of the
-tensor, for one form or a stack, whose 3^6 index terms are binned onto the
-28 sextic monomials, so integer Grams give exact coefficients.
+det T(y) is the one symbolic object built from it, as the vector of its 28
+coefficients: each entry T_ik(y) is folded to its six quadratic
+coefficients, and the six signed products T_0s0 T_1s1 T_2s2 over the
+permutations s are binned onto the sextic monomials, for one form or a
+stack, so integer Grams give exact coefficients.
 
 The square test is exact and does not depend on the coordinates: a square
 p = s^2 of a cubic s determines s through the first three orders of
 sqrt(p)'s power series about any point where p > 0, so the test expands
 about the largest of a fixed set of unit vectors, fits the cubic to the
-series there, and checks root^2 against p coefficient by coefficient.  One
-DFT of p(a + t h) at the roots of unity gives the series along every ray."""
+series there, and checks root^2 against p coefficient by coefficient.
+p's values at the anchors and its series along every ray from one of them
+are fixed linear maps of its coefficient vector: tables of the monomials'
+values and of their series (one DFT of their values at the roots of
+unity), built on first use and cached."""
 
 from __future__ import annotations
 
@@ -26,7 +31,7 @@ import numpy as np
 from .forms import (QuadraticForm, ReducedOrthotropicForm, acoustic_matrix,
                     gram_tensor)
 from .poly import (HomogeneousPolynomial, _circle_coefficients,
-                   monomial_exponents, poly_combine, poly_eval_many, poly_mul)
+                   monomial_exponents, monomial_table, poly_combine)
 
 # monomial support of the reduced-form determinant: pure sextics, the six
 # quartic-quadratic mixtures, and the central monomial
@@ -64,29 +69,46 @@ def acoustic_det(t: np.ndarray) -> HomogeneousPolynomial:
 
 
 @functools.lru_cache(maxsize=None)
-def _det_tables() -> tuple[np.ndarray, list, np.ndarray]:
-    """The Levi-Civita symbol, the contraction path, and the 0/1 matrix that
-    bins the 3^6 index tuples of y_j y_l y_m y_n y_p y_q onto _SEXTIC_EXPS."""
-    eps = np.fromfunction(lambda a, b, c: (b - a) * (c - a) * (c - b) / 2, (3, 3, 3))
-    path = np.einsum_path(_DET_SUBSCRIPTS, eps, *np.zeros((3, 1, 3, 3, 3)),
-                          optimize="optimal")[0]
-    bins = np.eye(len(_SEXTIC_EXPS))[[
-        _SEXTIC_EXPS.index((t.count(0), t.count(1), t.count(2)))
-        for t in itertools.product(range(3), repeat=6)]]
-    eps.flags.writeable = bins.flags.writeable = False
-    return eps, path, bins
+def _det_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The 0/1 matrix that folds the index pairs (j, l) of y_j y_l onto
+    _QUADRATIC_EXPS; the six permutations of range(3) and their signs; and
+    the 0/1 matrix that bins the 6^3 products of three quadratic monomials
+    onto _SEXTIC_EXPS."""
+    unit, quad = np.eye(3, dtype=int), np.array(_QUADRATIC_EXPS)
+    fold = _bins(unit[:, None] + unit[None, :], _QUADRATIC_EXPS)
+    perms = np.array(list(itertools.permutations(range(3))))
+    signs = np.array([(b - a) * (c - a) * (c - b) / 2 for a, b, c in perms])
+    bins = _bins(quad[:, None, None] + quad[None, :, None] + quad[None, None, :],
+                 _SEXTIC_EXPS)
+    return _frozen(fold, perms, signs, bins)
 
 
-_DET_SUBSCRIPTS = "abc,...ajl,...bmn,...cpq->...jlmnpq"
+def _bins(exps: np.ndarray, onto: list) -> np.ndarray:
+    """The 0/1 matrix with a 1 at [r, c] where the r-th exponent triple of
+    exps, in C order, is the monomial onto[c]."""
+    index = {e: i for i, e in enumerate(onto)}
+    return np.eye(len(onto))[[index[tuple(e)] for e in exps.reshape(-1, 3).tolist()]]
+
+
+def _frozen(*tables: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The tables, read-only: a cache hands the same arrays to every caller."""
+    for a in tables:
+        a.flags.writeable = False
+    return tables
 
 
 def _det_coefficients(G4: np.ndarray) -> np.ndarray:
-    """Coefficients of det T(y) = eps_abc T_0a T_1b T_2c in _SEXTIC_EXPS
-    order, for one tensor G4 or a stack; an overflow is left as inf or NaN."""
-    eps, path, bins = _det_tables()
+    """Coefficients of det T(y) in _SEXTIC_EXPS order, for one tensor G4 or
+    a stack; an overflow is left as inf or NaN.  Each T_ik(y) is folded to
+    its six quadratic coefficients, and det T = sum over permutations s of
+    sign(s) T_0s0 T_1s1 T_2s2, whose 6^3 coefficient products are binned."""
+    fold, perms, signs, bins = _det_tables()
+    T = np.reshape(G4, np.shape(G4)[:-2] + (9,)) @ fold
+    rows = T[..., np.arange(3), perms, :]            # (..., permutation, i, 6)
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = np.einsum(_DET_SUBSCRIPTS, eps, *np.moveaxis(G4, -4, 0), optimize=path)
-        return terms.reshape(G4.shape[:-4] + (-1,)) @ bins
+        prods = (rows[..., 0, :, None, None] * rows[..., 1, None, :, None]
+                 * rows[..., 2, None, None, :])
+        return (signs @ prods.reshape(prods.shape[:-3] + (-1,))) @ bins
 
 
 def reduced_det_closed_form(r: ReducedOrthotropicForm) -> HomogeneousPolynomial:
@@ -113,16 +135,46 @@ def reduced_det_closed_form(r: ReducedOrthotropicForm) -> HomogeneousPolynomial:
     return HomogeneousPolynomial(6, terms)
 
 
-_SEXTIC_EXPS = monomial_exponents(6)   # 28 monomials
-_CUBIC_EXPS = monomial_exponents(3)    # 10 monomials
+_QUADRATIC_EXPS = monomial_exponents(2)  # 6 monomials
+_CUBIC_EXPS = monomial_exponents(3)      # 10 monomials
+_SEXTIC_EXPS = monomial_exponents(6)     # 28 monomials
 
 SQUARE_REL_TOL = 1e-8
 # a fixed set of unit vectors: the anchor of the square-root expansion is
 # the one where p is largest, and the root is fitted to its values on all
 _ANCHORS = np.random.default_rng(2).standard_normal((40, 3))
 _ANCHORS /= np.linalg.norm(_ANCHORS, axis=1, keepdims=True)
-_CUBIC_FIT = np.linalg.pinv(
-    np.prod(_ANCHORS[:, None, :] ** np.array(_CUBIC_EXPS), axis=2))
+
+
+@functools.lru_cache(maxsize=None)
+def _anchor_values() -> np.ndarray:
+    """(40, 28): the sextic monomials at _ANCHORS, so p's values there are
+    _anchor_values() @ c for p's coefficient vector c."""
+    return _frozen(monomial_table(_ANCHORS, _SEXTIC_EXPS))[0]
+
+
+@functools.lru_cache(maxsize=None)
+def _ray_series(k: int) -> np.ndarray:
+    """(3, 40, 28): the t, t^2 and t^3 coefficients of each sextic monomial
+    along the rays a + t (b - a) from a = _ANCHORS[k] to every anchor b,
+    from one DFT of its values at the 7th roots of unity; P1..P3 of p along
+    the rays are _ray_series(k) @ c."""
+    a, H = _ANCHORS[k], _ANCHORS - _ANCHORS[k]
+    series = _circle_coefficients(lambda t: monomial_table(
+        (a + t[:, None, None] * H).reshape(-1, 3), _SEXTIC_EXPS).reshape(
+            len(t), len(H), -1), 6)[1:4].copy()
+    return _frozen(series)[0]
+
+
+@functools.lru_cache(maxsize=None)
+def _cubic_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The least-squares fit of a cubic's coefficients to its values at
+    _ANCHORS, and the 0/1 matrix that bins s (x) s onto _SEXTIC_EXPS, so a
+    cubic's square is outer(s, s).ravel() @ _cubic_tables()[1]."""
+    cubic = np.array(_CUBIC_EXPS)
+    fit = np.linalg.pinv(monomial_table(_ANCHORS, cubic))
+    square = _bins(cubic[:, None] + cubic[None, :], _SEXTIC_EXPS)
+    return _frozen(fit, square)
 
 
 def perfect_square_test(
@@ -140,37 +192,43 @@ def perfect_square_test(
     The cubic is fitted by least squares to these values at the anchors, and
     p is called a square when root^2 matches every coefficient of p to
     SQUARE_REL_TOL * max |p|.  No step depends on the coordinates of y.
+    p's values and series are fixed linear maps of its 28 coefficients,
+    and root^2 is one of the root's outer square, so the test runs on
+    coefficient vectors throughout.
     Returns (flag, root); the root's first nonzero graded-lex coefficient is
     positive.
     """
     if p.degree != 6:
         raise ValueError(f"perfect_square_test needs a sextic, got degree {p.degree}")
-    if p.is_zero():
-        return True, HomogeneousPolynomial.zero(3)
-    vals = poly_eval_many(p, _ANCHORS)
+    flag, s = _square_root(np.array([p.terms.get(e, 0.0) for e in _SEXTIC_EXPS]))
+    return flag, None if s is None else HomogeneousPolynomial(3, dict(zip(_CUBIC_EXPS, s)))
+
+
+def _square_root(c: np.ndarray) -> tuple[bool, Optional[np.ndarray]]:
+    """perfect_square_test on the coefficient vector c of a sextic, in
+    _SEXTIC_EXPS order; the root is its coefficient vector."""
+    if not c.any():
+        return True, np.zeros(len(_CUBIC_EXPS))
+    vals = _anchor_values() @ c
     k = int(np.argmax(vals))
     if vals[k] <= 0.0:
         return False, None
 
-    a, H = _ANCHORS[k], _ANCHORS - _ANCHORS[k]
-    _, P1, P2, P3 = _circle_coefficients(lambda t: poly_eval_many(
-        p, (a + t[:, None, None] * H).reshape(-1, 3)).reshape(len(t), -1), 6)[:4]
+    P1, P2, P3 = _ray_series(k) @ c
     S0 = np.sqrt(vals[k])
     S1 = P1 / (2.0 * S0)
     S2 = (P2 - S1 * S1) / (2.0 * S0)
     S3 = (P3 - 2.0 * S1 * S2) / (2.0 * S0)
-    s = _CUBIC_FIT @ (S0 + S1 + S2 + S3)
+    fit, square = _cubic_tables()
+    s = fit @ (S0 + S1 + S2 + S3)
 
     # canonical sign: first nonzero cubic coefficient positive
-    for v in s:
-        if abs(v) > 1e-12 * max(np.max(np.abs(s)), 1e-300):
-            if v < 0:
-                s = -s
-            break
-    root = HomogeneousPolynomial(3, dict(zip(_CUBIC_EXPS, s)))
-    gap = poly_combine(poly_mul(root, root), p, 1.0, -1.0).max_coeff()
-    if gap <= SQUARE_REL_TOL * p.max_coeff():
-        return True, root
+    lead = np.flatnonzero(np.abs(s) > 1e-12 * max(np.max(np.abs(s)), 1e-300))
+    if lead.size and s[lead[0]] < 0:
+        s = -s
+    gap = np.max(np.abs(np.outer(s, s).ravel() @ square - c))
+    if gap <= SQUARE_REL_TOL * np.max(np.abs(c)):
+        return True, s
     return False, None
 
 
@@ -261,10 +319,8 @@ def det_report(q: QuadraticForm,
         scale = max(det.max_coeff(), closed.max_coeff())
         gap = poly_combine(det, closed, 1.0, -1.0).max_coeff()
         residual = gap / scale if scale else 0.0
-    flag, root = perfect_square_test(
-        HomogeneousPolynomial(6, dict(zip(_SEXTIC_EXPS, coefs))))
-    if root is not None:
-        root = HomogeneousPolynomial(3, {m: math.ldexp(c, 3 * k)
-                                         for m, c in root.terms.items()})
+    flag, s = _square_root(coefs)
+    root = None if s is None else HomogeneousPolynomial(
+        3, dict(zip(_CUBIC_EXPS, np.ldexp(s, 3 * k))))
     return DetReport(det=det, closed_form_residual=residual,
                      is_perfect_square=flag, square_root=root)

@@ -13,10 +13,12 @@ definite the pencil roots are real and lie in [1, inf).
 
 minor_sums computes every S_m as this direct minor expansion.  One Laplace
 recursion along the first row builds all m x m minors of A and B from the
-(m - 1) x (m - 1) ones, for 0 < m < n; S_0 and S_n are LAPACK's det(A) and
-det(B), which keep relative accuracy where B is nearly singular.  It never
-reads the pencil's coefficients, so it stays independent of pencil_poly (one
-DFT of det(A - tB) at the n + 1 roots of unity) and the two check each other.
+(m - 1) x (m - 1) ones, for 0 < m < n, one column of the expansion at a
+time: a gather of the entries, a gather of the smaller minors, a product
+and a signed sum; S_0 and S_n are LAPACK's det(A) and det(B), which keep
+relative accuracy where B is nearly singular.  It never reads the pencil's
+coefficients, so it stays independent of pencil_poly (one DFT of
+det(A - tB) at the n + 1 roots of unity) and the two check each other.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ MAX_N = 8
 PSD_TOL_REL = 1e-10
 # B counts as singular for pencil_roots below this share of its largest
 # eigenvalue; the Vieta identity is checked when B's least eigenvalue
-# exceeds PD_CUTOFF
+# exceeds PD_CUTOFF times its largest
 SINGULAR_REL_TOL = 1e-10
 PD_CUTOFF = 1e-6
 
@@ -68,9 +70,8 @@ class SymmetricMatrixPair:
     def check_hypotheses(self) -> np.ndarray:
         """Raise HypothesisError unless B >= 0 and A - B >= 0; returns the
         eigenvalues of B, ascending."""
-        scale = max(float(np.linalg.norm(self.A, 2)),
-                    float(np.linalg.norm(self.B, 2)), 1.0)
-        tol = PSD_TOL_REL * scale
+        tol = PSD_TOL_REL * max(float(np.linalg.norm(self.A, 2)),
+                                float(np.linalg.norm(self.B, 2)))
         wB = np.linalg.eigvalsh(self.B)
         if wB[0] < -tol:
             raise HypothesisError(
@@ -96,15 +97,17 @@ class MinorSums:
 @functools.lru_cache(maxsize=None)
 def _laplace_tables(n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """For m-subsets I, J of range(n) in combinations order: the flat
-    indices, at [I, J, k], of M[I[0], J[k]] in an n x n matrix and of the
+    indices, at [k, I, J], of M[I[0], J[k]] in an n x n matrix and of the
     minor (I[1:], J without J[k]) in the order-(m - 1) table, which the
-    Laplace step multiplies; and the sign (-1)^(sum I + sum J)."""
+    Laplace step multiplies, one column k at a time; and the sign
+    (-1)^(sum I + sum J) at [I, J]."""
     prev = {S: i for i, S in enumerate(itertools.combinations(range(n), m - 1))}
     subsets = list(itertools.combinations(range(n), m))
-    first, rest = np.array([(S[0], prev[S[1:]]) for S in subsets]).T[:, :, None, None]
-    drop = np.array([[prev[S[:k] + S[k + 1:]] for k in range(m)] for S in subsets])
+    first, rest = np.array([(S[0], prev[S[1:]]) for S in subsets]).T[:, :, None]
+    drop = np.array([[prev[S[:k] + S[k + 1:]] for S in subsets] for k in range(m)])
     parity = np.array([sum(S) for S in subsets])
-    tables = (first * n + np.array(subsets), rest * len(prev) + drop,
+    tables = (first * n + np.array(subsets).T[:, None, :],
+              rest * len(prev) + drop[:, None, :],
               (-1.0) ** np.add.outer(parity, parity))
     for a in tables:
         a.flags.writeable = False
@@ -119,8 +122,15 @@ def minor_sums(pair: SymmetricMatrixPair) -> MinorSums:
     minors = [np.ones((2, 1, 1))]
     for m in range(1, n):
         at_M, at_D, _ = _laplace_tables(n, m)
-        minors.append((M.take(at_M, axis=1) * minors[-1].reshape(2, -1).take(at_D, axis=1))
-                      @ (-1.0) ** np.arange(m))
+        D = minors[-1].reshape(2, -1)
+        acc = M.take(at_M[0], axis=1) * D.take(at_D[0], axis=1)
+        for k in range(1, m):
+            term = M.take(at_M[k], axis=1) * D.take(at_D[k], axis=1)
+            if k % 2:
+                acc -= term
+            else:
+                acc += term
+        minors.append(acc)
     # the complement of the i-th m-subset is the (C - 1 - i)-th (n - m)-subset
     inner = [float(np.vdot(_laplace_tables(n, m)[2],
                            minors[m][0] * minors[n - m][1][::-1, ::-1]))
@@ -163,8 +173,7 @@ def pencil_roots(pair: SymmetricMatrixPair) -> np.ndarray:
 
 def _pencil_roots(pair: SymmetricMatrixPair, wB: np.ndarray) -> np.ndarray:
     """pencil_roots(pair), given the eigenvalues wB of pair.B, ascending."""
-    scale = max(abs(wB[-1]), 1.0)
-    if wB[0] <= SINGULAR_REL_TOL * scale:
+    if wB[0] <= SINGULAR_REL_TOL * abs(wB[-1]):
         raise HypothesisError(
             f"B is singular to tolerance (min eigenvalue {wB[0]:.3e}); "
             "shift the pair with pair.shifted(eps) and retry")
@@ -189,7 +198,7 @@ class ChainReport:
     n: int
     sums: tuple[float, ...]
     min_slack: float           # min over k < m of S_k/C(n,k) - S_m/C(n,m)
-    scale: float               # max(1, max |S_m|), slack normalizer
+    scale: float               # max |S_m|, slack normalizer
     vieta_checked: bool
     vieta_residual: float      # max relative residual of S_m = det(B) e_{n-m}
     roots: tuple[float, ...] | None
@@ -202,8 +211,10 @@ class ChainReport:
 def minor_chain_check(pair: SymmetricMatrixPair) -> ChainReport:
     """Verify S_m/C(n,m) <= S_k/C(n,k) for 1 <= k < m <= n under A >= B >= 0.
 
-    Also verifies, when B is positive definite (min eigenvalue > PD_CUTOFF),
-    that S_m = det(B) * e_{n-m}(pencil roots) to 1e-8 relative.
+    Also verifies, when B is positive definite (min eigenvalue above
+    PD_CUTOFF times its largest), that S_m = det(B) * e_{n-m}(pencil roots)
+    to 1e-8 relative.  Every tolerance is relative, so scaling the pair by
+    2^k scales the sums by 2^(nk) and changes no outcome.
     """
     wB = pair.check_hypotheses()
     n = pair.n
@@ -212,19 +223,19 @@ def minor_chain_check(pair: SymmetricMatrixPair) -> ChainReport:
     slacks = [normalized[k] - normalized[m]
               for k in range(1, n + 1) for m in range(k + 1, n + 1)]
     min_slack = min(slacks) if slacks else 0.0
-    scale = max(1.0, max(abs(s) for s in sums))
+    scale = max(abs(s) for s in sums)
 
     vieta_checked = False
     vieta_residual = 0.0
     roots = None
-    if wB[0] > PD_CUTOFF:
+    if wB[0] > PD_CUTOFF * wB[-1]:
         r = _pencil_roots(pair, wB)
         roots = tuple(float(t) for t in r)
         e = _elementary_symmetric(r)
         worst = 0.0
         for m in range(n + 1):
             predicted = sums[n] * e[n - m]
-            denom = max(abs(sums[m]), abs(predicted), 1.0)
+            denom = max(abs(sums[m]), abs(predicted))
             worst = max(worst, abs(sums[m] - predicted) / denom)
         vieta_checked = True
         vieta_residual = worst

@@ -151,13 +151,26 @@ def poly_eval(p: HomogeneousPolynomial, point) -> float:
     return total
 
 
-def poly_eval_many(p: HomogeneousPolynomial, points: np.ndarray) -> np.ndarray:
-    """Evaluate p at an (n, 3) array of real or complex points."""
+def monomial_table(points: np.ndarray, exps: Sequence) -> np.ndarray:
+    """The (n, len(exps)) values of the monomials y^e, e in exps, at an
+    (n, 3) array of real or complex points, from each coordinate's powers
+    by repeated multiplication."""
     points = np.asarray(points)
-    out = np.zeros(points.shape[0], dtype=np.result_type(points, float))
-    for (e1, e2, e3), coef in p.terms.items():
-        out += coef * points[:, 0]**e1 * points[:, 1]**e2 * points[:, 2]**e3
-    return out
+    exps = np.reshape(np.asarray(exps, dtype=int), (-1, NVARS))
+    # powers[v, e] holds coordinate v to the e at every point
+    powers = np.ones((NVARS, exps.max(initial=0) + 1, len(points)),
+                     np.result_type(points, float))
+    for e in range(1, powers.shape[1]):
+        np.multiply(powers[:, e - 1], points.T, out=powers[:, e])
+    return (powers[0].take(exps[:, 0], axis=0) * powers[1].take(exps[:, 1], axis=0)
+            * powers[2].take(exps[:, 2], axis=0)).T
+
+
+def poly_eval_many(p: HomogeneousPolynomial, points: np.ndarray) -> np.ndarray:
+    """Evaluate p at an (n, 3) array of real or complex points: one matmul
+    of the monomial table with the coefficients."""
+    return monomial_table(points, list(p.terms)) @ np.fromiter(
+        p.terms.values(), float, len(p.terms))
 
 
 def poly_combine(p: HomogeneousPolynomial, q: HomogeneousPolynomial,

@@ -1640,10 +1640,11 @@ def test_extremal_polynomial_never_consistent_on_rotated_choi_lam(S):
 
 def _assert_sextic_reads_the_scans_frame(q):
     # the probe's p is det T(y) of scan.G4, bit for bit the det of the
-    # rebuilt form 2^-e Q, so its witness is the one that form gives
+    # rebuilt form 2^-e Q, so its witness is the one that form gives; 2^-e
+    # itself overflows a double for a subnormal Gram, so Q is rebuilt by ldexp
     scan = lattice_scan(q, _GRID32)
-    assert (acoustic_det(scan.G4).terms
-            == acoustic_det(acoustic_matrix(q.scaled(2.0 ** -scan.e))).terms)
+    rebuilt = QuadraticForm(np.ldexp(q.gram, -scan.e))
+    assert acoustic_det(scan.G4).terms == acoustic_det(acoustic_matrix(rebuilt)).terms
 
 
 @pytest.mark.parametrize("name, scale", [
@@ -1657,6 +1658,7 @@ def test_extremal_polynomial_reads_the_scans_frame(name, scale):
 @settings(max_examples=20, deadline=None)
 @given(X=arrays(np.float64, (9, 9), elements=st.floats(-1.0, 1.0)),
        s=st.integers(-5, 4))
+@example(X=np.full((9, 9), 2.22507386e-311), s=0)
 def test_extremal_polynomial_reads_the_scans_frame_of_any_gram(X, s):
     assume(np.any(X))
     _assert_sextic_reads_the_scans_frame(QuadraticForm(10.0 ** s * (X + X.T)))

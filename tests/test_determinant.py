@@ -1,12 +1,18 @@
+import subprocess
+import sys
+from contextlib import ExitStack
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from quasicone.determinant import (acoustic_det, det_report,
-                                   pencil_identity_check, perfect_square_test,
-                                   reduced_det_closed_form)
+from quasicone import determinant, poly
+from quasicone.determinant import (_ANCHORS, SQUARE_REL_TOL, acoustic_det,
+                                   det_report, pencil_identity_check,
+                                   perfect_square_test, reduced_det_closed_form)
 from quasicone.forms import (NullLagrangianCoeffs, QuadraticForm,
                              ReducedOrthotropicForm, acoustic_matrix,
                              add_null_lagrangian, catalog, form_from_reduced)
@@ -308,6 +314,143 @@ def test_dense_cubic_square_is_found_and_a_central_bump_is_not(coefs):
     assert _square_gap(root, p) <= 1e-8
     bumped = poly_combine(p, Mono((2, 2, 2)), 1.0, 1e-6 * p.max_coeff())
     assert perfect_square_test(bumped) == (False, None)
+
+
+def _eval_terms(p, points):
+    """p at an (n, 3) array of real or complex points, one term at a time."""
+    out = np.zeros(len(points), dtype=np.result_type(points, float))
+    for (e1, e2, e3), coef in p.terms.items():
+        out += coef * points[:, 0]**e1 * points[:, 1]**e2 * points[:, 2]**e3
+    return out
+
+
+def _reference_square_test(p):
+    """The square test on dict polynomials, evaluated one term at a time:
+    the reference for perfect_square_test's linear maps.  Returns the flag,
+    the root and the gap |root^2 - p| / max |p| that the flag is read from."""
+    if p.is_zero():
+        return True, HomogeneousPolynomial.zero(3), 0.0
+    vals = _eval_terms(p, _ANCHORS)
+    k = int(np.argmax(vals))
+    if vals[k] <= 0.0:
+        return False, None, np.inf
+    a, H = _ANCHORS[k], _ANCHORS - _ANCHORS[k]
+    t = np.exp(2j * np.pi * np.arange(7) / 7)
+    values = _eval_terms(p, (a + t[:, None, None] * H).reshape(-1, 3)).reshape(7, -1)
+    _, P1, P2, P3 = (np.fft.fft(values, axis=0).real / 7)[:4]
+    S0 = np.sqrt(vals[k])
+    S1 = P1 / (2.0 * S0)
+    S2 = (P2 - S1 * S1) / (2.0 * S0)
+    S3 = (P3 - 2.0 * S1 * S2) / (2.0 * S0)
+    fit = np.linalg.pinv(np.prod(_ANCHORS[:, None, :] ** np.array(CUBIC_EXPS), axis=2))
+    s = fit @ (S0 + S1 + S2 + S3)
+    for v in s:
+        if abs(v) > 1e-12 * max(np.max(np.abs(s)), 1e-300):
+            if v < 0:
+                s = -s
+            break
+    root = HomogeneousPolynomial(3, dict(zip(CUBIC_EXPS, s)))
+    gap = _square_gap(root, p)
+    return gap <= SQUARE_REL_TOL, root if gap <= SQUARE_REL_TOL else None, gap
+
+
+def _assert_matches_reference(p):
+    flag, root = perfect_square_test(p)
+    ref_flag, ref_root, _ = _reference_square_test(p)
+    assert flag == ref_flag
+    assert (root is None) == (ref_root is None)
+    if root is not None:
+        got = np.array([root.coefficient(e) for e in CUBIC_EXPS])
+        want = np.array([ref_root.coefficient(e) for e in CUBIC_EXPS])
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _square_campaign():
+    """Dense cubic squares, the same with a central bump, dets of PSD
+    Grams, the catalog dets and dets of rotated diagonal forms."""
+    rng = np.random.default_rng(28)
+    for _ in range(300):
+        coefs = rng.uniform(0.1, 1.0, 10) * rng.choice([-1.0, 1.0], 10)
+        s = HomogeneousPolynomial(3, dict(zip(CUBIC_EXPS, coefs)))
+        p = poly_mul(s, s)
+        yield p
+        yield poly_combine(p, Mono((2, 2, 2)), 1.0, 1e-6 * p.max_coeff())
+    for _ in range(200):
+        X = rng.standard_normal((9, 9))
+        yield _det(X @ X.T)
+    for name in ("choi", "choi_lam", "convex_identity", "serre"):
+        yield _det(catalog(name).gram)
+    for _ in range(100):
+        w = rng.uniform(0.5, 2.0, 3)
+        R, S = (_rotation(M) for M in rng.standard_normal((2, 3, 3)))
+        yield _det(_rotated_gram(np.diag([w[0], 0, 0, 0, w[1], 0, 0, 0, w[2]]), R, S))
+
+
+def test_perfect_square_test_matches_the_dict_reference_on_a_campaign():
+    flags = []
+    for p in _square_campaign():
+        _assert_matches_reference(p)
+        flags.append(perfect_square_test(p)[0])
+    # the squares and the rotated diagonal dets, and nothing else
+    assert sum(flags) == 400 and len(flags) == 904
+
+
+@settings(max_examples=100, deadline=None)
+@given(coefs=_dense_cubics, S=_rotations,
+       noise=st.lists(st.floats(-1.0, 1.0), min_size=28, max_size=28),
+       weight=st.sampled_from([0.0, 1e-12, 1e-6, 1e-3, 1.0]))
+def test_perfect_square_test_matches_the_dict_reference(coefs, S, noise, weight):
+    s = _compose(HomogeneousPolynomial(3, dict(zip(CUBIC_EXPS, coefs))), S)
+    p = poly_combine(poly_mul(s, s),
+                     HomogeneousPolynomial(6, dict(zip(monomial_exponents(6), noise))),
+                     1.0, weight * s.max_coeff() ** 2)
+    # a gap within rounding of the tolerance may fall either way
+    assume(abs(_reference_square_test(p)[2] / SQUARE_REL_TOL - 1.0) > 1e-6)
+    _assert_matches_reference(p)
+
+
+def test_square_test_builds_no_polynomial_arithmetic():
+    # the square test and det_report run on coefficient vectors: neither
+    # multiplies nor evaluates a HomogeneousPolynomial
+    rng = np.random.default_rng(3)
+    squares = []
+    for _ in range(10):
+        s = HomogeneousPolynomial(3, dict(zip(CUBIC_EXPS, rng.uniform(-1, 1, 10))))
+        squares.append((s, poly_mul(s, s)))
+    bumped = [poly_combine(p, Mono((2, 2, 2)), 1.0, 1e-6 * p.max_coeff())
+              for _, p in squares]
+    choi_lam = _det(catalog("choi_lam").gram)
+    diag = QuadraticForm(np.diag([2.0, 0, 0, 0, 3.0, 0, 0, 0, 5.0]))
+    with ExitStack() as stack:
+        for module in (poly, determinant):
+            for name in ("poly_mul", "poly_eval_many"):
+                if hasattr(module, name):
+                    stack.enter_context(mock.patch.object(
+                        module, name, side_effect=AssertionError(name)))
+        for (s, p), b in zip(squares, bumped):
+            flag, root = perfect_square_test(p)
+            assert flag and (poly_equal_within(root, s, 1e-7)
+                             or poly_equal_within(root, s.scale(-1.0), 1e-7))
+            assert perfect_square_test(b) == (False, None)
+        assert perfect_square_test(choi_lam) == (False, None)
+        assert perfect_square_test(HomogeneousPolynomial.zero(6))[0]
+        rep = det_report(diag)
+        assert rep.is_perfect_square
+        assert rep.square_root.coefficient((1, 1, 1)) == pytest.approx(np.sqrt(30.0))
+        assert not det_report(catalog("choi_lam")).is_perfect_square
+
+
+def test_import_builds_no_symbolic_table():
+    # the square test's, the det's and the Laplace step's tables are built
+    # on first use, so importing the package stays cheap
+    code = ("import quasicone\n"
+            "from quasicone import determinant as d, minors as m\n"
+            "caches = (d._anchor_values, d._ray_series, d._cubic_tables,\n"
+            "          d._det_tables, m._laplace_tables)\n"
+            "print([f.cache_info().currsize for f in caches])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[0, 0, 0, 0, 0]"
 
 
 def test_perfect_square_degree_checked():

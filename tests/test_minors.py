@@ -236,6 +236,59 @@ def test_chain_rejects_bad_hypotheses():
         minor_chain_check(SymmetricMatrixPair(np.eye(3), -np.eye(3)))
 
 
+@pytest.mark.parametrize("s", [1.0, 1e-6, 1e-11, 1e-30])
+def test_chain_hypotheses_are_relative_at_every_scale(s):
+    # A - B = -s/2 I is as far from PSD at s = 1e-11 as at s = 1
+    with pytest.raises(HypothesisError, match="A - B"):
+        minor_chain_check(SymmetricMatrixPair(0.5 * s * np.eye(3), s * np.eye(3)))
+    rep = minor_chain_check(SymmetricMatrixPair(2.0 * s * np.eye(3), s * np.eye(3)))
+    assert rep.passed and rep.vieta_checked
+    assert rep.roots == pytest.approx((2.0, 2.0, 2.0), rel=1e-14)
+
+
+def _drawn_pair(n, seed, shift_ab, shift_b):
+    """A pair drawn as random_ordered_pair draws it, with A - B and B
+    shifted by the given shares of their largest eigenvalue, so that
+    either may fail its hypothesis or sit near the edge."""
+    rng = np.random.default_rng(seed)
+    G, H = rng.standard_normal((2, n, n))
+    B = G.T @ G
+    B = B - shift_b * np.linalg.eigvalsh(B)[-1] * np.eye(n)
+    D = H.T @ H
+    return SymmetricMatrixPair(B + D - shift_ab * np.linalg.eigvalsh(D)[-1] * np.eye(n), B)
+
+
+def _chain_outcome(pair):
+    try:
+        rep = minor_chain_check(pair)
+    except HypothesisError as exc:
+        return str(exc).split(" (")[0], None
+    return (rep.passed, rep.vieta_checked), rep.sums
+
+
+_shifts = st.sampled_from([0.0, 1e-13, 1e-9, 1e-7, -1e-6, -1e-3])
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(2, MAX_N), seed=st.integers(0, 2**32 - 1),
+       shift_ab=_shifts, shift_b=_shifts, k=st.integers(-60, 60))
+def test_chain_outcome_is_invariant_under_power_of_two_scaling(
+        n, seed, shift_ab, shift_b, k):
+    # the lemma is homogeneous: 2^k (A, B) raises the same error, or reads
+    # the same passed and vieta_checked with every S_m scaled by 2^(nk):
+    # bit for bit for 0 < m < n, and to rounding for det(A) and det(B),
+    # which np.linalg.det takes as exp of the summed logs of LU pivots
+    pair = _drawn_pair(n, seed, shift_ab, shift_b)
+    outcome, sums = _chain_outcome(pair)
+    scaled, scaled_sums = _chain_outcome(
+        SymmetricMatrixPair(np.ldexp(pair.A, k), np.ldexp(pair.B, k)))
+    assert scaled == outcome
+    if sums is not None:
+        want = np.ldexp(sums, n * k)
+        assert scaled_sums[1:-1] == tuple(want[1:-1])
+        np.testing.assert_allclose(scaled_sums[::n], want[::n], rtol=1e-13, atol=0)
+
+
 def test_eps_shift_consistency():
     rng = np.random.default_rng(9)
     G = rng.standard_normal((4, 4))

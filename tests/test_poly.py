@@ -5,7 +5,8 @@ from quasicone.minors import SymmetricMatrixPair, pencil_poly
 from quasicone.poly import (DegreeMismatchError, HomogeneousPolynomial,
                             UnivariatePolynomial, _circle_coefficients,
                             monomial_exponents, poly_combine,
-                            poly_equal_within, poly_eval, poly_mul)
+                            poly_equal_within, poly_eval, poly_eval_many,
+                            poly_mul)
 
 Mono = HomogeneousPolynomial.monomial
 
@@ -18,6 +19,26 @@ def test_eval_single_monomial():
 def test_eval_zero_polynomial():
     z = HomogeneousPolynomial.zero(6)
     assert poly_eval(z, (3.0, -1.0, 2.0)) == 0.0
+
+
+def test_eval_many_matches_a_term_by_term_sum():
+    # one matmul of the monomial table against the coefficients, at real
+    # and complex points, for every degree up to the sextic's
+    rng = np.random.default_rng(7)
+    real = rng.standard_normal((25, 3))
+    points = (real, real + 1j * rng.standard_normal((25, 3)))
+    for degree in range(7):
+        exps = monomial_exponents(degree)
+        p = HomogeneousPolynomial(degree, dict(zip(exps, rng.uniform(-2, 2, len(exps)))))
+        for pts in points:
+            terms = np.array([[c * np.prod(y ** np.array(e)) for e, c in p.terms.items()]
+                              for y in pts])
+            want = terms.sum(axis=1)
+            got = poly_eval_many(p, pts)
+            assert got.dtype == want.dtype
+            assert np.all(np.abs(got - want) <= 1e-14 * np.abs(terms).sum(axis=1))
+    zero = poly_eval_many(HomogeneousPolynomial.zero(6), points[1])
+    assert zero.dtype == complex and not zero.any()
 
 
 def test_eval_all_ones_reduced_det_at_ones():
