@@ -15,8 +15,8 @@ about the largest of a fixed set of unit vectors, fits the cubic to the
 series there, and checks root^2 against p coefficient by coefficient.
 p's values at the anchors and its series along every ray from one of them
 are fixed linear maps of its coefficient vector: tables of the monomials'
-values and of their series (one DFT of their values at the roots of
-unity), built on first use and cached."""
+values and of their Taylor coefficients along the rays, built on first use
+and cached."""
 
 from __future__ import annotations
 
@@ -30,8 +30,8 @@ import numpy as np
 
 from .forms import (QuadraticForm, ReducedOrthotropicForm, acoustic_matrix,
                     gram_tensor)
-from .poly import (HomogeneousPolynomial, _circle_coefficients,
-                   monomial_exponents, monomial_table, poly_combine)
+from .poly import (HomogeneousPolynomial, monomial_exponents, monomial_table,
+                   poly_combine)
 
 # monomial support of the reduced-form determinant: pure sextics, the six
 # quartic-quadratic mixtures, and the central monomial
@@ -156,14 +156,27 @@ def _anchor_values() -> np.ndarray:
 @functools.lru_cache(maxsize=None)
 def _ray_series(k: int) -> np.ndarray:
     """(3, 40, 28): the t, t^2 and t^3 coefficients of each sextic monomial
-    along the rays a + t (b - a) from a = _ANCHORS[k] to every anchor b,
-    from one DFT of its values at the 7th roots of unity; P1..P3 of p along
-    the rays are _ray_series(k) @ c."""
+    along the rays a + t h, h = b - a, from a = _ANCHORS[k] to every anchor
+    b; P1..P3 of p along the rays are _ray_series(k) @ c.  The t^d
+    coefficient of y^e is the sum over |j| = d of C(e, j) a^(e - j) h^j,
+    C(e, j) = C(e_1, j_1) C(e_2, j_2) C(e_3, j_3): the monomials of degree
+    1 to 3 at the h times fixed weights."""
+    j, binomials, rest = _taylor_tables()
     a, H = _ANCHORS[k], _ANCHORS - _ANCHORS[k]
-    series = _circle_coefficients(lambda t: monomial_table(
-        (a + t[:, None, None] * H).reshape(-1, 3), _SEXTIC_EXPS).reshape(
-            len(t), len(H), -1), 6)[1:4].copy()
-    return _frozen(series)[0]
+    a_part = monomial_table(a[None], rest).reshape(rest.shape[:2])
+    return _frozen(monomial_table(H, j) @ (binomials * a_part))[0]
+
+
+@functools.lru_cache(maxsize=None)
+def _taylor_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The exponents j of degree 1 to 3; C(e, j) at [d - 1, j, e] for the
+    sextic exponents e, zero where j > e or |j| != d; and the exponents
+    max(e - j, 0) at [j, e]."""
+    j = np.array([x for d in (1, 2, 3) for x in monomial_exponents(d)])
+    e = np.array(_SEXTIC_EXPS)
+    binomials = np.prod(np.frompyfunc(math.comb, 2, 1)(e, j[:, None]), axis=2)
+    by_degree = (j.sum(axis=1) == np.arange(1, 4)[:, None])[:, :, None] * binomials
+    return _frozen(j, by_degree.astype(float), np.maximum(e - j[:, None], 0))
 
 
 @functools.lru_cache(maxsize=None)

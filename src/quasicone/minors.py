@@ -12,13 +12,22 @@ normalized sequence S_m / C(n, m) is non-increasing in m, and for B positive
 definite the pencil roots are real and lie in [1, inf).
 
 minor_sums computes every S_m as this direct minor expansion.  One Laplace
-recursion along the first row builds all m x m minors of A and B from the
-(m - 1) x (m - 1) ones, for 0 < m < n, one column of the expansion at a
-time: a gather of the entries, a gather of the smaller minors, a product
-and a signed sum; S_0 and S_n are LAPACK's det(A) and det(B), which keep
-relative accuracy where B is nearly singular.  It never reads the pencil's
-coefficients, so it stays independent of pencil_poly (one DFT of
-det(A - tB) at the n + 1 roots of unity) and the two check each other.
+recursion along the first row builds the m x m minors of A and B from the
+(m - 1) x (m - 1) ones, for 0 < m < n, over the packed pairs I <= J only,
+since det M[I, J] = det M[J, I] for symmetric M: per order, one gather of
+the signed entries, one of the smaller minors, a product and a sum over
+the expansion columns.  S_m pairs each packed minor of B with the
+complementary one of A, weighted by its sign and doubled off the
+diagonal.  S_0 and S_n are LAPACK's det(A) and det(B), from one stacked
+call, which keep relative accuracy where B is nearly singular.  It never
+reads the pencil's coefficients, so it stays independent of pencil_poly
+(one DFT of det(A - tB) at the n + 1 roots of unity) and the two check
+each other.
+
+minor_chain_check takes the eigenvalues of A, B and A - B from one stacked
+symmetric eigen-solve, so a check makes five LAPACK calls and no SVD: that
+solve, the stacked det, a Cholesky factor of B, its inverse and the
+reduced pencil's eigen-solve.
 """
 
 from __future__ import annotations
@@ -68,15 +77,16 @@ class SymmetricMatrixPair:
         return self.A.shape[0]
 
     def check_hypotheses(self) -> np.ndarray:
-        """Raise HypothesisError unless B >= 0 and A - B >= 0; returns the
-        eigenvalues of B, ascending."""
-        tol = PSD_TOL_REL * max(float(np.linalg.norm(self.A, 2)),
-                                float(np.linalg.norm(self.B, 2)))
-        wB = np.linalg.eigvalsh(self.B)
+        """Raise HypothesisError unless B >= 0 and A - B >= 0, to PSD_TOL_REL
+        times the larger of A's and B's spectral radii (their 2-norms), from
+        one eigen-solve of the stack (A, B, A - B); returns the eigenvalues
+        of B, ascending."""
+        w = np.linalg.eigvalsh(np.array((self.A, self.B, self.A - self.B)))
+        tol = PSD_TOL_REL * float(abs(w[:2]).max())
+        _, wB, wAB = w
         if wB[0] < -tol:
             raise HypothesisError(
                 f"B is not positive semidefinite (min eigenvalue {wB[0]:.3e})")
-        wAB = np.linalg.eigvalsh(self.A - self.B)
         if wAB[0] < -tol:
             raise HypothesisError(
                 f"A - B is not positive semidefinite (min eigenvalue {wAB[0]:.3e})")
@@ -95,51 +105,66 @@ class MinorSums:
 
 
 @functools.lru_cache(maxsize=None)
-def _laplace_tables(n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For m-subsets I, J of range(n) in combinations order: the flat
-    indices, at [k, I, J], of M[I[0], J[k]] in an n x n matrix and of the
-    minor (I[1:], J without J[k]) in the order-(m - 1) table, which the
-    Laplace step multiplies, one column k at a time; and the sign
-    (-1)^(sum I + sum J) at [I, J]."""
+def _laplace_tables(n: int, m: int) -> tuple[np.ndarray, ...]:
+    """The Laplace step and the pairing of order m, on packed pairs: the
+    pairs (I, J), I <= J, of m-subsets of range(n) in combinations order,
+    taken row by row over the upper triangle.  At [k, P] for the pair P:
+    the row of (-1)^k M[I[0], J[k]] in the stack of M's n^2 entries over
+    their negatives, and the packed index, in the order-(m - 1) table, of
+    the minor (I[1:], J without J[k]), which a symmetric M holds at the
+    pair (min, max) of its two subsets.  At [P]: the weight
+    (-1)^(sum I + sum J), doubled off the diagonal, since the pair (J, I)
+    adds the same term to S_m; and the packed index of the complement pair
+    (J^c, I^c) in the order-(n - m) table."""
     prev = {S: i for i, S in enumerate(itertools.combinations(range(n), m - 1))}
     subsets = list(itertools.combinations(range(n), m))
-    first, rest = np.array([(S[0], prev[S[1:]]) for S in subsets]).T[:, :, None]
+    I, J = np.triu_indices(len(subsets))
+    rest = np.array([prev[S[1:]] for S in subsets])
     drop = np.array([[prev[S[:k] + S[k + 1:]] for S in subsets] for k in range(m)])
-    parity = np.array([sum(S) for S in subsets])
-    tables = (first * n + np.array(subsets).T[:, None, :],
-              rest * len(prev) + drop[:, None, :],
-              (-1.0) ** np.add.outer(parity, parity))
+    members = np.array(subsets)
+    parity = members.sum(axis=1)
+    odd = (parity[I] + parity[J]) % 2
+    # the complement of the i-th m-subset is the (C - 1 - i)-th (n - m)-subset
+    last = len(subsets) - 1
+    tables = (members[I, 0] * n + members[J].T + (np.arange(m) % 2 * n * n)[:, None],
+              _packed(rest[I], drop[:, J], len(prev)),
+              np.where(odd, -1.0, 1.0) * np.where(I == J, 1.0, 2.0),
+              _packed(last - J, last - I, len(subsets)))
     for a in tables:
         a.flags.writeable = False
     return tables
 
 
+def _packed(i: np.ndarray, j: np.ndarray, c: int) -> np.ndarray:
+    """The index of the pair (min(i, j), max(i, j)) in the upper triangle
+    of a c x c array, taken row by row."""
+    p, q = np.minimum(i, j), np.maximum(i, j)
+    return (p * (2 * c - 1 - p) >> 1) + q
+
+
 def minor_sums(pair: SymmetricMatrixPair) -> MinorSums:
-    """S_0..S_n: the proper minors of B and A from one Laplace recursion,
-    the full-order ones from LAPACK."""
+    """S_0..S_n: the proper minors of B and A from one Laplace recursion
+    over packed pairs, the full-order ones from LAPACK."""
     n = pair.n
-    M = np.stack((pair.B, pair.A)).reshape(2, -1)
-    minors = [np.ones((2, 1, 1))]
+    M = np.array((pair.B, pair.A))
+    entries = M.reshape(2, -1).T               # (n^2, 2): B's and A's side by side
+    signed = np.concatenate((entries, -entries))
+    minors = [np.ones((1, 2))]
     for m in range(1, n):
-        at_M, at_D, _ = _laplace_tables(n, m)
-        D = minors[-1].reshape(2, -1)
-        acc = M.take(at_M[0], axis=1) * D.take(at_D[0], axis=1)
-        for k in range(1, m):
-            term = M.take(at_M[k], axis=1) * D.take(at_D[k], axis=1)
-            if k % 2:
-                acc -= term
-            else:
-                acc += term
-        minors.append(acc)
-    # the complement of the i-th m-subset is the (C - 1 - i)-th (n - m)-subset
-    inner = [float(np.vdot(_laplace_tables(n, m)[2],
-                           minors[m][0] * minors[n - m][1][::-1, ::-1]))
-             for m in range(1, n)]
+        at_M, at_D = _laplace_tables(n, m)[:2]
+        # the columns of the expansion, summed in order k = 0..m - 1
+        minors.append((signed.take(at_M, axis=0)
+                       * minors[-1].take(at_D, axis=0)).sum(axis=0))
+    inner = []
+    for m in range(1, n):
+        weight, complement = _laplace_tables(n, m)[2:]
+        inner.append(float(np.vdot(
+            weight, minors[m][:, 0] * minors[n - m][:, 1].take(complement))))
     # np.linalg.det sums the logs of LAPACK's LU pivots, so a pivot that
     # underflows to 0 warns "divide by zero", though the det (+-0) is exact
     with np.errstate(divide="ignore"):
-        return MinorSums((float(np.linalg.det(pair.A)), *inner,
-                          float(np.linalg.det(pair.B))))
+        det_B, det_A = np.linalg.det(M).tolist()
+    return MinorSums((det_A, *inner, det_B))
 
 
 def minor_sum(pair: SymmetricMatrixPair, m: int) -> float:
@@ -166,28 +191,33 @@ def pencil_roots(pair: SymmetricMatrixPair) -> np.ndarray:
 
     They are the eigenvalues of the symmetric generalized problem A v = t B v,
     reduced by the Cholesky factor B = L L^T to those of L^-1 A L^-T.
-    A singular B is not shifted silently; apply pair.shifted(eps) explicitly.
+    An indefinite B raises HypothesisError.  A singular B is not shifted
+    silently; apply pair.shifted(eps) explicitly.
     """
     return _pencil_roots(pair, np.linalg.eigvalsh(pair.B))
 
 
 def _pencil_roots(pair: SymmetricMatrixPair, wB: np.ndarray) -> np.ndarray:
     """pencil_roots(pair), given the eigenvalues wB of pair.B, ascending."""
-    if wB[0] <= SINGULAR_REL_TOL * abs(wB[-1]):
+    tol = SINGULAR_REL_TOL * abs(wB[-1])
+    if wB[0] < -tol:
+        raise HypothesisError(
+            f"B is not positive definite (min eigenvalue {wB[0]:.3e})")
+    if wB[0] <= tol:
         raise HypothesisError(
             f"B is singular to tolerance (min eigenvalue {wB[0]:.3e}); "
             "shift the pair with pair.shifted(eps) and retry")
-    L = np.linalg.cholesky(pair.B)
-    C = np.linalg.solve(L, np.linalg.solve(L, pair.A).T)
+    Li = np.linalg.inv(np.linalg.cholesky(pair.B))
+    C = Li @ pair.A @ Li.T
     return np.linalg.eigvalsh(0.5 * (C + C.T))
 
 
-def _elementary_symmetric(roots: np.ndarray) -> np.ndarray:
+def _elementary_symmetric(roots: tuple[float, ...]) -> list[float]:
     """e_0..e_n of the given values, by the recurrence."""
-    e = np.zeros(len(roots) + 1)
-    e[0] = 1.0
-    for r in roots:
-        e[1:] = e[1:] + r * e[:-1]
+    e = [1.0] + [0.0] * len(roots)
+    for i, r in enumerate(roots):
+        for j in range(i + 1, 0, -1):
+            e[j] += r * e[j - 1]
     return e
 
 
@@ -219,29 +249,27 @@ def minor_chain_check(pair: SymmetricMatrixPair) -> ChainReport:
     wB = pair.check_hypotheses()
     n = pair.n
     sums = minor_sums(pair).s
-    normalized = [sums[m] / math.comb(n, m) for m in range(n + 1)]
-    slacks = [normalized[k] - normalized[m]
-              for k in range(1, n + 1) for m in range(k + 1, n + 1)]
-    min_slack = min(slacks) if slacks else 0.0
-    scale = max(abs(s) for s in sums)
+    s = np.array(sums)
+    # rounded subtraction is monotone, so the least a_k - a_m over k < m is
+    # (least a_k over k < m) - a_m, bit for bit
+    a = s / [math.comb(n, m) for m in range(n + 1)]
+    min_slack = float((np.minimum.accumulate(a[1:-1]) - a[2:]).min())
 
     vieta_checked = False
     vieta_residual = 0.0
     roots = None
     if wB[0] > PD_CUTOFF * wB[-1]:
         r = _pencil_roots(pair, wB)
-        roots = tuple(float(t) for t in r)
-        e = _elementary_symmetric(r)
-        worst = 0.0
-        for m in range(n + 1):
-            predicted = sums[n] * e[n - m]
-            denom = max(abs(sums[m]), abs(predicted))
-            worst = max(worst, abs(sums[m] - predicted) / denom)
+        roots = tuple(r.tolist())
+        predicted = s[n] * np.array(_elementary_symmetric(roots)[::-1])
+        with np.errstate(invalid="ignore"):
+            residual = np.abs(s - predicted) / np.maximum(np.abs(s), np.abs(predicted))
+        # a 0/0, where both sides underflow, leaves the worst residual as it is
+        vieta_residual = float(np.fmax.reduce(residual, initial=0.0))
         vieta_checked = True
-        vieta_residual = worst
-    return ChainReport(n=n, sums=sums, min_slack=float(min_slack), scale=scale,
-                       vieta_checked=vieta_checked, vieta_residual=vieta_residual,
-                       roots=roots)
+    return ChainReport(n=n, sums=sums, min_slack=min_slack,
+                       scale=float(abs(s).max()), vieta_checked=vieta_checked,
+                       vieta_residual=vieta_residual, roots=roots)
 
 
 def random_ordered_pair(n: int, rng: np.random.Generator) -> SymmetricMatrixPair:

@@ -445,12 +445,25 @@ def test_import_builds_no_symbolic_table():
     # on first use, so importing the package stays cheap
     code = ("import quasicone\n"
             "from quasicone import determinant as d, minors as m\n"
-            "caches = (d._anchor_values, d._ray_series, d._cubic_tables,\n"
-            "          d._det_tables, m._laplace_tables)\n"
+            "caches = (d._anchor_values, d._ray_series, d._taylor_tables,\n"
+            "          d._cubic_tables, d._det_tables, m._laplace_tables)\n"
             "print([f.cache_info().currsize for f in caches])")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "[0, 0, 0, 0, 0]"
+    assert out.stdout.strip() == "[0, 0, 0, 0, 0, 0]"
+
+
+def test_ray_series_meets_the_dft_of_the_monomials_at_every_anchor():
+    # the Taylor tables against the t, t^2, t^3 coefficients read off the
+    # monomials' values at the 7th roots of unity along every ray
+    t = np.exp(2j * np.pi * np.arange(7) / 7)
+    for k, a in enumerate(_ANCHORS):
+        points = a + t[:, None, None] * (_ANCHORS - a)
+        values = poly.monomial_table(points.reshape(-1, 3), monomial_exponents(6))
+        dft = (np.fft.fft(values.reshape(7, len(_ANCHORS), -1), axis=0).real / 7)[1:4]
+        series = determinant._ray_series(k)
+        assert series.shape == dft.shape
+        assert np.max(np.abs(series - dft)) <= 1e-13 * np.max(np.abs(dft))
 
 
 def test_perfect_square_degree_checked():

@@ -1,3 +1,7 @@
+import functools
+import itertools
+import math
+from contextlib import ExitStack
 from fractions import Fraction
 from unittest import mock
 
@@ -7,9 +11,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from quasicone.minors import (MAX_N, HypothesisError, SymmetricMatrixPair,
-                              minor_chain_check, minor_sum, minor_sums,
-                              pencil_poly, pencil_roots, random_ordered_pair)
+from quasicone.minors import (MAX_N, PD_CUTOFF, PSD_TOL_REL, HypothesisError,
+                              SymmetricMatrixPair, minor_chain_check, minor_sum,
+                              minor_sums, pencil_poly, pencil_roots,
+                              random_ordered_pair)
 
 
 def test_minor_sums_identity_binomial():
@@ -189,9 +194,20 @@ def test_pencil_roots_localized_above_one():
 
 
 def test_pencil_roots_singular_b_instructs_shift():
-    pair = SymmetricMatrixPair(np.eye(2), np.zeros((2, 2)))
-    with pytest.raises(HypothesisError, match="shift"):
-        pencil_roots(pair)
+    # B = 0, and B semidefinite to within its rounding
+    for B in (np.zeros((2, 2)), np.diag([1.0, 1e-12]), np.diag([1.0, -1e-12])):
+        pair = SymmetricMatrixPair(np.eye(2), B)
+        with pytest.raises(HypothesisError, match="singular to tolerance.*shift"):
+            pencil_roots(pair)
+
+
+@pytest.mark.parametrize("B", [-np.eye(3), np.diag([1.0, -0.5, 2.0]),
+                               np.diag([1.0, -1e-9, 1.0])])
+def test_pencil_roots_names_an_indefinite_b(B):
+    # no small shift makes such a B definite, so none is advised
+    with pytest.raises(HypothesisError, match="B is not positive definite") as err:
+        pencil_roots(SymmetricMatrixPair(np.eye(3), B))
+    assert "shift" not in str(err.value)
 
 
 def test_chain_identity_equality_case():
@@ -218,16 +234,21 @@ def test_chain_campaign_small():
 
 
 def test_chain_solves_each_symmetric_eigenproblem_once():
-    # B, A - B and the reduced pencil: three eigvalsh calls per pair, and
-    # the report is the one pencil_roots gives on its own
+    # one stacked solve of (A, B, A - B) and one of the reduced pencil, no
+    # SVD, and the report's roots are the ones pencil_roots gives on its own
     rng = np.random.default_rng(31)
     for n in range(3, 9):
         pair = random_ordered_pair(n, rng)
-        with mock.patch.object(np.linalg, "eigvalsh",
-                               wraps=np.linalg.eigvalsh) as evh:
+        with ExitStack() as stack:
+            evh = stack.enter_context(mock.patch.object(
+                np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh))
+            for name in ("svd", "norm"):
+                stack.enter_context(mock.patch.object(
+                    np.linalg, name, side_effect=AssertionError(name)))
             rep = minor_chain_check(pair)
-        assert rep.vieta_checked and evh.call_count == 3
+        assert rep.vieta_checked and evh.call_count == 2
         assert rep.roots == tuple(float(t) for t in pencil_roots(pair))
+
 
 def test_chain_rejects_bad_hypotheses():
     with pytest.raises(HypothesisError, match="A - B"):
@@ -266,7 +287,8 @@ def _chain_outcome(pair):
     return (rep.passed, rep.vieta_checked), rep.sums
 
 
-_shifts = st.sampled_from([0.0, 1e-13, 1e-9, 1e-7, -1e-6, -1e-3])
+_SHIFTS = [0.0, 1e-13, 1e-9, 1e-7, -1e-6, -1e-3]
+_shifts = st.sampled_from(_SHIFTS)
 
 
 @settings(max_examples=100, deadline=None)
@@ -287,6 +309,125 @@ def test_chain_outcome_is_invariant_under_power_of_two_scaling(
         want = np.ldexp(sums, n * k)
         assert scaled_sums[1:-1] == tuple(want[1:-1])
         np.testing.assert_allclose(scaled_sums[::n], want[::n], rtol=1e-13, atol=0)
+
+
+@functools.lru_cache(maxsize=None)
+def _full_square_tables(n, m):
+    """At [k, I, J] for all m-subsets I, J: the flat index of M[I[0], J[k]]
+    in an n x n matrix and of the minor (I[1:], J without J[k]) in the
+    full-square order-(m - 1) table."""
+    prev = {S: i for i, S in enumerate(itertools.combinations(range(n), m - 1))}
+    subsets = list(itertools.combinations(range(n), m))
+    at_M = [[[I[0] * n + J[k] for J in subsets] for I in subsets] for k in range(m)]
+    at_D = [[[prev[I[1:]] * len(prev) + prev[J[:k] + J[k + 1:]] for J in subsets]
+             for I in subsets] for k in range(m)]
+    return np.array(at_M), np.array(at_D)
+
+
+def _full_square_minor_sums(pair):
+    """S_0..S_n from the Laplace recursion over every pair (I, J) of
+    m-subsets, not only I <= J, one expansion column at a time, each S_m
+    signed by (-1)^(sum I + sum J) over the full square."""
+    n = pair.n
+    M = np.stack((pair.B, pair.A)).reshape(2, -1)
+    minors = [np.ones((2, 1, 1))]
+    for m in range(1, n):
+        at_M, at_D = _full_square_tables(n, m)
+        D = minors[-1].reshape(2, -1)
+        acc = M.take(at_M[0], axis=1) * D.take(at_D[0], axis=1)
+        for k in range(1, m):
+            acc = acc + (-1) ** k * M.take(at_M[k], axis=1) * D.take(at_D[k], axis=1)
+        minors.append(acc)
+    inner = []
+    for m in range(1, n):
+        parity = [sum(S) for S in itertools.combinations(range(n), m)]
+        # the complement of the i-th m-subset is the (C - 1 - i)-th (n - m)-subset
+        inner.append(float(np.vdot((-1.0) ** np.add.outer(parity, parity),
+                                   minors[m][0] * minors[n - m][1][::-1, ::-1])))
+    return (float(np.linalg.det(pair.A)), *inner, float(np.linalg.det(pair.B)))
+
+
+def _pairwise_slack(sums):
+    """The least S_k/C(n,k) - S_m/C(n,m) over every pair 1 <= k < m <= n."""
+    n = len(sums) - 1
+    a = [s / math.comb(n, m) for m, s in enumerate(sums)]
+    return min(a[k] - a[m] for k in range(1, n + 1) for m in range(k + 1, n + 1))
+
+
+def _term_by_term_vieta(sums, roots):
+    """The largest relative gap between S_m and det(B) e_{n-m}(roots)."""
+    n = len(sums) - 1
+    e = np.zeros(n + 1)
+    e[0] = 1.0
+    for r in roots:
+        e[1:] = e[1:] + r * e[:-1]
+    worst = 0.0
+    for m in range(n + 1):
+        predicted = sums[n] * e[n - m]
+        worst = max(worst, abs(sums[m] - predicted)
+                    / max(abs(sums[m]), abs(predicted)))
+    return worst
+
+
+def _reference_chain(pair):
+    """minor_chain_check written out: a PSD tolerance from the 2-norms
+    (SVDs), one eigen-solve per matrix, the full-square minor sums, the
+    slack over every pair, and the pencil reduced by two triangular
+    solves.  Returns the HypothesisError text, or passed, vieta_checked,
+    the sums and the roots."""
+    A, B = pair.A, pair.B
+    tol = PSD_TOL_REL * max(np.linalg.norm(A, 2), np.linalg.norm(B, 2))
+    wB = np.linalg.eigvalsh(B)
+    if wB[0] < -tol:
+        return f"B is not positive semidefinite (min eigenvalue {wB[0]:.3e})"
+    wAB = np.linalg.eigvalsh(A - B)
+    if wAB[0] < -tol:
+        return f"A - B is not positive semidefinite (min eigenvalue {wAB[0]:.3e})"
+    sums = _full_square_minor_sums(pair)
+    passed = _pairwise_slack(sums) >= -1e-9 * max(abs(s) for s in sums)
+    if not wB[0] > PD_CUTOFF * wB[-1]:
+        return passed, False, sums, None
+    L = np.linalg.cholesky(B)
+    C = np.linalg.solve(L, np.linalg.solve(L, A).T)
+    return passed, True, sums, np.linalg.eigvalsh(0.5 * (C + C.T))
+
+
+def _singular_b(pair):
+    """The pair with B's least eigenvalue taken out of B and A alike, so
+    that B is singular to rounding and A - B is unchanged."""
+    w, V = np.linalg.eigh(pair.B)
+    drop = w[0] * np.outer(V[:, 0], V[:, 0])
+    return SymmetricMatrixPair(pair.A - drop, pair.B - drop)
+
+
+def test_chain_meets_the_written_out_reference_on_a_campaign():
+    # every n, with shifts that put A - B or B on either side of its
+    # hypothesis or near the edge, and the same pairs with a singular B
+    outcomes = set()
+    for n in range(2, MAX_N + 1):
+        for i, shifts in enumerate(itertools.product(_SHIFTS + [1.0], repeat=2)):
+            drawn = _drawn_pair(n, 100 * n + i, *shifts)
+            for pair in (drawn, _singular_b(drawn)):
+                ref = _reference_chain(pair)
+                try:
+                    rep = minor_chain_check(pair)
+                except HypothesisError as exc:
+                    assert str(exc) == ref
+                    outcomes.add(str(exc).split(" (")[0])
+                    continue
+                passed, vieta_checked, sums, roots = ref
+                outcomes.add((passed, vieta_checked))
+                assert (rep.passed, rep.vieta_checked) == (passed, vieta_checked)
+                assert rep.min_slack == _pairwise_slack(rep.sums)
+                assert (np.max(np.abs(np.subtract(rep.sums, sums)))
+                        <= 1e-14 * np.max(np.abs(sums)))
+                if vieta_checked:
+                    np.testing.assert_allclose(rep.roots, roots, rtol=1e-10, atol=0)
+                    assert (rep.vieta_residual
+                            == _term_by_term_vieta(rep.sums, rep.roots))
+    assert outcomes == {"B is not positive semidefinite",
+                        "A - B is not positive semidefinite",
+                        (True, True), (True, False)}
 
 
 def test_eps_shift_consistency():
