@@ -16,7 +16,8 @@ from .forms import (NullLagrangianCoeffs, OrthotropicCoefficients,
                     QuadraticForm, ReducedOrthotropicForm, acoustic_matrix,
                     add_null_lagrangian, biquadratic_eval, catalog,
                     form_from_reduced, form_from_single_shear, form_from_voigt,
-                    minor_gram_basis, reduce_modulo_null_lagrangians)
+                    minor_gram_basis, reduce_modulo_null_lagrangians,
+                    reduced_view)
 from .minors import (ChainReport, HypothesisError, MinorSums,
                      SymmetricMatrixPair, minor_chain_check, minor_sum,
                      minor_sums, pencil_poly, pencil_roots,
@@ -40,5 +41,5 @@ __all__ = [
     "pencil_roots", "perfect_square_test", "poly_combine",
     "poly_equal_within", "poly_eval", "poly_mul", "polyconvexity_test",
     "quasiconvexity_margin", "random_ordered_pair", "rank_one_zeros",
-    "reduce_modulo_null_lagrangians", "reduced_det_closed_form",
+    "reduce_modulo_null_lagrangians", "reduced_det_closed_form", "reduced_view",
 ]

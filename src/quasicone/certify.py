@@ -28,8 +28,8 @@ is shared by the margin report and the probes built on top of it:
     form per sample.  Quadratic forms losing quasiconvexity under every
     convex subtraction ("extremal") show max eps ~ 0.
   * extreme_point_probe: largest distance delta from theta/2, along unit
-    directions d in the form's own 9-parameter shear layout orthogonal to
-    theta, such that Q1 = theta/2 + delta d and Q - Q1 both stay
+    directions d in the form's 9-parameter shear layout (modulo minors)
+    orthogonal to theta, such that Q1 = theta/2 + delta d and Q - Q1 both stay
     quasiconvex, in closed form per sample (a 3x3 pencil's spectral
     radius, from one eigmin3 of -C^2 per sweep step).  An extreme point
     of the cone shows max delta ~ 0.
@@ -70,8 +70,8 @@ import numpy as np
 
 from .determinant import _SEXTIC_EXPS, acoustic_det
 from .forms import (_MINOR_BASIS, LAYOUT_PARAMS, _off_minors, QuadraticForm,
-                    detect_shear_layout, form_from_theta, gram_tensor,
-                    shear_layout_basis)
+                    detect_shear_layout, form_from_theta, frame_exponent,
+                    gram_tensor, shear_layout_basis)
 from .symeig import _COLUMNS, _adjugate, _upper, eigmin3, eigvals3
 
 # noise floor of a refined margin evaluation, relative to the Gram scale;
@@ -314,7 +314,7 @@ def lattice_scan(q: QuadraticForm, cfg: CertifyConfig = CertifyConfig()) -> Latt
     key = (q.gram.tobytes(), cfg)
     if _last_scan[0] == key:
         return _last_scan[1]
-    e = math.frexp(float(np.max(np.abs(q.gram))))[1]
+    e = frame_exponent(q.gram)
     G4 = np.ascontiguousarray(np.ldexp(gram_tensor(q.gram), -e))
     Y0 = np.ascontiguousarray(sphere_lattice(cfg.grid_resolution).T)
     T = _acoustic_stack(Y0, G4.transpose(2, 3, 0, 1))
@@ -730,8 +730,8 @@ def _pencil_step(C: np.ndarray, Li: np.ndarray, pd: np.ndarray
 
 
 def extreme_point_probe(scan: LatticeScan) -> ProbeReport:
-    """Search the scanned form's 9-parameter shear layout for a splitting
-    0 <= Q1 <= Q (in the quasiconvex order) far from the ray {alpha Q}.
+    """Search the scanned form's 9-parameter shear layout, modulo minors,
+    for a splitting 0 <= Q1 <= Q (quasiconvex order) far from the ray {alpha Q}.
 
     Q1 = theta/2 + delta d and Q - Q1 = theta/2 - delta d, for unit d
     orthogonal to theta, are mirror images about theta/2, so in the scan's
@@ -1036,7 +1036,7 @@ def polyconvexity_test(q: QuadraticForm,
     G = q.gram
     c_proj = np.einsum("kij,ij->k", _MINOR_BASIS, G)
     M0 = _off_minors(G)
-    e = math.frexp(float(np.max(np.abs(G))))[1]
+    e = frame_exponent(G)
     G, c_proj, M0 = (np.ldexp(a, -e) for a in (G, c_proj, M0))
     scale = 1.0 + float(np.linalg.norm(M0))
     x = np.zeros(10)

@@ -14,7 +14,6 @@ import functools
 import json
 import os
 import sys
-from typing import Optional
 
 import numpy as np
 
@@ -23,12 +22,10 @@ from .certify import (CertifyConfig, PreconditionError,
                       extremal_polynomial_probe, extreme_point_probe,
                       lattice_scan, milton_extremality_probe,
                       polyconvexity_test)
-from .determinant import (REDUCED_DET_SUPPORT, acoustic_det, det_report,
+from .determinant import (REDUCED_DET_SUPPORT, det_report,
                           reduced_det_closed_form)
-from .forms import (CATALOG_INFO, FormError, QuadraticForm,
-                    ReducedOrthotropicForm, acoustic_matrix, catalog,
-                    form_from_json, form_from_reduced, form_to_json,
-                    reduced_from_json)
+from .forms import (CATALOG_INFO, FormError, QuadraticForm, catalog,
+                    form_from_json, form_to_json, reduced_view)
 from .minors import HypothesisError, minor_chain_check, random_ordered_pair
 
 SCHEMA = "quasicone/1"
@@ -42,10 +39,9 @@ class CliError(Exception):
         self.obj = {"error": {"code": code, "message": message, **detail}}
 
 
-def _load_form(source: str, eps: float) -> tuple[QuadraticForm,
-                                                 Optional[ReducedOrthotropicForm],
-                                                 dict]:
-    """Resolve a path-or-catalog-name into (form, reduced-view, echo JSON)."""
+def _load_form(source: str, eps: float) -> tuple[QuadraticForm, dict]:
+    """Resolve a path-or-catalog-name into (form, echo JSON); whatever the
+    input kind, its reduced view is read off the form (forms.reduced_view)."""
     if eps and source != "serre":
         raise CliError("usage", f"--eps is serre's parameter; {source!r} takes none")
     if source in CATALOG_INFO:
@@ -53,8 +49,7 @@ def _load_form(source: str, eps: float) -> tuple[QuadraticForm,
             raise CliError("usage", "catalog form 'reduced' needs parameters; "
                                     "pass a JSON file with kind 'reduced'")
         params = {"eps": eps} if source == "serre" else {}
-        return catalog(source, **params), None, {
-            "kind": "catalog", "name": source, **params}
+        return catalog(source, **params), {"kind": "catalog", "name": source, **params}
     if not os.path.exists(source):
         raise CliError("usage", f"{source!r} is neither a catalog name nor a file",
                        catalog=sorted(CATALOG_INFO))
@@ -66,11 +61,9 @@ def _load_form(source: str, eps: float) -> tuple[QuadraticForm,
                        line=exc.lineno, column=exc.colno)
     try:
         form = form_from_json(obj)
-        reduced = reduced_from_json(obj)
     except (FormError, KeyError, TypeError, ValueError) as exc:
         raise CliError("parse", f"bad form object in {source}: {exc}")
-    echo = obj if obj.get("kind") != "gram" else form_to_json(form)
-    return form, reduced, echo
+    return form, obj if obj.get("kind") != "gram" else form_to_json(form)
 
 
 def _probe_or_error(fn, *args) -> dict:
@@ -83,19 +76,13 @@ def _probe_or_error(fn, *args) -> dict:
 
 def cmd_analyze(args) -> dict:
     cfg = CertifyConfig(grid_resolution=args.grid, tol=args.tol, seed=args.seed)
-    form, reduced, echo = _load_form(args.form, args.eps)
+    form, echo = _load_form(args.form, args.eps)
+    # one scan of the input form serves the margin report and the three scan
+    # probes; the extreme point reads its layout modulo null Lagrangians
     scan = lattice_scan(form, cfg)
-    dr = det_report(form, reduced)
-    # the Milton and extremal-sextic probes read the input form's scan;
-    # voigt inputs reach the extreme-point probe through their
-    # Null-Lagrangian reduction (same biquadratic, same cone structure),
-    # which is a different Gram and so needs its own scan; for any other
-    # input lattice_scan returns the scan above
-    probe_form = form_from_reduced(reduced) if reduced is not None else form
-    probe_scan = lattice_scan(probe_form, cfg)
     probes = {
         "milton": _probe_or_error(milton_extremality_probe, scan),
-        "extreme_point": _probe_or_error(extreme_point_probe, probe_scan),
+        "extreme_point": _probe_or_error(extreme_point_probe, scan),
         "extremal_polynomial": _probe_or_error(extremal_polynomial_probe,
                                                scan),
         "polyconvexity": _probe_or_error(polyconvexity_test, form, cfg),
@@ -106,14 +93,15 @@ def cmd_analyze(args) -> dict:
         "form_echo": echo,
         "config": cfg.to_json(),
         "margin_report": scan.margin_report().to_json(),
-        "det_report": dr.to_json(),
+        "det_report": det_report(form, reduced_view(form)).to_json(),
         "probes": probes,
     }
 
 
 def cmd_det(args) -> dict:
-    form, reduced, echo = _load_form(args.form, args.eps)
-    det = acoustic_det(acoustic_matrix(form))
+    form, echo = _load_form(args.form, args.eps)
+    reduced = reduced_view(form)
+    det = det_report(form, reduced).det
     out = {
         "schema": SCHEMA,
         "form_echo": echo,
@@ -124,13 +112,11 @@ def cmd_det(args) -> dict:
     }
     if reduced is not None:
         closed = reduced_det_closed_form(reduced)
-        residuals = []
-        for exp in REDUCED_DET_SUPPORT:
-            got = det.coefficient(exp)
-            want = closed.coefficient(exp)
-            residuals.append({"exp": list(exp), "symbolic": got,
-                              "closed_form": want, "residual": got - want})
-        out["closed_form_residuals"] = residuals
+        out["closed_form_residuals"] = [
+            {"exp": list(exp), "symbolic": det.coefficient(exp),
+             "closed_form": closed.coefficient(exp),
+             "residual": det.coefficient(exp) - closed.coefficient(exp)}
+            for exp in REDUCED_DET_SUPPORT]
     return out
 
 

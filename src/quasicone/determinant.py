@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .forms import (QuadraticForm, ReducedOrthotropicForm, acoustic_matrix,
-                    gram_tensor)
+                    frame_exponent, gram_tensor)
 from .poly import (HomogeneousPolynomial, monomial_exponents, monomial_table,
                    poly_combine)
 
@@ -284,7 +284,7 @@ def pencil_identity_check(q: QuadraticForm, q1: QuadraticForm,
     and all the dets come from one contraction of the stacked Grams.
     """
     lam_samples = [float(t) for t in lam_samples]
-    k = np.frexp(max(np.max(np.abs(q.gram)), np.max(np.abs(q1.gram))))[1]
+    k = max(frame_exponent(q.gram), frame_exponent(q1.gram))
     g, g1 = np.ldexp(q.gram, -k), np.ldexp(q1.gram, -k)
     dets = _det_coefficients(gram_tensor(
         g - np.array([0.0, *lam_samples])[:, None, None] * g1))
@@ -322,7 +322,7 @@ def det_report(q: QuadraticForm,
     does not underflow to a zero sextic, which would pass as a square.  The
     det and the root are reported in Q's frame, scaled back exactly by 2^6k
     and 2^3k; a det coefficient that overflows there raises ValueError."""
-    k = (math.frexp(float(np.max(np.abs(q.gram))))[1] + 1) // 2
+    k = (frame_exponent(q.gram) + 1) // 2
     coefs = _det_coefficients(np.ldexp(acoustic_matrix(q), -2 * k))
     with np.errstate(over="ignore"):
         det = HomogeneousPolynomial(6, dict(zip(_SEXTIC_EXPS, np.ldexp(coefs, 6 * k))))

@@ -2,8 +2,7 @@
 
 A form Q is carried by its 9x9 symmetric Gram matrix in the fixed row-major
 vectorization (i, j) -> 3*(i-1) + j (1-based), so Q(xi) = vec(xi) . G . vec(xi).
-The module provides the Voigt orthotropic constructor, the reduction modulo
-Null-Lagrangians to the 9-parameter shear-paired layout, biquadratic
+The module provides the Voigt orthotropic constructor, biquadratic
 evaluation Q(x (x) y), the acoustic matrix T(y) with x T(y) x^T = Q(x (x) y),
 held as its coefficient tensor (a view of the Gram, T_ik(y) =
 y_j G4[i, k, j, l] y_l), the Null-Lagrangian (2x2 minor) basis, and a
@@ -12,11 +11,15 @@ catalog of historically significant forms.
 The shear-paired, single-shear and transposed single-shear (the layout of
 xi^T, which odd axis permutations make of single-shear) 9-parameter
 layouts live in one table (LAYOUT_PARAMS, _COUPLINGS, _SHEARS) that the
-layout builders and detect_shear_layout all read.
+layout builders and detect_shear_layout all read.  Q(x (x) y), all that
+quasiconvexity sees, does not change under the minors, so the detector
+reads a Gram modulo null Lagrangians, and reduced_view, the reduction to
+the shear-paired layout, reads off it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +34,12 @@ def vec_index(i: int, j: int) -> int:
 
 class FormError(ValueError):
     """Malformed or inconsistent form data."""
+
+
+def frame_exponent(a) -> int:
+    """The exponent e of a's frame, 2^(e-1) <= max |a| < 2^e (0 for a zero
+    array): a scaled by 2^-e has its largest entry in [1/2, 1), exactly."""
+    return math.frexp(float(np.abs(a).max()))[1]
 
 
 def _symmetric(m, n: int, name: str) -> np.ndarray:
@@ -65,7 +74,7 @@ class QuadraticForm:
     def norm(self) -> float:
         """Frobenius norm, on the Gram scaled by a power of two so that no
         square overflows or underflows (bitwise np.linalg.norm otherwise)."""
-        e = np.frexp(np.max(np.abs(self.gram)))[1]
+        e = frame_exponent(self.gram)
         return float(np.ldexp(np.linalg.norm(np.ldexp(self.gram, -e)), e))
 
     def scaled(self, alpha: float) -> "QuadraticForm":
@@ -91,13 +100,6 @@ class OrthotropicCoefficients:
     C44: float
     C55: float
     C66: float
-
-    def diagonal_block(self) -> np.ndarray:
-        return np.array([
-            [self.C11, self.C12, self.C13],
-            [self.C12, self.C22, self.C23],
-            [self.C13, self.C23, self.C33],
-        ])
 
 
 @dataclass(frozen=True)
@@ -209,42 +211,58 @@ def form_from_theta(layout: str, theta: np.ndarray) -> QuadraticForm:
 
 # a layout fits a Gram to this share of its largest entry
 LAYOUT_REL_TOL = 1e-10
+# the cross entry G[ij, ji] that the minor xi_ii xi_jj - xi_ij xi_ji moves onto a_ij
+_CROSS = [9 * vec_index(i, j) + vec_index(j, i) for (i, j) in _COUPLINGS[3:]]
 
 
 def detect_shear_layout(q: QuadraticForm):
-    """Classify a Gram as shear-paired, single-shear, or neither.
+    """Classify a Gram, modulo null Lagrangians, as shear-paired,
+    single-shear, or neither.
 
     Returns (layout, theta), theta in LAYOUT_PARAMS order, or (None, None).
-    A layout reads theta at its basis matrices' first entries and fits when
-    max |G - sum theta_k B_k| <= LAYOUT_REL_TOL * max |G|; paired is tried
-    first.
+    A layout reads theta at its basis matrices' first entries, adding to
+    each coupling a_ij (i != j) its cross entry G[ij, ji] (_CROSS), and
+    fits when the part of G - sum theta_k B_k off the minors is at most
+    LAYOUT_REL_TOL * max |G|, judged in the frame 2^-e (frame_exponent);
+    paired is tried first, and a coupling that overflows fits no layout.
     Shears that all lie within that tolerance snap to exactly 0 (as paired),
     unless the single-shear layout fits with a shear above it.
     """
     G = q.gram
-    tol = LAYOUT_REL_TOL * max(float(np.max(np.abs(G))), 1e-300)
+    e = frame_exponent(G)
+    tol = LAYOUT_REL_TOL * math.ldexp(float(np.max(np.abs(G))), -e)
     snapped = None
     for layout in _SHEARS:
         basis = shear_layout_basis(layout)
         theta = G.ravel()[[np.flatnonzero(B)[0] for B in basis]]
-        if np.max(np.abs(G - np.einsum("k,kij->ij", theta, basis))) > tol:
+        with np.errstate(over="ignore", invalid="ignore"):
+            theta[3:6] += G.ravel()[_CROSS]
+            off = _off_minors(np.ldexp(G - np.einsum("k,kij->ij", theta, basis), -e))
+        if not np.max(np.abs(off)) <= tol:
             continue
-        if np.any(np.abs(theta[6:]) > tol):
+        if np.any(np.abs(np.ldexp(theta[6:], -e)) > tol):
             return layout, theta
         if layout == "paired":
             snapped = np.concatenate([theta[:6], np.zeros(3)])
     return (None, None) if snapped is None else ("paired", snapped)
 
 
+def reduced_view(q: QuadraticForm) -> ReducedOrthotropicForm | None:
+    """The reduced form that agrees with Q on every rank one, read off
+    detect_shear_layout, or None unless Q is shear-paired modulo minors."""
+    layout, theta = detect_shear_layout(q)
+    return (ReducedOrthotropicForm(theta[[[0, 3, 4], [3, 1, 5], [4, 5, 2]]], *theta[6:])
+            if layout == "paired" else None)
+
+
 def form_from_voigt(c: OrthotropicCoefficients) -> QuadraticForm:
     """Gram of sum C_ij xi_ii xi_jj + C44 (xi23+xi32)^2 + C55 (xi31+xi13)^2
     + C66 (xi12+xi21)^2: the paired layout with shears (C66, C55, C44) plus
     the cross terms 2 C xi_ij xi_ji."""
+    shears = [c.C66, c.C55, c.C44]
     G = form_from_theta("paired", [c.C11, c.C22, c.C33, c.C12, c.C13, c.C23,
-                                   c.C66, c.C55, c.C44]).gram.copy()
-    for w, (i, j) in [(c.C66, (0, 1)), (c.C55, (0, 2)), (c.C44, (1, 2))]:
-        p, q = vec_index(i, j), vec_index(j, i)
-        G[p, q] = G[q, p] = w
+                                   *shears]).gram.copy()
+    G.flat[_CROSS] = G.T.flat[_CROSS] = shears
     return QuadraticForm(G)
 
 
@@ -268,37 +286,18 @@ def biquadratic_eval(q: QuadraticForm, x, y) -> float:
 
 
 def reduce_modulo_null_lagrangians(c: OrthotropicCoefficients) -> ReducedOrthotropicForm:
-    """Equivalent shear-paired form agreeing with the Voigt form on rank ones.
-
-    Each shear cross term 2*C66*xi12*xi21 equals 2*C66*xi11*xi22 modulo the
-    minor xi11 xi22 - xi12 xi21, which moves the shear weight onto the
-    diagonal couplings: a12 = C12 + C66, a13 = C13 + C55, a23 = C23 + C44.
-    The identification is checked exactly rather than trusted: two forms
-    agree on every rank one iff their Gram difference is a combination of
-    the nine minors, so the difference, with its projection onto their
-    orthonormal Gram basis removed, must vanish to 1e-11 of max |G_voigt|.
-    """
-    a = np.array([
-        [c.C11, c.C12 + c.C66, c.C13 + c.C55],
-        [c.C12 + c.C66, c.C22, c.C23 + c.C44],
-        [c.C13 + c.C55, c.C23 + c.C44, c.C33],
-    ])
-    reduced = ReducedOrthotropicForm(a=a, b=c.C66, c=c.C55, d=c.C44)
-    G = form_from_voigt(c).gram
-    err = np.max(np.abs(_off_minors(G - form_from_reduced(reduced).gram)))
-    if err > 1e-11 * np.max(np.abs(G)):
-        raise FormError("reduction check failed: the forms differ by more "
-                        f"than a null Lagrangian ({err:.3e})")
+    """reduced_view of the Voigt form, whose cross terms move onto the
+    couplings, a12 = C12 + C66, a13 = C13 + C55 and a23 = C23 + C44; a
+    coupling that overflows is a FormError."""
+    reduced = reduced_view(form_from_voigt(c))
+    if reduced is None:
+        raise FormError("a Voigt coupling C_ij + C_kk overflows")
     return reduced
 
 
 def add_null_lagrangian(q: QuadraticForm, n: NullLagrangianCoeffs) -> QuadraticForm:
     """Q plus a weighted combination of the nine 2x2 minors."""
-    G = q.gram.copy()
-    for w, N in zip(n.coeffs, _MINOR_BASIS):
-        if w != 0.0:
-            G += w * N
-    return QuadraticForm(G)
+    return QuadraticForm(q.gram + np.einsum("k,kij->ij", n.coeffs, _MINOR_BASIS))
 
 
 def acoustic_matrix(q: QuadraticForm) -> np.ndarray:
@@ -392,22 +391,6 @@ def _fields(obj: dict, keys) -> list:
         raise FormError(f"{obj['kind']} form missing field {exc}") from exc
 
 
-def _voigt_from_json(obj: dict) -> OrthotropicCoefficients:
-    return OrthotropicCoefficients(*map(float, _fields(obj, _VOIGT_KEYS)))
-
-
-def reduced_from_json(obj: dict) -> ReducedOrthotropicForm | None:
-    """The shear-paired reduced view of a voigt or reduced form object (the
-    Null-Lagrangian reduction for voigt), or None for other kinds."""
-    kind = obj.get("kind")
-    if kind == "voigt":
-        return reduce_modulo_null_lagrangians(_voigt_from_json(obj))
-    if kind == "reduced":
-        a, b, c, d = _fields(obj, "abcd")
-        return ReducedOrthotropicForm(np.asarray(a, float), b, c, d)
-    return None
-
-
 def form_from_json(obj: dict) -> QuadraticForm:
     if not isinstance(obj, dict):
         raise FormError(f"form must be a JSON object, got {type(obj).__name__}")
@@ -422,9 +405,10 @@ def form_from_json(obj: dict) -> QuadraticForm:
             G[r, p] = v
         return QuadraticForm(G)
     if kind == "voigt":
-        return form_from_voigt(_voigt_from_json(obj))
+        return form_from_voigt(OrthotropicCoefficients(
+            *map(float, _fields(obj, _VOIGT_KEYS))))
     if kind == "reduced":
-        return form_from_reduced(reduced_from_json(obj))
+        return catalog("reduced", **dict(zip("abcd", _fields(obj, "abcd"))))
     if kind == "catalog":
         return catalog(obj.get("name"), **{k: v for k, v in obj.items()
                                            if k not in ("kind", "name")})

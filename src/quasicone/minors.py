@@ -27,7 +27,8 @@ each other.
 minor_chain_check takes the eigenvalues of A, B and A - B from one stacked
 symmetric eigen-solve, so a check makes five LAPACK calls and no SVD: that
 solve, the stacked det, a Cholesky factor of B, its inverse and the
-reduced pencil's eigen-solve.
+reduced pencil's eigen-solve.  It takes the sums on the pair scaled into
+its frame by an exact 2^-k, as det_report does for the det.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forms import _symmetric
+from .forms import _symmetric, frame_exponent
 from .poly import UnivariatePolynomial, _circle_coefficients
 
 MAX_N = 8
@@ -145,8 +146,11 @@ def _packed(i: np.ndarray, j: np.ndarray, c: int) -> np.ndarray:
 def minor_sums(pair: SymmetricMatrixPair) -> MinorSums:
     """S_0..S_n: the proper minors of B and A from one Laplace recursion
     over packed pairs, the full-order ones from LAPACK."""
-    n = pair.n
-    M = np.array((pair.B, pair.A))
+    return MinorSums(_minor_sums(np.array((pair.B, pair.A))))
+
+
+def _minor_sums(M: np.ndarray) -> tuple[float, ...]:
+    n = M.shape[-1]                            # M = (B, A)
     entries = M.reshape(2, -1).T               # (n^2, 2): B's and A's side by side
     signed = np.concatenate((entries, -entries))
     minors = [np.ones((1, 2))]
@@ -164,7 +168,7 @@ def minor_sums(pair: SymmetricMatrixPair) -> MinorSums:
     # underflows to 0 warns "divide by zero", though the det (+-0) is exact
     with np.errstate(divide="ignore"):
         det_B, det_A = np.linalg.det(M).tolist()
-    return MinorSums((det_A, *inner, det_B))
+    return (det_A, *inner, det_B)
 
 
 def minor_sum(pair: SymmetricMatrixPair, m: int) -> float:
@@ -229,13 +233,10 @@ class ChainReport:
     sums: tuple[float, ...]
     min_slack: float           # min over k < m of S_k/C(n,k) - S_m/C(n,m)
     scale: float               # max |S_m|, slack normalizer
+    passed: bool               # min_slack >= -1e-9 scale, in the frame
     vieta_checked: bool
     vieta_residual: float      # max relative residual of S_m = det(B) e_{n-m}
     roots: tuple[float, ...] | None
-
-    @property
-    def passed(self) -> bool:
-        return self.min_slack >= -1e-9 * self.scale
 
 
 def minor_chain_check(pair: SymmetricMatrixPair) -> ChainReport:
@@ -243,17 +244,23 @@ def minor_chain_check(pair: SymmetricMatrixPair) -> ChainReport:
 
     Also verifies, when B is positive definite (min eigenvalue above
     PD_CUTOFF times its largest), that S_m = det(B) * e_{n-m}(pencil roots)
-    to 1e-8 relative.  Every tolerance is relative, so scaling the pair by
-    2^k scales the sums by 2^(nk) and changes no outcome.
+    to 1e-8 relative.  Both are decided on the pair scaled by 2^-k into its
+    frame (forms.frame_exponent), where no S_m underflows or overflows, so
+    2^j times the pair gets its outcome; sums, min_slack and scale are
+    scaled back by 2^(nk), into its own frame, where they may read 0 or inf.
     """
     wB = pair.check_hypotheses()
     n = pair.n
-    sums = minor_sums(pair).s
+    M = np.array((pair.B, pair.A))
+    k = frame_exponent(M)
+    sums = _minor_sums(np.ldexp(M, -k))
     s = np.array(sums)
     # rounded subtraction is monotone, so the least a_k - a_m over k < m is
     # (least a_k over k < m) - a_m, bit for bit
     a = s / [math.comb(n, m) for m in range(n + 1)]
     min_slack = float((np.minimum.accumulate(a[1:-1]) - a[2:]).min())
+    scale = float(abs(s).max())
+    passed = min_slack >= -1e-9 * scale
 
     vieta_checked = False
     vieta_residual = 0.0
@@ -267,8 +274,10 @@ def minor_chain_check(pair: SymmetricMatrixPair) -> ChainReport:
         # a 0/0, where both sides underflow, leaves the worst residual as it is
         vieta_residual = float(np.fmax.reduce(residual, initial=0.0))
         vieta_checked = True
-    return ChainReport(n=n, sums=sums, min_slack=min_slack,
-                       scale=float(abs(s).max()), vieta_checked=vieta_checked,
+    with np.errstate(over="ignore"):
+        *sums, min_slack, scale = np.ldexp((*sums, min_slack, scale), n * k).tolist()
+    return ChainReport(n=n, sums=tuple(sums), min_slack=min_slack, scale=scale,
+                       passed=passed, vieta_checked=vieta_checked,
                        vieta_residual=vieta_residual, roots=roots)
 
 

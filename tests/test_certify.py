@@ -1187,13 +1187,32 @@ def test_extreme_point_layout_and_positivity_preconditions():
 
 
 def test_extreme_point_accepts_reduced_voigt_equivalent():
-    from quasicone.forms import OrthotropicCoefficients, reduce_modulo_null_lagrangians
+    from quasicone.forms import (OrthotropicCoefficients, form_from_voigt,
+                                 reduce_modulo_null_lagrangians)
     c = OrthotropicCoefficients(C11=2, C22=2, C33=2, C12=0.3, C13=0.3,
                                 C23=0.3, C44=0.8, C55=0.8, C66=0.8)
-    q = form_from_reduced(reduce_modulo_null_lagrangians(c))
-    rep = extreme_point_probe(lattice_scan(q, FAST))
-    assert rep.witness["layout"] == "paired"
-    assert rep.verdict == "refuted"  # interior form, splittings abound
+    # the Voigt Gram itself is shear-paired modulo the minors
+    for q in (form_from_reduced(reduce_modulo_null_lagrangians(c)), form_from_voigt(c)):
+        rep = extreme_point_probe(lattice_scan(q, FAST))
+        assert rep.witness["layout"] == "paired"
+        assert rep.verdict == "refuted"  # interior form, splittings abound
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(["choi_lam", "choi", "reduced identity"]),
+       weights=st.lists(st.floats(-2.0, 2.0), min_size=9, max_size=9),
+       grid=st.sampled_from([16, 32]), seed=st.integers(0, 2**32 - 1))
+def test_extreme_point_verdict_is_invariant_under_minor_shifts(name, weights,
+                                                               grid, seed):
+    # Q + sum w_k N_k is Q on every rank one, so it is the same point of
+    # the cone: the probe reads its layout modulo the minors and gives
+    # Q's verdict
+    q = (form_from_reduced(ReducedOrthotropicForm(np.eye(3), 1.0, 1.0, 1.0))
+         if name == "reduced identity" else catalog(name))
+    shifted = add_null_lagrangian(q, NullLagrangianCoeffs(weights))
+    rep = extreme_point_probe(lattice_scan(shifted, CertifyConfig(
+        grid_resolution=grid, probe_directions=4, seed=seed)))
+    assert rep.verdict == ("consistent" if name == "choi_lam" else "refuted")
 
 
 def test_extreme_point_scaling_invariance_of_verdict():

@@ -235,6 +235,50 @@ def test_analyze_scans_its_input_form_once(monkeypatch, capsys):
     assert len({id(s) for g, s in scanned if np.array_equal(g, gram)}) == 1
 
 
+_FORM_FILES = {
+    "reduced": {"kind": "reduced", "a": [[2.0, 0.3, 0.1], [0.3, 1.5, -0.2],
+                                         [0.1, -0.2, 1.0]],
+                "b": 0.8, "c": 1.1, "d": 0.6},
+    "voigt": {"kind": "voigt", "C11": 2.0, "C22": 1.5, "C33": 1.0, "C12": 0.3,
+              "C13": 0.1, "C23": -0.2, "C44": 0.6, "C55": 1.1, "C66": 0.8},
+}
+
+
+@pytest.mark.parametrize("source", ["choi_lam", "reduced", "voigt"])
+def test_analyze_and_det_read_one_form(source, tmp_path, monkeypatch, capsys):
+    # analyze scans its input once, whatever its kind, and hands that scan
+    # to every probe; det reports det_report's det of the same form
+    import functools
+
+    import quasicone.cli
+    from quasicone.determinant import det_report
+    from quasicone.forms import catalog, form_from_json, reduced_view
+
+    if source in _FORM_FILES:
+        path = tmp_path / f"{source}.json"
+        path.write_text(json.dumps(_FORM_FILES[source]))
+        form, source = form_from_json(_FORM_FILES[source]), str(path)
+    else:
+        form = catalog(source)
+    monkeypatch.setattr(quasicone.cli, "CertifyConfig", functools.partial(
+        quasicone.cli.CertifyConfig, probe_directions=4))
+    scans = []
+    real = quasicone.cli.lattice_scan
+    monkeypatch.setattr(quasicone.cli, "lattice_scan",
+                        lambda q, cfg: scans.append(q) or real(q, cfg))
+    assert quasicone.cli.main(["--json", "--grid", "16", "analyze", source]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert len(scans) == 1 and np.array_equal(scans[0].gram, form.gram)
+    assert "error" not in report["probes"]["extreme_point"]
+    reduced = reduced_view(form)
+    assert (report["det_report"]["closed_form_residual"] is None) == (reduced is None)
+
+    assert quasicone.cli.main(["--json", "det", source]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["det"] == det_report(form, reduced).det.to_json()
+    assert ("closed_form_residuals" in out) == (reduced is not None)
+
+
 def test_main_calls_share_one_parser_and_no_flag_values(capsys):
     import quasicone.cli
 

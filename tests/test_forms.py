@@ -11,7 +11,7 @@ from quasicone.forms import (FormError, NullLagrangianCoeffs,
                              form_from_reduced, form_from_single_shear,
                              form_from_theta, form_from_voigt, form_to_json,
                              gram_tensor, minor_gram_basis, reduce_modulo_null_lagrangians,
-                             shear_layout_basis, vec_index)
+                             reduced_view, shear_layout_basis, vec_index)
 
 
 def _voigt(**kw):
@@ -48,7 +48,8 @@ def test_reduce_shear_moves_to_offdiagonal():
 def test_reduce_no_shear_keeps_diagonal_block():
     c = _voigt(C11=2, C22=3, C33=4, C12=0.5, C13=-0.25, C23=0.75)
     r = reduce_modulo_null_lagrangians(c)
-    np.testing.assert_allclose(r.a, c.diagonal_block())
+    np.testing.assert_array_equal(r.a, [[2, 0.5, -0.25], [0.5, 3, 0.75],
+                                        [-0.25, 0.75, 4]])
     assert (r.b, r.c, r.d) == (0.0, 0.0, 0.0)
 
 
@@ -61,19 +62,22 @@ def test_reduce_parameter_identification():
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-20])
-def test_reduce_rejects_a_wrong_reduction(monkeypatch, scale):
-    # a reduction with the C66 and C55 shears swapped differs from the
-    # Voigt form by more than a null Lagrangian; the check is relative to
-    # the form, so it refuses that at every scale and passes the right one
-    import quasicone.forms as forms
+def test_detector_refuses_a_gram_off_the_layouts_modulo_minors(scale):
+    # a Voigt Gram is shear-paired modulo the minors; with its C66 shear
+    # unpaired (xi21^2 weighted C55), or with a product xi11 xi23 that no
+    # minor removes, it is no layout form.  The fit is relative to the
+    # form, so that holds at every scale
     c = OrthotropicCoefficients(*(scale * np.array(
         [1.5, 2.5, 3.5, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6])))
-    reduce_modulo_null_lagrangians(c)
-    right = forms.form_from_reduced
-    monkeypatch.setattr(forms, "form_from_reduced", lambda r: right(
-        ReducedOrthotropicForm(r.a, r.c, r.b, r.d)))
-    with pytest.raises(FormError, match="null Lagrangian"):
-        reduce_modulo_null_lagrangians(c)
+    G = form_from_voigt(c).gram
+    assert detect_shear_layout(QuadraticForm(G))[0] == "paired"
+    p, r = vec_index(0, 0), vec_index(1, 2)
+    unpaired, stray = G.copy(), G.copy()
+    unpaired[vec_index(1, 0), vec_index(1, 0)] = c.C55
+    stray[p, r] = stray[r, p] = c.C44
+    for bad in (unpaired, stray):
+        assert detect_shear_layout(QuadraticForm(bad)) == (None, None)
+        assert reduced_view(QuadraticForm(bad)) is None
 
 
 def test_reduce_agrees_on_rank_ones():
@@ -378,6 +382,24 @@ def test_detect_shear_layout():
         lay, theta2 = detect_shear_layout(QuadraticForm(G))
         assert lay == "paired"
         assert (theta2.tobytes() == theta.tobytes()) == snapped
+
+
+@settings(max_examples=300, deadline=None)
+@given(layout=st.sampled_from(["paired", "single", "transposed"]),
+       diagonal=st.lists(st.floats(0.5, 2.0), min_size=3, max_size=3),
+       couplings=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+       shears=st.lists(st.floats(0.5, 2.0), min_size=3, max_size=3),
+       weights=st.lists(st.floats(-2.0, 2.0), min_size=9, max_size=9))
+def test_detector_reads_a_minor_shifted_layout_form(layout, diagonal,
+                                                    couplings, shears, weights):
+    # a layout form plus any combination of the minors agrees with it on
+    # every rank one, and the detector reads it as that layout form
+    theta = np.array(diagonal + couplings + shears)
+    q = add_null_lagrangian(form_from_theta(layout, theta),
+                            NullLagrangianCoeffs(weights))
+    lay, got = detect_shear_layout(q)
+    assert lay == layout
+    assert np.max(np.abs(got - theta)) <= 1e-14 * np.max(np.abs(theta))
 
 
 def test_form_from_theta_roundtrip():

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import warnings
 from contextlib import ExitStack
 from fractions import Fraction
 from unittest import mock
@@ -309,6 +310,40 @@ def test_chain_outcome_is_invariant_under_power_of_two_scaling(
         want = np.ldexp(sums, n * k)
         assert scaled_sums[1:-1] == tuple(want[1:-1])
         np.testing.assert_allclose(scaled_sums[::n], want[::n], rtol=1e-13, atol=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(3, MAX_N), seed=st.integers(0, 2**32 - 1),
+       k=st.integers(-300, 300))
+@example(n=5, seed=0, k=-300)
+@example(n=8, seed=0, k=200)
+def test_chain_is_decided_in_the_pairs_frame_at_every_scale(n, seed, k):
+    # at 2^-300 the sums of a random pair underflow in its own frame, and
+    # at 2^300 they overflow, but the sums are taken on the pair scaled
+    # into its frame, which is the same pair bit for bit at every k (the
+    # roots, from the pair as given, move by rounding)
+    pair = random_ordered_pair(n, np.random.default_rng(seed))
+    base = minor_chain_check(pair)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = minor_chain_check(
+            SymmetricMatrixPair(np.ldexp(pair.A, k), np.ldexp(pair.B, k)))
+    assert (rep.passed, rep.vieta_checked) == (base.passed, base.vieta_checked)
+    assert rep.vieta_residual <= 1e-8
+
+
+def test_chain_reports_an_ordered_pair_at_an_extreme_scale():
+    # the sums are reported in the pair's own frame, 0.0 below its range
+    # and inf above it, while the chain and Vieta are decided in its frame:
+    # no NaN, no RuntimeWarning, and the roots of 2 I - t I
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for A, B, sums in [(2e-60, 1e-60, 0.0), (2.0**201, 2.0**200, np.inf)]:
+            rep = minor_chain_check(SymmetricMatrixPair(A * np.eye(8), B * np.eye(8)))
+            assert rep.passed and rep.vieta_checked
+            assert rep.vieta_residual <= 1e-14
+            assert rep.sums == (sums,) * 9 and rep.scale == sums
+            assert rep.roots == pytest.approx((2.0,) * 8, rel=1e-14)
 
 
 @functools.lru_cache(maxsize=None)
