@@ -36,10 +36,11 @@ is shared by the margin report and the probes built on top of it:
   * extremal_polynomial_probe: exact extremality test of the sextic
     det T(y), built on the scan's 2^-e-scaled Gram: the scan's rank-one
     zeros, snapped to rationals, give gradient rows over the Newton
-    polytope N(det), ranked in exact arithmetic; nullspace 1 proves the
-    sextic extremal, a perfect square included.
+    polytope N(det) (a 2-D hull), ranked exactly in Python integers;
+    nullspace 1 proves the sextic extremal, a perfect square included.
   * polyconvexity_test: brackets phi* = max lambda_min(Gram - minor
-    combination) with a log-det barrier method in numpy: a primal value
+    combination) with a log-det barrier method in numpy, each centring
+    started from the central path's tangent predictor: a primal value
     below phi* and a re-checked dual bound above it.  Only the dual bound
     can refute polyconvexity.
 
@@ -47,11 +48,15 @@ Violations of depth ~eps^2 hide in tiny dips near degenerate rank-one zeros
 where plain descent overshoots; Milton and the extreme point therefore
 also bound their coefficient on a structured pool: the refined zeros of Q
 plus geometric radius sweeps along the transverse-Hessian eigendirections
-at each zero.  Neither searches: each sample (pool point, lattice point,
-or a point of a few exact alternating sweeps from the most binding lattice
-points) admits the coefficient up to a closed-form bound, and the least
-bound is validated by full scans.  Both take _probe_directions, the probe
-lattice and GUARD_REL as slack and floor, and report witness["diagnostics"].
+at each zero, built once per scan (LatticeScan.zero_pool).  Neither
+searches: each sample (pool point, lattice point, or a point of a few
+exact alternating sweeps from the most binding lattice points) admits the
+coefficient up to a closed-form bound.  The least bound is an upper bound
+on the sampled coefficient, so a bound at or below the consistent line
+needs no scan; refuted needs a witness that full scans validate, and a
+witness that fails them is inconclusive.  Both take _probe_directions,
+the probe lattice and GUARD_REL as slack and floor, and report
+witness["diagnostics"], the full scans run included (validation_scans).
 
 Every floor is a constant in the scan's frame, the Gram scaled by 2^-e:
 cfg.tol is tol 2^e on Q's values (the ray probes read it only through
@@ -64,7 +69,6 @@ import functools
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -240,7 +244,8 @@ class LatticeScan:
     after newton_steps Newton steps, and the sampled margin min(vals,
     lattice_lam), all three scaled back by 2^e.  X and Y (seeds, 3) are
     views of components-first rows.  lattice_scan makes every array
-    read-only, since it may hand the scan out again."""
+    read-only, since it may hand the scan out again; so is zero_pool, built
+    on first use."""
 
     form: QuadraticForm
     cfg: CertifyConfig
@@ -252,6 +257,14 @@ class LatticeScan:
     Y: np.ndarray
     vals: np.ndarray
     newton_steps: int
+
+    @functools.cached_property
+    def zero_pool(self) -> np.ndarray:
+        """_zero_pool of this scan, built once and read-only, so that Milton
+        and the extreme point share it."""
+        P9 = _zero_pool(self)
+        P9.setflags(write=False)
+        return P9
 
     def require_quasiconvex(self, who: str) -> None:
         if self.margin < -math.ldexp(self.cfg.tol, self.e):
@@ -532,6 +545,14 @@ def _pool_quadratic(P9: np.ndarray, gram: np.ndarray) -> np.ndarray:
     return np.einsum("pi,ij,pj->p", P9, gram, P9)
 
 
+def _layout_pool_quadratics(P9: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """The (9, P) values p^T B_k p of a layout's basis at the pool rows p:
+    one product P9 @ basis and one row-wise dot.  Each B_k has at most one
+    unit entry per column, so every value is bitwise _pool_quadratic(P9,
+    B_k)."""
+    return np.sum((P9 @ basis) * P9, axis=-1)
+
+
 # lattice rows per chunk of the probes' lattice stages: each takes
 # LOCKSTEP_ROWS // n directions at a time (n lattice points), which bounds
 # its memory and keeps each stack near eigvals3's fastest size
@@ -603,7 +624,7 @@ def milton_extremality_probe(scan: LatticeScan) -> ProbeReport:
     """
     scan.require_quasiconvex("milton probe")
     q, cfg, e, G4 = scan.form, scan.cfg, scan.e, scan.G4
-    P9 = _zero_pool(scan)
+    P9 = scan.zero_pool
     pool_q = _pool_quadratic(P9, G4.swapaxes(1, 2).reshape(9, 9)) + GUARD_REL
     Y = np.ascontiguousarray(sphere_lattice(PROBE_GRID).T)
     T = _acoustic_stack(Y, G4.transpose(2, 3, 0, 1))
@@ -651,11 +672,13 @@ def milton_extremality_probe(scan: LatticeScan) -> ProbeReport:
         "diagnostics": {
             "directions": c, "lattice_points": n, "pool_points": len(P9),
             "refinement_starts": c * k, "refinement_sweeps": 14,
-            "binding": dict(zip(("pool", "lattice", "refine"), binding.tolist()))},
+            "binding": dict(zip(("pool", "lattice", "refine"), binding.tolist())),
+            "validation_scans": 0},
     }
     if value > math.ldexp(MILTON_REFUTED_MIN, e):
         check = QuadraticForm(q.gram - (1 - 1e-4) * eps_best * np.outer(m_best, m_best))
         witness["validation_margin"] = margin = lattice_scan(check, cfg).margin
+        witness["diagnostics"]["validation_scans"] = 1
         verdict = "refuted" if margin >= -math.ldexp(GUARD_REL, e) else "inconclusive"
     elif value <= math.ldexp(MILTON_CONSISTENT_MAX, e):
         verdict = "consistent"
@@ -673,7 +696,11 @@ def _whiten(A: np.ndarray, B: np.ndarray
     """L^-1 B L^-T for the closed-form Cholesky factor of A = L L^T, for
     stacks A (n, 3, 3) and B (n, ..., 3, 3); L^-1 (n, 3, 3); and whether
     each A is positive definite, its three pivots positive.  A pivot that
-    is not is taken as 1, so that the outputs stay finite."""
+    is not is taken as 1, so that the outputs stay finite.  The m matrices
+    B_k of a point are whitened by two products, L^-1 [B_1 ... B_m], one
+    (3, 3m), then those m products stacked as rows, (3m, 3), times L^-T:
+    the same two 3x3 products per B_k as Lb @ B @ Lb^T, in 2n calls, not
+    2nm."""
     a00, a11, a22, a01, a02, a12 = _upper(A)
 
     def root(p):
@@ -692,8 +719,13 @@ def _whiten(A: np.ndarray, B: np.ndarray
     Li[:, 1, 0] = -l10 * d0 * d1
     Li[:, 2, 1] = -l21 * d1 * d2
     Li[:, 2, 0] = (l10 * l21 - l11 * l20) * d0 * d1 * d2
-    Lb = Li.reshape((len(Li),) + (1,) * (B.ndim - 3) + (3, 3))
-    return Lb @ B @ Lb.swapaxes(-1, -2), Li, (a00 > 0) & (p1 > 0) & (p2 > 0)
+    n, shape = len(Li), B.shape
+    Bm = B.reshape(n, -1, 3, 3)
+    m = Bm.shape[1]
+    LB = Li @ Bm.transpose(0, 2, 1, 3).reshape(n, 3, 3 * m)
+    LB = LB.reshape(n, 3, m, 3).transpose(0, 2, 1, 3).reshape(n, 3 * m, 3)
+    C = (LB @ Li.swapaxes(1, 2)).reshape(shape)
+    return C, Li, (a00 > 0) & (p1 > 0) & (p2 > 0)
 
 
 def _ray_bound(rho: np.ndarray, pd: np.ndarray) -> np.ndarray:
@@ -746,11 +778,17 @@ def extreme_point_probe(scan: LatticeScan) -> ProbeReport:
     once, and LOCKSTEP_ROWS // n directions are one GEMM and one eigvals3)
     and 16 exact alternating sweeps from each direction's 12 most binding
     lattice points (_pencil_step, in x with T(y), then in y with S(x)),
-    capped at 8 |theta| and scaled back by 2^e.  value is the distance,
-    from (1 - 1e-4) delta* (off the sampled boundary) shrunk by 0.7 at most
-    23 times, at which full scans of Q1 and Q - Q1 both clear -guard 2^e,
-    in the direction of the largest delta*.  Consistent (extreme point)
-    when value stays below 1e-5 * |theta_q|.
+    capped at 8 |theta| and scaled back by 2^e.
+
+    In the direction of the largest delta*, the verdict reads the bound
+    delta = (1 - 1e-4) delta* (off the sampled boundary) against the
+    threshold 1e-5 |theta_q|.  At or below it, delta* bounds every sampled
+    splitting, so the form is consistent (an extreme point) with value
+    delta and no full scan.  Above it, delta is shrunk by 0.7, at most 23
+    times and only while it stays above the threshold, until full scans of
+    Q1 and Q - Q1 both clear -guard 2^e: refuted, with that delta as value.
+    If none clears, inconclusive, with value delta.  theta_witness is
+    theta/2 + value d.
     """
     q, cfg, e = scan.form, scan.cfg, scan.e
     layout, theta = detect_shear_layout(q)
@@ -779,8 +817,8 @@ def extreme_point_probe(scan: LatticeScan) -> ProbeReport:
     A9 = np.tensordot(np.ldexp(0.5 * theta, -e), basis, axes=1) + GUARD_REL * np.eye(9)
     G10 = gram_tensor(np.concatenate([A9[None], basis]))
     Ky, Kx = G10.transpose(3, 4, 0, 1, 2), G10.transpose(1, 2, 0, 3, 4)
-    P9 = _zero_pool(scan)
-    poolB = np.array([_pool_quadratic(P9, Bk) for Bk in basis])
+    P9 = scan.zero_pool
+    poolB = _layout_pool_quadratics(P9, basis)
     pool_num = _pool_quadratic(P9, A9)
     Y = np.ascontiguousarray(sphere_lattice(PROBE_GRID).T)
     n = Y.shape[1]
@@ -816,20 +854,27 @@ def extreme_point_probe(scan: LatticeScan) -> ProbeReport:
     delta_star = np.minimum(np.ldexp(np.min(bounds, axis=0), e), 8.0 * norm_theta)
     binding = np.bincount(np.argmin(bounds, axis=0), minlength=3)
 
-    # full-margin validation of the best direction; shrink toward the ray
-    # until both margins clear.  Q - Q1 is scanned only when Q1 clears, or
-    # at the last step, whose margins the witness reports either way
+    # a search bound at or below the threshold is consistent as it stands;
+    # above it, the best direction is validated by full scans, shrinking
+    # toward the ray while it stays above.  Q - Q1 is scanned only when Q1
+    # clears, or at the last trial, whose margins the witness reports
     j = int(np.argmax(delta_star))
-    delta = (1 - 1e-4) * float(delta_star[j])
-    value, witness_theta, m1, m2 = 0.0, 0.5 * theta, None, None
-    for step in range(24 if delta > 0.0 else 0):
-        th = 0.5 * theta + delta * D[j]
-        q1 = form_from_theta(layout, th)
+    threshold = EXTREME_POINT_REL * norm_theta
+    value = delta = (1 - 1e-4) * float(delta_star[j])
+    verdict = "consistent" if delta <= threshold else "inconclusive"
+    m1 = m2 = None
+    scans = 0
+    for step in range(24):
+        if delta <= threshold:
+            break
+        q1 = form_from_theta(layout, 0.5 * theta + delta * D[j])
         m1 = lattice_scan(q1, cfg).margin
-        if m1 >= floor or step == 23:
+        scans += 1
+        if m1 >= floor or step == 23 or 0.7 * delta <= threshold:
             m2 = lattice_scan(QuadraticForm(q.gram - q1.gram), cfg).margin
+            scans += 1
         if m1 >= floor and m2 >= floor:
-            value, witness_theta = delta, th
+            value, verdict = delta, "refuted"
             break
         delta *= 0.7
     witness = {
@@ -837,16 +882,16 @@ def extreme_point_probe(scan: LatticeScan) -> ProbeReport:
         "theta_q": [float(u) for u in theta],
         "direction": [float(u) for u in D[j]],
         "delta_star": float(delta_star[j]),
-        "theta_witness": [float(u) for u in witness_theta],
+        "theta_witness": [float(u) for u in 0.5 * theta + value * D[j]],
         "distance": float(value),
         "margin_q1": m1,
         "margin_complement": m2,
         "diagnostics": {
             "directions": c, "lattice_points": n, "pool_points": len(P9),
             "refinement_starts": c * k, "refinement_sweeps": 16,
-            "binding": dict(zip(("pool", "lattice", "refine"), binding.tolist()))},
+            "binding": dict(zip(("pool", "lattice", "refine"), binding.tolist())),
+            "validation_scans": scans},
     }
-    verdict = "consistent" if value <= EXTREME_POINT_REL * norm_theta else "refuted"
     return ProbeReport(kind="extreme_point", value=float(value),
                        witness=witness, verdict=verdict)
 
@@ -867,50 +912,68 @@ def _snap(y) -> tuple[Fraction, ...]:
     return tuple(sign * u for u in z)
 
 
-def _monomial_rows(exps, z) -> list[list[Fraction]]:
-    """Exact gradient rows of the monomials exps at z, one per variable.
-    Their value row is redundant: by Euler's identity, sum_v z_v d_v m(z)
-    = 6 m(z) for every sextic monomial m."""
-    def mono(e):
-        return z[0] ** e[0] * z[1] ** e[1] * z[2] ** e[2]
+def _monomial_rows(exps, z) -> list[list[int]]:
+    """Gradient rows of the monomials exps at the snapped zero z, one per
+    variable, exact in integers: z is scaled by the lcm L of its
+    denominators, which scales every row by L^5 and changes neither which
+    rows vanish against p nor their rank.  Their value row is redundant: by
+    Euler's identity, sum_v z_v d_v m(z) = 6 m(z) for every sextic
+    monomial m."""
+    L = math.lcm(*(u.denominator for u in z))
+    z = [u.numerator * (L // u.denominator) for u in z]
+    return [[e[v] * z[0] ** (e[0] - (v == 0)) * z[1] ** (e[1] - (v == 1))
+             * z[2] ** (e[2] - (v == 2)) if e[v] else 0 for e in exps]
+            for v in range(3)]
 
-    return [[e[v] * mono(tuple(k - (i == v) for i, k in enumerate(e)))
-             if e[v] else Fraction(0) for e in exps] for v in range(3)]
+
+def _cross(o, a, b) -> int:
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
 def _newton_polytope(support) -> list[tuple[int, int, int]]:
     """Sextic exponents in the convex hull of support.  Exponents lie in the
-    plane e1 + e2 + e3 = 6, so (e1, e2) are exact 2-D coordinates; a point
-    is in the hull iff it lies in a triangle of support points, where a
-    repeated vertex makes the triangle a segment or a point."""
-    pts = [e[:2] for e in support]
+    plane e1 + e2 + e3 = 6, so (e1, e2) are exact 2-D coordinates: the hull
+    is Andrew's monotone chain, counter-clockwise (a point or a segment when
+    the support is), and a point is in it iff it lies left of or on every
+    edge and within the hull's bounding box, in integer cross products."""
+    pts = sorted({e[:2] for e in support})
+    if not pts:
+        return []
 
-    def in_triangle(p, a, b, c) -> bool:
-        d = [(v[0] - u[0]) * (p[1] - u[1]) - (v[1] - u[1]) * (p[0] - u[0])
-             for u, v in ((a, b), (b, c), (c, a))]
-        return (not (min(d) < 0 < max(d))
-                and all(min(a[i], b[i], c[i]) <= p[i] <= max(a[i], b[i], c[i])
-                        for i in (0, 1)))
+    def chain(seq):
+        h = []
+        for p in seq:
+            while len(h) >= 2 and _cross(h[-2], h[-1], p) <= 0:
+                h.pop()
+            h.append(p)
+        return h[:-1]
 
-    return [e for e in _SEXTIC_EXPS if e in support or any(
-        in_triangle(e[:2], *t) for t in combinations_with_replacement(pts, 3))]
+    hull = chain(pts) + chain(pts[::-1]) or pts
+    xs, ys = zip(*hull)
+    edges = list(zip(hull, hull[1:] + hull[:1]))
+    return [e for e in _SEXTIC_EXPS
+            if min(xs) <= e[0] <= max(xs) and min(ys) <= e[1] <= max(ys)
+            and all(_cross(a, b, e) >= 0 for a, b in edges)]
 
 
-def _exact_rank(rows: list[list[Fraction]]) -> int:
-    """Rank by Gaussian elimination over the rationals."""
+def _exact_rank(rows: list[list[int]]) -> int:
+    """Rank of an integer matrix by fraction-free (Bareiss) elimination:
+    each step replaces row i by (p r_i - r_i[col] top) / p_prev, p the
+    pivot and p_prev the one before, a division that is exact, so every
+    entry stays an integer minor of the rows."""
     rows = [r for r in rows if any(r)]
-    rank = 0
+    rank, prev = 0, 1
     for col in range(len(rows[0]) if rows else 0):
         pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         top = rows[rank]
+        p = top[col]
         for i in range(rank + 1, len(rows)):
-            if rows[i][col]:
-                f = rows[i][col] / top[col]
-                rows[i] = [u - f * t for u, t in zip(rows[i], top)]
-        rank += 1
+            f = rows[i][col]
+            rows[i] = [(p * u - f * t) // prev for u, t in zip(rows[i], top)]
+        rank, prev = rank + 1, p
     return rank
 
 
@@ -928,7 +991,9 @@ def extremal_polynomial_probe(scan: LatticeScan) -> ProbeReport:
     the exact nullspace of the gradient rows over the monomials of N(p)
     contains every such R.  Nullspace 1 (the span of p) proves p
     extremal: consistent, method "exact".  Otherwise inconclusive with the
-    nullspace dimension as value.
+    nullspace dimension as value.  The arithmetic is in Python integers:
+    the coefficients times their common power-of-two denominator, each
+    zero times the lcm of its denominators.
 
     p is built from the scan's tensor G4, the Gram scaled by 2^-e, which
     is exact, so scaling Q by a power of two leaves the report unchanged,
@@ -941,8 +1006,11 @@ def extremal_polynomial_probe(scan: LatticeScan) -> ProbeReport:
     """
     scan.require_quasiconvex("extremal polynomial probe")
     p = acoustic_det(scan.G4)
-    cols = _newton_polytope(set(p.terms))
-    coeffs = [Fraction(p.coefficient(e)) for e in cols]
+    cols = _newton_polytope(p.terms)
+    # the coefficients, doubles, times their common power-of-two denominator
+    ratios = [float(p.coefficient(e)).as_integer_ratio() for e in cols]
+    den = max((d for _, d in ratios), default=1)
+    coeffs = [a * (den // d) for a, d in ratios]
     candidates = scan.rank_one_zeros()
     zeros = []
     rows = []
@@ -969,15 +1037,22 @@ def extremal_polynomial_probe(scan: LatticeScan) -> ProbeReport:
 _LMI_STACK = np.concatenate([_MINOR_BASIS, np.eye(9)[None]])
 
 
-def _center(M0: np.ndarray, x: np.ndarray, t: float) -> tuple[np.ndarray, int]:
+def _lmi(M0: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """M0 - sum x_i A_i."""
+    return M0 - np.einsum("i,ijk->jk", x, _LMI_STACK)
+
+
+def _center(M0: np.ndarray, x: np.ndarray, t: float
+            ) -> tuple[np.ndarray, np.ndarray, int]:
     """Damped Newton on -t s - log det(M0 - sum x_i A_i), x = (u, s).
 
     The barrier is self-concordant, so the damped step 1/(1 + lambda) stays
     strictly feasible and needs no line search (Boyd & Vandenberghe,
-    Convex Optimization, section 9.6).
+    Convex Optimization, section 9.6).  Returns x, the barrier's Hessian H
+    of the last Newton system and the steps taken.
     """
     for steps in range(1, BARRIER_MAX_NEWTON + 1):
-        w, V = np.linalg.eigh(M0 - np.einsum("i,ijk->jk", x, _LMI_STACK))
+        w, V = np.linalg.eigh(_lmi(M0, x))
         r = 1.0 / np.sqrt(w)
         # A_i in the frame where X = I: B_i = X^-1/2 A_i X^-1/2
         B = ((V.T @ _LMI_STACK @ V) * np.outer(r, r)).reshape(10, 81)
@@ -990,13 +1065,13 @@ def _center(M0: np.ndarray, x: np.ndarray, t: float) -> tuple[np.ndarray, int]:
         x = x + (dx if dec2 < 0.0625 else dx / (1.0 + math.sqrt(dec2)))
         if dec2 <= BARRIER_DECREMENT_TOL:
             break
-    return x, steps
+    return x, H, steps
 
 
 def _dual_point(M0: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Z = X^-1 / tr X^-1 projected off span{N_k}: trace 1, minor-orthogonal,
     and PSD when x is well centred."""
-    Xi = np.linalg.inv(M0 - np.einsum("i,ijk->jk", x, _LMI_STACK))
+    Xi = np.linalg.inv(_lmi(M0, x))
     Z = _off_minors(Xi / np.trace(Xi))
     return (Z + Z.T) / 2
 
@@ -1020,7 +1095,12 @@ def polyconvexity_test(q: QuadraticForm,
     translates c.  Each centred iterate gives a primal value
     lambda_min(Gram - sum c_k N_k) <= phi* and a dual point Z (PSD, trace 1,
     <N_k, Z> = 0) with phi* <= <Gram, Z>; Z is re-checked before use, and
-    the lowest re-checked bound is kept.
+    the lowest re-checked bound is kept.  Between centrings t grows by
+    BARRIER_MU, and x first takes the predictor step along the central
+    path's tangent, dx/dt = H^-1 e_s (H the barrier Hessian of the last
+    Newton system), scaled by (1 - 1/BARRIER_MU) t, the path's move from
+    t to BARRIER_MU t where x(t) ~ x* - v/t, and halved until the LMI is
+    strictly positive definite.
 
     The method runs on the Gram scaled by 2^-e to largest entry in
     [1/2, 1), as lattice_scan does, which is exact, so that its floors and
@@ -1045,7 +1125,7 @@ def polyconvexity_test(q: QuadraticForm,
     newton_steps = 0
     dual, Z_best, checks_best = math.inf, None, None
     while True:
-        x, steps = _center(M0, x, t)
+        x, H, steps = _center(M0, x, t)
         newton_steps += steps
         Z = _dual_point(M0, x)
         bound = float(np.sum(G * Z))
@@ -1055,6 +1135,15 @@ def polyconvexity_test(q: QuadraticForm,
             dual, Z_best, checks_best = bound, Z, checks
         if 9.0 / t <= BARRIER_GAP_REL * scale:
             break
+        # predictor: the central path has dx/dt = H^-1 e_s, and near the
+        # optimum x(t) ~ x* - v/t, so from t to mu t it moves about
+        # (1 - 1/mu) t dx/dt (the first-order step in t, (mu - 1) t dx/dt,
+        # overshoots that mu-fold); halved until the LMI stays strictly
+        # positive definite
+        dx = (1.0 - 1.0 / BARRIER_MU) * t * np.linalg.solve(H, np.eye(10)[9])
+        while np.linalg.eigvalsh(_lmi(M0, x + dx))[0] <= 0.0:
+            dx *= 0.5
+        x = x + dx
         t *= BARRIER_MU
 
     c = c_proj + x[:9]

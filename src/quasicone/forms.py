@@ -19,6 +19,7 @@ the shear-paired layout, reads off it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -189,19 +190,33 @@ _SHEARS = {
 }
 
 
+@functools.cache
+def _layout_tables() -> dict:
+    """Per layout, its (9, 9, 9) stack of Gram matrices B_k and the flat
+    Gram index of each B_k's first entry, where theta_k is read; built
+    once, read-only."""
+    tables = {}
+    for layout, shears in _SHEARS.items():
+        basis = np.zeros((9, 9, 9))
+        for k, (i, j) in enumerate(_COUPLINGS):
+            p, r = vec_index(i, i), vec_index(j, j)
+            basis[k, p, r] = basis[k, r, p] = 1.0
+        for k, entries in enumerate(shears, start=6):
+            for (i, j) in entries:
+                basis[k, vec_index(i, j), vec_index(i, j)] = 1.0
+        first = np.array([np.flatnonzero(B)[0] for B in basis])
+        for a in (basis, first):
+            a.setflags(write=False)
+        tables[layout] = basis, first
+    return tables
+
+
 def shear_layout_basis(layout: str) -> np.ndarray:
     """The (9, 9, 9) stack of Gram matrices B_k of a layout, Gram = sum
-    theta_k B_k with theta in LAYOUT_PARAMS order."""
+    theta_k B_k with theta in LAYOUT_PARAMS order, as a fresh array."""
     if layout not in _SHEARS:
         raise FormError(f"unknown layout {layout!r}")
-    basis = np.zeros((9, 9, 9))
-    for k, (i, j) in enumerate(_COUPLINGS):
-        p, r = vec_index(i, i), vec_index(j, j)
-        basis[k, p, r] = basis[k, r, p] = 1.0
-    for k, entries in enumerate(_SHEARS[layout], start=6):
-        for (i, j) in entries:
-            basis[k, vec_index(i, j), vec_index(i, j)] = 1.0
-    return basis
+    return _layout_tables()[layout][0].copy()
 
 
 def form_from_theta(layout: str, theta: np.ndarray) -> QuadraticForm:
@@ -232,9 +247,8 @@ def detect_shear_layout(q: QuadraticForm):
     e = frame_exponent(G)
     tol = LAYOUT_REL_TOL * math.ldexp(float(np.max(np.abs(G))), -e)
     snapped = None
-    for layout in _SHEARS:
-        basis = shear_layout_basis(layout)
-        theta = G.ravel()[[np.flatnonzero(B)[0] for B in basis]]
+    for layout, (basis, first) in _layout_tables().items():
+        theta = G.ravel()[first]
         with np.errstate(over="ignore", invalid="ignore"):
             theta[3:6] += G.ravel()[_CROSS]
             off = _off_minors(np.ldexp(G - np.einsum("k,kij->ij", theta, basis), -e))

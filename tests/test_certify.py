@@ -21,12 +21,13 @@ from quasicone.certify import (CLUSTER_ANGLE, CertifyConfig, PreconditionError,
                                polyconvexity_test,
                                quasiconvexity_margin, rank_one_zeros,
                                sphere_lattice)
-from quasicone.determinant import acoustic_det
+from quasicone.determinant import _SEXTIC_EXPS, acoustic_det
 from quasicone.forms import (NullLagrangianCoeffs, QuadraticForm,
                              ReducedOrthotropicForm, acoustic_matrix,
                              add_null_lagrangian, biquadratic_eval, catalog,
                              detect_shear_layout, form_from_reduced,
-                             form_from_theta, minor_gram_basis)
+                             form_from_theta, gram_tensor, minor_gram_basis,
+                             shear_layout_basis)
 from quasicone.poly import monomial_exponents
 from quasicone.symeig import eigmin3, eigvals3
 
@@ -378,6 +379,38 @@ def test_zero_pool_matches_per_zero_loop(name):
             assert len(group) < 4
             span = U[group].T @ U[group]
             assert np.max(np.abs(span - D[group].T @ D[group])) <= 1e-12
+
+
+def test_zero_pool_is_built_once_per_scan(monkeypatch):
+    calls = []
+
+    def counted(scan):
+        calls.append(scan)
+        return zero_pool(scan)
+
+    zero_pool = certify._zero_pool
+    monkeypatch.setattr(certify, "_zero_pool", counted)
+    scan = lattice_scan(catalog("choi"), CertifyConfig(grid_resolution=32,
+                                                       probe_directions=4))
+    milton_extremality_probe(scan)
+    extreme_point_probe(scan)
+    assert calls == [scan]
+    assert not scan.zero_pool.flags.writeable
+    np.testing.assert_array_equal(scan.zero_pool, zero_pool(scan))
+
+
+@pytest.mark.parametrize("grid", [32, 96])
+def test_layout_pool_quadratics_match_one_basis_at_a_time(grid):
+    # the extreme point's nine pool quadratics from one product, bitwise
+    # the per-basis einsum, on the catalog's pools and every layout
+    for name in ("choi", "choi_lam"):
+        P9 = lattice_scan(catalog(name), CertifyConfig(grid_resolution=grid)).zero_pool
+        assert len(P9) > 0
+        for layout in ("paired", "single", "transposed"):
+            basis = shear_layout_basis(layout)
+            ref = np.array([certify._pool_quadratic(P9, B) for B in basis])
+            np.testing.assert_array_equal(
+                certify._layout_pool_quadratics(P9, basis), ref)
 
 
 def test_choi_reports_each_axis_zero_once():
@@ -848,11 +881,13 @@ def test_lockstep_row_cap_leaves_probe_reports_unchanged(monkeypatch):
 def test_probe_diagnostics_count_the_search():
     scan = lattice_scan(catalog("choi"),
                         CertifyConfig(grid_resolution=32, probe_directions=4))
+    # choi's Milton bound is not above the refute line, so nothing is
+    # validated; its extreme point's first trial clears, Q1 then Q - Q1
     d = milton_extremality_probe(scan).witness["diagnostics"]
     assert d == {"directions": 4, "lattice_points": len(sphere_lattice(32)),
                  "pool_points": len(certify._zero_pool(scan)),
                  "refinement_starts": 4 * 16, "refinement_sweeps": 14,
-                 "binding": d["binding"]}
+                 "binding": d["binding"], "validation_scans": 0}
     assert d["pool_points"] > 0
     assert set(d["binding"]) == {"pool", "lattice", "refine"}
     assert sum(d["binding"].values()) == 4
@@ -860,7 +895,7 @@ def test_probe_diagnostics_count_the_search():
     assert d == {"directions": 4, "lattice_points": len(sphere_lattice(32)),
                  "pool_points": len(certify._zero_pool(scan)),
                  "refinement_starts": 4 * 12, "refinement_sweeps": 16,
-                 "binding": d["binding"]}
+                 "binding": d["binding"], "validation_scans": 2}
     assert set(d["binding"]) == {"pool", "lattice", "refine"}
     assert sum(d["binding"].values()) == 4
 
@@ -951,27 +986,28 @@ def test_milton_runs_no_search(monkeypatch):
                          * np.outer(l, l)] if "validation_margin" in w else []
             assert len(scanned) == len(validated) == (name != "choi_lam")
             assert all(map(np.array_equal, scanned, validated))
+            assert w["diagnostics"]["validation_scans"] == len(scanned)
     assert calls == []
     for name in ("identity", "choi_lam"):
         scanned.clear()
         rep = extreme_point_probe(scans[name])
         w = rep.witness
         theta, d = np.array(w["theta_q"]), np.array(w["direction"])
-        # Q1 and Q - Q1 along the validation's shrink sequence
-        deltas = [(1 - 1e-4) * w["delta_star"]]
-        for _ in range(23):
-            deltas.append(0.7 * deltas[-1])
-        q1s = [form_from_theta(w["layout"], 0.5 * theta + t * d).gram
-               for t in deltas]
-        allowed = q1s + [forms[name].gram - g for g in q1s]
-        assert 0 < w["delta_star"] and np.array_equal(scanned[0], q1s[0])
-        assert all(any(np.array_equal(g, a) for a in allowed) for g in scanned)
-        # the identity's first trial clears; choi_lam's, a boundary form
-        # whose splittings are rounding, clears after one 0.7 shrink, each
-        # trial scanning Q1, then Q - Q1
-        k = {"identity": 0, "choi_lam": 1}[name]
-        assert len(scanned) == 2 * k + 2 and rep.value == deltas[k]
-        assert all(map(np.array_equal, scanned[::2], q1s))
+        delta = (1 - 1e-4) * w["delta_star"]
+        assert 0 < w["delta_star"] and rep.value == w["distance"] == delta
+        assert w["diagnostics"]["validation_scans"] == len(scanned)
+        if name == "choi_lam":
+            # a boundary form whose splittings are rounding: its bound is
+            # below the threshold, and a consistent verdict rests on it
+            # without a scan
+            assert rep.verdict == "consistent" and scanned == []
+            assert w["margin_q1"] is w["margin_complement"] is None
+        else:
+            # the identity's first trial clears: Q1, then Q - Q1
+            q1 = form_from_theta(w["layout"], 0.5 * theta + delta * d).gram
+            assert rep.verdict == "refuted" and len(scanned) == 2
+            assert np.array_equal(scanned[0], q1)
+            assert np.array_equal(scanned[1], forms[name].gram - q1)
 
 
 def test_milton_refuted_needs_a_validated_witness(monkeypatch):
@@ -997,6 +1033,38 @@ def test_milton_refuted_needs_a_validated_witness(monkeypatch):
     np.testing.assert_array_equal(
         scans[0].form.gram, catalog("convex_identity").gram
         - (1.0 - 1e-4) * base.witness["eps_star"] * np.outer(m, m))
+
+
+def test_extreme_point_refuted_needs_a_validated_witness(monkeypatch):
+    # the identity's splittings are far above the threshold; when no trial
+    # clears its full scans the verdict is inconclusive, with the search's
+    # own bound as value, after 24 trials of Q1 and the last one's Q - Q1
+    identity = form_from_reduced(ReducedOrthotropicForm(np.eye(3), 1, 1, 1))
+    scan = lattice_scan(identity, FAST)
+    base = extreme_point_probe(scan)
+    assert base.verdict == "refuted"
+    scanned = []
+
+    def failing_scan(q, cfg):
+        scanned.append(q.gram)
+        return dataclasses.replace(lattice_scan(q, cfg), margin=-1e-6)
+
+    monkeypatch.setattr(certify, "lattice_scan", failing_scan)
+    rep = extreme_point_probe(scan)
+    w = rep.witness
+    theta, d = np.array(w["theta_q"]), np.array(w["direction"])
+    assert rep.verdict == "inconclusive"
+    assert w["delta_star"] == base.witness["delta_star"]
+    assert rep.value == w["distance"] == (1 - 1e-4) * w["delta_star"]
+    assert w["theta_witness"] == list(0.5 * theta + rep.value * d)
+    assert len(scanned) == w["diagnostics"]["validation_scans"] == 25
+    assert w["margin_q1"] == w["margin_complement"] == -1e-6
+    delta = rep.value
+    for _ in range(23):
+        delta *= 0.7
+    last = form_from_theta(w["layout"], 0.5 * theta + delta * d).gram
+    assert np.array_equal(scanned[-2], last)
+    assert np.array_equal(scanned[-1], identity.gram - last)
 
 
 def test_milton_is_exact_at_1e200():
@@ -1289,6 +1357,34 @@ def test_pencil_bound_matches_eigvalsh_bisection(R, B, shift):
             assert x @ A @ x / abs(x @ B @ x) == pytest.approx(ref, rel=1e-8)
 
 
+def _whiten_one_matrix_at_a_time(A, B):
+    """L^-1 B L^-T as 3x3 products per matrix of B (n, ..., 3, 3)."""
+    Li = certify._whiten(A, B)[1]
+    Lb = Li.reshape((len(Li),) + (1,) * (B.ndim - 3) + (3, 3))
+    return Lb @ B @ Lb.swapaxes(-1, -2)
+
+
+@pytest.mark.parametrize("form", ["choi", "choi_lam", "convex_identity",
+                                  "reduced 0", "reduced 1", "reduced 2"])
+def test_whiten_matches_one_matrix_at_a_time(form):
+    # the probe's lattice stacks: A = T_theta(y)/2 + guard I and the nine
+    # basis stacks T_k(y), then one direction's T_d(y)
+    name, _, seed = form.partition(" ")
+    q = (_random_form("reduced", np.random.default_rng(int(seed))) if seed
+         else catalog(name))
+    layout, theta = detect_shear_layout(q)
+    basis = shear_layout_basis(layout)
+    A9 = np.tensordot(0.5 * theta, basis, axes=1) + certify.GUARD_REL * np.eye(9)
+    G10 = gram_tensor(np.concatenate([A9[None], basis]))
+    Y = np.ascontiguousarray(sphere_lattice(certify.PROBE_GRID).T)
+    S = _acoustic_stack(Y, G10.transpose(3, 4, 0, 1, 2))
+    d = np.random.default_rng(5).standard_normal(9)
+    for B in (S[:, 1:], np.tensordot(S[:, 1:], d, axes=(1, 0))):
+        C = certify._whiten(S[:, 0], B)[0]
+        assert C.shape == B.shape
+        np.testing.assert_array_equal(C, _whiten_one_matrix_at_a_time(S[:, 0], B))
+
+
 @pytest.mark.parametrize("cfg", [
     CertifyConfig(grid_resolution=32, probe_directions=4), CertifyConfig()])
 def test_pencil_step_sends_no_row_to_lapack(monkeypatch, cfg):
@@ -1450,6 +1546,47 @@ def test_extreme_point_property_over_diagonal_changes(d, seed):
     assert rep.value >= 0.25 * _split_reach(theta, theta - theta_lam)
 
 
+def test_extreme_point_never_consistent_from_a_failed_validation():
+    # choi' = choi(D1 xi D2) splits as choi does, but its validation
+    # margins (about -1.3e-12 in Q's frame) stay below the floor at every
+    # shrink; it read consistent with distance 0 while delta* / |theta| is
+    # about 0.05
+    rep = extreme_point_probe(lattice_scan(
+        _diagonal_change("choi", (8, 0.25, 0.125), (0.5, 0.5, 8)), CertifyConfig()))
+    assert rep.verdict != "consistent"
+    assert rep.witness["diagnostics"]["validation_scans"] > 0
+
+
+_DYADIC = st.integers(-3, 4).map(lambda k: 2.0 ** k)
+
+
+@settings(max_examples=20, deadline=None)
+@given(name=st.sampled_from(["choi", "choi_lam"]),
+       d=st.lists(_DYADIC, min_size=6, max_size=6),
+       seed=st.integers(0, 2**32 - 1))
+def test_extreme_point_verdict_rests_on_its_own_numbers(name, d, seed):
+    # over the dyadic D-family: consistent only on a search bound at or
+    # below the threshold, with no scan; refuted only on a validated
+    # distance above it, both margins clearing the floor
+    scan = lattice_scan(_diagonal_change(name, d[:3], d[3:]), CertifyConfig(
+        grid_resolution=32, probe_directions=4, seed=seed))
+    rep = extreme_point_probe(scan)
+    w = rep.witness
+    u = np.ldexp(w["theta_q"], -scan.e)
+    threshold = certify.EXTREME_POINT_REL * np.ldexp(np.linalg.norm(u), scan.e)
+    bound = (1 - 1e-4) * w["delta_star"]
+    floor = -np.ldexp(certify.GUARD_REL, scan.e)
+    scans = w["diagnostics"]["validation_scans"]
+    if rep.verdict == "consistent":
+        assert bound <= threshold and rep.value == bound and scans == 0
+    elif rep.verdict == "refuted":
+        assert rep.value > threshold and scans >= 2
+        assert min(w["margin_q1"], w["margin_complement"]) >= floor
+    else:
+        assert rep.verdict == "inconclusive"
+        assert bound > threshold and rep.value == bound and scans >= 2
+
+
 @pytest.mark.parametrize("name", ["choi_lam", "choi", "convex_identity", "reduced"])
 def test_extreme_point_sends_no_row_to_lapack(monkeypatch, name):
     # along a positive-theta axis the whitened pencil is rank one minus a
@@ -1529,6 +1666,87 @@ def _integer_rank(rows):
                        for u, t in zip(rows[i], rows[rank])]
         rank += 1
     return rank
+
+
+def _newton_polytope_triangles(support):
+    """Sextic exponents in the convex hull of support: those in a triangle
+    of support points, in (e1, e2), a repeated vertex making the triangle
+    a segment or a point."""
+    pts = [e[:2] for e in support]
+
+    def in_triangle(p, a, b, c):
+        d = [(v[0] - u[0]) * (p[1] - u[1]) - (v[1] - u[1]) * (p[0] - u[0])
+             for u, v in ((a, b), (b, c), (c, a))]
+        return (not (min(d) < 0 < max(d))
+                and all(min(a[i], b[i], c[i]) <= p[i] <= max(a[i], b[i], c[i])
+                        for i in (0, 1)))
+
+    return [e for e in _SEXTIC_EXPS if e in support or any(
+        in_triangle(e[:2], *t)
+        for t in itertools.combinations_with_replacement(pts, 3))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(support=st.sets(st.sampled_from(_SEXTIC_EXPS), max_size=8))
+@example(support=set())
+@example(support={(6, 0, 0)})
+@example(support={(6, 0, 0), (0, 0, 6), (3, 0, 3)})
+@example(support={(4, 0, 2), (2, 4, 0), (0, 2, 4), (2, 2, 2)})
+def test_newton_polytope_hull_matches_triangle_enumeration(support):
+    assert certify._newton_polytope(support) == _newton_polytope_triangles(support)
+
+
+def _monomial_rows_fractions(exps, z):
+    """Gradient rows of the monomials exps at the rational point z."""
+    def mono(e):
+        return z[0] ** e[0] * z[1] ** e[1] * z[2] ** e[2]
+
+    return [[e[v] * mono(tuple(k - (i == v) for i, k in enumerate(e)))
+             if e[v] else Fraction(0) for e in exps] for v in range(3)]
+
+
+def _rank_fractions(rows):
+    """Rank by Gaussian elimination over the rationals."""
+    rows = [r for r in rows if any(r)]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        for i in range(rank + 1, len(rows)):
+            if rows[i][col]:
+                f = rows[i][col] / top[col]
+                rows[i] = [u - f * t for u, t in zip(rows[i], top)]
+        rank += 1
+    return rank
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), zeros=st.integers(1, 7),
+       support=st.sets(st.sampled_from(_SEXTIC_EXPS), min_size=1, max_size=8))
+def test_integer_rank_matches_fraction_elimination(seed, zeros, support):
+    # snapped zeros of small and large denominators: each integer row is the
+    # rational row times L^5, L the lcm of the zero's denominators, and
+    # the fraction-free rank is the rank over the rationals
+    rng = np.random.default_rng(seed)
+    cols = certify._newton_polytope(support)
+    ints, fracs = [], []
+    for _ in range(zeros):
+        y = (rng.integers(-2, 3, 3) / rng.integers(1, 3, 3) if rng.random() < 0.5
+             else rng.standard_normal(3))
+        if not np.any(y):
+            continue
+        z = certify._snap(y)
+        L = np.lcm.reduce([u.denominator for u in z])
+        rows = certify._monomial_rows(cols, z)
+        ref = _monomial_rows_fractions(cols, z)
+        assert rows == [[u * int(L) ** 5 for u in r] for r in ref]
+        assert all(type(u) is int for r in rows for u in r)
+        ints += rows
+        fracs += ref
+    assert certify._exact_rank(ints) == _rank_fractions(fracs)
 
 
 def test_extremal_polynomial_choi_lam_det():
@@ -1698,6 +1916,14 @@ def test_polyconvexity_single_minor():
     rep = polyconvexity_test(QuadraticForm(minor_gram_basis()[0]), FAST)
     assert rep.verdict == "consistent"
     assert rep.value >= -1e-8
+
+
+def test_polyconvexity_predictor_saves_newton_steps():
+    # the predictor starts each centring near the next central point: 76
+    # Newton steps on choi_lam without it, 31 with it
+    rep = polyconvexity_test(catalog("choi_lam"))
+    assert rep.verdict == "refuted"
+    assert rep.witness["newton_steps"] <= 60
 
 
 def test_polyconvexity_choi_refuted():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quasicone import forms
 from quasicone.forms import (FormError, NullLagrangianCoeffs,
                              OrthotropicCoefficients, QuadraticForm,
                              ReducedOrthotropicForm, acoustic_matrix,
@@ -412,6 +413,21 @@ def test_form_from_theta_roundtrip():
         np.testing.assert_allclose(theta2, theta, atol=1e-12)
     with pytest.raises(FormError):
         shear_layout_basis("bogus")
+
+
+def test_layout_tables_are_built_once_and_read_only():
+    # detect_shear_layout reads the cached tables; shear_layout_basis hands
+    # out a fresh, writable copy of them
+    tables = forms._layout_tables()
+    detect_shear_layout(catalog("choi"))
+    assert forms._layout_tables() is tables and list(tables) == [
+        "paired", "single", "transposed"]
+    for layout, (basis, first) in tables.items():
+        assert not basis.flags.writeable and not first.flags.writeable
+        fresh = shear_layout_basis(layout)
+        assert fresh.flags.writeable and fresh is not basis
+        np.testing.assert_array_equal(fresh, basis)
+        assert list(first) == [np.flatnonzero(B)[0] for B in fresh]
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)
