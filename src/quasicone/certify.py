@@ -49,10 +49,11 @@ where plain descent overshoots; Milton and the extreme point therefore
 also bound their coefficient on a structured pool: the refined zeros of Q
 plus geometric radius sweeps along the transverse-Hessian eigendirections
 at each zero, built once per scan (LatticeScan.zero_pool).  Neither
-searches: each sample (pool point, lattice point, or a point of a few
-exact alternating sweeps from the most binding lattice points) admits the
-coefficient up to a closed-form bound.  The least bound is an upper bound
-on the sampled coefficient, so a bound at or below the consistent line
+searches: each sample (pool point, lattice point, or a point of exact
+alternating sweeps from the most binding lattice points, run until each
+direction's bound settles: _refine) admits the coefficient up to a
+closed-form bound.  The least bound is an upper bound on the sampled
+coefficient, so a bound at or below the consistent line
 needs no scan; refuted needs a witness that full scans validate, and a
 witness that fails them is inconclusive.  Both take _probe_directions,
 the probe lattice and GUARD_REL as slack and floor, and report
@@ -98,6 +99,11 @@ NEWTON_SHIFT = 1e-12
 NEWTON_STEP_MAX = 0.25
 NEWTON_BACKTRACKS = 8
 NEWTON_TOL = np.finfo(float).eps
+# the ray probes' refinement: from its second pair of half-sweeps on, a
+# direction stops once its bound, in the scan's frame, could fall by no
+# more than REFINE_TOL of itself, or GUARD_REL (rounding noise), by the
+# last pair, were its sweeps to keep the pace of the pair just run
+REFINE_TOL = 1e-6
 # the step lengths tried at once: 3, the Newton step corrected for a
 # quartic-flat zero (f ~ t^4, where the plain step lands at 2t/3), then
 # 1, 1/2, ..., 2^-NEWTON_BACKTRACKS
@@ -581,6 +587,46 @@ def _probe_directions(axes: np.ndarray, cfg: CertifyConfig) -> np.ndarray:
                            W[n_rand:]])
 
 
+def _refine(half_sweep, V: np.ndarray, sampled: np.ndarray, cap: int
+            ) -> tuple[np.ndarray, int, int]:
+    """The ray probes' refinement: pairs of exact alternating half-sweeps
+    from the k lattice points V (3, c, k) of each of c directions, whose
+    bounds before it, from the pool and the lattice, are sampled (c,).
+    half_sweep(s, live, V) runs half-sweep s (0, 1, ...) of the directions
+    live from their points V (3, len(live), k) and returns their bounds
+    (len(live), k) and next points; half-sweep 0 starts on the lattice,
+    whose bound there is its own, so it is not counted.  A direction's
+    refined bound is the least it has met, and its bound the lesser of
+    that and sampled.  From the second pair on, a direction leaves the
+    batch, its rows dropped as _newton drops frozen seeds, once its bound
+    could fall by no more than REFINE_TOL of itself, or GUARD_REL, were
+    the refined bound to fall as much as in this pair in each pair left
+    (at least one): its fall by the cap, when the falls do not grow.  The
+    loop ends when no direction is live or after cap pairs.  Every
+    direction keeps its k >= 2 columns, so its rows round the same
+    whichever directions are live beside it.  Returns the refined bounds
+    (c,), the pairs run and the directions still moving at the cap."""
+    refine, live = np.full(len(sampled), np.inf), np.arange(len(sampled))
+    for pair in range(1, cap + 1):
+        before = refine[live]
+        for s in (2 * pair - 2, 2 * pair - 1):
+            r, V = half_sweep(s, live, V)
+            if s:
+                refine[live] = np.minimum(refine[live], np.min(r, axis=1))
+        if pair > 1:
+            after, held = refine[live], sampled[live]
+            bound = np.minimum(held, after)
+            # nan where the refined bound stays inf: not moving
+            with np.errstate(invalid="ignore"):
+                fall = bound - np.minimum(
+                    held, after - max(cap - pair, 1) * (before - after))
+            moving = fall > np.maximum(REFINE_TOL * bound, GUARD_REL)
+            live, V = live[moving], V[:, moving]
+            if not len(live):
+                break
+    return refine, pair, len(live)
+
+
 # ---------------------------------------------------------------------------
 # milton extremality
 
@@ -615,10 +661,11 @@ def milton_extremality_probe(scan: LatticeScan) -> ProbeReport:
     lambda_min >= -guard stops holding there (_rank_one_bound of
     A = T(y) + guard I).  eps*(l) is the least bound over the pool
     ((Q + guard) / l^2), the probe lattice (LOCKSTEP_ROWS (direction,
-    point) pairs at a time) and 14 sweeps from each direction's 16 lowest
-    lattice points, each exact in x (x ~ adj(A) m), then in y (S(x),
-    p = M^T x), all on the scan's 2^-e-normalized Gram, as are guard =
-    GUARD_REL and the thresholds; the axes of the directions l are the
+    point) pairs at a time) and pairs of sweeps from each direction's 16
+    lowest lattice points until its bound settles, at most 14 (_refine),
+    each exact in x (x ~ adj(A) m), then in y (S(x), p = M^T x), all on
+    the scan's 2^-e-normalized Gram, as are guard = GUARD_REL and the
+    thresholds; the axes of the directions l are the
     Gram's eigenvectors.  refuted needs Q - (1 - 1e-4) eps* l^2 (off the
     sampled boundary) to clear -guard in a full scan.
     """
@@ -627,7 +674,8 @@ def milton_extremality_probe(scan: LatticeScan) -> ProbeReport:
     P9 = scan.zero_pool
     pool_q = _pool_quadratic(P9, G4.swapaxes(1, 2).reshape(9, 9)) + GUARD_REL
     Y = np.ascontiguousarray(sphere_lattice(PROBE_GRID).T)
-    T = _acoustic_stack(Y, G4.transpose(2, 3, 0, 1))
+    Ky = G4.transpose(2, 3, 0, 1)
+    T = _acoustic_stack(Y, Ky)
     adj, det = _shifted_adjugate(_upper(T), GUARD_REL)
 
     dirs = _probe_directions(np.linalg.eigh(q.gram)[1].T, cfg)
@@ -644,14 +692,20 @@ def milton_extremality_probe(scan: LatticeScan) -> ProbeReport:
         r = _rank_one_bound(adj[:, None], det, (D[j] @ Y).transpose(1, 0, 2))[0]
         lattice[j] = np.min(r, axis=1)
         top[j] = np.argpartition(r, k - 1, axis=1)[:, :k]
-    # the first x step reads the lattice's table: refine binds only below it
-    V, table, refine = Y[:, top], (adj[:, top], det[top]), np.full(c, np.inf)
-    for Mk, K in ((D, G4), (D.transpose(0, 2, 1), G4.transpose(2, 3, 0, 1))) * 14:
-        r, W = _rank_one_bound(*table, (Mk @ V.transpose(1, 0, 2)).transpose(1, 0, 2))
-        refine = np.minimum(refine, np.min(r, axis=1))
-        V = W / np.maximum(np.linalg.norm(W, axis=0), 1e-300)
-        table = _shifted_adjugate(_upper(_acoustic_stack(
-            V.reshape(3, -1), K)).reshape(6, c, k), GUARD_REL)
+
+    def half_sweep(s, live, V):
+        # even s: from y (T(y), m = M y) to x; odd s: from x (S(x),
+        # p = M^T x) to y.  The first x step reads the lattice's table
+        M = D[live] if s % 2 == 0 else D[live].transpose(0, 2, 1)
+        table = (adj[:, top[live]], det[top[live]]) if s == 0 else (
+            _shifted_adjugate(_upper(_acoustic_stack(
+                V.reshape(3, -1), G4 if s % 2 else Ky)).reshape(6, len(live), k),
+                GUARD_REL))
+        r, W = _rank_one_bound(*table, (M @ V.transpose(1, 0, 2)).transpose(1, 0, 2))
+        return r, W / np.maximum(np.linalg.norm(W, axis=0), 1e-300)
+
+    refine, sweeps, unsettled = _refine(
+        half_sweep, Y[:, top], np.minimum(pool, lattice), 14)
     bounds = np.stack([pool, lattice, refine])
     eps_star = np.ldexp(np.min(bounds, axis=0), e)
     binding = np.bincount(np.argmin(bounds, axis=0), minlength=3)
@@ -671,7 +725,8 @@ def milton_extremality_probe(scan: LatticeScan) -> ProbeReport:
         "eigen_directions": eigen_table,
         "diagnostics": {
             "directions": c, "lattice_points": n, "pool_points": len(P9),
-            "refinement_starts": c * k, "refinement_sweeps": 14,
+            "refinement_starts": c * k, "refinement_sweeps": sweeps,
+            "refinement_unsettled": unsettled,
             "binding": dict(zip(("pool", "lattice", "refine"), binding.tolist())),
             "validation_scans": 0},
     }
@@ -776,9 +831,10 @@ def extreme_point_probe(scan: LatticeScan) -> ProbeReport:
     least bound over the pool ((Q_theta/2 + guard) / |Q_d|), the probe
     lattice (T_d is linear in d: the nine whitened basis stacks are built
     once, and LOCKSTEP_ROWS // n directions are one GEMM and one eigvals3)
-    and 16 exact alternating sweeps from each direction's 12 most binding
-    lattice points (_pencil_step, in x with T(y), then in y with S(x)),
-    capped at 8 |theta| and scaled back by 2^e.
+    and pairs of exact alternating sweeps from each direction's 12 most
+    binding lattice points (_pencil_step, in x with T(y), then in y with
+    S(x)) until its bound settles, at most 16 (_refine), capped at
+    8 |theta| and scaled back by 2^e.
 
     In the direction of the largest delta*, the verdict reads the bound
     delta = (1 - 1e-4) delta* (off the sampled boundary) against the
@@ -840,16 +896,18 @@ def extreme_point_probe(scan: LatticeScan) -> ProbeReport:
         r = _ray_bound(np.maximum(lam[:, 2], -lam[:, 0]).reshape(-1, n), pd)
         lattice[j] = np.min(r, axis=1)
         top[j] = np.argpartition(r, k - 1, axis=1)[:, :k]
-    # each point's own T_d or S_d, whitened; the first x step only solves
-    # x, its bound being the lattice's own
-    V, Dk = Y[:, top.ravel()], np.repeat(D, k, axis=0)[:, None]
-    refine = np.full(c, np.inf)
-    for s, K in enumerate((Ky, Kx) * 16):
-        S = _acoustic_stack(V, K)
-        Bd = (Dk @ S[:, 1:].reshape(-1, 9, 9)).reshape(-1, 3, 3)
-        r, V = _pencil_step(*_whiten(S[:, 0], Bd))
-        if s:
-            refine = np.minimum(refine, np.min(r.reshape(c, k), axis=1))
+
+    def half_sweep(s, live, V):
+        # each point's own T_d (even s, from y) or S_d (odd s, from x),
+        # whitened
+        S = _acoustic_stack(V.reshape(3, -1), Kx if s % 2 else Ky)
+        Bd = (np.repeat(D[live], k, axis=0)[:, None]
+              @ S[:, 1:].reshape(-1, 9, 9)).reshape(-1, 3, 3)
+        r, x = _pencil_step(*_whiten(S[:, 0], Bd))
+        return r.reshape(len(live), k), x.reshape(3, len(live), k)
+
+    refine, sweeps, unsettled = _refine(
+        half_sweep, Y[:, top], np.minimum(pool, lattice), 16)
     bounds = np.stack([pool, lattice, refine])
     delta_star = np.minimum(np.ldexp(np.min(bounds, axis=0), e), 8.0 * norm_theta)
     binding = np.bincount(np.argmin(bounds, axis=0), minlength=3)
@@ -888,7 +946,8 @@ def extreme_point_probe(scan: LatticeScan) -> ProbeReport:
         "margin_complement": m2,
         "diagnostics": {
             "directions": c, "lattice_points": n, "pool_points": len(P9),
-            "refinement_starts": c * k, "refinement_sweeps": 16,
+            "refinement_starts": c * k, "refinement_sweeps": sweeps,
+            "refinement_unsettled": unsettled,
             "binding": dict(zip(("pool", "lattice", "refine"), binding.tolist())),
             "validation_scans": scans},
     }

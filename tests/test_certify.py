@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import itertools
 import json
+import math
 import warnings
 from fractions import Fraction
 from unittest import mock
@@ -25,7 +26,8 @@ from quasicone.determinant import _SEXTIC_EXPS, acoustic_det
 from quasicone.forms import (NullLagrangianCoeffs, QuadraticForm,
                              ReducedOrthotropicForm, acoustic_matrix,
                              add_null_lagrangian, biquadratic_eval, catalog,
-                             detect_shear_layout, form_from_reduced,
+                             detect_shear_layout, form_from_json,
+                             form_from_reduced,
                              form_from_theta, gram_tensor, minor_gram_basis,
                              shear_layout_basis)
 from quasicone.poly import monomial_exponents
@@ -882,11 +884,13 @@ def test_probe_diagnostics_count_the_search():
     scan = lattice_scan(catalog("choi"),
                         CertifyConfig(grid_resolution=32, probe_directions=4))
     # choi's Milton bound is not above the refute line, so nothing is
-    # validated; its extreme point's first trial clears, Q1 then Q - Q1
+    # validated; its extreme point's first trial clears, Q1 then Q - Q1.
+    # Every direction's bound settles before the cap of 14 and 16 pairs
     d = milton_extremality_probe(scan).witness["diagnostics"]
     assert d == {"directions": 4, "lattice_points": len(sphere_lattice(32)),
                  "pool_points": len(certify._zero_pool(scan)),
-                 "refinement_starts": 4 * 16, "refinement_sweeps": 14,
+                 "refinement_starts": 4 * 16, "refinement_sweeps": 3,
+                 "refinement_unsettled": 0,
                  "binding": d["binding"], "validation_scans": 0}
     assert d["pool_points"] > 0
     assert set(d["binding"]) == {"pool", "lattice", "refine"}
@@ -894,10 +898,229 @@ def test_probe_diagnostics_count_the_search():
     d = extreme_point_probe(scan).witness["diagnostics"]
     assert d == {"directions": 4, "lattice_points": len(sphere_lattice(32)),
                  "pool_points": len(certify._zero_pool(scan)),
-                 "refinement_starts": 4 * 12, "refinement_sweeps": 16,
+                 "refinement_starts": 4 * 12, "refinement_sweeps": 6,
+                 "refinement_unsettled": 0,
                  "binding": d["binding"], "validation_scans": 2}
     assert set(d["binding"]) == {"pool", "lattice", "refine"}
     assert sum(d["binding"].values()) == 4
+
+
+def _fixed_refine(half_sweep, V, sampled, cap):
+    """The ray probes' refinement before its stop rule, the reference for
+    _refine: cap pairs of half-sweeps of every direction, the first
+    half-sweep's bound (the lattice's own) not counted.  Returns each
+    direction's refined bound after every pair, (cap, c)."""
+    live, refine, after = np.arange(V.shape[1]), np.full(V.shape[1], np.inf), []
+    for s in range(2 * cap):
+        r, V = half_sweep(s, live, V)
+        if s:
+            refine = np.minimum(refine, np.min(r, axis=1))
+        if s % 2:
+            after.append(refine.copy())
+    return np.array(after)
+
+
+def _with_refine(monkeypatch, refine, probe, scan):
+    """probe(scan) with certify._refine replaced by refine."""
+    with monkeypatch.context() as m:
+        m.setattr(certify, "_refine", refine)
+        return probe(scan)
+
+
+def _against_fixed_refinement(monkeypatch, probe, scan):
+    """probe(scan) as it runs, and with the fixed-count refinement; every
+    direction's bound from both, in the scan's frame (the least of its
+    pool, lattice and refined bounds); and whether the fixed-count refined
+    bound falls in no later pair by more than in the pair where the
+    direction stopped, the case in which the stop rule bounds what the
+    remaining pairs could add."""
+    found, refine = [], certify._refine
+
+    def spy(half_sweep, V, sampled, cap):
+        stop = np.zeros(V.shape[1], dtype=int)
+
+        def counting(s, live, W):
+            stop[live] = s // 2 + 1
+            return half_sweep(s, live, W)
+
+        out = refine(counting, V, sampled, cap)
+        after = _fixed_refine(half_sweep, V, sampled, cap)
+        j = np.arange(V.shape[1])
+        # the stopped bound is the fixed loop's at the same pair, bit for bit
+        assert np.array_equal(out[0], after[stop - 1, j])
+        falls = after[:-1] - after[1:]
+        steady = [np.all(falls[p - 1:, i] <= falls[p - 2, i]) for i, p in enumerate(stop)]
+        found.append((np.minimum(sampled, out[0]), np.minimum(sampled, after[-1]),
+                      np.array(steady)))
+        return out
+
+    def fixed(half_sweep, V, sampled, cap):
+        return _fixed_refine(half_sweep, V, sampled, cap)[-1], cap, 0
+
+    rep = _with_refine(monkeypatch, spy, probe, scan)
+    return rep, _with_refine(monkeypatch, fixed, probe, scan), found[0]
+
+
+def _spd3(rng):
+    A = rng.uniform(-1.0, 1.0, (3, 3))
+    return A @ A.T + 0.5 * np.eye(3)
+
+
+def _analyze_cycle_forms(seed):
+    """The seeded reduced and Voigt forms of one cycle of the perfbench
+    analyze workload at this seed, drawn as it draws them."""
+    rng = np.random.default_rng(seed)
+    b, c, d = rng.uniform(0.5, 2.0, 3)
+    reduced = form_from_json({"kind": "reduced", "a": _spd3(rng).tolist(),
+                              "b": b, "c": c, "d": d})
+    blk, shear = _spd3(rng), rng.uniform(0.5, 2.0, 3)
+    voigt = form_from_json({
+        "kind": "voigt", "C11": blk[0, 0], "C22": blk[1, 1], "C33": blk[2, 2],
+        "C12": blk[0, 1], "C13": blk[0, 2], "C23": blk[1, 2],
+        "C44": shear[0], "C55": shear[1], "C66": shear[2]})
+    return [reduced, voigt]
+
+
+def _refinement_against_fixed_count(monkeypatch, q, cfg):
+    """The reports of both ray probes on q, (as run, with the fixed-count
+    refinement), after checking every direction's bound: it may only stay
+    above the fixed-count one, by at most REFINE_TOL of itself or GUARD_REL
+    (the scan's frame), where the fixed loop's falls do not grow after the
+    stop.  Where they do, the sweeps sat at a saddle and left it later,
+    which no rule reading the falls can foresee."""
+    scan = lattice_scan(q, cfg)
+    reports = []
+    for probe in (milton_extremality_probe, extreme_point_probe):
+        if probe is extreme_point_probe and detect_shear_layout(q)[0] is None:
+            continue
+        rep, ref, (bound, reference, steady) = _against_fixed_refinement(
+            monkeypatch, probe, scan)
+        assert np.all(reference <= bound)
+        assert np.all((bound - reference <= np.maximum(
+            certify.REFINE_TOL * bound, certify.GUARD_REL)) | ~steady)
+        reports.append((rep, ref))
+    return reports
+
+
+@pytest.mark.parametrize("name", ["choi_lam", "choi", "convex_identity", "serre"])
+@pytest.mark.parametrize("cfg", [
+    CertifyConfig(grid_resolution=32, probe_directions=4), CertifyConfig(seed=42)])
+def test_refinement_matches_fixed_count_on_the_catalog(monkeypatch, name, cfg):
+    for rep, ref in _refinement_against_fixed_count(monkeypatch, catalog(name), cfg):
+        assert rep.verdict == ref.verdict
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_refinement_matches_fixed_count_on_analyze_cycles(monkeypatch, seed):
+    for q in _analyze_cycle_forms(seed):
+        for rep, ref in _refinement_against_fixed_count(
+                monkeypatch, q, CertifyConfig(grid_resolution=32, probe_directions=4)):
+            assert rep.verdict == ref.verdict
+
+
+@settings(max_examples=20, deadline=None)
+@given(name=st.sampled_from(["choi", "choi_lam"]),
+       d=st.lists(st.integers(-3, 4).map(lambda k: 2.0 ** k), min_size=6, max_size=6),
+       seed=st.integers(0, 2**32 - 1))
+def test_refinement_matches_fixed_count_over_diagonal_changes(name, d, seed):
+    # the search reads consistent exactly when the fixed count does.  Past
+    # it, whether a validation scan clears can turn on rounding: on choi'
+    # at (1/2, 8, 8; 16, 8, 16), seed 38008731, delta* moved by 5e-9 of
+    # itself, and the fixed count read refuted (its first shrink cleared,
+    # margins -2.8e-11 and -2.0e-10 against a floor of -2.3e-10) where the
+    # stopped search read inconclusive (no shrink cleared)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for rep, ref in _refinement_against_fixed_count(
+                monkeypatch, _diagonal_change(name, d[:3], d[3:]),
+                CertifyConfig(grid_resolution=32, probe_directions=4, seed=seed)):
+            assert (rep.verdict == "consistent") == (ref.verdict == "consistent")
+
+
+@pytest.mark.parametrize("q", [catalog("choi"),
+                               _analyze_cycle_forms(1)[0]], ids=["choi", "reduced"])
+def test_refinement_stops_before_the_cap(q):
+    scan = lattice_scan(q, CertifyConfig(grid_resolution=32, probe_directions=4))
+    for probe, cap in ((milton_extremality_probe, 14), (extreme_point_probe, 16)):
+        d = probe(scan).witness["diagnostics"]
+        assert 2 <= d["refinement_sweeps"] < cap
+        assert d["refinement_unsettled"] == 0
+
+
+# witness entries that are values of the form, scaled with it
+_SCALED_KEYS = {"value", "eps_star", "delta_star", "distance", "theta_q",
+                "theta_witness", "margin_q1", "margin_complement",
+                "validation_margin"}
+
+
+def _assert_scaled(a, b, k, key=None):
+    """b is a, a probe report's JSON, with every value under a key of
+    _SCALED_KEYS times 2^k, bit for bit, and every other entry equal."""
+    if isinstance(a, dict):
+        assert a.keys() == b.keys()
+        for u in a:
+            _assert_scaled(a[u], b[u], k, u)
+    elif isinstance(a, list):
+        assert len(a) == len(b)
+        for u, v in zip(a, b):
+            _assert_scaled(u, v, k, key)
+    elif key in _SCALED_KEYS and a is not None:
+        assert b == math.ldexp(a, k)
+    else:
+        assert b == a
+
+
+@settings(max_examples=15, deadline=None)
+@given(k=st.integers(-300, 300), name=st.sampled_from(["choi", "choi_lam", "reduced"]))
+def test_refinement_stops_at_the_same_pair_at_every_power_of_two(k, name):
+    # the stop rule reads the bounds in the scan's frame, so 2^k Q runs the
+    # same sweeps: the same pairs, diagnostics and verdict, values times 2^k
+    q = _analyze_cycle_forms(2)[0] if name == "reduced" else catalog(name)
+    cfg = CertifyConfig(grid_resolution=32, probe_directions=4)
+    for probe in (milton_extremality_probe, extreme_point_probe):
+        a = probe(lattice_scan(q, cfg)).to_json()
+        b = probe(lattice_scan(q.scaled(math.ldexp(1.0, k)), cfg)).to_json()
+        _assert_scaled(a, b, k)
+
+
+@pytest.mark.parametrize("q", [catalog("choi"), _analyze_cycle_forms(3)[1]],
+                         ids=["choi", "voigt"])
+def test_refined_bounds_do_not_depend_on_the_batch(monkeypatch, q):
+    # each direction's bounds at every half-sweep are bitwise the same
+    # refined alone as beside directions that stop earlier, and no acoustic
+    # stack of the refinement has one column, which numpy would hand to
+    # GEMV, rounding it differently
+    scan = lattice_scan(q, CertifyConfig(grid_resolution=32, probe_directions=4))
+    refine, stack = certify._refine, certify._acoustic_stack
+    for probe in (milton_extremality_probe, extreme_point_probe):
+        calls = []
+        _with_refine(monkeypatch, lambda *a: calls.append(a) or refine(*a),
+                     probe, scan)
+        half_sweep, V, sampled, cap = calls[0]
+        widths = []
+
+        def run(idx):
+            rows = {}
+
+            def recording(s, live, W):
+                r, W = half_sweep(s, idx[live], W)
+                rows.update(((s, j), r[i]) for i, j in enumerate(idx[live]))
+                return r, W
+
+            with monkeypatch.context() as m:
+                m.setattr(certify, "_acoustic_stack",
+                          lambda W, K: widths.append(W.shape[1]) or stack(W, K))
+                refine(recording, V[:, idx], sampled[idx], cap)
+            return rows
+
+        together = run(np.arange(V.shape[1]))
+        last = [max(s for s, i in together if i == j) for j in range(V.shape[1])]
+        assert len(set(last)) > 1
+        for j in range(V.shape[1]):
+            alone = run(np.array([j]))
+            assert alone.keys() == {key for key in together if key[1] == j}
+            for key in alone:
+                assert np.array_equal(alone[key], together[key])
+        assert min(widths) == V.shape[2] >= 2
 
 
 def test_milton_refutes_convex_identity():
