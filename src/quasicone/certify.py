@@ -44,19 +44,18 @@ is shared by the margin report and the probes built on top of it:
     below phi* and a re-checked dual bound above it.  Only the dual bound
     can refute polyconvexity.
 
-Violations of depth ~eps^2 hide in tiny dips near degenerate rank-one zeros
-where plain descent overshoots; Milton and the extreme point therefore
-also bound their coefficient on a structured pool: the refined zeros of Q
+Milton and the extreme point run one search, _ray_search, and differ
+only in their closed-form bound, their sweep and their verdict.  Each
+sample admits the coefficient along a direction up to a closed-form bound,
+and the least bound is an upper bound on the sampled coefficient.  The
+samples are the zero pool (LatticeScan.zero_pool: the refined zeros of Q
 plus geometric radius sweeps along the transverse-Hessian eigendirections
-at each zero, built once per scan (LatticeScan.zero_pool).  Neither
-searches: each sample (pool point, lattice point, or a point of exact
-alternating sweeps from the most binding lattice points, run until each
-direction's bound settles: _refine) admits the coefficient up to a
-closed-form bound.  The least bound is an upper bound on the sampled
-coefficient, so a bound at or below the consistent line
-needs no scan; refuted needs a witness that full scans validate, and a
-witness that fails them is inconclusive.  Both take _probe_directions,
-the probe lattice and GUARD_REL as slack and floor, and report
+at each zero, where eps^2-deep dips hide from plain descent), the probe
+lattice, and exact alternating sweeps from the most binding lattice points,
+run until each direction's bound settles (_refine).  So a bound at or
+below the consistent line needs no scan; refuted needs a witness that full
+scans validate, and a witness that fails them is inconclusive.  Both take
+_probe_directions and GUARD_REL as slack and floor, and report
 witness["diagnostics"], the full scans run included (validation_scans).
 
 Every floor is a constant in the scan's frame, the Gram scaled by 2^-e:
@@ -627,6 +626,42 @@ def _refine(half_sweep, V: np.ndarray, sampled: np.ndarray, cap: int
     return refine, pair, len(live)
 
 
+def _ray_search(dirs: np.ndarray, Y: np.ndarray, pool_num: np.ndarray,
+                pool_rows: np.ndarray, den, lattice_bound, half_sweep,
+                k: int, cap: int) -> tuple[np.ndarray, dict]:
+    """The ray probes' search over unit directions dirs (c, 9), in the
+    scan's frame: each direction's least bound over the pool, pool_num /
+    den(d . pool_rows) per column of pool_rows (9, P), 0 where pool_num <= 0;
+    over the probe lattice Y (3, n), lattice_bound(dirs[j]) (len(j), n) for
+    LOCKSTEP_ROWS // n directions at a time; and over _refine's sweeps from
+    its k least lattice bounds, at most cap pairs, half_sweep(s, d, top, V)
+    sweeping directions d from points V of lattice indices top.  Returns the
+    bounds (c,) and the witness diagnostics, validation_scans 0."""
+    c, n = len(dirs), Y.shape[1]
+    pool, lattice, top = np.empty(c), np.empty(c), np.empty((c, k), dtype=int)
+    step = max(1, LOCKSTEP_ROWS // n)
+    for s in range(0, c, step):
+        j = slice(s, s + step)
+        # stacked matrix products, whose bits do not depend on the chunk
+        d = den((dirs[j, None] @ pool_rows)[:, 0])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            pool[j] = np.min(np.where(pool_num > 0, pool_num / d, 0), 1, initial=np.inf)
+        r = lattice_bound(dirs[j])
+        lattice[j] = np.min(r, axis=1)
+        top[j] = np.argpartition(r, k - 1, axis=1)[:, :k]
+    refine, sweeps, unsettled = _refine(
+        lambda s, live, V: half_sweep(s, dirs[live], top[live], V),
+        Y[:, top], np.minimum(pool, lattice), cap)
+    bounds = np.stack([pool, lattice, refine])
+    binding = np.bincount(np.argmin(bounds, axis=0), minlength=3)
+    return np.min(bounds, axis=0), {
+        "directions": c, "lattice_points": n, "pool_points": pool_rows.shape[1],
+        "refinement_starts": c * k, "refinement_sweeps": sweeps,
+        "refinement_unsettled": unsettled,
+        "binding": dict(zip(("pool", "lattice", "refine"), binding.tolist())),
+        "validation_scans": 0}
+
+
 # ---------------------------------------------------------------------------
 # milton extremality
 
@@ -657,17 +692,14 @@ def milton_extremality_probe(scan: LatticeScan) -> ProbeReport:
     """Max over unit rank-one directions l of sup{eps : Q - eps l^2 quasiconvex}.
 
     With l = <M, .> and m = M y, Q - eps l^2 has acoustic matrix
-    T(y) - eps m m^T, so each sample bounds eps*(l) by the exact eps where
-    lambda_min >= -guard stops holding there (_rank_one_bound of
-    A = T(y) + guard I).  eps*(l) is the least bound over the pool
-    ((Q + guard) / l^2), the probe lattice (LOCKSTEP_ROWS (direction,
-    point) pairs at a time) and pairs of sweeps from each direction's 16
-    lowest lattice points until its bound settles, at most 14 (_refine),
-    each exact in x (x ~ adj(A) m), then in y (S(x), p = M^T x), all on
-    the scan's 2^-e-normalized Gram, as are guard = GUARD_REL and the
-    thresholds; the axes of the directions l are the
-    Gram's eigenvectors.  refuted needs Q - (1 - 1e-4) eps* l^2 (off the
-    sampled boundary) to clear -guard in a full scan.
+    T(y) - eps m m^T, so a sample bounds eps*(l) by the exact eps where
+    lambda_min >= -guard stops holding there: _rank_one_bound of
+    A = T(y) + guard I, and (Q + guard) / l^2 on the pool.  _ray_search
+    takes eps*(l) over directions whose axes are the Gram's eigenvectors,
+    sweeping from each direction's 16 lowest lattice points, at most 14
+    pairs, exactly in x (x ~ adj(A) m), then in y (S(x), p = M^T x).
+    refuted needs Q - (1 - 1e-4) eps* l^2 (off the sampled boundary) to
+    clear -guard in a full scan.
     """
     scan.require_quasiconvex("milton probe")
     q, cfg, e, G4 = scan.form, scan.cfg, scan.e, scan.G4
@@ -675,45 +707,31 @@ def milton_extremality_probe(scan: LatticeScan) -> ProbeReport:
     pool_q = _pool_quadratic(P9, G4.swapaxes(1, 2).reshape(9, 9)) + GUARD_REL
     Y = np.ascontiguousarray(sphere_lattice(PROBE_GRID).T)
     Ky = G4.transpose(2, 3, 0, 1)
-    T = _acoustic_stack(Y, Ky)
-    adj, det = _shifted_adjugate(_upper(T), GUARD_REL)
-
+    adj, det = _shifted_adjugate(_upper(_acoustic_stack(Y, Ky)), GUARD_REL)
     dirs = _probe_directions(np.linalg.eigh(q.gram)[1].T, cfg)
-    c, n, k = len(dirs), Y.shape[1], 16
-    D = dirs.reshape(c, 3, 3)
-    pool, lattice, top = np.empty(c), np.empty(c), np.empty((c, k), dtype=int)
-    step = max(1, LOCKSTEP_ROWS // n)
-    for s in range(0, c, step):
-        j = slice(s, s + step)
-        # stacked matrix products, whose bits do not depend on the batch
-        l2 = (dirs[j, None] @ P9.T)[:, 0] ** 2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            pool[j] = np.min(np.where(pool_q > 0, pool_q / l2, 0), 1, initial=np.inf)
-        r = _rank_one_bound(adj[:, None], det, (D[j] @ Y).transpose(1, 0, 2))[0]
-        lattice[j] = np.min(r, axis=1)
-        top[j] = np.argpartition(r, k - 1, axis=1)[:, :k]
 
-    def half_sweep(s, live, V):
+    def lattice_bound(d):
+        return _rank_one_bound(adj[:, None], det,
+                               (d.reshape(-1, 3, 3) @ Y).transpose(1, 0, 2))[0]
+
+    def half_sweep(s, d, top, V):
         # even s: from y (T(y), m = M y) to x; odd s: from x (S(x),
         # p = M^T x) to y.  The first x step reads the lattice's table
-        M = D[live] if s % 2 == 0 else D[live].transpose(0, 2, 1)
-        table = (adj[:, top[live]], det[top[live]]) if s == 0 else (
-            _shifted_adjugate(_upper(_acoustic_stack(
-                V.reshape(3, -1), G4 if s % 2 else Ky)).reshape(6, len(live), k),
-                GUARD_REL))
+        M = d.reshape(-1, 3, 3)
+        M = M.transpose(0, 2, 1) if s % 2 else M
+        table = (adj[:, top], det[top]) if s == 0 else _shifted_adjugate(
+            _upper(_acoustic_stack(V.reshape(3, -1), G4 if s % 2 else Ky)
+                   ).reshape(6, *top.shape), GUARD_REL)
         r, W = _rank_one_bound(*table, (M @ V.transpose(1, 0, 2)).transpose(1, 0, 2))
         return r, W / np.maximum(np.linalg.norm(W, axis=0), 1e-300)
 
-    refine, sweeps, unsettled = _refine(
-        half_sweep, Y[:, top], np.minimum(pool, lattice), 14)
-    bounds = np.stack([pool, lattice, refine])
-    eps_star = np.ldexp(np.min(bounds, axis=0), e)
-    binding = np.bincount(np.argmin(bounds, axis=0), minlength=3)
-
+    bound, diagnostics = _ray_search(dirs, Y, pool_q, P9.T, np.square,
+                                     lattice_bound, half_sweep, 16, 14)
+    eps_star = np.ldexp(bound, e)
     n_rand = cfg.probe_directions // 2
     eigen_table = [{"direction": [float(u) for u in dirs[j]],
                     "eps_star": float(eps_star[j])}
-                   for j in range(n_rand, min(n_rand + 9, c))]
+                   for j in range(n_rand, min(n_rand + 9, len(dirs)))]
     # the witness is the first direction within the validation back-off of
     # the max, so rounding noise in eps* cannot swap it
     value = float(np.max(eps_star))
@@ -723,12 +741,7 @@ def milton_extremality_probe(scan: LatticeScan) -> ProbeReport:
         "direction": [float(u) for u in m_best],
         "eps_star": eps_best,
         "eigen_directions": eigen_table,
-        "diagnostics": {
-            "directions": c, "lattice_points": n, "pool_points": len(P9),
-            "refinement_starts": c * k, "refinement_sweeps": sweeps,
-            "refinement_unsettled": unsettled,
-            "binding": dict(zip(("pool", "lattice", "refine"), binding.tolist())),
-            "validation_scans": 0},
+        "diagnostics": diagnostics,
     }
     if value > math.ldexp(MILTON_REFUTED_MIN, e):
         check = QuadraticForm(q.gram - (1 - 1e-4) * eps_best * np.outer(m_best, m_best))
@@ -823,18 +836,17 @@ def extreme_point_probe(scan: LatticeScan) -> ProbeReport:
     Q1 = theta/2 + delta d and Q - Q1 = theta/2 - delta d, for unit d
     orthogonal to theta, are mirror images about theta/2, so in the scan's
     frame (theta 2^-e) at a sample y both stay above the floor -guard
-    exactly while A +- delta T_d(y) >= 0, A = T_theta(y)/2 + guard I, guard
-    = GUARD_REL: for delta <= 1 / rho(L^-1 T_d L^-T), A = L L^T (0 where A
-    is not positive definite; _whiten, _ray_bound); the axes of the
-    directions d are the layout axes projected off theta, largest theta_k
-    first, which meet splittings random directions miss.  delta*(d) is the
-    least bound over the pool ((Q_theta/2 + guard) / |Q_d|), the probe
-    lattice (T_d is linear in d: the nine whitened basis stacks are built
-    once, and LOCKSTEP_ROWS // n directions are one GEMM and one eigvals3)
-    and pairs of exact alternating sweeps from each direction's 12 most
-    binding lattice points (_pencil_step, in x with T(y), then in y with
-    S(x)) until its bound settles, at most 16 (_refine), capped at
-    8 |theta| and scaled back by 2^e.
+    exactly while A +- delta T_d(y) >= 0, A = T_theta(y)/2 + guard I: for
+    delta <= 1 / rho(L^-1 T_d L^-T), A = L L^T (0 where A is not positive
+    definite; _whiten, _ray_bound), and (Q_theta/2 + guard) / |Q_d| on the
+    pool.  _ray_search takes delta*(d) as the least bound, capped at
+    8 |theta| and scaled back by 2^e; the axes of the directions d are the
+    layout axes projected off theta, largest theta_k first, which meet
+    splittings random directions miss.  T_d is linear in d, so the nine
+    whitened basis stacks of the lattice are built once, and a chunk of
+    directions is one GEMM and one eigvals3.  Its sweeps start at each
+    direction's 12 most binding lattice points, at most 16 pairs
+    (_pencil_step, in x with T(y), then in y with S(x)).
 
     In the direction of the largest delta*, the verdict reads the bound
     delta = (1 - 1e-4) delta* (off the sampled boundary) against the
@@ -866,51 +878,39 @@ def extreme_point_probe(scan: LatticeScan) -> ProbeReport:
     floor = -math.ldexp(GUARD_REL, e)
     axes = (np.eye(9) - np.outer(u, u / (u @ u)))[np.argsort(-theta, kind="stable")]
     D = _probe_directions(axes / np.linalg.norm(axes, axis=1)[:, None], cfg)
-    c, k = len(D), 12
 
     # gram tensors of theta 2^-e / 2 + guard I, whose T(y) at a unit y is
     # A, then of the basis; Ky contracts y (T(y)), Kx contracts x (S(x))
     A9 = np.tensordot(np.ldexp(0.5 * theta, -e), basis, axes=1) + GUARD_REL * np.eye(9)
     G10 = gram_tensor(np.concatenate([A9[None], basis]))
     Ky, Kx = G10.transpose(3, 4, 0, 1, 2), G10.transpose(1, 2, 0, 3, 4)
+    # the pool's tables first: its (9, P, 9) product can be the probe's largest
+    # temporary, best made before the lattice's tables are held
     P9 = scan.zero_pool
-    poolB = _layout_pool_quadratics(P9, basis)
-    pool_num = _pool_quadratic(P9, A9)
+    pool_num, pool_rows = _pool_quadratic(P9, A9), _layout_pool_quadratics(P9, basis)
     Y = np.ascontiguousarray(sphere_lattice(PROBE_GRID).T)
-    n = Y.shape[1]
     S = _acoustic_stack(Y, Ky)
     W, _, pd = _whiten(S[:, 0], S[:, 1:])
     # rows of -C, same rho: along a positive-theta axis C is rank one minus
     # c I, a repeated pair that eigvals3 keeps in closed form only on top
-    W = -W.transpose(1, 0, 2, 3).reshape(9, 9 * n)
-    pool, lattice, top = np.empty(c), np.empty(c), np.empty((c, k), dtype=int)
-    step = max(1, LOCKSTEP_ROWS // n)
-    for s in range(0, c, step):
-        j = slice(s, s + step)
-        # stacked matrix products, whose bits do not depend on the batch
-        qd = np.abs(D[j, None] @ poolB)[:, 0]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            pool[j] = np.min(np.where(pool_num > 0, pool_num / qd, 0), 1,
-                             initial=np.inf)
-        lam = eigvals3((D[j, None] @ W).reshape(-1, 3, 3))
-        r = _ray_bound(np.maximum(lam[:, 2], -lam[:, 0]).reshape(-1, n), pd)
-        lattice[j] = np.min(r, axis=1)
-        top[j] = np.argpartition(r, k - 1, axis=1)[:, :k]
+    W = -W.transpose(1, 0, 2, 3).reshape(9, -1)
 
-    def half_sweep(s, live, V):
+    def lattice_bound(d):
+        lam = eigvals3((d[:, None] @ W).reshape(-1, 3, 3))
+        return _ray_bound(np.maximum(lam[:, 2], -lam[:, 0]).reshape(len(d), -1), pd)
+
+    def half_sweep(s, d, top, V):
         # each point's own T_d (even s, from y) or S_d (odd s, from x),
         # whitened
         S = _acoustic_stack(V.reshape(3, -1), Kx if s % 2 else Ky)
-        Bd = (np.repeat(D[live], k, axis=0)[:, None]
+        Bd = (np.repeat(d, top.shape[1], axis=0)[:, None]
               @ S[:, 1:].reshape(-1, 9, 9)).reshape(-1, 3, 3)
         r, x = _pencil_step(*_whiten(S[:, 0], Bd))
-        return r.reshape(len(live), k), x.reshape(3, len(live), k)
+        return r.reshape(top.shape), x.reshape(3, *top.shape)
 
-    refine, sweeps, unsettled = _refine(
-        half_sweep, Y[:, top], np.minimum(pool, lattice), 16)
-    bounds = np.stack([pool, lattice, refine])
-    delta_star = np.minimum(np.ldexp(np.min(bounds, axis=0), e), 8.0 * norm_theta)
-    binding = np.bincount(np.argmin(bounds, axis=0), minlength=3)
+    bound, diagnostics = _ray_search(D, Y, pool_num, pool_rows, np.abs,
+                                     lattice_bound, half_sweep, 12, 16)
+    delta_star = np.minimum(np.ldexp(bound, e), 8.0 * norm_theta)
 
     # a search bound at or below the threshold is consistent as it stands;
     # above it, the best direction is validated by full scans, shrinking
@@ -944,12 +944,7 @@ def extreme_point_probe(scan: LatticeScan) -> ProbeReport:
         "distance": float(value),
         "margin_q1": m1,
         "margin_complement": m2,
-        "diagnostics": {
-            "directions": c, "lattice_points": n, "pool_points": len(P9),
-            "refinement_starts": c * k, "refinement_sweeps": sweeps,
-            "refinement_unsettled": unsettled,
-            "binding": dict(zip(("pool", "lattice", "refine"), binding.tolist())),
-            "validation_scans": scans},
+        "diagnostics": diagnostics | {"validation_scans": scans},
     }
     return ProbeReport(kind="extreme_point", value=float(value),
                        witness=witness, verdict=verdict)

@@ -167,18 +167,16 @@ def cmd_catalog(args) -> dict:
 def _global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
     # the same flags are accepted before and after the subcommand; the
     # subcommand copies default to SUPPRESS so a pre-subcommand value survives
-    d = argparse.SUPPRESS if suppress else None
-    parser.add_argument("--seed", type=int,
-                        default=d if suppress else 0, help="probe RNG seed")
-    parser.add_argument("--tol", type=float,
-                        default=d if suppress else 1e-9,
-                        help="certification tolerance, relative to the form's scale")
-    parser.add_argument("--grid", type=int,
-                        default=d if suppress else 96,
-                        help="sphere lattice resolution (points = grid^2)")
-    parser.add_argument("--json", action="store_true",
-                        default=d if suppress else False,
-                        help="compact JSON output (indented by default)")
+    def flag(name, default, **kw):
+        parser.add_argument(
+            name, default=argparse.SUPPRESS if suppress else default, **kw)
+
+    flag("--seed", 0, type=int, help="probe RNG seed")
+    flag("--tol", 1e-9, type=float,
+         help="certification tolerance, relative to the form's scale")
+    flag("--grid", 96, type=int, help="sphere lattice resolution (points = grid^2)")
+    flag("--json", False, action="store_true",
+         help="compact JSON output (indented by default)")
 
 
 @functools.cache

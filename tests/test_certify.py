@@ -1780,6 +1780,56 @@ def test_extreme_point_never_consistent_from_a_failed_validation():
     assert rep.witness["diagnostics"]["validation_scans"] > 0
 
 
+# ROADMAP item 1's two hand-checked paired boundary forms.  Neither is an
+# extreme point: with d in the nullspace of the face rows at the zeros,
+# full scans of theta/2 +- delta d clear the guard at delta = 0.26 |theta|
+# and 0.34 |theta|
+_BOUNDARY_THETAS = [
+    (1.949093, 1.343348, 0.888297, -1.186166, -0.436449, -1.776487,
+     0.329373, 0.592285, 0.787829),
+    (1.731655, 1.972742, 1.765686, -1.954073, 2.951904, 1.580708,
+     0.949205, 1.46347, 1.622371)]
+
+
+@functools.cache
+def _boundary_form(i):
+    """_BOUNDARY_THETAS[i] - t (s1 + s2 + s3) and t, the largest t (as 50
+    halvings of [-1e-5, 1e-5] find it) whose margin at the CLI defaults is
+    >= 0.  The margin is concave in theta, so those t are an interval."""
+    theta, shears = np.array(_BOUNDARY_THETAS[i]), np.repeat([0.0, 1.0], [6, 3])
+
+    def margin(t):
+        return lattice_scan(form_from_theta("paired", theta - t * shears)).margin
+
+    lo, hi = -1e-5, 1e-5
+    assert margin(lo) >= 0 > margin(hi)
+    for _ in range(50):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if margin(mid) >= 0 else (lo, mid)
+    return form_from_theta("paired", theta - lo * shears), lo
+
+
+@pytest.mark.parametrize("i", [0, 1])
+def test_boundary_forms_sit_on_the_boundary_with_four_zero_lines(i):
+    # the listed theta are within 3e-7 of the boundary (8.6e-8 and 2.9e-7
+    # along the shears); there the margin reads >= 0 with 4 zero lines
+    q, t = _boundary_form(i)
+    assert 0 < -t < 3e-7
+    scan = lattice_scan(q)
+    assert scan.margin >= 0
+    assert len(scan.rank_one_zeros()) == 4
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1 step "
+                   "2: the ray probes draw directions off the face at the zeros")
+@pytest.mark.parametrize("probe", [milton_extremality_probe, extreme_point_probe])
+@pytest.mark.parametrize("i", [0, 1])
+def test_ray_probes_refute_the_boundary_forms(i, probe):
+    # today each reads consistent: Milton at eps* 1.0e-10 and 4.7e-10, the
+    # extreme point at delta 6.3e-12 and 7.3e-12
+    assert probe(lattice_scan(_boundary_form(i)[0])).verdict == "refuted"
+
+
 _DYADIC = st.integers(-3, 4).map(lambda k: 2.0 ** k)
 
 

@@ -30,3 +30,38 @@ def test_no_module_imports_a_name_it_never_uses():
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
                    if name not in used]
     assert unused == []
+
+
+def test_every_private_helper_is_read_in_the_package():
+    # an ast walk over src/quasicone: every private module-level function
+    # or constant must be read by some other top-level statement of the
+    # package (its own definition and a recursive call do not count), so a
+    # helper that a refactor leaves behind fails here, not in review
+    import ast
+    import pathlib
+
+    defined, reads = [], []
+    for path in sorted(pathlib.Path(quasicone.__file__).parent.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)]
+            else:
+                names = []
+            read = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    read.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    read.add(node.name)
+            defined += [(path.name, stmt.lineno, n) for n in names
+                        if n.startswith("_") and not n.startswith("__")]
+            reads.append((path.name, stmt.lineno, read))
+    orphans = [f"{f}:{line} {name}" for f, line, name in defined
+               if not any(name in read for g, at, read in reads if (g, at) != (f, line))]
+    assert orphans == []
