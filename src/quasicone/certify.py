@@ -18,10 +18,10 @@ as (3, n) rows.  An acoustic stack is one GEMM, a transposed 9x9
 reshaping of the Gram tensor times the nine rows v_j v_l of v (x) v
 (_acoustic_stack), into (3, 3, n) storage, whose (n, 3, 3) transposed
 view eigmin3 solves, returning the eigenvectors as the (n, 3) view of
-(3, n) rows.  Each form is scanned once: lattice_scan keeps its last
-scan, read-only, and returns it again for the same Gram and config, so
-quasiconvexity_margin then rank_one_zeros scan once, and the LatticeScan
-is shared by the margin report and the probes built on top of it:
+(3, n) rows.  lattice_scan is pure: each call makes one lattice pass, and
+its LatticeScan, read-only, is shared by the margin report and the probes
+built on top of it.  Only quasiconvexity_margin and rank_one_zeros keep a
+scan, one entry in _kept_scan, so that the pair on one form scans it once:
 
   * milton_extremality_probe: largest coefficient eps such that Q - eps*l^2
     stays quasiconvex, maximized over unit rank-one directions l, in closed
@@ -210,19 +210,11 @@ def sphere_lattice(resolution: int) -> np.ndarray:
 
 def canonical_sign(V: np.ndarray) -> np.ndarray:
     """Flip rows so the first coordinate above 1e-12 in magnitude is positive."""
-    V = np.array(V, dtype=float, copy=True)
-    single = V.ndim == 1
-    if single:
-        V = V[None]
-    sign = np.ones(V.shape[0])
-    undecided = np.ones(V.shape[0], dtype=bool)
-    for k in range(V.shape[1]):
-        col = V[:, k]
-        pick = undecided & (np.abs(col) > 1e-12)
-        sign[pick] = np.sign(col[pick])
-        undecided &= ~pick
-    out = V * sign[:, None]
-    return out[0] if single else out
+    V = np.asarray(V, dtype=float)
+    W = np.atleast_2d(V)
+    big = np.abs(W) > 1e-12
+    lead = np.take_along_axis(W, np.argmax(big, axis=1)[:, None], axis=1)[:, 0]
+    return (W * np.where(big.any(axis=1), np.sign(lead), 1.0)[:, None]).reshape(V.shape)
 
 
 def _acoustic_stack(V: np.ndarray, K: np.ndarray) -> np.ndarray:
@@ -249,8 +241,8 @@ class LatticeScan:
     after newton_steps Newton steps, and the sampled margin min(vals,
     lattice_lam), all three scaled back by 2^e.  X and Y (seeds, 3) are
     views of components-first rows.  lattice_scan makes every array
-    read-only, since it may hand the scan out again; so is zero_pool, built
-    on first use."""
+    read-only, since the probes of one form, and _kept_scan, share one scan;
+    so is zero_pool, built on first use."""
 
     form: QuadraticForm
     cfg: CertifyConfig
@@ -304,11 +296,6 @@ class LatticeScan:
                 for (y, x, _) in kept]
 
 
-# the last scan and its key (Gram bytes, cfg): a form asked about twice in
-# a row, as by quasiconvexity_margin then rank_one_zeros, is scanned once
-_last_scan: tuple = (None, None)
-
-
 def lattice_scan(q: QuadraticForm, cfg: CertifyConfig = CertifyConfig()) -> LatticeScan:
     """Scan q: lambda_min(T(y)) at every point y of
     sphere_lattice(cfg.grid_resolution), values only (eigvals3), then the
@@ -323,15 +310,8 @@ def lattice_scan(q: QuadraticForm, cfg: CertifyConfig = CertifyConfig()) -> Latt
     and the values are scaled back by 2^e; G4 stays in that frame for the
     probes.  Both scalings are exact, so the fixed floors of the
     refinement are relative to the form, Q and 2Q follow bitwise-equal
-    paths, and no square overflows.
-
-    The last scan is kept: a call with a bitwise-equal Gram and an equal
-    cfg returns that same LatticeScan, whose arrays are all read-only, so
-    no reader can change what the next caller gets."""
-    global _last_scan
-    key = (q.gram.tobytes(), cfg)
-    if _last_scan[0] == key:
-        return _last_scan[1]
+    paths, and no square overflows.  Every call makes one lattice pass;
+    only the two wrappers below keep a scan (_kept_scan)."""
     e = frame_exponent(q.gram)
     G4 = np.ascontiguousarray(np.ldexp(gram_tensor(q.gram), -e))
     Y0 = np.ascontiguousarray(sphere_lattice(cfg.grid_resolution).T)
@@ -346,7 +326,6 @@ def lattice_scan(q: QuadraticForm, cfg: CertifyConfig = CertifyConfig()) -> Latt
     scan = LatticeScan(q, cfg, margin, e, G4, lam, X.T, Y.T, vals, steps)
     for a in (G4, lam, scan.X, scan.Y, vals):
         a.setflags(write=False)
-    _last_scan = (key, scan)
     return scan
 
 
@@ -500,15 +479,25 @@ def _cluster_pairs(X: np.ndarray, Y: np.ndarray, vals: np.ndarray,
     return kept
 
 
+@functools.lru_cache(maxsize=1)
+def _kept_scan(gram: bytes, cfg: CertifyConfig) -> LatticeScan:
+    """lattice_scan of the form with these Gram bytes, the last one kept,
+    so that the two wrappers below, called on one form and config, scan it
+    once."""
+    return lattice_scan(QuadraticForm(np.frombuffer(gram).reshape(9, 9)), cfg)
+
+
 def quasiconvexity_margin(q: QuadraticForm, cfg: CertifyConfig = CertifyConfig()) -> MarginReport:
-    """Margin = min over unit y of lambda_min(T(y)); reports minimizer pairs."""
-    return lattice_scan(q, cfg).margin_report()
+    """Margin = min over unit y of lambda_min(T(y)); reports minimizer
+    pairs.  Reads the kept scan of q and cfg (_kept_scan)."""
+    return _kept_scan(q.gram.tobytes(), cfg).margin_report()
 
 
 def rank_one_zeros(q: QuadraticForm, cfg: CertifyConfig = CertifyConfig()) -> list:
-    """lattice_scan(q, cfg).rank_one_zeros(), which reuses the scan of a
-    quasiconvexity_margin(q, cfg) just before."""
-    return lattice_scan(q, cfg).rank_one_zeros()
+    """The scan's rank_one_zeros(), read off the kept scan of q and cfg
+    (_kept_scan), so it reuses the scan of a quasiconvexity_margin(q, cfg)
+    just before."""
+    return _kept_scan(q.gram.tobytes(), cfg).rank_one_zeros()
 
 
 # ---------------------------------------------------------------------------
@@ -548,14 +537,6 @@ def _zero_pool(scan: LatticeScan):
 
 def _pool_quadratic(P9: np.ndarray, gram: np.ndarray) -> np.ndarray:
     return np.einsum("pi,ij,pj->p", P9, gram, P9)
-
-
-def _layout_pool_quadratics(P9: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """The (9, P) values p^T B_k p of a layout's basis at the pool rows p:
-    one product P9 @ basis and one row-wise dot.  Each B_k has at most one
-    unit entry per column, so every value is bitwise _pool_quadratic(P9,
-    B_k)."""
-    return np.sum((P9 @ basis) * P9, axis=-1)
 
 
 # lattice rows per chunk of the probes' lattice stages: each takes
@@ -634,8 +615,8 @@ def _ray_search(dirs: np.ndarray, Y: np.ndarray, pool_num: np.ndarray,
     den(d . pool_rows) per column of pool_rows (9, P), 0 where pool_num <= 0;
     over the probe lattice Y (3, n), lattice_bound(dirs[j]) (len(j), n) for
     LOCKSTEP_ROWS // n directions at a time; and over _refine's sweeps from
-    its k least lattice bounds, at most cap pairs, half_sweep(s, d, top, V)
-    sweeping directions d from points V of lattice indices top.  Returns the
+    its k least lattice bounds, at most cap pairs, half_sweep(s, d, V)
+    sweeping directions d from their points V (3, len(d), k).  Returns the
     bounds (c,) and the witness diagnostics, validation_scans 0."""
     c, n = len(dirs), Y.shape[1]
     pool, lattice, top = np.empty(c), np.empty(c), np.empty((c, k), dtype=int)
@@ -650,7 +631,7 @@ def _ray_search(dirs: np.ndarray, Y: np.ndarray, pool_num: np.ndarray,
         lattice[j] = np.min(r, axis=1)
         top[j] = np.argpartition(r, k - 1, axis=1)[:, :k]
     refine, sweeps, unsettled = _refine(
-        lambda s, live, V: half_sweep(s, dirs[live], top[live], V),
+        lambda s, live, V: half_sweep(s, dirs[live], V),
         Y[:, top], np.minimum(pool, lattice), cap)
     bounds = np.stack([pool, lattice, refine])
     binding = np.bincount(np.argmin(bounds, axis=0), minlength=3)
@@ -714,14 +695,13 @@ def milton_extremality_probe(scan: LatticeScan) -> ProbeReport:
         return _rank_one_bound(adj[:, None], det,
                                (d.reshape(-1, 3, 3) @ Y).transpose(1, 0, 2))[0]
 
-    def half_sweep(s, d, top, V):
+    def half_sweep(s, d, V):
         # even s: from y (T(y), m = M y) to x; odd s: from x (S(x),
-        # p = M^T x) to y.  The first x step reads the lattice's table
+        # p = M^T x) to y
         M = d.reshape(-1, 3, 3)
         M = M.transpose(0, 2, 1) if s % 2 else M
-        table = (adj[:, top], det[top]) if s == 0 else _shifted_adjugate(
-            _upper(_acoustic_stack(V.reshape(3, -1), G4 if s % 2 else Ky)
-                   ).reshape(6, *top.shape), GUARD_REL)
+        U = _upper(_acoustic_stack(V.reshape(3, -1), G4 if s % 2 else Ky))
+        table = _shifted_adjugate(U.reshape(6, *V.shape[1:]), GUARD_REL)
         r, W = _rank_one_bound(*table, (M @ V.transpose(1, 0, 2)).transpose(1, 0, 2))
         return r, W / np.maximum(np.linalg.norm(W, axis=0), 1e-300)
 
@@ -884,10 +864,11 @@ def extreme_point_probe(scan: LatticeScan) -> ProbeReport:
     A9 = np.tensordot(np.ldexp(0.5 * theta, -e), basis, axes=1) + GUARD_REL * np.eye(9)
     G10 = gram_tensor(np.concatenate([A9[None], basis]))
     Ky, Kx = G10.transpose(3, 4, 0, 1, 2), G10.transpose(1, 2, 0, 3, 4)
-    # the pool's tables first: its (9, P, 9) product can be the probe's largest
-    # temporary, best made before the lattice's tables are held
+    # p^T B_k p at the pool rows p, summed over each B_k's nonzero entries
     P9 = scan.zero_pool
-    pool_num, pool_rows = _pool_quadratic(P9, A9), _layout_pool_quadratics(P9, basis)
+    k, i, j = np.nonzero(basis)
+    pool_rows = np.zeros((9, len(P9)))
+    np.add.at(pool_rows, k, basis[k, i, j, None] * P9.T[i] * P9.T[j])
     Y = np.ascontiguousarray(sphere_lattice(PROBE_GRID).T)
     S = _acoustic_stack(Y, Ky)
     W, _, pd = _whiten(S[:, 0], S[:, 1:])
@@ -899,16 +880,16 @@ def extreme_point_probe(scan: LatticeScan) -> ProbeReport:
         lam = eigvals3((d[:, None] @ W).reshape(-1, 3, 3))
         return _ray_bound(np.maximum(lam[:, 2], -lam[:, 0]).reshape(len(d), -1), pd)
 
-    def half_sweep(s, d, top, V):
+    def half_sweep(s, d, V):
         # each point's own T_d (even s, from y) or S_d (odd s, from x),
         # whitened
         S = _acoustic_stack(V.reshape(3, -1), Kx if s % 2 else Ky)
-        Bd = (np.repeat(d, top.shape[1], axis=0)[:, None]
+        Bd = (np.repeat(d, V.shape[2], axis=0)[:, None]
               @ S[:, 1:].reshape(-1, 9, 9)).reshape(-1, 3, 3)
         r, x = _pencil_step(*_whiten(S[:, 0], Bd))
-        return r.reshape(top.shape), x.reshape(3, *top.shape)
+        return r.reshape(V.shape[1:]), x.reshape(V.shape)
 
-    bound, diagnostics = _ray_search(D, Y, pool_num, pool_rows, np.abs,
+    bound, diagnostics = _ray_search(D, Y, _pool_quadratic(P9, A9), pool_rows, np.abs,
                                      lattice_bound, half_sweep, 12, 16)
     delta_star = np.minimum(np.ldexp(bound, e), 8.0 * norm_theta)
 

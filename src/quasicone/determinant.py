@@ -197,7 +197,8 @@ def perfect_square_test(
     Let a be the anchor point where p is largest.  If p = s^2 with s cubic
     and s(a) > 0, then s(a + h) = S0 + S1 + S2 + S3 exactly (s is a cubic),
     where P_k = D^k p(a)[h, ..., h] / k! is the t^k coefficient of
-    p(a + t h), read off its values at the seven 7th roots of unity,
+    p(a + t h), P0 = p(a) and P1..P3 from p's coefficients through the
+    Taylor tables of _ray_series,
 
         S0 = sqrt(P0), S1 = P1 / 2S0, S2 = (P2 - S1^2) / 2S0,
         S3 = (P3 - 2 S1 S2) / 2S0.

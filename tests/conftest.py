@@ -8,6 +8,6 @@ def no_kept_scan():
     """Every test starts and ends with no kept lattice scan, so a test that
     counts kernel or LAPACK calls sees its own scans, and no scan made
     under a patched kernel outlives its test."""
-    certify._last_scan = (None, None)
+    certify._kept_scan.cache_clear()
     yield
-    certify._last_scan = (None, None)
+    certify._kept_scan.cache_clear()

@@ -401,18 +401,57 @@ def test_zero_pool_is_built_once_per_scan(monkeypatch):
     np.testing.assert_array_equal(scan.zero_pool, zero_pool(scan))
 
 
+class _PoolRows(Exception):
+    """Carries the pool rows that the extreme point hands its search."""
+
+
+def _search_pool_rows(dirs, Y, pool_num, pool_rows, *rest):
+    raise _PoolRows(pool_rows)
+
+
 @pytest.mark.parametrize("grid", [32, 96])
 def test_layout_pool_quadratics_match_one_basis_at_a_time(grid):
-    # the extreme point's nine pool quadratics from one product, bitwise
-    # the per-basis einsum, on the catalog's pools and every layout
+    # the extreme point's nine pool quadratics, summed over each B_k's
+    # nonzero entries, bitwise the per-basis einsum, on the catalog's pools
+    # and every layout
     for name in ("choi", "choi_lam"):
-        P9 = lattice_scan(catalog(name), CertifyConfig(grid_resolution=grid)).zero_pool
+        scan = lattice_scan(catalog(name), CertifyConfig(grid_resolution=grid))
+        P9 = scan.zero_pool
         assert len(P9) > 0
+        theta = detect_shear_layout(scan.form)[1]
         for layout in ("paired", "single", "transposed"):
-            basis = shear_layout_basis(layout)
-            ref = np.array([certify._pool_quadratic(P9, B) for B in basis])
-            np.testing.assert_array_equal(
-                certify._layout_pool_quadratics(P9, basis), ref)
+            with mock.patch.object(certify, "detect_shear_layout",
+                                   lambda q: (layout, theta)), \
+                    mock.patch.object(certify, "_ray_search", _search_pool_rows), \
+                    pytest.raises(_PoolRows) as rows:
+                extreme_point_probe(scan)
+            ref = np.array([certify._pool_quadratic(P9, B)
+                            for B in shear_layout_basis(layout)])
+            np.testing.assert_array_equal(rows.value.args[0], ref)
+
+
+def _canonical_sign_loop(V):
+    """The reference: columns in order, each row signed by its first
+    coordinate above 1e-12 in magnitude, 1 where there is none."""
+    V = np.array(V, dtype=float)
+    sign, undecided = np.ones(len(V)), np.ones(len(V), dtype=bool)
+    for col in V.T:
+        pick = undecided & (np.abs(col) > 1e-12)
+        sign[pick] = np.sign(col[pick])
+        undecided &= ~pick
+    return V * sign[:, None]
+
+
+def test_canonical_sign_matches_the_column_loop():
+    # bitwise, signed zeros included, on entries at and around the cut
+    rng = np.random.default_rng(0)
+    entries = np.array([0.0, -0.0, 1e-13, -1e-13, 1e-12, -1e-12, 2e-12, -2e-12,
+                        0.5, -0.5])
+    for _ in range(200):
+        V = rng.choice(entries, (int(rng.integers(0, 6)), 3))
+        assert canonical_sign(V).tobytes() == _canonical_sign_loop(V).tobytes()
+        for v in V:
+            assert canonical_sign(v).tobytes() == _canonical_sign_loop(v[None])[0].tobytes()
 
 
 def test_choi_reports_each_axis_zero_once():
@@ -480,70 +519,104 @@ def test_lattice_scan_sends_at_most_the_seed_cap_to_lapack():
     assert rows and max(rows) <= _STEP_ROWS
 
 
-def test_margin_then_zeros_scan_the_form_once():
-    # the margin-scan pair of calls: one lattice pass, both read the one
-    # kept scan
+def _lattice_passes(fn):
+    """fn() and the lattice passes it made, as eigvals3 calls (one per
+    scan's lattice)."""
     rows = []
 
     def counted(M, *args):
         rows.append(len(M))
         return eigvals3(M, *args)
 
-    q = catalog("choi_lam")
     with mock.patch.object(certify, "eigvals3", counted):
-        report = quasiconvexity_margin(q, CertifyConfig())
-        zeros = rank_one_zeros(q, CertifyConfig())
-        scan = lattice_scan(q, CertifyConfig())
-    assert rows == [len(sphere_lattice(96))]
+        return fn(), len(rows)
+
+
+def test_margin_then_zeros_scan_the_form_once():
+    # the margin-scan pair of calls: one lattice pass, both read the one
+    # kept scan
+    q = catalog("choi_lam")
+    (report, zeros), passes = _lattice_passes(lambda: (
+        quasiconvexity_margin(q, CertifyConfig()), rank_one_zeros(q, CertifyConfig())))
+    assert passes == 1
+    scan = lattice_scan(q, CertifyConfig())
     assert report == scan.margin_report()
     assert zeros == scan.rank_one_zeros() and len(zeros) == 7
 
 
+def test_lattice_scan_keeps_no_scan():
+    # lattice_scan is pure: two calls on one form make two lattice passes
+    # and two equal scans; only the wrappers keep a scan
+    q = catalog("choi")
+    (a, b), passes = _lattice_passes(lambda: (lattice_scan(q, _GRID32),
+                                              lattice_scan(q, _GRID32)))
+    assert passes == 2 and a is not b
+    assert a.margin_report() == b.margin_report()
+
+
+def _kept_scans(fn):
+    """fn() and the scans that lattice_scan made for it."""
+    scans = []
+    real = certify.lattice_scan
+
+    def spy(q, cfg):
+        scans.append(real(q, cfg))
+        return scans[-1]
+
+    with mock.patch.object(certify, "lattice_scan", spy):
+        return fn(), scans
+
+
 def test_kept_scan_needs_the_same_gram_bits_and_config():
     q = catalog("choi")
-    scan = lattice_scan(q, _GRID32)
-    assert lattice_scan(QuadraticForm(q.gram.copy()), _GRID32) is scan
+    _, scans = _kept_scans(lambda: (quasiconvexity_margin(q, _GRID32),
+                                    rank_one_zeros(QuadraticForm(q.gram.copy()), _GRID32)))
+    assert len(scans) == 1
     g = q.gram.copy()
     g[4, 4] = np.nextafter(g[4, 4], np.inf)     # one bit, still symmetric
     for other in ((QuadraticForm(g), _GRID32),
                   (q, dataclasses.replace(_GRID32, tol=2e-9)),
                   (q, dataclasses.replace(_GRID32, seed=1)),
                   (q, dataclasses.replace(_GRID32, grid_resolution=33))):
-        rescan = lattice_scan(*other)
-        assert rescan is not scan
-        assert rescan.form.gram.tobytes() == other[0].gram.tobytes()
-        assert rescan.cfg == other[1]
-        scan = lattice_scan(q, _GRID32)
+        _, scans = _kept_scans(lambda: (quasiconvexity_margin(*other),
+                                        quasiconvexity_margin(q, _GRID32)))
+        assert len(scans) == 2
+        assert scans[0].form.gram.tobytes() == other[0].gram.tobytes()
+        assert scans[0].cfg == other[1]
 
 
 def test_kept_scan_is_read_only():
-    scan = lattice_scan(catalog("choi_lam"), _GRID32)
+    q = catalog("choi_lam")
+    _, (scan,) = _kept_scans(lambda: quasiconvexity_margin(q, _GRID32))
     for name in ("G4", "lattice_lam", "X", "Y", "vals"):
         a = getattr(scan, name)
         with pytest.raises(ValueError):
             a[(0,) * a.ndim] = 0.0
         with pytest.raises(ValueError):
             a *= 2.0
-    assert lattice_scan(catalog("choi_lam"), _GRID32) is scan
+    zeros, scans = _kept_scans(lambda: rank_one_zeros(q, _GRID32))
+    assert scans == [] and zeros == scan.rank_one_zeros()
 
 
 @pytest.mark.parametrize("kind, seed, grid",
                          [("choi_lam", 3, 32), ("psd", 4, 96), ("choi", 5, 96)])
 def test_kept_scan_equals_a_fresh_scan_bitwise(kind, seed, grid):
     q, cfg = _scan_form(kind, seed, True), CertifyConfig(grid_resolution=grid)
-    kept = lattice_scan(q, cfg)
-    assert lattice_scan(q, cfg) is kept
-    lattice_scan(catalog("choi"), cfg)          # replaces the kept scan
-    fresh = lattice_scan(q, cfg)
-    assert fresh is not kept
-    for f in dataclasses.fields(certify.LatticeScan):
-        a, b = getattr(kept, f.name), getattr(fresh, f.name)
-        if f.name == "form":
-            a, b = a.gram, b.gram
-        if isinstance(a, np.ndarray):
-            assert a.shape == b.shape and a.tobytes() == b.tobytes(), f.name
-        else:
-            assert a == b, f.name
+    _, (kept,) = _kept_scans(lambda: (quasiconvexity_margin(q, cfg),
+                                      quasiconvexity_margin(q, cfg)))
+    # another form replaces the kept scan; lattice_scan itself keeps none
+    _, scans = _kept_scans(lambda: (quasiconvexity_margin(catalog("choi"), cfg),
+                                    quasiconvexity_margin(q, cfg)))
+    for fresh in (scans[1], lattice_scan(q, cfg)):
+        assert fresh is not kept
+        for f in dataclasses.fields(certify.LatticeScan):
+            a, b = getattr(kept, f.name), getattr(fresh, f.name)
+            if f.name == "form":
+                a, b = a.gram, b.gram
+            if isinstance(a, np.ndarray):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), f.name
+            else:
+                assert a == b, f.name
 
 
 def _basin_seeds_tril(Y0, lam):

@@ -65,3 +65,17 @@ def test_every_private_helper_is_read_in_the_package():
     orphans = [f"{f}:{line} {name}" for f, line, name in defined
                if not any(name in read for g, at, read in reads if (g, at) != (f, line))]
     assert orphans == []
+
+
+def test_no_module_rebinds_state_by_global_or_nonlocal():
+    # an ast walk over src/quasicone: no function may rebind a module or
+    # enclosing name, so state kept between calls can only be an explicit
+    # cache (functools.cache or lru_cache), cleared by its cache_clear
+    import ast
+    import pathlib
+
+    found = [f"{path.name}:{node.lineno} {', '.join(node.names)}"
+             for path in sorted(pathlib.Path(quasicone.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, (ast.Global, ast.Nonlocal))]
+    assert found == []
