@@ -44,19 +44,18 @@ scan, one entry in _kept_scan, so that the pair on one form scans it once:
     below phi* and a re-checked dual bound above it.  Only the dual bound
     can refute polyconvexity.
 
-Milton and the extreme point run one search, _ray_search, and differ
-only in their closed-form bound, their sweep and their verdict.  Each
+Milton and the extreme point run one search, _ray_search, and one
+verdict, _ray_verdict, and differ only in their closed-form bound, their
+sweep, their two lines and the split of Q that they validate.  Each
 sample admits the coefficient along a direction up to a closed-form bound,
 and the least bound is an upper bound on the sampled coefficient.  The
 samples are the zero pool (LatticeScan.zero_pool: the refined zeros of Q
 plus geometric radius sweeps along the transverse-Hessian eigendirections
 at each zero, where eps^2-deep dips hide from plain descent), the probe
 lattice, and exact alternating sweeps from the most binding lattice points,
-run until each direction's bound settles (_refine).  So a bound at or
-below the consistent line needs no scan; refuted needs a witness that full
-scans validate, and a witness that fails them is inconclusive.  Both take
-_probe_directions and GUARD_REL as slack and floor, and report
-witness["diagnostics"], the full scans run included (validation_scans).
+run until each direction's bound settles (_refine).  Both take
+_probe_directions and GUARD_REL as slack and floor, and report method
+"sampled" and witness["diagnostics"], validation_scans included.
 
 Every floor is a constant in the scan's frame, the Gram scaled by 2^-e:
 cfg.tol is tol 2^e on Q's values (the ray probes read it only through
@@ -138,13 +137,14 @@ class CertifyConfig:
     probe_directions: int = 256
 
     def __post_init__(self):
-        if not 8 <= self.grid_resolution <= MAX_GRID_RESOLUTION:
-            raise ValueError(
-                f"grid_resolution must be in [8, {MAX_GRID_RESOLUTION}]")
+        for name, low in (("grid_resolution", 8), ("seed", 0), ("probe_directions", 1)):
+            value = getattr(self, name)
+            if type(value) is not int or value < low:  # bool excluded
+                raise ValueError(f"{name} must be an integer >= {low}")
+        if self.grid_resolution > MAX_GRID_RESOLUTION:
+            raise ValueError(f"grid_resolution must be <= {MAX_GRID_RESOLUTION}")
         if not 0 < self.tol < math.inf:
             raise ValueError("tol must be positive and finite")
-        if self.probe_directions < 1:
-            raise ValueError("probe_directions must be >= 1")
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -268,19 +268,21 @@ class LatticeScan:
             raise PreconditionError(
                 f"{who} requires a quasiconvex form (margin {self.margin:.3e})")
 
+    def _seeds_below(self, floor: float, cap: int = 10**9) -> list:
+        near = self.vals <= floor
+        return _cluster_pairs(self.X[near], self.Y[near], self.vals[near], cap=cap)
+
     def margin_report(self) -> MarginReport:
         """Minimizers: refined pairs within tol 2^e of the margin, clustered
         at angular distance 1e-3, at most 12."""
-        margin, vals = self.margin, self.vals
-        near = vals <= margin + math.ldexp(self.cfg.tol, self.e)
-        kept = _cluster_pairs(self.X[near], self.Y[near], vals[near],
-                              cap=MAX_REPORTED_MINIMIZERS)
+        kept = self._seeds_below(self.margin + math.ldexp(self.cfg.tol, self.e),
+                                 MAX_REPORTED_MINIMIZERS)
         minimizers = tuple(
             (tuple(float(u) for u in y), tuple(float(u) for u in x), v)
             for (y, x, v) in kept)
-        return MarginReport(margin=margin, minimizers=minimizers, diagnostics={
+        return MarginReport(margin=self.margin, minimizers=minimizers, diagnostics={
             "lattice_points": len(self.lattice_lam),
-            "seeds": len(vals),
+            "seeds": len(self.vals),
             "newton_steps": self.newton_steps,
             "exponent": self.e})
 
@@ -290,10 +292,8 @@ class LatticeScan:
         Requires the form to be quasiconvex within tolerance.
         """
         self.require_quasiconvex("rank_one_zeros")
-        near = self.vals <= math.ldexp(self.cfg.tol, self.e)
-        kept = _cluster_pairs(self.X[near], self.Y[near], self.vals[near])
         return [(tuple(float(u) for u in x), tuple(float(u) for u in y))
-                for (y, x, _) in kept]
+                for (y, x, _) in self._seeds_below(math.ldexp(self.cfg.tol, self.e))]
 
 
 def lattice_scan(q: QuadraticForm, cfg: CertifyConfig = CertifyConfig()) -> LatticeScan:
@@ -514,10 +514,9 @@ def _zero_pool(scan: LatticeScan):
     sweeps are laid along every eigendirection; the eps^2-deep dips of
     Q - eps*l^2 live on those curves.
     """
-    near = scan.vals <= math.ldexp(1e-10, scan.e)
-    if not np.any(near):
+    reps = scan._seeds_below(math.ldexp(1e-10, scan.e), 12)
+    if not reps:
         return np.zeros((0, 9))
-    reps = _cluster_pairs(scan.X[near], scan.Y[near], scan.vals[near], cap=12)
     Y0, X0 = (np.array([r[k] for r in reps]) for k in (0, 1))
     _, H, U, V = _transverse_hessian(scan.G4, X0.T, Y0.T)
     W = np.linalg.eigh(H)[1]
@@ -617,7 +616,7 @@ def _ray_search(dirs: np.ndarray, Y: np.ndarray, pool_num: np.ndarray,
     LOCKSTEP_ROWS // n directions at a time; and over _refine's sweeps from
     its k least lattice bounds, at most cap pairs, half_sweep(s, d, V)
     sweeping directions d from their points V (3, len(d), k).  Returns the
-    bounds (c,) and the witness diagnostics, validation_scans 0."""
+    bounds (c,) and the witness diagnostics of the search."""
     c, n = len(dirs), Y.shape[1]
     pool, lattice, top = np.empty(c), np.empty(c), np.empty((c, k), dtype=int)
     step = max(1, LOCKSTEP_ROWS // n)
@@ -639,8 +638,38 @@ def _ray_search(dirs: np.ndarray, Y: np.ndarray, pool_num: np.ndarray,
         "directions": c, "lattice_points": n, "pool_points": pool_rows.shape[1],
         "refinement_starts": c * k, "refinement_sweeps": sweeps,
         "refinement_unsettled": unsettled,
-        "binding": dict(zip(("pool", "lattice", "refine"), binding.tolist())),
-        "validation_scans": 0}
+        "binding": dict(zip(("pool", "lattice", "refine"), binding.tolist()))}
+
+
+def _ray_verdict(star: np.ndarray, e: int, consistent: float, refuted: float,
+                 halves, cfg: CertifyConfig):
+    """The ray probes' verdict from their bounds star (c,), in Q's units,
+    e the scan's exponent.  The witness j is the first direction within
+    max(1e-12 2^e, 1e-4 max) of the largest bound, which rounding cannot
+    swap.  A largest bound at or below the consistent line is consistent.
+    Otherwise trials from t = (1 - 1e-4) star[j], off the sampled boundary,
+    run while t is above the refuted line, shrinking by 0.7 at most 23
+    times: refuted once full scans of every Gram of halves(j, t) clear
+    -GUARD_REL 2^e, else inconclusive.  After a failing Gram, the rest are
+    scanned only at the last trial.  Returns the verdict, j, the last
+    trial's t and margins (None when none ran) and the full scans run."""
+    top = float(np.max(star))
+    j = int(np.argmax(star >= top - max(math.ldexp(1e-12, e), 1e-4 * top)))
+    t, floor, scans = (1 - 1e-4) * float(star[j]), -math.ldexp(GUARD_REL, e), 0
+    if top <= consistent or t <= refuted:
+        return "consistent" if top <= consistent else "inconclusive", j, None, None, 0
+    for step in range(24):
+        last = step == 23 or 0.7 * t <= refuted
+        margins = []
+        for gram in halves(j, t):
+            margins.append(lattice_scan(QuadraticForm(gram), cfg).margin)
+            if margins[-1] < floor and not last:
+                break
+        scans += len(margins)
+        passed = min(margins) >= floor
+        if passed or last:
+            return "refuted" if passed else "inconclusive", j, t, margins, scans
+        t *= 0.7
 
 
 # ---------------------------------------------------------------------------
@@ -679,8 +708,8 @@ def milton_extremality_probe(scan: LatticeScan) -> ProbeReport:
     takes eps*(l) over directions whose axes are the Gram's eigenvectors,
     sweeping from each direction's 16 lowest lattice points, at most 14
     pairs, exactly in x (x ~ adj(A) m), then in y (S(x), p = M^T x).
-    refuted needs Q - (1 - 1e-4) eps* l^2 (off the sampled boundary) to
-    clear -guard in a full scan.
+    _ray_verdict validates Q - eps l^2, with lines 1e-6 2^e and 1e-4 2^e;
+    value is the largest eps*.
     """
     scan.require_quasiconvex("milton probe")
     q, cfg, e, G4 = scan.form, scan.cfg, scan.e, scan.G4
@@ -712,28 +741,20 @@ def milton_extremality_probe(scan: LatticeScan) -> ProbeReport:
     eigen_table = [{"direction": [float(u) for u in dirs[j]],
                     "eps_star": float(eps_star[j])}
                    for j in range(n_rand, min(n_rand + 9, len(dirs)))]
-    # the witness is the first direction within the validation back-off of
-    # the max, so rounding noise in eps* cannot swap it
-    value = float(np.max(eps_star))
-    j_best = int(np.argmax(eps_star >= value - max(math.ldexp(1e-12, e), 1e-4 * value)))
-    m_best, eps_best = dirs[j_best], float(eps_star[j_best])
+    verdict, j, t, margins, scans = _ray_verdict(
+        eps_star, e, math.ldexp(MILTON_CONSISTENT_MAX, e), math.ldexp(MILTON_REFUTED_MIN, e),
+        lambda j, t: [q.gram - t * np.outer(dirs[j], dirs[j])], cfg)
     witness = {
-        "direction": [float(u) for u in m_best],
-        "eps_star": eps_best,
+        "method": "sampled",
+        "direction": [float(u) for u in dirs[j]],
+        "eps_star": float(eps_star[j]),
         "eigen_directions": eigen_table,
-        "diagnostics": diagnostics,
+        "diagnostics": diagnostics | {"validation_scans": scans},
     }
-    if value > math.ldexp(MILTON_REFUTED_MIN, e):
-        check = QuadraticForm(q.gram - (1 - 1e-4) * eps_best * np.outer(m_best, m_best))
-        witness["validation_margin"] = margin = lattice_scan(check, cfg).margin
-        witness["diagnostics"]["validation_scans"] = 1
-        verdict = "refuted" if margin >= -math.ldexp(GUARD_REL, e) else "inconclusive"
-    elif value <= math.ldexp(MILTON_CONSISTENT_MAX, e):
-        verdict = "consistent"
-    else:
-        verdict = "inconclusive"
-    return ProbeReport(kind="milton", value=value, witness=witness,
-                       verdict=verdict)
+    if t is not None:
+        witness.update(validation_eps=t, validation_margin=margins[0])
+    return ProbeReport(kind="milton", value=float(np.max(eps_star)),
+                       witness=witness, verdict=verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -828,15 +849,9 @@ def extreme_point_probe(scan: LatticeScan) -> ProbeReport:
     direction's 12 most binding lattice points, at most 16 pairs
     (_pencil_step, in x with T(y), then in y with S(x)).
 
-    In the direction of the largest delta*, the verdict reads the bound
-    delta = (1 - 1e-4) delta* (off the sampled boundary) against the
-    threshold 1e-5 |theta_q|.  At or below it, delta* bounds every sampled
-    splitting, so the form is consistent (an extreme point) with value
-    delta and no full scan.  Above it, delta is shrunk by 0.7, at most 23
-    times and only while it stays above the threshold, until full scans of
-    Q1 and Q - Q1 both clear -guard 2^e: refuted, with that delta as value.
-    If none clears, inconclusive, with value delta.  theta_witness is
-    theta/2 + value d.
+    _ray_verdict validates Q1 and Q - Q1, with 1e-5 |theta_q| as both
+    lines.  value, the distance, is the validated delta when refuted and
+    (1 - 1e-4) max delta* otherwise; theta_witness is theta/2 + value d.
     """
     q, cfg, e = scan.form, scan.cfg, scan.e
     layout, theta = detect_shear_layout(q)
@@ -855,7 +870,6 @@ def extreme_point_probe(scan: LatticeScan) -> ProbeReport:
     basis = shear_layout_basis(layout)
     u = np.ldexp(theta, -e)
     norm_theta = math.ldexp(float(np.linalg.norm(u)), e)
-    floor = -math.ldexp(GUARD_REL, e)
     axes = (np.eye(9) - np.outer(u, u / (u @ u)))[np.argsort(-theta, kind="stable")]
     D = _probe_directions(axes / np.linalg.norm(axes, axis=1)[:, None], cfg)
 
@@ -893,30 +907,16 @@ def extreme_point_probe(scan: LatticeScan) -> ProbeReport:
                                      lattice_bound, half_sweep, 12, 16)
     delta_star = np.minimum(np.ldexp(bound, e), 8.0 * norm_theta)
 
-    # a search bound at or below the threshold is consistent as it stands;
-    # above it, the best direction is validated by full scans, shrinking
-    # toward the ray while it stays above.  Q - Q1 is scanned only when Q1
-    # clears, or at the last trial, whose margins the witness reports
-    j = int(np.argmax(delta_star))
-    threshold = EXTREME_POINT_REL * norm_theta
-    value = delta = (1 - 1e-4) * float(delta_star[j])
-    verdict = "consistent" if delta <= threshold else "inconclusive"
-    m1 = m2 = None
-    scans = 0
-    for step in range(24):
-        if delta <= threshold:
-            break
-        q1 = form_from_theta(layout, 0.5 * theta + delta * D[j])
-        m1 = lattice_scan(q1, cfg).margin
-        scans += 1
-        if m1 >= floor or step == 23 or 0.7 * delta <= threshold:
-            m2 = lattice_scan(QuadraticForm(q.gram - q1.gram), cfg).margin
-            scans += 1
-        if m1 >= floor and m2 >= floor:
-            value, verdict = delta, "refuted"
-            break
-        delta *= 0.7
+    def halves(j, t):
+        q1 = form_from_theta(layout, 0.5 * theta + t * D[j]).gram
+        return q1, q.gram - q1
+
+    line = EXTREME_POINT_REL * norm_theta
+    verdict, j, t, margins, scans = _ray_verdict(delta_star, e, line, line, halves, cfg)
+    value = t if verdict == "refuted" else (1 - 1e-4) * float(np.max(delta_star))
+    m1, m2 = margins or (None, None)
     witness = {
+        "method": "sampled",
         "layout": layout,
         "theta_q": [float(u) for u in theta],
         "direction": [float(u) for u in D[j]],

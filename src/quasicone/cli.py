@@ -77,8 +77,8 @@ def _probe_or_error(fn, *args) -> dict:
 def cmd_analyze(args) -> dict:
     cfg = CertifyConfig(grid_resolution=args.grid, tol=args.tol, seed=args.seed)
     form, echo = _load_form(args.form, args.eps)
-    # one scan of the input form serves the margin report and the three scan
-    # probes; the extreme point reads its layout modulo null Lagrangians
+    # det first, so that a form whose sextic overflows fails before the scan
+    det = det_report(form, reduced_view(form)).to_json()
     scan = lattice_scan(form, cfg)
     probes = {
         "milton": _probe_or_error(milton_extremality_probe, scan),
@@ -93,7 +93,7 @@ def cmd_analyze(args) -> dict:
         "form_echo": echo,
         "config": cfg.to_json(),
         "margin_report": scan.margin_report().to_json(),
-        "det_report": det_report(form, reduced_view(form)).to_json(),
+        "det_report": det,
         "probes": probes,
     }
 

@@ -46,6 +46,13 @@ def test_config_validation():
             CertifyConfig(tol=tol)
     with pytest.raises(ValueError):
         CertifyConfig(probe_directions=0)
+    # integers only, bool excluded, and a seed numpy's RNG accepts: 32.5
+    # would build a lattice of 1,057 points and echo 32.5
+    for kw in ({"grid_resolution": 32.5}, {"grid_resolution": True},
+               {"seed": -1}, {"seed": 1.0}, {"seed": False},
+               {"probe_directions": 4.0}, {"probe_directions": True}):
+        with pytest.raises(ValueError):
+            CertifyConfig(**kw)
 
 
 def test_lattice_deterministic_unit():
@@ -1122,7 +1129,7 @@ def test_refinement_stops_before_the_cap(q):
 # witness entries that are values of the form, scaled with it
 _SCALED_KEYS = {"value", "eps_star", "delta_star", "distance", "theta_q",
                 "theta_witness", "margin_q1", "margin_complement",
-                "validation_margin"}
+                "validation_margin", "validation_eps"}
 
 
 def _assert_scaled(a, b, k, key=None):
@@ -1247,6 +1254,32 @@ def test_milton_witness_direction_ignores_rounding_noise(monkeypatch):
         assert rep.value - rep.witness["eps_star"] <= 1e-12
 
 
+def test_extreme_point_witness_direction_ignores_rounding_noise(monkeypatch):
+    # at grid 32 with 4 directions choi's two shear axes tie, at delta*
+    # 0.95794444651 and 0.95794444592; perturbing every sample's bound and
+    # pool value by 1e-8 of itself, as reordering a float sum would, must
+    # not move the reported direction, and the verdict stays refuted
+    scan = lattice_scan(catalog("choi"),
+                        CertifyConfig(grid_resolution=32, probe_directions=4))
+    base = extreme_point_probe(scan)
+    assert base.verdict == "refuted"
+    bound, pool = certify._ray_bound, certify._pool_quadratic
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+
+        def noise(a):
+            return a * (1.0 + 1e-8 * rng.uniform(-1.0, 1.0, a.shape))
+
+        with monkeypatch.context() as m:
+            m.setattr(certify, "_ray_bound", lambda *a: noise(bound(*a)))
+            m.setattr(certify, "_pool_quadratic", lambda *a: noise(pool(*a)))
+            rep = extreme_point_probe(scan)
+        # the noise reached the witness's bound
+        assert rep.witness["delta_star"] != base.witness["delta_star"]
+        assert rep.verdict == "refuted"
+        assert rep.witness["direction"] == base.witness["direction"]
+
+
 def test_milton_runs_no_search(monkeypatch):
     # eps* and delta* are read off each sample in closed form: the only full
     # scans are the validations of the reported witness, and Milton makes
@@ -1278,7 +1311,7 @@ def test_milton_runs_no_search(monkeypatch):
             scanned.clear()
             w = milton_extremality_probe(scans[name]).witness
             l = np.array(w["direction"])
-            validated = [forms[name].gram - (1 - 1e-4) * w["eps_star"]
+            validated = [forms[name].gram - w["validation_eps"]
                          * np.outer(l, l)] if "validation_margin" in w else []
             assert len(scanned) == len(validated) == (name != "choi_lam")
             assert all(map(np.array_equal, scanned, validated))
@@ -1290,45 +1323,52 @@ def test_milton_runs_no_search(monkeypatch):
         w = rep.witness
         theta, d = np.array(w["theta_q"]), np.array(w["direction"])
         delta = (1 - 1e-4) * w["delta_star"]
-        assert 0 < w["delta_star"] and rep.value == w["distance"] == delta
+        assert 0 < w["delta_star"] and rep.value == w["distance"] >= delta
         assert w["diagnostics"]["validation_scans"] == len(scanned)
         if name == "choi_lam":
             # a boundary form whose splittings are rounding: its bound is
             # below the threshold, and a consistent verdict rests on it
-            # without a scan
+            # without a scan, with (1 - 1e-4) max delta* as value
             assert rep.verdict == "consistent" and scanned == []
             assert w["margin_q1"] is w["margin_complement"] is None
         else:
             # the identity's first trial clears: Q1, then Q - Q1
             q1 = form_from_theta(w["layout"], 0.5 * theta + delta * d).gram
-            assert rep.verdict == "refuted" and len(scanned) == 2
+            assert rep.verdict == "refuted" and rep.value == delta
+            assert len(scanned) == 2
             assert np.array_equal(scanned[0], q1)
             assert np.array_equal(scanned[1], forms[name].gram - q1)
 
 
 def test_milton_refuted_needs_a_validated_witness(monkeypatch):
+    # convex_identity's eps* is far above the refute line; when no trial
+    # clears its full scan the verdict is inconclusive after 24 trials,
+    # eps shrunk by 0.7 from (1 - 1e-4) eps* each time, with value and
+    # eps_star those of the search
     scan = lattice_scan(catalog("convex_identity"), FAST)
     base = milton_extremality_probe(scan)
     assert base.verdict == "refuted"
-    scans = []
+    scanned = []
 
     def failing_scan(q, cfg):
-        s = lattice_scan(q, cfg)
-        scans.append(s)
-        return dataclasses.replace(s, margin=-1e-6)
+        scanned.append(q.gram)
+        return dataclasses.replace(lattice_scan(q, cfg), margin=-1e-6)
 
     monkeypatch.setattr(certify, "lattice_scan", failing_scan)
     rep = milton_extremality_probe(scan)
-    assert len(scans) == 1
+    w = rep.witness
     assert rep.verdict == "inconclusive"
-    assert rep.witness["validation_margin"] == -1e-6
-    assert (rep.value, rep.witness["eps_star"]) == (base.value,
-                                                    base.witness["eps_star"])
-    # the validated form is Q - (1 - 1e-4) eps* l^2 in the witness direction
-    m = np.array(base.witness["direction"])
+    assert (rep.value, w["eps_star"]) == (base.value, base.witness["eps_star"])
+    assert len(scanned) == w["diagnostics"]["validation_scans"] == 24
+    assert w["validation_margin"] == -1e-6
+    eps = (1 - 1e-4) * w["eps_star"]
+    for _ in range(23):
+        eps *= 0.7
+    assert w["validation_eps"] == eps
+    # the last validated form is Q - eps l^2 in the witness direction
+    m = np.array(w["direction"])
     np.testing.assert_array_equal(
-        scans[0].form.gram, catalog("convex_identity").gram
-        - (1.0 - 1e-4) * base.witness["eps_star"] * np.outer(m, m))
+        scanned[-1], catalog("convex_identity").gram - eps * np.outer(m, m))
 
 
 def test_extreme_point_refuted_needs_a_validated_witness(monkeypatch):
@@ -1924,13 +1964,17 @@ def test_extreme_point_verdict_rests_on_its_own_numbers(name, d, seed):
     floor = -np.ldexp(certify.GUARD_REL, scan.e)
     scans = w["diagnostics"]["validation_scans"]
     if rep.verdict == "consistent":
-        assert bound <= threshold and rep.value == bound and scans == 0
+        # value is (1 - 1e-4) max delta*, at or above the witness's bound
+        assert w["delta_star"] <= threshold and scans == 0
+        assert bound <= rep.value <= (1 - 1e-4) * threshold
     elif rep.verdict == "refuted":
         assert rep.value > threshold and scans >= 2
         assert min(w["margin_q1"], w["margin_complement"]) >= floor
     else:
+        # a trial runs only from a bound above the threshold
         assert rep.verdict == "inconclusive"
-        assert bound > threshold and rep.value == bound and scans >= 2
+        assert bound <= rep.value and (1 - 1e-4) * threshold <= rep.value
+        assert scans == 0 if bound <= threshold else scans >= 2
 
 
 @pytest.mark.parametrize("name", ["choi_lam", "choi", "convex_identity", "reduced"])

@@ -342,6 +342,65 @@ def test_non_finite_tol_is_an_invalid_error(tol):
     assert json.loads(r.stderr)["error"]["code"] == "invalid"
 
 
+@pytest.mark.parametrize("argv", [["--seed", "-1", "analyze", "choi"],
+                                  ["analyze", "serre", "--eps", "1e308"]])
+def test_bad_analyze_input_fails_before_any_scan(argv, monkeypatch, capsys):
+    # a negative seed fails in CertifyConfig, and serre at 1e308, whose
+    # sextic overflows in Q's frame, in det_report: both before the
+    # lattice pass, whose one eigvals3 call is the first a scan makes
+    import quasicone.certify
+    import quasicone.cli
+
+    calls, real = [], quasicone.certify.eigvals3
+    monkeypatch.setattr(quasicone.certify, "eigvals3",
+                        lambda *a: calls.append(a) or real(*a))
+    assert quasicone.cli.main(["--json", *argv]) == 2
+    out = capsys.readouterr()
+    assert not out.out and json.loads(out.err)["error"]["code"] == "invalid"
+    assert calls == []
+
+
+@pytest.mark.parametrize("seed", [0, 9, 42])
+@pytest.mark.parametrize("name, eps", [("choi_lam", 0.0), ("choi", 0.0),
+                                       ("convex_identity", 0.0), ("serre", 0.0),
+                                       ("serre", 0.01)])
+def test_refuted_ray_reports_revalidate_from_their_json(name, eps, seed,
+                                                        monkeypatch, capsys):
+    # a refuted Milton or extreme-point report names its split: full scans,
+    # at the report's config, of Q - validation_eps l l^T, or of theta/2 +-
+    # distance d, clear -guard 2^e, e the margin report's exponent
+    import functools
+    import math
+
+    import quasicone.cli
+    from quasicone.certify import GUARD_REL, CertifyConfig, lattice_scan
+    from quasicone.forms import QuadraticForm, catalog, form_from_theta
+
+    monkeypatch.setattr(quasicone.cli, "CertifyConfig", functools.partial(
+        quasicone.cli.CertifyConfig, probe_directions=4))
+    argv = ["--json", "--grid", "32", "--seed", str(seed), "analyze", name]
+    assert quasicone.cli.main(argv + (["--eps", str(eps)] if eps else [])) == 0
+    rep = json.loads(capsys.readouterr().out)
+    cfg = CertifyConfig(**rep["config"])
+    floor = -math.ldexp(GUARD_REL, rep["margin_report"]["diagnostics"]["exponent"])
+    echo = rep["form_echo"]
+    q = catalog(echo["name"], **({"eps": echo["eps"]} if "eps" in echo else {}))
+    halves = []
+    milton, extreme = rep["probes"]["milton"], rep["probes"]["extreme_point"]
+    if milton["verdict"] == "refuted":
+        w = milton["witness"]
+        l = np.array(w["direction"])
+        halves.append(q.gram - w["validation_eps"] * np.outer(l, l))
+    if extreme.get("verdict") == "refuted":
+        w = extreme["witness"]
+        theta, d = np.array(w["theta_q"]), np.array(w["direction"])
+        halves += [form_from_theta(w["layout"], 0.5 * theta + s * w["distance"] * d).gram
+                   for s in (1.0, -1.0)]
+    assert (len(halves) > 0) == (name != "choi_lam")
+    for gram in halves:
+        assert lattice_scan(QuadraticForm(gram), cfg).margin >= floor
+
+
 def test_import_loads_no_scipy():
     code = ("import sys, quasicone; "
             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")

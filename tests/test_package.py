@@ -79,3 +79,19 @@ def test_no_module_rebinds_state_by_global_or_nonlocal():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, (ast.Global, ast.Nonlocal))]
     assert found == []
+
+
+def test_only_the_ray_verdict_and_the_kept_scan_call_lattice_scan():
+    # an ast walk over certify.py: a probe that wants a full scan goes
+    # through _ray_verdict, the one validation path, and the margin
+    # wrappers through _kept_scan, so no probe can validate its own way
+    import ast
+    import pathlib
+
+    path = pathlib.Path(quasicone.__file__).parent / "certify.py"
+    callers = {getattr(stmt, "name", f"line {stmt.lineno}")
+               for stmt in ast.parse(path.read_text(encoding="utf-8")).body
+               for node in ast.walk(stmt)
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+               and node.func.id == "lattice_scan"}
+    assert callers == {"_ray_verdict", "_kept_scan"}
