@@ -53,7 +53,9 @@ samples are the zero pool (LatticeScan.zero_pool: the refined zeros of Q
 plus geometric radius sweeps along the transverse-Hessian eigendirections
 at each zero, where eps^2-deep dips hide from plain descent), the probe
 lattice, and exact alternating sweeps from the most binding lattice points,
-run until each direction's bound settles (_refine).  Both take
+run until each direction's bound settles (_refine).  A direction leaves
+these stages as soon as its bound is at or below the probe's consistent
+line, where no later stage can change the verdict.  Both take
 _probe_directions and GUARD_REL as slack and floor, and report method
 "sampled" and witness["diagnostics"], validation_scans included.
 
@@ -566,7 +568,7 @@ def _probe_directions(axes: np.ndarray, cfg: CertifyConfig) -> np.ndarray:
                            W[n_rand:]])
 
 
-def _refine(half_sweep, V: np.ndarray, sampled: np.ndarray, cap: int
+def _refine(half_sweep, V: np.ndarray, sampled: np.ndarray, cap: int, line: float
             ) -> tuple[np.ndarray, int, int]:
     """The ray probes' refinement: pairs of exact alternating half-sweeps
     from the k lattice points V (3, c, k) of each of c directions, whose
@@ -576,15 +578,16 @@ def _refine(half_sweep, V: np.ndarray, sampled: np.ndarray, cap: int
     (len(live), k) and next points; half-sweep 0 starts on the lattice,
     whose bound there is its own, so it is not counted.  A direction's
     refined bound is the least it has met, and its bound the lesser of
-    that and sampled.  From the second pair on, a direction leaves the
-    batch, its rows dropped as _newton drops frozen seeds, once its bound
-    could fall by no more than REFINE_TOL of itself, or GUARD_REL, were
-    the refined bound to fall as much as in this pair in each pair left
-    (at least one): its fall by the cap, when the falls do not grow.  The
-    loop ends when no direction is live or after cap pairs.  Every
-    direction keeps its k >= 2 columns, so its rows round the same
-    whichever directions are live beside it.  Returns the refined bounds
-    (c,), the pairs run and the directions still moving at the cap."""
+    that and sampled.  After each pair a direction leaves the batch, its
+    rows dropped as _newton drops frozen seeds, once its bound is at or
+    below line; from the second pair on, also once its bound could fall by
+    no more than REFINE_TOL of itself, or GUARD_REL, were the refined bound
+    to fall as much as in this pair in each pair left (at least one): its
+    fall by the cap, when the falls do not grow.  The loop ends when no
+    direction is live or after cap pairs.  Every direction keeps its k >= 2
+    columns, so its rows round the same whichever directions are live
+    beside it.  Returns the refined bounds (c,), the pairs run and the
+    directions still moving at the cap."""
     refine, live = np.full(len(sampled), np.inf), np.arange(len(sampled))
     for pair in range(1, cap + 1):
         before = refine[live]
@@ -592,51 +595,68 @@ def _refine(half_sweep, V: np.ndarray, sampled: np.ndarray, cap: int
             r, V = half_sweep(s, live, V)
             if s:
                 refine[live] = np.minimum(refine[live], np.min(r, axis=1))
+        after, held = refine[live], sampled[live]
+        bound = np.minimum(held, after)
+        moving = bound > line
         if pair > 1:
-            after, held = refine[live], sampled[live]
-            bound = np.minimum(held, after)
             # nan where the refined bound stays inf: not moving
             with np.errstate(invalid="ignore"):
                 fall = bound - np.minimum(
                     held, after - max(cap - pair, 1) * (before - after))
-            moving = fall > np.maximum(REFINE_TOL * bound, GUARD_REL)
-            live, V = live[moving], V[:, moving]
-            if not len(live):
-                break
+            moving &= fall > np.maximum(REFINE_TOL * bound, GUARD_REL)
+        live, V = live[moving], V[:, moving]
+        if not len(live):
+            break
     return refine, pair, len(live)
 
 
 def _ray_search(dirs: np.ndarray, Y: np.ndarray, pool_num: np.ndarray,
-                pool_rows: np.ndarray, den, lattice_bound, half_sweep,
-                k: int, cap: int) -> tuple[np.ndarray, dict]:
+                pool_rows: np.ndarray, den, lattice_table, half_sweep,
+                k: int, cap: int, line: float) -> tuple[np.ndarray, dict]:
     """The ray probes' search over unit directions dirs (c, 9), in the
-    scan's frame: each direction's least bound over the pool, pool_num /
-    den(d . pool_rows) per column of pool_rows (9, P), 0 where pool_num <= 0;
-    over the probe lattice Y (3, n), lattice_bound(dirs[j]) (len(j), n) for
-    LOCKSTEP_ROWS // n directions at a time; and over _refine's sweeps from
-    its k least lattice bounds, at most cap pairs, half_sweep(s, d, V)
-    sweeping directions d from their points V (3, len(d), k).  Returns the
-    bounds (c,) and the witness diagnostics of the search."""
+    scan's frame, in three stages: each direction's least bound over the
+    pool, pool_num / den(d . pool_rows) per column of pool_rows (9, P), 0
+    where pool_num <= 0; over the probe lattice Y (3, n),
+    lattice_bound(dirs[j]) (len(j), n) for LOCKSTEP_ROWS // n directions
+    at a time, lattice_table() building the probe's table and returning
+    lattice_bound; and over _refine's sweeps from its k least lattice
+    bounds, at most cap pairs, half_sweep(s, d, V) sweeping directions d
+    from their points V (3, len(d), k).  A direction leaves at the
+    consistent line: once its bound is at or below line, no later stage
+    runs for it, and lattice_table() runs only when some direction reaches
+    the lattice.  Bounds only fall, so such a direction is read consistent
+    whatever the later stages would find, and only the largest bound
+    above the line, found in full, can refute.  Returns the bounds (c,)
+    and the witness diagnostics of the search."""
     c, n = len(dirs), Y.shape[1]
-    pool, lattice, top = np.empty(c), np.empty(c), np.empty((c, k), dtype=int)
     step = max(1, LOCKSTEP_ROWS // n)
+    pool, lattice, refine = np.empty(c), np.full(c, np.inf), np.full(c, np.inf)
     for s in range(0, c, step):
         j = slice(s, s + step)
         # stacked matrix products, whose bits do not depend on the chunk
         d = den((dirs[j, None] @ pool_rows)[:, 0])
         with np.errstate(divide="ignore", invalid="ignore"):
             pool[j] = np.min(np.where(pool_num > 0, pool_num / d, 0), 1, initial=np.inf)
-        r = lattice_bound(dirs[j])
-        lattice[j] = np.min(r, axis=1)
-        top[j] = np.argpartition(r, k - 1, axis=1)[:, :k]
-    refine, sweeps, unsettled = _refine(
-        lambda s, live, V: half_sweep(s, dirs[live], V),
-        Y[:, top], np.minimum(pool, lattice), cap)
+    reach = np.flatnonzero(pool > line)
+    top = np.empty((len(reach), k), dtype=int)
+    lattice_bound = lattice_table() if len(reach) else None
+    for s in range(0, len(reach), step):
+        r = lattice_bound(dirs[reach[s:s + step]])
+        lattice[reach[s:s + step]] = np.min(r, axis=1)
+        top[s:s + step] = np.argpartition(r, k - 1, axis=1)[:, :k]
+    sampled = np.minimum(pool, lattice)
+    on = sampled[reach] > line
+    swept, sweeps, unsettled = reach[on], 0, 0
+    if len(swept):
+        refine[swept], sweeps, unsettled = _refine(
+            lambda s, live, V: half_sweep(s, dirs[swept[live]], V),
+            Y[:, top[on]], sampled[swept], cap, line)
     bounds = np.stack([pool, lattice, refine])
     binding = np.bincount(np.argmin(bounds, axis=0), minlength=3)
     return np.min(bounds, axis=0), {
         "directions": c, "lattice_points": n, "pool_points": pool_rows.shape[1],
-        "refinement_starts": c * k, "refinement_sweeps": sweeps,
+        "lattice_directions": len(reach), "refined_directions": len(swept),
+        "refinement_starts": len(swept) * k, "refinement_sweeps": sweeps,
         "refinement_unsettled": unsettled,
         "binding": dict(zip(("pool", "lattice", "refine"), binding.tolist()))}
 
@@ -707,7 +727,9 @@ def milton_extremality_probe(scan: LatticeScan) -> ProbeReport:
     A = T(y) + guard I, and (Q + guard) / l^2 on the pool.  _ray_search
     takes eps*(l) over directions whose axes are the Gram's eigenvectors,
     sweeping from each direction's 16 lowest lattice points, at most 14
-    pairs, exactly in x (x ~ adj(A) m), then in y (S(x), p = M^T x).
+    pairs, exactly in x (x ~ adj(A) m), then in y (S(x), p = M^T x); a
+    direction leaves at 1e-6, the consistent line in the scan's frame, and
+    the adjugates of the lattice are built only if one reaches it.
     _ray_verdict validates Q - eps l^2, with lines 1e-6 2^e and 1e-4 2^e;
     value is the largest eps*.
     """
@@ -717,12 +739,12 @@ def milton_extremality_probe(scan: LatticeScan) -> ProbeReport:
     pool_q = _pool_quadratic(P9, G4.swapaxes(1, 2).reshape(9, 9)) + GUARD_REL
     Y = np.ascontiguousarray(sphere_lattice(PROBE_GRID).T)
     Ky = G4.transpose(2, 3, 0, 1)
-    adj, det = _shifted_adjugate(_upper(_acoustic_stack(Y, Ky)), GUARD_REL)
     dirs = _probe_directions(np.linalg.eigh(q.gram)[1].T, cfg)
 
-    def lattice_bound(d):
-        return _rank_one_bound(adj[:, None], det,
-                               (d.reshape(-1, 3, 3) @ Y).transpose(1, 0, 2))[0]
+    def lattice_table():
+        adj, det = _shifted_adjugate(_upper(_acoustic_stack(Y, Ky)), GUARD_REL)
+        return lambda d: _rank_one_bound(
+            adj[:, None], det, (d.reshape(-1, 3, 3) @ Y).transpose(1, 0, 2))[0]
 
     def half_sweep(s, d, V):
         # even s: from y (T(y), m = M y) to x; odd s: from x (S(x),
@@ -734,8 +756,8 @@ def milton_extremality_probe(scan: LatticeScan) -> ProbeReport:
         r, W = _rank_one_bound(*table, (M @ V.transpose(1, 0, 2)).transpose(1, 0, 2))
         return r, W / np.maximum(np.linalg.norm(W, axis=0), 1e-300)
 
-    bound, diagnostics = _ray_search(dirs, Y, pool_q, P9.T, np.square,
-                                     lattice_bound, half_sweep, 16, 14)
+    bound, diagnostics = _ray_search(dirs, Y, pool_q, P9.T, np.square, lattice_table,
+                                     half_sweep, 16, 14, MILTON_CONSISTENT_MAX)
     eps_star = np.ldexp(bound, e)
     n_rand = cfg.probe_directions // 2
     eigen_table = [{"direction": [float(u) for u in dirs[j]],
@@ -760,17 +782,12 @@ def milton_extremality_probe(scan: LatticeScan) -> ProbeReport:
 # ---------------------------------------------------------------------------
 # extreme point probe
 
-def _whiten(A: np.ndarray, B: np.ndarray
-            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """L^-1 B L^-T for the closed-form Cholesky factor of A = L L^T, for
-    stacks A (n, 3, 3) and B (n, ..., 3, 3); L^-1 (n, 3, 3); and whether
-    each A is positive definite, its three pivots positive.  A pivot that
-    is not is taken as 1, so that the outputs stay finite.  The m matrices
-    B_k of a point are whitened by two products, L^-1 [B_1 ... B_m], one
-    (3, 3m), then those m products stacked as rows, (3m, 3), times L^-T:
-    the same two 3x3 products per B_k as Lb @ B @ Lb^T, in 2n calls, not
-    2nm."""
-    a00, a11, a22, a01, a02, a12 = _upper(A)
+def _inverse_cholesky(a00, a11, a22, a01, a02, a12):
+    """L^-1 for the closed-form Cholesky factor of symmetric A = L L^T,
+    given as its upper rows: the rows of the lower triangle of L^-1,
+    ((d0,), (m10, d1), (m20, m21, d2)), and whether A is positive definite,
+    its three pivots positive.  A pivot that is not is taken as 1, so that
+    the outputs stay finite."""
 
     def root(p):
         return np.sqrt(np.where(p > 0, p, 1.0))
@@ -783,18 +800,49 @@ def _whiten(A: np.ndarray, B: np.ndarray
     p2 = a22 - l20 * l20 - l21 * l21
     l22 = root(p2)
     d0, d1, d2 = 1.0 / l00, 1.0 / l11, 1.0 / l22
-    Li = np.zeros((len(l00), 3, 3))
-    Li[:, 0, 0], Li[:, 1, 1], Li[:, 2, 2] = d0, d1, d2
-    Li[:, 1, 0] = -l10 * d0 * d1
-    Li[:, 2, 1] = -l21 * d1 * d2
-    Li[:, 2, 0] = (l10 * l21 - l11 * l20) * d0 * d1 * d2
-    n, shape = len(Li), B.shape
-    Bm = B.reshape(n, -1, 3, 3)
-    m = Bm.shape[1]
-    LB = Li @ Bm.transpose(0, 2, 1, 3).reshape(n, 3, 3 * m)
-    LB = LB.reshape(n, 3, m, 3).transpose(0, 2, 1, 3).reshape(n, 3 * m, 3)
-    C = (LB @ Li.swapaxes(1, 2)).reshape(shape)
-    return C, Li, (a00 > 0) & (p1 > 0) & (p2 > 0)
+    rows = ((d0,), (-l10 * d0 * d1, d1),
+            ((l10 * l21 - l11 * l20) * d0 * d1 * d2, -l21 * d1 * d2, d2))
+    return rows, (a00 > 0) & (p1 > 0) & (p2 > 0)
+
+
+def _whiten(A: np.ndarray, B: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """L^-1 B L^-T for the closed-form Cholesky factor of A = L L^T
+    (_inverse_cholesky), for stacks A and B (n, 3, 3); L^-1 (n, 3, 3); and
+    whether each A is positive definite."""
+    rows, pd = _inverse_cholesky(*_upper(A))
+    Li = np.zeros((len(A), 3, 3))
+    for i, row in enumerate(rows):
+        for j, l in enumerate(row):
+            Li[:, i, j] = l
+    return Li @ B @ Li.swapaxes(1, 2), Li, pd
+
+
+def _whitened_basis(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """-L^-1 B_k L^-T, _whiten's pencils negated, of the stacks A = S[:, 0]
+    and B_k = S[:, k], k = 1..9, of S (n, 10, 3, 3), _acoustic_stack's view
+    of (10, 3, 3, n) storage: as the rows (9, 9n) whose row k is the n
+    pencils of B_k, each a row-major 3x3; and whether each A is positive
+    definite.  Built components first: L^-1 is the rows of _inverse_cholesky,
+    each entry of L^-1 B, then of (L^-1 B) L^-T, is a sum over a row of its
+    lower triangle of (9, 3, n) or (9, n) rows of the storage, and each of
+    the six upper entries is written straight into the rows, and mirrored."""
+    Li, pd = _inverse_cholesky(*_upper(S[:, 0]))
+
+    def lower_dot(row, terms):
+        # summed in place: fewer (9, 3, n) temporaries to map and fault in
+        out = row[0] * terms[0]
+        for l, t in zip(row[1:], terms[1:]):
+            out += l * t
+        return out
+
+    # rows a of the basis stacks, (9, 3, n), then rows i of L^-1 B
+    LB = [lower_dot(row, S.transpose(2, 1, 3, 0)[:, 1:]) for row in Li]
+    C = np.empty((9, len(pd), 3, 3))
+    for i in range(3):
+        for j in range(i, 3):
+            C[:, :, i, j] = C[:, :, j, i] = -lower_dot(Li[j], LB[i].swapaxes(0, 1))
+    return C.reshape(9, -1), pd
 
 
 def _ray_bound(rho: np.ndarray, pd: np.ndarray) -> np.ndarray:
@@ -844,14 +892,18 @@ def extreme_point_probe(scan: LatticeScan) -> ProbeReport:
     8 |theta| and scaled back by 2^e; the axes of the directions d are the
     layout axes projected off theta, largest theta_k first, which meet
     splittings random directions miss.  T_d is linear in d, so the nine
-    whitened basis stacks of the lattice are built once, and a chunk of
-    directions is one GEMM and one eigvals3.  Its sweeps start at each
-    direction's 12 most binding lattice points, at most 16 pairs
-    (_pencil_step, in x with T(y), then in y with S(x)).
+    whitened basis stacks of the lattice are built once, components first
+    (_whitened_basis), and only if a direction reaches the lattice stage,
+    and a chunk of directions is one GEMM and one eigvals3.  Its sweeps
+    start at each direction's 12 most binding lattice points, at most 16
+    pairs (_pencil_step, in x with T(y), then in y with S(x)).  A direction
+    leaves the search at 1e-5 |theta 2^-e|, the consistent line.
 
     _ray_verdict validates Q1 and Q - Q1, with 1e-5 |theta_q| as both
-    lines.  value, the distance, is the validated delta when refuted and
-    (1 - 1e-4) max delta* otherwise; theta_witness is theta/2 + value d.
+    lines.  value and distance are the validated delta when refuted;
+    otherwise value is (1 - 1e-4) max delta* and distance the witness
+    direction's own (1 - 1e-4) delta*.  theta_witness is
+    theta/2 + distance d.
     """
     q, cfg, e = scan.form, scan.cfg, scan.e
     layout, theta = detect_shear_layout(q)
@@ -869,7 +921,9 @@ def extreme_point_probe(scan: LatticeScan) -> ProbeReport:
 
     basis = shear_layout_basis(layout)
     u = np.ldexp(theta, -e)
-    norm_theta = math.ldexp(float(np.linalg.norm(u)), e)
+    norm_u = float(np.linalg.norm(u))
+    # the consistent line, in the scan's frame
+    line = EXTREME_POINT_REL * norm_u
     axes = (np.eye(9) - np.outer(u, u / (u @ u)))[np.argsort(-theta, kind="stable")]
     D = _probe_directions(axes / np.linalg.norm(axes, axis=1)[:, None], cfg)
 
@@ -884,15 +938,17 @@ def extreme_point_probe(scan: LatticeScan) -> ProbeReport:
     pool_rows = np.zeros((9, len(P9)))
     np.add.at(pool_rows, k, basis[k, i, j, None] * P9.T[i] * P9.T[j])
     Y = np.ascontiguousarray(sphere_lattice(PROBE_GRID).T)
-    S = _acoustic_stack(Y, Ky)
-    W, _, pd = _whiten(S[:, 0], S[:, 1:])
-    # rows of -C, same rho: along a positive-theta axis C is rank one minus
-    # c I, a repeated pair that eigvals3 keeps in closed form only on top
-    W = -W.transpose(1, 0, 2, 3).reshape(9, -1)
 
-    def lattice_bound(d):
-        lam = eigvals3((d[:, None] @ W).reshape(-1, 3, 3))
-        return _ray_bound(np.maximum(lam[:, 2], -lam[:, 0]).reshape(len(d), -1), pd)
+    def lattice_table():
+        # rows of -C, same rho: along a positive-theta axis C is rank one
+        # minus c I, a repeated pair that eigvals3 keeps in closed form only
+        # on top
+        W, pd = _whitened_basis(_acoustic_stack(Y, Ky))
+
+        def lattice_bound(d):
+            lam = eigvals3((d[:, None] @ W).reshape(-1, 3, 3))
+            return _ray_bound(np.maximum(lam[:, 2], -lam[:, 0]).reshape(len(d), -1), pd)
+        return lattice_bound
 
     def half_sweep(s, d, V):
         # each point's own T_d (even s, from y) or S_d (odd s, from x),
@@ -904,16 +960,18 @@ def extreme_point_probe(scan: LatticeScan) -> ProbeReport:
         return r.reshape(V.shape[1:]), x.reshape(V.shape)
 
     bound, diagnostics = _ray_search(D, Y, _pool_quadratic(P9, A9), pool_rows, np.abs,
-                                     lattice_bound, half_sweep, 12, 16)
-    delta_star = np.minimum(np.ldexp(bound, e), 8.0 * norm_theta)
+                                     lattice_table, half_sweep, 12, 16, line)
+    delta_star = np.ldexp(np.minimum(bound, 8.0 * norm_u), e)
 
     def halves(j, t):
         q1 = form_from_theta(layout, 0.5 * theta + t * D[j]).gram
         return q1, q.gram - q1
 
-    line = EXTREME_POINT_REL * norm_theta
+    line = math.ldexp(line, e)    # in Q's units
     verdict, j, t, margins, scans = _ray_verdict(delta_star, e, line, line, halves, cfg)
-    value = t if verdict == "refuted" else (1 - 1e-4) * float(np.max(delta_star))
+    # a split within the witness direction's own bound, unless validated
+    value, distance = (t, t) if verdict == "refuted" else (
+        (1 - 1e-4) * float(np.max(delta_star)), (1 - 1e-4) * float(delta_star[j]))
     m1, m2 = margins or (None, None)
     witness = {
         "method": "sampled",
@@ -921,8 +979,8 @@ def extreme_point_probe(scan: LatticeScan) -> ProbeReport:
         "theta_q": [float(u) for u in theta],
         "direction": [float(u) for u in D[j]],
         "delta_star": float(delta_star[j]),
-        "theta_witness": [float(u) for u in 0.5 * theta + value * D[j]],
-        "distance": float(value),
+        "theta_witness": [float(u) for u in 0.5 * theta + distance * D[j]],
+        "distance": float(distance),
         "margin_q1": m1,
         "margin_complement": m2,
         "diagnostics": diagnostics | {"validation_scans": scans},

@@ -963,22 +963,25 @@ def test_lockstep_row_cap_leaves_probe_reports_unchanged(monkeypatch):
 def test_probe_diagnostics_count_the_search():
     scan = lattice_scan(catalog("choi"),
                         CertifyConfig(grid_resolution=32, probe_directions=4))
-    # choi's Milton bound is not above the refute line, so nothing is
-    # validated; its extreme point's first trial clears, Q1 then Q - Q1.
-    # Every direction's bound settles before the cap of 14 and 16 pairs
+    # choi's four Milton bounds are pool bounds at or below the consistent
+    # line 1e-6, so no direction reaches the lattice or the sweeps and
+    # nothing is validated; two of its extreme point's directions leave at
+    # the pool and two are swept, settling before the cap of 16 pairs, and
+    # its first trial clears, Q1 then Q - Q1
     d = milton_extremality_probe(scan).witness["diagnostics"]
     assert d == {"directions": 4, "lattice_points": len(sphere_lattice(32)),
                  "pool_points": len(certify._zero_pool(scan)),
-                 "refinement_starts": 4 * 16, "refinement_sweeps": 3,
+                 "lattice_directions": 0, "refined_directions": 0,
+                 "refinement_starts": 0, "refinement_sweeps": 0,
                  "refinement_unsettled": 0,
-                 "binding": d["binding"], "validation_scans": 0}
+                 "binding": {"pool": 4, "lattice": 0, "refine": 0},
+                 "validation_scans": 0}
     assert d["pool_points"] > 0
-    assert set(d["binding"]) == {"pool", "lattice", "refine"}
-    assert sum(d["binding"].values()) == 4
     d = extreme_point_probe(scan).witness["diagnostics"]
     assert d == {"directions": 4, "lattice_points": len(sphere_lattice(32)),
                  "pool_points": len(certify._zero_pool(scan)),
-                 "refinement_starts": 4 * 12, "refinement_sweeps": 6,
+                 "lattice_directions": 2, "refined_directions": 2,
+                 "refinement_starts": 2 * 12, "refinement_sweeps": 6,
                  "refinement_unsettled": 0,
                  "binding": d["binding"], "validation_scans": 2}
     assert set(d["binding"]) == {"pool", "lattice", "refine"}
@@ -1008,22 +1011,25 @@ def _with_refine(monkeypatch, refine, probe, scan):
 
 
 def _against_fixed_refinement(monkeypatch, probe, scan):
-    """probe(scan) as it runs, and with the fixed-count refinement; every
-    direction's bound from both, in the scan's frame (the least of its
-    pool, lattice and refined bounds); and whether the fixed-count refined
-    bound falls in no later pair by more than in the pair where the
-    direction stopped, the case in which the stop rule bounds what the
-    remaining pairs could add."""
-    found, refine = [], certify._refine
+    """probe(scan) as it runs, and with the fixed-count refinement; the
+    bound of every direction handed to _refine from both, in the scan's
+    frame (the least of its pool, lattice and refined bounds), and whether
+    the fixed-count refined bound falls in no later pair by more than in
+    the pair where the direction stopped, the case in which the stop rule
+    bounds what the remaining pairs could add, or None where no direction
+    was handed to _refine; and the bounds of the other directions, with
+    the search's consistent line."""
+    found, rest = [], []
+    refine, search = certify._refine, certify._ray_search
 
-    def spy(half_sweep, V, sampled, cap):
+    def spy(half_sweep, V, sampled, cap, line):
         stop = np.zeros(V.shape[1], dtype=int)
 
         def counting(s, live, W):
             stop[live] = s // 2 + 1
             return half_sweep(s, live, W)
 
-        out = refine(counting, V, sampled, cap)
+        out = refine(counting, V, sampled, cap, line)
         after = _fixed_refine(half_sweep, V, sampled, cap)
         j = np.arange(V.shape[1])
         # the stopped bound is the fixed loop's at the same pair, bit for bit
@@ -1034,11 +1040,33 @@ def _against_fixed_refinement(monkeypatch, probe, scan):
                       np.array(steady)))
         return out
 
-    def fixed(half_sweep, V, sampled, cap):
+    def fixed(half_sweep, V, sampled, cap, line):
         return _fixed_refine(half_sweep, V, sampled, cap)[-1], cap, 0
 
-    rep = _with_refine(monkeypatch, spy, probe, scan)
-    return rep, _with_refine(monkeypatch, fixed, probe, scan), found[0]
+    def searching(dirs, Y, pool_num, pool_rows, den, lattice_table, half_sweep, k, cap,
+                  line):
+        # the directions of the first half-sweep are those handed to _refine
+        swept = []
+
+        def recording(s, d, V):
+            if s == 0:
+                swept.append(d)
+            return half_sweep(s, d, V)
+
+        bounds, diagnostics = search(dirs, Y, pool_num, pool_rows, den, lattice_table,
+                                     recording, k, cap, line)
+        handed = np.zeros(len(dirs), dtype=bool)
+        for d in swept:
+            handed |= (dirs[:, None] == d[None]).all(axis=2).any(axis=1)
+        assert handed.sum() == diagnostics["refined_directions"]
+        rest.append((bounds[~handed], line))
+        return bounds, diagnostics
+
+    with monkeypatch.context() as m:
+        m.setattr(certify, "_ray_search", searching)
+        rep = _with_refine(monkeypatch, spy, probe, scan)
+    return (rep, _with_refine(monkeypatch, fixed, probe, scan),
+            found[0] if found else None, rest[0])
 
 
 def _spd3(rng):
@@ -1063,21 +1091,28 @@ def _analyze_cycle_forms(seed):
 
 def _refinement_against_fixed_count(monkeypatch, q, cfg):
     """The reports of both ray probes on q, (as run, with the fixed-count
-    refinement), after checking every direction's bound: it may only stay
-    above the fixed-count one, by at most REFINE_TOL of itself or GUARD_REL
-    (the scan's frame), where the fixed loop's falls do not grow after the
-    stop.  Where they do, the sweeps sat at a saddle and left it later,
-    which no rule reading the falls can foresee."""
+    refinement), after checking every direction's bound: a swept one may
+    only stay above the fixed-count one, by at most REFINE_TOL of itself
+    or GUARD_REL (the scan's frame), unless it left at the consistent line
+    or the fixed loop's falls grow after the stop, where the sweeps sat at
+    a saddle and left it later, which no rule reading the falls can
+    foresee.  Every other direction's bound is at or below the line."""
     scan = lattice_scan(q, cfg)
     reports = []
     for probe in (milton_extremality_probe, extreme_point_probe):
         if probe is extreme_point_probe and detect_shear_layout(q)[0] is None:
             continue
-        rep, ref, (bound, reference, steady) = _against_fixed_refinement(
+        rep, ref, refined, (others, line) = _against_fixed_refinement(
             monkeypatch, probe, scan)
-        assert np.all(reference <= bound)
-        assert np.all((bound - reference <= np.maximum(
-            certify.REFINE_TOL * bound, certify.GUARD_REL)) | ~steady)
+        # a direction that is not swept left at the line, on its pool or
+        # lattice bound
+        assert np.all(others <= line)
+        if refined is not None:
+            # a swept direction that left at the line may stay further above
+            bound, reference, steady = refined
+            assert np.all(reference <= bound)
+            assert np.all((bound - reference <= np.maximum(
+                certify.REFINE_TOL * bound, certify.GUARD_REL)) | ~steady | (bound <= line))
         reports.append((rep, ref))
     return reports
 
@@ -1116,12 +1151,18 @@ def test_refinement_matches_fixed_count_over_diagonal_changes(name, d, seed):
             assert (rep.verdict == "consistent") == (ref.verdict == "consistent")
 
 
-@pytest.mark.parametrize("q", [catalog("choi"),
-                               _analyze_cycle_forms(1)[0]], ids=["choi", "reduced"])
-def test_refinement_stops_before_the_cap(q):
+# choi's Milton directions all leave at the pool, so its sweeps are
+# checked on the seeded reduced form alone
+@pytest.mark.parametrize("q, probes", [
+    (catalog("choi"), [extreme_point_probe]),
+    (_analyze_cycle_forms(1)[0], [milton_extremality_probe, extreme_point_probe])],
+    ids=["choi", "reduced"])
+def test_refinement_stops_before_the_cap(q, probes):
     scan = lattice_scan(q, CertifyConfig(grid_resolution=32, probe_directions=4))
-    for probe, cap in ((milton_extremality_probe, 14), (extreme_point_probe, 16)):
+    for probe in probes:
+        cap = 14 if probe is milton_extremality_probe else 16
         d = probe(scan).witness["diagnostics"]
+        assert d["refined_directions"] > 0
         assert 2 <= d["refinement_sweeps"] < cap
         assert d["refinement_unsettled"] == 0
 
@@ -1162,20 +1203,24 @@ def test_refinement_stops_at_the_same_pair_at_every_power_of_two(k, name):
         _assert_scaled(a, b, k)
 
 
-@pytest.mark.parametrize("q", [catalog("choi"), _analyze_cycle_forms(3)[1]],
-                         ids=["choi", "voigt"])
-def test_refined_bounds_do_not_depend_on_the_batch(monkeypatch, q):
+# choi's Milton directions all leave at the pool, so Milton's case is the
+# seeded reduced form beside choi's extreme point
+@pytest.mark.parametrize("milton_q, extreme_q", [
+    (_analyze_cycle_forms(1)[0], catalog("choi")),
+    (_analyze_cycle_forms(3)[1], _analyze_cycle_forms(3)[1])], ids=["choi", "voigt"])
+def test_refined_bounds_do_not_depend_on_the_batch(monkeypatch, milton_q, extreme_q):
     # each direction's bounds at every half-sweep are bitwise the same
     # refined alone as beside directions that stop earlier, and no acoustic
     # stack of the refinement has one column, which numpy would hand to
     # GEMV, rounding it differently
-    scan = lattice_scan(q, CertifyConfig(grid_resolution=32, probe_directions=4))
+    cfg = CertifyConfig(grid_resolution=32, probe_directions=4)
     refine, stack = certify._refine, certify._acoustic_stack
-    for probe in (milton_extremality_probe, extreme_point_probe):
+    for probe, q in ((milton_extremality_probe, milton_q), (extreme_point_probe, extreme_q)):
+        scan = lattice_scan(q, cfg)
         calls = []
         _with_refine(monkeypatch, lambda *a: calls.append(a) or refine(*a),
                      probe, scan)
-        half_sweep, V, sampled, cap = calls[0]
+        half_sweep, V, sampled, cap, line = calls[0]
         widths = []
 
         def run(idx):
@@ -1189,7 +1234,7 @@ def test_refined_bounds_do_not_depend_on_the_batch(monkeypatch, q):
             with monkeypatch.context() as m:
                 m.setattr(certify, "_acoustic_stack",
                           lambda W, K: widths.append(W.shape[1]) or stack(W, K))
-                refine(recording, V[:, idx], sampled[idx], cap)
+                refine(recording, V[:, idx], sampled[idx], cap, line)
             return rows
 
         together = run(np.arange(V.shape[1]))
@@ -1201,6 +1246,116 @@ def test_refined_bounds_do_not_depend_on_the_batch(monkeypatch, q):
             for key in alone:
                 assert np.array_equal(alone[key], together[key])
         assert min(widths) == V.shape[2] >= 2
+
+
+def _without_the_exit(monkeypatch, probe, scan):
+    """probe(scan) with _ray_search given a consistent line of -inf, so that
+    every direction runs every stage; and the line it was given, in the
+    scan's frame."""
+    search, lines = certify._ray_search, []
+
+    def full(*args):
+        lines.append(args[-1])
+        return search(*args[:-1], -math.inf)
+
+    with monkeypatch.context() as m:
+        m.setattr(certify, "_ray_search", full)
+        return probe(scan), lines[0]
+
+
+def _exit_against_full_search(monkeypatch, q, cfg):
+    """Both ray probes on q against themselves without the exit at the
+    line.  Bounds only fall, so the verdicts agree, and a refuted or
+    inconclusive report is the same, bit for bit, but for its search
+    diagnostics and for Milton's eigen-direction table, whose directions
+    below the line keep the bound they left with, at or below the line and
+    at or above the full search's.  A consistent report's value may rise
+    but stays at or below its line; its witness pick, the first direction
+    within rounding of the largest bound, may then move, and stays at or
+    below the line too."""
+    scan = lattice_scan(q, cfg)
+    for probe in (milton_extremality_probe, extreme_point_probe):
+        if probe is extreme_point_probe and detect_shear_layout(q)[0] is None:
+            continue
+        rep, (ref, line) = probe(scan), _without_the_exit(monkeypatch, probe, scan)
+        line = math.ldexp(line, scan.e)
+        a, b = rep.to_json(), ref.to_json()
+        wa, wb = a.pop("witness"), b.pop("witness")
+        star = "eps_star" if probe is milton_extremality_probe else "delta_star"
+        assert rep.verdict == ref.verdict
+        assert wa["diagnostics"]["validation_scans"] == wb["diagnostics"]["validation_scans"]
+        for ea, eb in zip(wa.pop("eigen_directions", []), wb.pop("eigen_directions", [])):
+            assert ea["direction"] == eb["direction"]
+            assert ea["eps_star"] == eb["eps_star"] or eb["eps_star"] <= ea["eps_star"] <= line
+        del wa["diagnostics"], wb["diagnostics"]
+        if rep.verdict == "consistent":
+            assert ref.value <= rep.value <= line
+            assert wa[star] <= line
+        else:
+            assert a == b and wa == wb
+
+
+@pytest.mark.parametrize("name", ["choi_lam", "choi", "convex_identity", "serre"])
+@pytest.mark.parametrize("cfg", [
+    CertifyConfig(grid_resolution=32, probe_directions=4), CertifyConfig(seed=42)])
+def test_search_exit_keeps_the_catalog_verdicts(monkeypatch, name, cfg):
+    _exit_against_full_search(monkeypatch, catalog(name), cfg)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_search_exit_keeps_the_analyze_cycle_verdicts(monkeypatch, seed):
+    for q in _analyze_cycle_forms(seed):
+        _exit_against_full_search(monkeypatch, q, CertifyConfig(
+            grid_resolution=32, probe_directions=4))
+
+
+@settings(max_examples=20, deadline=None)
+@given(name=st.sampled_from(["choi", "choi_lam"]),
+       d=st.lists(st.integers(-3, 4).map(lambda k: 2.0 ** k), min_size=6, max_size=6),
+       seed=st.integers(0, 2**32 - 1))
+def test_search_exit_keeps_the_verdicts_over_diagonal_changes(name, d, seed):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _exit_against_full_search(
+            monkeypatch, _diagonal_change(name, d[:3], d[3:]),
+            CertifyConfig(grid_resolution=32, probe_directions=4, seed=seed))
+
+
+def test_choi_lam_search_ends_at_the_pool(monkeypatch):
+    # choi_lam's pool bounds are rounding noise, far below both consistent
+    # lines: no direction reaches the lattice or the sweeps, so neither
+    # probe builds its lattice table or makes a 3x3 solve
+    scan = lattice_scan(catalog("choi_lam"),
+                        CertifyConfig(grid_resolution=32, probe_directions=4))
+    assert len(scan.zero_pool)    # built once per scan, before the probes
+    calls = []
+    for name in ("_acoustic_stack", "_shifted_adjugate", "_whitened_basis",
+                 "eigvals3", "eigmin3"):
+        fn = getattr(certify, name)
+        monkeypatch.setattr(certify, name, functools.partial(
+            lambda fn, name, *a: calls.append(name) or fn(*a), fn, name))
+    for probe in (milton_extremality_probe, extreme_point_probe):
+        rep = probe(scan)
+        d = rep.witness["diagnostics"]
+        assert rep.verdict == "consistent"
+        assert (d["lattice_directions"], d["refined_directions"],
+                d["refinement_starts"], d["refinement_sweeps"]) == (0, 0, 0, 0)
+        assert d["binding"] == {"pool": 4, "lattice": 0, "refine": 0}
+    assert calls == []
+
+
+def test_extreme_point_distance_is_the_witness_directions_own():
+    # analyze choi_lam --seed 9 --grid 32: the witness pick lands, within
+    # rounding, on a direction below the largest bound.  A consistent
+    # report's distance and theta_witness are that direction's own
+    # (1 - 1e-4) delta*, one split within its bound, while value stays
+    # (1 - 1e-4) max delta*
+    rep = extreme_point_probe(lattice_scan(catalog("choi_lam"),
+                                           CertifyConfig(grid_resolution=32, seed=9)))
+    w = rep.witness
+    theta, d = np.array(w["theta_q"]), np.array(w["direction"])
+    assert rep.verdict == "consistent"
+    assert w["distance"] == (1 - 1e-4) * w["delta_star"] < rep.value
+    assert w["theta_witness"] == list(0.5 * theta + w["distance"] * d)
 
 
 def test_milton_refutes_convex_identity():
@@ -1323,7 +1478,7 @@ def test_milton_runs_no_search(monkeypatch):
         w = rep.witness
         theta, d = np.array(w["theta_q"]), np.array(w["direction"])
         delta = (1 - 1e-4) * w["delta_star"]
-        assert 0 < w["delta_star"] and rep.value == w["distance"] >= delta
+        assert 0 < w["delta_star"] and w["distance"] == delta <= rep.value
         assert w["diagnostics"]["validation_scans"] == len(scanned)
         if name == "choi_lam":
             # a boundary form whose splittings are rounding: its bound is
@@ -1694,31 +1849,54 @@ def test_pencil_bound_matches_eigvalsh_bisection(R, B, shift):
 
 
 def _whiten_one_matrix_at_a_time(A, B):
-    """L^-1 B L^-T as 3x3 products per matrix of B (n, ..., 3, 3)."""
+    """L^-1 B L^-T as 3x3 products per matrix of B (n, 3, 3)."""
     Li = certify._whiten(A, B)[1]
-    Lb = Li.reshape((len(Li),) + (1,) * (B.ndim - 3) + (3, 3))
-    return Lb @ B @ Lb.swapaxes(-1, -2)
+    return np.array([l @ b @ l.T for l, b in zip(Li, B)])
 
 
-@pytest.mark.parametrize("form", ["choi", "choi_lam", "convex_identity",
-                                  "reduced 0", "reduced 1", "reduced 2"])
-def test_whiten_matches_one_matrix_at_a_time(form):
-    # the probe's lattice stacks: A = T_theta(y)/2 + guard I and the nine
-    # basis stacks T_k(y), then one direction's T_d(y)
+def _layout_lattice_stacks(form):
+    """The extreme point's lattice stacks of a catalog form or of the
+    seeded _random_form "<kind> <seed>": (n, 10, 3, 3),
+    A = T_theta(y)/2 + guard I, then the nine basis stacks T_k(y)."""
     name, _, seed = form.partition(" ")
-    q = (_random_form("reduced", np.random.default_rng(int(seed))) if seed
+    q = (_random_form(name, np.random.default_rng(int(seed))) if seed
          else catalog(name))
     layout, theta = detect_shear_layout(q)
     basis = shear_layout_basis(layout)
     A9 = np.tensordot(0.5 * theta, basis, axes=1) + certify.GUARD_REL * np.eye(9)
     G10 = gram_tensor(np.concatenate([A9[None], basis]))
     Y = np.ascontiguousarray(sphere_lattice(certify.PROBE_GRID).T)
-    S = _acoustic_stack(Y, G10.transpose(3, 4, 0, 1, 2))
+    return _acoustic_stack(Y, G10.transpose(3, 4, 0, 1, 2))
+
+
+_LAYOUT_FORMS = ["choi", "choi_lam", "convex_identity", "reduced 0", "reduced 1",
+                 "reduced 2"]
+
+
+@pytest.mark.parametrize("form", _LAYOUT_FORMS)
+def test_whiten_matches_one_matrix_at_a_time(form):
+    # each of the nine basis stacks T_k(y), then one direction's T_d(y),
+    # against A = T_theta(y)/2 + guard I
+    S = _layout_lattice_stacks(form)
     d = np.random.default_rng(5).standard_normal(9)
-    for B in (S[:, 1:], np.tensordot(S[:, 1:], d, axes=(1, 0))):
+    for B in [*S.transpose(1, 0, 2, 3)[1:], np.tensordot(S[:, 1:], d, axes=(1, 0))]:
         C = certify._whiten(S[:, 0], B)[0]
         assert C.shape == B.shape
         np.testing.assert_array_equal(C, _whiten_one_matrix_at_a_time(S[:, 0], B))
+
+
+@pytest.mark.parametrize("form", _LAYOUT_FORMS + ["reduced_shifted 3",
+                                                  "reduced_shifted 4"])
+def test_whitened_basis_matches_whiten_of_each_basis_stack(form):
+    # the components-first table is -_whiten of the nine basis stacks, one
+    # after another, as the rows [k, point, i, j], within rounding
+    S = _layout_lattice_stacks(form)
+    W, pd = certify._whitened_basis(S)
+    whitened = [certify._whiten(S[:, 0], S[:, 1 + k]) for k in range(9)]
+    ref = -np.stack([C for C, _, _ in whitened]).reshape(9, -1)
+    assert W.shape == ref.shape
+    assert np.max(np.abs(W - ref)) <= 1e-14 * np.max(np.abs(ref))
+    assert all(np.array_equal(pd, p) for _, _, p in whitened)
 
 
 @pytest.mark.parametrize("cfg", [
@@ -1964,9 +2142,10 @@ def test_extreme_point_verdict_rests_on_its_own_numbers(name, d, seed):
     floor = -np.ldexp(certify.GUARD_REL, scan.e)
     scans = w["diagnostics"]["validation_scans"]
     if rep.verdict == "consistent":
-        # value is (1 - 1e-4) max delta*, at or above the witness's bound
+        # value is (1 - 1e-4) max delta*, at or above the witness's bound,
+        # and distance the witness's own
         assert w["delta_star"] <= threshold and scans == 0
-        assert bound <= rep.value <= (1 - 1e-4) * threshold
+        assert bound == w["distance"] <= rep.value <= (1 - 1e-4) * threshold
     elif rep.verdict == "refuted":
         assert rep.value > threshold and scans >= 2
         assert min(w["margin_q1"], w["margin_complement"]) >= floor
