@@ -13,15 +13,16 @@ stacked eigen-solve per step.  It converges quadratically at a simple
 minimum; at the quartic-flat rank-one zeros of the theorem's extremal
 forms, where a Newton step only shrinks the distance to 2/3 (Decker,
 Keller & Kelley, SIAM J. Numer. Anal. 20, 1983), the 3x step lands on
-the zero.  Vectors are stored components first,
-as (3, n) rows.  An acoustic stack is one GEMM, a transposed 9x9
-reshaping of the Gram tensor times the nine rows v_j v_l of v (x) v
+the zero.  Vectors, the lattice's too, are stored components first, as
+(3, n) rows.  An acoustic stack is one GEMM, a transposed 9x9 reshaping
+of the Gram tensor times the nine rows v_j v_l of v (x) v
 (_acoustic_stack), into (3, 3, n) storage, whose (n, 3, 3) transposed
 view eigmin3 solves, returning the eigenvectors as the (n, 3) view of
 (3, n) rows.  lattice_scan is pure: each call makes one lattice pass, and
 its LatticeScan, read-only, is shared by the margin report and the probes
-built on top of it.  Only quasiconvexity_margin and rank_one_zeros keep a
-scan, one entry in _kept_scan, so that the pair on one form scans it once:
+built on top of it, which read its minima, clustered once, as prefixes.
+Only quasiconvexity_margin and rank_one_zeros keep a scan, one entry in
+_kept_scan, so that the pair on one form scans it once:
 
   * milton_extremality_probe: largest coefficient eps such that Q - eps*l^2
     stays quasiconvex, maximized over unit rank-one directions l, in closed
@@ -193,10 +194,10 @@ class ProbeReport:
 def sphere_lattice(resolution: int) -> np.ndarray:
     """Spherical Fibonacci lattice of resolution^2 points in canonical sign
     (first nonzero coordinate positive), rounded to 12 decimals and
-    renormalized, rows in lexicographic order (one lexsort, first
-    coordinate first), read-only, built once per resolution.  No point is
-    removed: the rounded rows are distinct, so the order is total, and it
-    fixes which points the probes' top-k refinements pick."""
+    renormalized, in lexicographic order (one lexsort, first coordinate
+    first), as read-only components-first (3, n) rows, built once per
+    resolution.  No point is removed: the rounded points are distinct, so
+    the order is total and fixes which the probes' top-k refinements pick."""
     n = resolution * resolution
     i = np.arange(n)
     z = 1.0 - (2.0 * i + 1.0) / n
@@ -205,7 +206,7 @@ def sphere_lattice(resolution: int) -> np.ndarray:
     pts = np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
     pts = np.round(canonical_sign(pts), 12)
     pts = pts[np.lexsort(pts.T[::-1])]
-    pts /= np.linalg.norm(pts, axis=1)[:, None]
+    pts = np.ascontiguousarray((pts / np.linalg.norm(pts, axis=1)[:, None]).T)
     pts.setflags(write=False)
     return pts
 
@@ -244,7 +245,7 @@ class LatticeScan:
     lattice_lam), all three scaled back by 2^e.  X and Y (seeds, 3) are
     views of components-first rows.  lattice_scan makes every array
     read-only, since the probes of one form, and _kept_scan, share one scan;
-    so is zero_pool, built on first use."""
+    so are zero_pool and the rows of _clusters, each built on first use."""
 
     form: QuadraticForm
     cfg: CertifyConfig
@@ -256,6 +257,11 @@ class LatticeScan:
     Y: np.ndarray
     vals: np.ndarray
     newton_steps: int
+
+    @functools.cached_property
+    def _clusters(self) -> list:
+        """The seeds clustered once; each reader takes a prefix (_seeds_below)."""
+        return _cluster_pairs(self.X, self.Y, self.vals)
 
     @functools.cached_property
     def zero_pool(self) -> np.ndarray:
@@ -270,9 +276,8 @@ class LatticeScan:
             raise PreconditionError(
                 f"{who} requires a quasiconvex form (margin {self.margin:.3e})")
 
-    def _seeds_below(self, floor: float, cap: int = 10**9) -> list:
-        near = self.vals <= floor
-        return _cluster_pairs(self.X[near], self.Y[near], self.vals[near], cap=cap)
+    def _seeds_below(self, floor: float, cap: int | None = None) -> list:
+        return [c for c in self._clusters if c[2] <= floor][:cap]
 
     def margin_report(self) -> MarginReport:
         """Minimizers: refined pairs within tol 2^e of the margin, clustered
@@ -316,7 +321,7 @@ def lattice_scan(q: QuadraticForm, cfg: CertifyConfig = CertifyConfig()) -> Latt
     only the two wrappers below keep a scan (_kept_scan)."""
     e = frame_exponent(q.gram)
     G4 = np.ascontiguousarray(np.ldexp(gram_tensor(q.gram), -e))
-    Y0 = np.ascontiguousarray(sphere_lattice(cfg.grid_resolution).T)
+    Y0 = sphere_lattice(cfg.grid_resolution)
     T = _acoustic_stack(Y0, G4.transpose(2, 3, 0, 1))
     lam = eigvals3(T)[:, 0]
     seeds = _basin_seeds(Y0, lam)
@@ -458,26 +463,26 @@ def _newton(G4: np.ndarray, X: np.ndarray, Y: np.ndarray, vals: np.ndarray
 
 
 def _cluster_pairs(X: np.ndarray, Y: np.ndarray, vals: np.ndarray,
-                   angle: float = CLUSTER_ANGLE, cap: int = 10**9):
-    """Greedy angular clustering of canonical-signed (y, x) pairs, best first:
-    a pair is kept unless it lies within angle, in both y and x taken as
-    lines (v ~ -v, min(|a - b|, |a + b|)), of a pair kept before it.  Each
-    kept pair drops its whole neighbourhood from the remaining candidates
-    in one step."""
-    Xc = canonical_sign(X)
-    Yc = canonical_sign(Y)
+                   angle: float = CLUSTER_ANGLE) -> list:
+    """Greedy angular clustering of canonical-signed (y, x) pairs in
+    (value, y, x) order: a pair is kept unless it lies within angle, in both
+    y and x taken as lines (v ~ -v, min(|a - b|, |a + b|)), of a pair kept
+    before it, read off one neighbour matrix of all pairs.  As each pair
+    is kept or dropped on lower pairs alone, the clusters at or below any
+    value are a prefix of these, whose rows, shared, are read-only."""
+    Xc, Yc = canonical_sign(X), canonical_sign(Y)
+    for V in (Xc, Yc):
+        V.setflags(write=False)
     rest = np.lexsort((Xc[:, 2], Xc[:, 1], Xc[:, 0],
                        Yc[:, 2], Yc[:, 1], Yc[:, 0], vals))
-
-    def near_line(V, v):
-        return np.minimum(np.linalg.norm(V - v, axis=1),
-                          np.linalg.norm(V + v, axis=1)) < angle
-
+    near = np.logical_and(*(np.minimum(np.linalg.norm(V[:, None] - V, axis=2),
+                                       np.linalg.norm(V[:, None] + V, axis=2))
+                            < angle for V in (Yc, Xc)))
     kept = []
-    while len(rest) and len(kept) < cap:
+    while len(rest):
         i, rest = rest[0], rest[1:]
         kept.append((Yc[i], Xc[i], float(vals[i])))
-        rest = rest[~(near_line(Yc[rest], Yc[i]) & near_line(Xc[rest], Xc[i]))]
+        rest = rest[~near[i, rest]]
     return kept
 
 
@@ -737,7 +742,7 @@ def milton_extremality_probe(scan: LatticeScan) -> ProbeReport:
     q, cfg, e, G4 = scan.form, scan.cfg, scan.e, scan.G4
     P9 = scan.zero_pool
     pool_q = _pool_quadratic(P9, G4.swapaxes(1, 2).reshape(9, 9)) + GUARD_REL
-    Y = np.ascontiguousarray(sphere_lattice(PROBE_GRID).T)
+    Y = sphere_lattice(PROBE_GRID)
     Ky = G4.transpose(2, 3, 0, 1)
     dirs = _probe_directions(np.linalg.eigh(q.gram)[1].T, cfg)
 
@@ -937,7 +942,7 @@ def extreme_point_probe(scan: LatticeScan) -> ProbeReport:
     k, i, j = np.nonzero(basis)
     pool_rows = np.zeros((9, len(P9)))
     np.add.at(pool_rows, k, basis[k, i, j, None] * P9.T[i] * P9.T[j])
-    Y = np.ascontiguousarray(sphere_lattice(PROBE_GRID).T)
+    Y = sphere_lattice(PROBE_GRID)
 
     def lattice_table():
         # rows of -C, same rho: along a positive-theta axis C is rank one

@@ -57,15 +57,18 @@ def test_config_validation():
 
 def test_lattice_deterministic_unit():
     Y = sphere_lattice(32)
-    np.testing.assert_allclose(np.linalg.norm(Y, axis=1), 1.0, atol=1e-12)
+    np.testing.assert_allclose(np.linalg.norm(Y, axis=0), 1.0, atol=1e-12)
     Y2 = sphere_lattice(32)
     assert Y is Y2  # cached
+    with pytest.raises(ValueError):
+        Y[0, 0] = 0.0
 
 
 @pytest.mark.parametrize("grid", [*range(8, 65), 96, 128, 256, 512])
 def test_lattice_rows_are_the_sorted_distinct_rounded_points(grid):
-    # the rows and their order, bitwise, are those of the np.unique
-    # reference: the sort removes no point, so the probes pick the same ones
+    # the points and their order, bitwise, are those of the np.unique
+    # reference: the sort removes no point, so the probes pick the same
+    # ones; they come components first, as contiguous (3, n) rows
     n = grid * grid
     i = np.arange(n)
     z = 1.0 - (2.0 * i + 1.0) / n
@@ -75,7 +78,8 @@ def test_lattice_rows_are_the_sorted_distinct_rounded_points(grid):
     ref = np.unique(np.round(canonical_sign(pts), 12), axis=0)
     ref /= np.linalg.norm(ref, axis=1)[:, None]
     Y = sphere_lattice(grid)
-    assert Y.shape == (n, 3) and Y.tobytes() == ref.tobytes()
+    assert Y.shape == (3, n) and Y.flags.c_contiguous
+    assert Y.tobytes() == np.ascontiguousarray(ref.T).tobytes()
 
 
 def test_margin_convex_identity():
@@ -225,7 +229,7 @@ def _reference_margin(q, grid):
     """The margin of the full refinement that basin seeding replaces: every
     lattice point refined by up to 40 alternating sweeps."""
     G4 = acoustic_matrix(q)
-    Y0 = np.ascontiguousarray(sphere_lattice(grid).T)
+    Y0 = sphere_lattice(grid)
     lam, X0 = eigmin3(_acoustic_stack(Y0, G4.transpose(2, 3, 0, 1)))
     vals = _alternating_descent(G4, X0.T, Y0, lam, 40)
     return float(min(np.min(vals), np.min(lam)))
@@ -336,9 +340,12 @@ def test_quartic_flat_scans_take_few_newton_steps(kind, grid):
 def _zero_pool_loop(scan):
     """The per-zero loop that _zero_pool batches, on the same helpers and
     the scan's frame G4: each zero (x0, y0), its transverse Hessian's
-    eigenvalues and its four unit sweep directions (U w_x, V w_y) in R^6."""
-    near = scan.vals <= np.ldexp(1e-10, scan.e)
-    reps = _cluster_pairs(scan.X[near], scan.Y[near], scan.vals[near], cap=12)
+    eigenvalues and its four unit sweep directions (U w_x, V w_y) in R^6.
+    Its zeros are the first 12 clusters of all seeds at or below the
+    floor, as the pool takes them."""
+    floor = np.ldexp(1e-10, scan.e)
+    reps = [c for c in _cluster_pairs(scan.X, scan.Y, scan.vals)
+            if c[2] <= floor][:12]
     out = []
     for (y0, x0, _) in reps:
         _, H, U, V = certify._transverse_hessian(scan.G4, x0[:, None],
@@ -483,7 +490,7 @@ def test_lattice_scan_refines_at_most_the_seed_cap():
     # rows, and each Newton step with one eigmin3 of at most _STEP_ROWS, so
     # a return to refining every lattice point, to eigenvectors over the
     # whole lattice, or to one solve per trial step fails here
-    n = len(sphere_lattice(96))
+    n = sphere_lattice(96).shape[1]
     rows = {}
 
     def spy(fn):
@@ -601,6 +608,11 @@ def test_kept_scan_is_read_only():
             a[(0,) * a.ndim] = 0.0
         with pytest.raises(ValueError):
             a *= 2.0
+    # the canonical-signed rows that the clusters of its seeds hold
+    for (y, x, _) in scan._clusters:
+        for row in (y, x):
+            with pytest.raises(ValueError):
+                row[0] = 0.0
     zeros, scans = _kept_scans(lambda: rank_one_zeros(q, _GRID32))
     assert scans == [] and zeros == scan.rank_one_zeros()
 
@@ -643,7 +655,7 @@ def _basin_seeds_tril(Y0, lam):
 def test_basin_seeds_match_lower_triangle_shadowing(grid):
     # at grids 8 and 9 the pool is the whole lattice, 64 or 81 points, and
     # its last row block is partial
-    Y0 = np.ascontiguousarray(sphere_lattice(grid).T)
+    Y0 = sphere_lattice(grid)
     forms = [catalog(name) for name in ("choi", "choi_lam", "convex_identity",
                                         "serre")]
     forms += [_scan_form(kind, seed, seed % 2 == 0)
@@ -661,7 +673,7 @@ def _eigmin3_lattice_scan(q, cfg):
     its vectors start Newton, on the same helpers."""
     e = np.frexp(np.max(np.abs(q.gram)))[1]
     G4 = np.ascontiguousarray(np.ldexp(acoustic_matrix(q), -e))
-    Y0 = np.ascontiguousarray(sphere_lattice(cfg.grid_resolution).T)
+    Y0 = sphere_lattice(cfg.grid_resolution)
     T = _acoustic_stack(Y0, G4.transpose(2, 3, 0, 1))
     lam, X0 = eigmin3(T)
     seeds = certify._basin_seeds(Y0, lam)
@@ -750,7 +762,7 @@ def test_stacked_halvings_match_one_halving_at_a_time(kind, seed, grid,
     # further
     scan = lattice_scan(_scan_form(kind, seed, seed % 2 == 1),
                         CertifyConfig(grid_resolution=grid))
-    Y0 = np.ascontiguousarray(sphere_lattice(grid).T)
+    Y0 = sphere_lattice(grid)
     seeds = certify._basin_seeds(Y0, np.ldexp(scan.lattice_lam, -scan.e))
     T = _acoustic_stack(Y0, scan.G4.transpose(2, 3, 0, 1))
     vals, X = eigmin3(T[seeds])
@@ -872,8 +884,10 @@ def test_cluster_pairs_matches_reference_loop(seed):
     full = _cluster_pairs_loop(X, Y, vals)
     # the 0 and 0.999 offsets join their centre, the 1.001 ones do not
     assert 8 + 8 <= len(full) <= 8 * 6
+    # one clustering, sliced at each cap, is the loop stopped at that cap
+    clusters = _cluster_pairs(X, Y, vals)
     for cap in (10**9, 5):
-        got = _cluster_pairs(X, Y, vals, cap=cap)
+        got = clusters[:cap]
         ref = _cluster_pairs_loop(X, Y, vals, cap=cap)
         assert len(got) == len(ref) == min(cap, len(full))
         for (y, x, v), (yr, xr, vr) in zip(got, ref):
@@ -898,6 +912,91 @@ def test_cluster_pairs_compares_lines_across_canonical_sign():
     assert len(_cluster_pairs(X, Y, vals)) == 1
     ref = _cluster_pairs_loop(X, Y, vals)
     assert [v for (_, _, v) in ref] == [2.8e-14]
+
+
+def _assert_readers_match_the_loop(scan):
+    """Each reader of the scan's clusters equals, bitwise, the reference
+    loop on the seeds at or below its own floor: the margin report's
+    minimizers (at most 12), rank_one_zeros (on a quasiconvex form) and
+    the zero pool's zeros (at most 12), its first rows x (x) y."""
+    def loop(floor, cap=10**9):
+        near = scan.vals <= floor
+        return _cluster_pairs_loop(scan.X[near], scan.Y[near], scan.vals[near],
+                                   cap=cap)
+
+    def same(a, b):
+        return np.asarray(a, dtype=float).tobytes() == np.asarray(b).tobytes()
+
+    tol = np.ldexp(scan.cfg.tol, scan.e)
+    ref = loop(scan.margin + tol, certify.MAX_REPORTED_MINIMIZERS)
+    got = scan.margin_report().minimizers
+    assert len(got) == len(ref)
+    assert all(same(y, yr) and same(x, xr) and v == vr
+               for (y, x, v), (yr, xr, vr) in zip(got, ref))
+    if scan.margin >= -tol:
+        ref = loop(tol)
+        got = scan.rank_one_zeros()
+        assert len(got) == len(ref)
+        assert all(same(x, xr) and same(y, yr)
+                   for (x, y), (yr, xr, _) in zip(got, ref))
+    ref = loop(np.ldexp(1e-10, scan.e), 12)
+    P9 = scan.zero_pool
+    assert P9.shape == (225 * len(ref), 9)
+    assert all(same(P9[i], np.outer(x, y).ravel())
+               for i, (y, x, _) in enumerate(ref))
+
+
+@pytest.mark.parametrize("grid", [32, 96])
+@pytest.mark.parametrize("name", ["choi", "choi_lam", "convex_identity", "serre"])
+def test_catalog_scan_readers_match_the_reference_loop(name, grid):
+    _assert_readers_match_the_loop(
+        lattice_scan(catalog(name), CertifyConfig(grid_resolution=grid)))
+
+
+@settings(max_examples=24, deadline=None)
+@given(kind=st.sampled_from(["psd", "indefinite", "choi", "choi_lam"]),
+       seed=st.integers(0, 2**32 - 1), shift=st.booleans(),
+       grid=st.sampled_from([32, 96]))
+def test_scan_readers_match_the_reference_loop(kind, seed, shift, grid):
+    # rotated boundary forms (choi, choi_lam), PSD and indefinite Grams
+    _assert_readers_match_the_loop(lattice_scan(
+        _scan_form(kind, seed, shift), CertifyConfig(grid_resolution=grid)))
+
+
+def test_a_scan_clusters_its_seeds_once(monkeypatch):
+    calls = []
+    real = certify._cluster_pairs
+
+    def spy(X, Y, vals, *args, **kw):
+        calls.append(vals)
+        return real(X, Y, vals, *args, **kw)
+
+    monkeypatch.setattr(certify, "_cluster_pairs", spy)
+    q = catalog("choi_lam")
+    quasiconvexity_margin(q, _GRID32)
+    rank_one_zeros(q, _GRID32)
+    assert len(calls) == 1
+    scan = lattice_scan(q, CertifyConfig(grid_resolution=32, probe_directions=4))
+    for _ in range(2):
+        scan.margin_report()
+        scan.rank_one_zeros()
+        milton_extremality_probe(scan)
+        extreme_point_probe(scan)
+        extremal_polynomial_probe(scan)
+    assert len(calls) == 2 and calls[1] is scan.vals
+
+
+@pytest.mark.parametrize("kind, seed", [("choi_lam", None), ("choi", None),
+                                        ("choi_lam", 3), ("psd", 4)])
+def test_scan_readers_agree_in_any_order(kind, seed):
+    q = catalog(kind) if seed is None else _scan_form(kind, seed, False)
+    views = {"margin": lambda s: json.dumps(s.margin_report().to_json()),
+             "zeros": lambda s: repr(s.rank_one_zeros()),
+             "pool": lambda s: s.zero_pool.tobytes()}
+    seen = [{k: views[k](scan) for k in order}
+            for order in itertools.permutations(views)
+            for scan in [lattice_scan(q, _GRID32)]]
+    assert all(s == seen[0] for s in seen)
 
 
 def _clears_reference(T, G4, pool, Y, floor, k, iters):
@@ -953,7 +1052,7 @@ def test_lockstep_row_cap_leaves_probe_reports_unchanged(monkeypatch):
 
     monkeypatch.setattr(certify, "eigvals3", eigvals3_spy)
     default = reports()
-    n = len(sphere_lattice(32))
+    n = sphere_lattice(32).shape[1]
     assert max(rows) > n
     monkeypatch.setattr(certify, "LOCKSTEP_ROWS", 1)
     assert reports() == default
@@ -969,7 +1068,7 @@ def test_probe_diagnostics_count_the_search():
     # the pool and two are swept, settling before the cap of 16 pairs, and
     # its first trial clears, Q1 then Q - Q1
     d = milton_extremality_probe(scan).witness["diagnostics"]
-    assert d == {"directions": 4, "lattice_points": len(sphere_lattice(32)),
+    assert d == {"directions": 4, "lattice_points": sphere_lattice(32).shape[1],
                  "pool_points": len(certify._zero_pool(scan)),
                  "lattice_directions": 0, "refined_directions": 0,
                  "refinement_starts": 0, "refinement_sweeps": 0,
@@ -978,7 +1077,7 @@ def test_probe_diagnostics_count_the_search():
                  "validation_scans": 0}
     assert d["pool_points"] > 0
     d = extreme_point_probe(scan).witness["diagnostics"]
-    assert d == {"directions": 4, "lattice_points": len(sphere_lattice(32)),
+    assert d == {"directions": 4, "lattice_points": sphere_lattice(32).shape[1],
                  "pool_points": len(certify._zero_pool(scan)),
                  "lattice_directions": 2, "refined_directions": 2,
                  "refinement_starts": 2 * 12, "refinement_sweeps": 6,
@@ -1716,7 +1815,7 @@ def test_milton_eps_star_is_the_sampled_threshold(seed, grid, kind):
         eps = milton_extremality_probe(scan).witness["eps_star"]
     assert eps > 0
     P9 = certify._zero_pool(scan)
-    Y = np.ascontiguousarray(sphere_lattice(certify.PROBE_GRID).T)
+    Y = sphere_lattice(certify.PROBE_GRID)
     guard = np.ldexp(certify.GUARD_REL, scan.e)
     stage = [_sampled_stage(q.gram - f * eps * np.outer(m, m), P9, Y, -guard,
                             16, 14) for f in (1.0 - 1e-4, 1.0 + 1e-3)]
@@ -1865,7 +1964,7 @@ def _layout_lattice_stacks(form):
     basis = shear_layout_basis(layout)
     A9 = np.tensordot(0.5 * theta, basis, axes=1) + certify.GUARD_REL * np.eye(9)
     G10 = gram_tensor(np.concatenate([A9[None], basis]))
-    Y = np.ascontiguousarray(sphere_lattice(certify.PROBE_GRID).T)
+    Y = sphere_lattice(certify.PROBE_GRID)
     return _acoustic_stack(Y, G10.transpose(3, 4, 0, 1, 2))
 
 
@@ -1944,7 +2043,7 @@ def test_extreme_point_delta_star_is_the_sampled_threshold(seed):
     theta, d = np.array(w["theta_q"]), np.array(w["direction"])
     assert 0 < w["delta_star"] < 8 * np.linalg.norm(theta)
     P9 = certify._zero_pool(scan)
-    Y = np.ascontiguousarray(sphere_lattice(certify.PROBE_GRID).T)
+    Y = sphere_lattice(certify.PROBE_GRID)
     guard = np.ldexp(certify.GUARD_REL, scan.e)
     for f, clears in ((1 - 1e-4, True), (1 + 1e-3, False)):
         q1 = form_from_theta(w["layout"],

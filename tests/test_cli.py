@@ -216,23 +216,32 @@ def test_analyze_scans_its_input_form_once(monkeypatch, capsys):
 
     monkeypatch.setattr(quasicone.cli, "CertifyConfig", functools.partial(
         quasicone.cli.CertifyConfig, probe_directions=4))
-    scanned = []
-    real = quasicone.certify.lattice_scan
+    scanned, clustered = [], []
+    real, real_cluster = (quasicone.certify.lattice_scan,
+                          quasicone.certify._cluster_pairs)
 
     def spy(q, cfg):
         scan = real(q, cfg)
         scanned.append((q.gram.copy(), scan))
         return scan
 
+    def cluster_spy(X, Y, vals, *args, **kw):
+        clustered.append(vals)
+        return real_cluster(X, Y, vals, *args, **kw)
+
     monkeypatch.setattr(quasicone.certify, "lattice_scan", spy)
     monkeypatch.setattr(quasicone.cli, "lattice_scan", spy)
+    monkeypatch.setattr(quasicone.certify, "_cluster_pairs", cluster_spy)
     assert quasicone.cli.main(["--json", "--grid", "32", "analyze",
                                "choi_lam"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["probes"]["milton"]["verdict"] == "consistent"
     # every lattice_scan call on the input form returns its one scan
     gram = catalog("choi_lam").gram
-    assert len({id(s) for g, s in scanned if np.array_equal(g, gram)}) == 1
+    (scan,) = {s for g, s in scanned if np.array_equal(g, gram)}
+    # and its margin report, the sextic's rank-one zeros and the probes'
+    # zero pool read one clustering of that scan's minima, no other
+    assert len(clustered) == 1 and clustered[0] is scan.vals
 
 
 _FORM_FILES = {
